@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate bench-smoke timing-guard fuzz-smoke kv-crash replica-crash load-smoke examples fmt fmt-check vet ci
+.PHONY: build test race bench bench-smoke benchmark-check timing-guard fuzz-smoke kv-crash replica-crash load-smoke examples fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -22,28 +22,19 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1s .
 
-# Machine-readable per-PR performance snapshot: run the protocol-level
-# T2_/T3_ families and archive name → ns/op as JSON (BENCH_PR8.json).
-# BENCHTIME=1x turns it into a compile-and-run smoke for CI.
-BENCHTIME ?= 2s
-bench-json:
-	$(GO) test -run=NONE -bench='BenchmarkT[23]_' -benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson -o BENCH_PR8.json
-
-# Regression gate: rerun the T2_/T3_ families GATECOUNT times, collapse
-# each benchmark to its median, and fail if any T3 batch median is more
-# than 10% slower than the committed BENCH_PR8.json. Never rewrites the
-# baseline — refresh it deliberately with `make bench-json` on a quiet
-# box. Cross-box numbers are advisory: CI runs this continue-on-error.
-GATECOUNT ?= 3
-bench-gate:
-	$(GO) test -run=NONE -bench='BenchmarkT[23]_' -benchtime=$(BENCHTIME) -count=$(GATECOUNT) . | \
-		$(GO) run ./cmd/benchjson -gate BENCH_PR8.json -gate-match '^BenchmarkT3_.*Batch' -gate-tolerance 0.10
-
 # One iteration per benchmark: proves they compile and run.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='BenchmarkT3_(Purchase|Exchange|Deposit|Get|PutIfAbsent)' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkT3_ReplicaCatchup -benchtime=1x ./internal/replica
+
+# The live-topology benchmark (BENCHMARK.json, benchmark/) is its own
+# module, so `go test ./...` does not reach it: vet it and run its short
+# tests here. This is the compile-time proof that httpapi.Client's
+# surface still fits the benchmark the driver gates every PR with.
+benchmark-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark -short ./...
 
 # Statistical timing guard over the blinded crypto ops (dudect-style
 # Welch t-test, see docs/crypto.md): fails only on a leak confirmed in
@@ -97,4 +88,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check test race bench-smoke timing-guard fuzz-smoke examples kv-crash replica-crash load-smoke
+ci: build vet fmt-check test race bench-smoke benchmark-check timing-guard fuzz-smoke examples kv-crash replica-crash load-smoke

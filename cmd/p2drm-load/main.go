@@ -332,7 +332,7 @@ func main() {
 
 	// Snapshot the server view AFTER executor setup (account creation,
 	// withdrawals) so the delta covers exactly the scenario traffic.
-	startStats, err := topo.Primary.StatsV2()
+	startStats, err := topo.Primary.Stats()
 	if err != nil {
 		log.Printf("p2drm-load: start stats snapshot unavailable: %v", err)
 		startStats = nil
@@ -357,7 +357,7 @@ func main() {
 		Soak:     soakPoints,
 	}
 	rep.ServerStatsStart = startStats
-	if st, err := topo.Primary.StatsV2(); err != nil {
+	if st, err := topo.Primary.Stats(); err != nil {
 		log.Printf("p2drm-load: server stats snapshot unavailable: %v", err)
 	} else {
 		rep.ServerStats = st

@@ -12,20 +12,18 @@
 // demo bank account ("demo", 100 credits), so the p2drm CLI works out of
 // the box.
 //
-// # API surfaces
+// # API surface
 //
-// The daemon serves two API versions (see docs/rest.md): the original
-// bare-JSON /v1/ surface, and the production /v2/ surface where every
+// The daemon serves one API tree, /v2/ (see docs/rest.md): every
 // response is a snapd-style envelope, routes carry auth tiers, and
-// long-running actions (compaction, revocation rebuild, bulk batches,
-// replica promotion/resync) run as background operations pollable at
+// unbounded actions (compaction, revocation rebuild, replica
+// promotion/resync) run as background operations pollable at
 // GET /v2/operations/{id}. Operations persist in a kvstore under
 // <state>/ops, so work in flight at a crash is re-adopted — resumed or
 // marked aborted — on the next start.
 //
 // -user-token and -admin-token configure bearer credentials for the
-// auth tiers, enforced identically on /v1/ and /v2/; with both empty
-// the API is open (every caller is admin), which keeps demo setups
+// auth tiers; with both empty the API is open (every caller is admin), which keeps demo setups
 // working. -admin-socket additionally serves the same handler on a
 // unix socket (created mode 0600) whose callers are authenticated by
 // SO_PEERCRED (root and the daemon's own uid are admin), so local
@@ -141,8 +139,8 @@ func main() {
 		rsaBits      = flag.Int("rsa-bits", 2048, "provider/bank RSA key size")
 		lab          = flag.Bool("lab", false, "use laboratory parameters (768-bit group, 1024-bit RSA)")
 		seedDemo     = flag.Bool("seed-demo", true, "seed demo catalog and bank account")
-		userToken    = flag.String("user-token", "", "bearer token for the user tier, enforced on /v1 and /v2 (empty with -admin-token empty = open API)")
-		adminToken   = flag.String("admin-token", "", "bearer token for the admin tier, enforced on /v1 and /v2")
+		userToken    = flag.String("user-token", "", "bearer token for the user tier (empty with -admin-token empty = open API)")
+		adminToken   = flag.String("admin-token", "", "bearer token for the admin tier")
 		bankShards   = flag.Int("bank-shards", payment.DefaultBankShards, "bank balance-shard count")
 		groupWAL     = flag.Bool("wal-group-commit", true, "fsync durable stores via group commit (off = fsync only on close)")
 		kvShards     = flag.Int("kv-index-shards", kvstore.DefaultIndexShards, "kvstore index lock-stripe count (rounded up to a power of two)")

@@ -10,11 +10,11 @@
 // across PRs.
 //
 // Deployment shape: cmd/p2drmd serves the provider + demo bank over
-// HTTP on two surfaces — the legacy bare-JSON /v1/ API and the
-// production /v2/ API (snapd-style response envelope, guest/user/admin
-// auth tiers, long-running work as durable background operations
-// pollable at /v2/operations/{id}; see docs/rest.md for the full
-// reference and internal/httpapi + internal/ops for the machinery). A
+// HTTP on one API tree, /v2/ (snapd-style response envelope,
+// guest/user/admin auth tiers, unbounded work as durable background
+// operations pollable at /v2/operations/{id}; see docs/rest.md for the
+// full reference and internal/httpapi + internal/ops for the
+// machinery). A
 // second daemon started with -replica-of=<primary-url> runs as a read
 // replica (snapshot + WAL-segment shipping, async promotion/resync on
 // failover) — see internal/replica for the replication protocol.

@@ -92,7 +92,7 @@ delegate allow;
 	client := httpapi.NewClient(srv.URL, sys.Group)
 
 	// Sync request: one call decodes the {"type":"sync",...} envelope.
-	catalog, err := client.CatalogV2()
+	catalog, err := client.Catalog()
 	if err != nil {
 		log.Fatal(err)
 	}

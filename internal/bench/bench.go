@@ -1,6 +1,6 @@
 // Package bench is the experiment harness: it regenerates every table and
-// figure of the reconstructed evaluation (see DESIGN.md §2 and
-// EXPERIMENTS.md) and renders them as aligned-text tables.
+// figure of the reconstructed evaluation and renders them as
+// aligned-text tables.
 //
 // Each RunXX function builds its own small world, sweeps the experiment's
 // parameter, measures, and returns a Table. cmd/p2drm-bench drives them;

@@ -12,14 +12,11 @@ import (
 
 // Auth is the REST plane's access policy: two shared-secret bearer
 // tokens plus unix-socket peer credentials for the admin plane,
-// mirroring snapd's guest / authenticated / trusted split. The same
-// policy gates both API versions — /v1 routes enforce the tier of
-// their /v2 equivalents, so configured tokens protect the whole
-// surface, not just the enveloped half.
+// mirroring snapd's guest / authenticated / trusted split.
 //
 // Open mode: when both tokens are empty, every request resolves to
-// TierAdmin. This keeps a default `p2drmd` invocation (and every /v1
-// client) fully usable; tiers bite only once tokens are configured.
+// TierAdmin. This keeps a default `p2drmd` invocation fully usable;
+// tiers bite only once tokens are configured.
 //
 // With tokens set, a request's tier is the best of:
 //

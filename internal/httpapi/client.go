@@ -1,0 +1,281 @@
+package httpapi
+
+// The client SDK's transport: one request helper that attaches the
+// bearer token, one envelope decoder that parses each response body in
+// a single pass, APIError carrying the server's error kind, and the
+// operation polling helpers.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"time"
+
+	"p2drm/internal/cryptox/schnorr"
+	"p2drm/internal/ops"
+)
+
+// Client is the SDK speaking to a Server or ReplicaServer.
+type Client struct {
+	BaseURL string
+	HTTP    *http.Client
+	Group   *schnorr.Group
+	// Token is the bearer credential sent on every request (empty for
+	// guest access).
+	Token string
+}
+
+// NewClient builds a client; group must match the server's.
+func NewClient(baseURL string, g *schnorr.Group) *Client {
+	return &Client{BaseURL: baseURL, HTTP: http.DefaultClient, Group: g}
+}
+
+// APIError is an error envelope surfaced as a Go error, keeping the
+// machine-readable kind so callers can switch on it.
+type APIError struct {
+	StatusCode int
+	Kind       string
+	Message    string
+}
+
+func (e *APIError) Error() string {
+	return fmt.Sprintf("httpapi: server: %s (%s, status %d)", e.Message, e.Kind, e.StatusCode)
+}
+
+// send issues one request with the bearer token attached (in, when
+// non-nil, is the JSON body) and returns the open response; the caller
+// closes its body.
+func (c *Client) send(method, path string, in any) (*http.Response, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, c.BaseURL+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.Token != "" {
+		req.Header.Set("Authorization", "Bearer "+c.Token)
+	}
+	return c.HTTP.Do(req)
+}
+
+// reply is what a JSON round trip reports besides the decoded result.
+type reply struct {
+	Type   string // envelope type: sync or async
+	Status int    // HTTP status code
+}
+
+// roundTrip is the one JSON transport: it sends the request and decodes
+// the envelope, the result going straight into out (nil discards it).
+// An error envelope comes back as *APIError and never touches out.
+func (c *Client) roundTrip(method, path string, in, out any) (reply, error) {
+	resp, err := c.send(method, path, in)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	rep := reply{Status: resp.StatusCode}
+	rep.Type, err = decodeEnvelope(resp.Body, resp.StatusCode, out)
+	return rep, err
+}
+
+// call is roundTrip for callers that need only the result.
+func (c *Client) call(method, path string, in, out any) error {
+	_, err := c.roundTrip(method, path, in, out)
+	return err
+}
+
+// stream issues a GET on a raw-bytes route and returns the open 200
+// response for the caller to read and close; any other status carries
+// an error envelope.
+func (c *Client) stream(path string) (*http.Response, error) {
+	resp, err := c.send("GET", path, nil)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	if _, err := decodeEnvelope(resp.Body, resp.StatusCode, nil); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("httpapi: status %d", resp.StatusCode)
+}
+
+// decodeEnvelope reads one envelope from body in a single pass: it
+// walks the frame's keys and decodes "result" directly into its
+// destination — out for sync/async, an *APIError for error — so a large
+// result (the signed revocation filter is ~420 KB) is never buffered as
+// raw JSON and parsed a second time. The destination is chosen by
+// "type", which the server always writes first; a frame that puts
+// "result" ahead of it is rejected rather than guessed at.
+func decodeEnvelope(body io.Reader, status int, out any) (typ string, err error) {
+	bad := func(err error) (string, error) {
+		return "", fmt.Errorf("httpapi: bad envelope (status %d): %w", status, err)
+	}
+	dec := json.NewDecoder(body)
+	if t, err := dec.Token(); err != nil {
+		return bad(err)
+	} else if t != json.Delim('{') {
+		return bad(errors.New("not a JSON object"))
+	}
+	var (
+		er   errorResult
+		skip json.RawMessage // keys the client has no use for
+	)
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return bad(err)
+		}
+		var dst any = &skip
+		switch key {
+		case "type":
+			dst = &typ
+		case "result":
+			switch {
+			case typ == "":
+				return bad(errors.New("result precedes type"))
+			case typ == "error":
+				dst = &er
+			case out != nil:
+				dst = out
+			}
+		}
+		if err := dec.Decode(dst); err != nil {
+			return bad(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace: a cut-off body ends More() too
+		return bad(err)
+	}
+	switch typ {
+	case "":
+		return bad(errors.New("no type"))
+	case "error":
+		return typ, &APIError{StatusCode: status, Kind: er.Kind, Message: er.Message}
+	}
+	return typ, nil
+}
+
+// postAsync posts to an async route and returns the spawned operation
+// snapshot.
+func (c *Client) postAsync(path string) (*ops.Operation, error) {
+	var op ops.Operation
+	rep, err := c.roundTrip("POST", path, nil, &op)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Type != "async" {
+		return nil, fmt.Errorf("httpapi: expected async envelope, got %q", rep.Type)
+	}
+	return &op, nil
+}
+
+// Operation polls one operation by ID.
+func (c *Client) Operation(id string) (*ops.Operation, error) {
+	var op ops.Operation
+	if err := c.call("GET", OperationURL(id), nil, &op); err != nil {
+		return nil, err
+	}
+	return &op, nil
+}
+
+// Operations lists the daemon's operations, newest first.
+func (c *Client) Operations() ([]ops.Operation, error) {
+	var resp OperationsResponse
+	if err := c.call("GET", "/v2/operations", nil, &resp); err != nil {
+		return nil, err
+	}
+	return resp.Operations, nil
+}
+
+// DeleteOperation removes a terminal operation from the registry.
+func (c *Client) DeleteOperation(id string) error {
+	return c.call("DELETE", OperationURL(id), nil, nil)
+}
+
+// WaitOperation polls an operation every poll interval until it reaches
+// a terminal status or ctx expires. A zero poll defaults to 50ms.
+func (c *Client) WaitOperation(ctx context.Context, id string, poll time.Duration) (*ops.Operation, error) {
+	if poll <= 0 {
+		poll = 50 * time.Millisecond
+	}
+	t := time.NewTicker(poll)
+	defer t.Stop()
+	for {
+		op, err := c.Operation(id)
+		if err != nil {
+			return nil, err
+		}
+		if op.Status.Terminal() {
+			return op, nil
+		}
+		select {
+		case <-ctx.Done():
+			return op, ctx.Err()
+		case <-t.C:
+		}
+	}
+}
+
+// OperationResult decodes a terminal operation's result into out,
+// surfacing failed/aborted operations as errors.
+func OperationResult(op *ops.Operation, out any) error {
+	switch op.Status {
+	case ops.StatusDone:
+	case ops.StatusError, ops.StatusAborted:
+		return fmt.Errorf("httpapi: operation %s %s: %s", op.ID, op.Status, op.Error)
+	default:
+		return fmt.Errorf("httpapi: operation %s still %s", op.ID, op.Status)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(op.Result, out)
+}
+
+// --- operation starters ---
+
+// CompactStore starts a full compaction of a named store and returns
+// the operation to poll (admin tier).
+func (c *Client) CompactStore(store string) (*ops.Operation, error) {
+	return c.postAsync("/v2/compact?store=" + url.QueryEscape(store))
+}
+
+// RebuildRevocationFilter starts a revocation bloom rebuild and returns
+// the operation to poll (admin tier).
+func (c *Client) RebuildRevocationFilter() (*ops.Operation, error) {
+	return c.postAsync("/v2/revocation/rebuild")
+}
+
+// PromoteAsync starts follower promotion on a replica daemon and
+// returns the operation to poll (admin tier).
+func (c *Client) PromoteAsync() (*ops.Operation, error) {
+	return c.postAsync("/v2/replica/promote")
+}
+
+// ResyncReplica starts a snapshot re-bootstrap on a replica daemon
+// (store == "" resyncs all stores) and returns the operation to poll
+// (admin tier).
+func (c *Client) ResyncReplica(store string) (*ops.Operation, error) {
+	p := "/v2/replica/resync"
+	if store != "" {
+		p += "?store=" + url.QueryEscape(store)
+	}
+	return c.postAsync(p)
+}

@@ -12,13 +12,10 @@ package httpapi
 // A 202 async response also sets the Location header to the operation
 // URL; the embedded operation document is a convenience snapshot — the
 // authoritative state is always GET /v2/operations/{id}.
-//
-// The /v1/ surface predates the envelope and is kept as thin
-// compatibility shims: the same endpoint cores, written as bare JSON
-// with `{"error": "..."}` error bodies.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -63,7 +60,7 @@ const (
 	KindStream RouteKind = "stream"
 )
 
-// Route is one registered route's metadata. The /v2/ route table is
+// Route is one registered route's metadata. The route table is
 // exported (Routes) so the docs drift test can diff it against
 // docs/rest.md.
 type Route struct {
@@ -74,8 +71,8 @@ type Route struct {
 }
 
 // apiError is a transport-level error: an HTTP status, a stable
-// machine-readable kind, and a human message. The /v2/ writer renders
-// it as an error envelope, the /v1/ shim as the legacy error body.
+// machine-readable kind, and a human message, rendered as an error
+// envelope.
 type apiError struct {
 	status int
 	kind   string
@@ -93,37 +90,14 @@ func errNotFound(err error) *apiError {
 }
 
 // errRejected is a protocol-level refusal (bad proof, double spend,
-// unregistered pseudonym): HTTP 403 like /v1, but with its own kind so
-// clients can tell it from an authorization failure.
+// unregistered pseudonym): HTTP 403, but with its own kind so clients
+// can tell it from an authorization failure.
 func errRejected(err error) *apiError {
 	return &apiError{status: http.StatusForbidden, kind: "rejected", msg: err.Error()}
 }
 
 func errInternal(err error) *apiError {
 	return &apiError{status: http.StatusInternalServerError, kind: "internal", msg: err.Error()}
-}
-
-// errStatus maps an arbitrary status produced by shared helpers onto
-// the matching kind.
-func errStatus(status int, err error) *apiError {
-	kind := "internal"
-	switch status {
-	case http.StatusBadRequest:
-		kind = "bad-request"
-	case http.StatusUnauthorized:
-		kind = "login-required"
-	case http.StatusForbidden:
-		kind = "forbidden"
-	case http.StatusNotFound:
-		kind = "not-found"
-	case http.StatusConflict:
-		kind = "conflict"
-	case http.StatusGone:
-		kind = "gone"
-	case http.StatusNotImplemented:
-		kind = "not-implemented"
-	}
-	return &apiError{status: status, kind: kind, msg: err.Error()}
 }
 
 // envelope is the /v2/ wire frame.
@@ -177,14 +151,13 @@ func writeEnvErr(w http.ResponseWriter, e *apiError) {
 	})
 }
 
-// endpoint is a transport-agnostic handler core: it decodes the
-// request, runs the action, and returns either a result payload or an
-// apiError. One core serves both the /v1 legacy shim and the /v2
-// envelope route.
+// endpoint is a handler core: it decodes the request, runs the action,
+// and returns either a result payload or an apiError for the envelope
+// writer.
 type endpoint func(r *http.Request) (any, *apiError)
 
 // api is the shared REST-plane chassis embedded by Server and
-// ReplicaServer: the mux, the /v2/ route table, the auth policy, the
+// ReplicaServer: the mux, the route table, the auth policy, the
 // operations registry, and the observability plane every route reports
 // into (obs.go).
 type api struct {
@@ -211,28 +184,6 @@ func newAPI() api {
 	}
 }
 
-// legacy registers a /v1 compatibility shim for ep (bare JSON wire
-// format, `{"error":...}` failures). The shim enforces the same tier
-// as the route's /v2 equivalent — the legacy surface must not be an
-// auth bypass once tokens are configured (in open mode every caller
-// is admin, so unconfigured daemons behave exactly as before).
-func (a *api) legacy(method, path string, tier Tier, ep endpoint) {
-	a.legacyRaw(method, path, tier, func(w http.ResponseWriter, r *http.Request) {
-		res, apiErr := ep(r)
-		if apiErr != nil {
-			writeErr(w, apiErr.status, apiErr)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-}
-
-// legacyRaw registers a /v1 route with tier enforcement and a custom
-// writer (raw byte streams). Auth failures use the legacy error body.
-func (a *api) legacyRaw(method, path string, tier Tier, h http.HandlerFunc) {
-	a.mux.HandleFunc(method+" "+path, a.instrument(method, path, tier, false, h))
-}
-
 // v2 registers an enveloped synchronous route with tier enforcement.
 func (a *api) v2(method, path string, tier Tier, ep endpoint) {
 	a.v2raw(method, path, tier, KindSync, func(w http.ResponseWriter, r *http.Request) {
@@ -249,19 +200,14 @@ func (a *api) v2(method, path string, tier Tier, ep endpoint) {
 // (async 202 responses and raw byte streams).
 func (a *api) v2raw(method, path string, tier Tier, kind RouteKind, h http.HandlerFunc) {
 	a.routes = append(a.routes, Route{Method: method, Path: path, Tier: tier, Kind: kind})
-	a.mux.HandleFunc(method+" "+path, a.instrument(method, path, tier, true, h))
+	a.mux.HandleFunc(method+" "+path, a.instrument(method, path, tier, h))
 }
 
-// Routes returns the registered /v2/ route table sorted by path then
+// Routes returns the registered route table sorted by path then
 // method — the machine-readable surface the docs drift test checks
 // against docs/rest.md.
 func (a *api) Routes() []Route {
-	out := make([]Route, 0, len(a.routes))
-	for _, rt := range a.routes {
-		if strings.HasPrefix(rt.Path, "/v2/") {
-			out = append(out, rt)
-		}
-	}
+	out := append([]Route(nil), a.routes...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path
@@ -271,29 +217,24 @@ func (a *api) Routes() []Route {
 	return out
 }
 
-// serveHTTP dispatches with envelope-shaped 404/405 for the /v2/
-// surface (the stdlib mux would write text/plain).
+// serveHTTP dispatches with envelope-shaped 404/405 for every path no
+// route matches (the stdlib mux would write text/plain).
 func (a *api) serveHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/v2/") {
-		if _, pattern := a.mux.Handler(r); pattern == "" {
-			if a.pathKnown(r.URL.Path) {
-				writeEnvErr(w, &apiError{
-					status: http.StatusMethodNotAllowed, kind: "method-not-allowed",
-					msg: fmt.Sprintf("httpapi: method %s not allowed on %s", r.Method, r.URL.Path),
-				})
-			} else {
-				writeEnvErr(w, &apiError{
-					status: http.StatusNotFound, kind: "not-found",
-					msg: "httpapi: unknown route " + r.URL.Path,
-				})
-			}
-			return
+	if _, pattern := a.mux.Handler(r); pattern == "" {
+		if a.pathKnown(r.URL.Path) {
+			writeEnvErr(w, &apiError{
+				status: http.StatusMethodNotAllowed, kind: "method-not-allowed",
+				msg: fmt.Sprintf("httpapi: method %s not allowed on %s", r.Method, r.URL.Path),
+			})
+		} else {
+			writeEnvErr(w, errNotFound(errors.New("httpapi: unknown route "+r.URL.Path)))
 		}
+		return
 	}
 	a.mux.ServeHTTP(w, r)
 }
 
-// pathKnown reports whether any registered /v2/ route matches path
+// pathKnown reports whether any registered route matches path
 // under some method ({param} segments match any non-empty segment).
 func (a *api) pathKnown(path string) bool {
 	for _, rt := range a.routes {

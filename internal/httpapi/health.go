@@ -9,7 +9,6 @@ package httpapi
 // same identity denylist as the metrics names.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -218,24 +217,10 @@ func (s *Server) registerCryptoHealth() {
 // status code — 503 is an expected answer carrying a full report, not
 // a transport failure, so it does not produce an error.
 func (c *Client) HealthV2() (*HealthResponse, int, error) {
-	req, err := c.newReq("GET", "/v2/health", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	var env struct {
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return nil, resp.StatusCode, fmt.Errorf("httpapi: health envelope: %w", err)
-	}
 	var hr HealthResponse
-	if err := json.Unmarshal(env.Result, &hr); err != nil {
-		return nil, resp.StatusCode, fmt.Errorf("httpapi: health result: %w", err)
+	rep, err := c.roundTrip("GET", "/v2/health", nil, &hr)
+	if err != nil {
+		return nil, rep.Status, err
 	}
-	return &hr, resp.StatusCode, nil
+	return &hr, rep.Status, nil
 }

@@ -51,7 +51,7 @@ func TestHealthEndpoint(t *testing.T) {
 	// Ordinary instrumented routes feed the SLO tracker; the health
 	// endpoint itself is meta-monitoring and must not (its 503s would
 	// otherwise keep the burn window hot on a failing node).
-	if _, err := h.client.CatalogV2(); err != nil {
+	if _, err := h.client.Catalog(); err != nil {
 		t.Fatal(err)
 	}
 	hr2, _, err := h.client.HealthV2()
@@ -244,7 +244,7 @@ func TestHealthBurnRate(t *testing.T) {
 func TestHealthNoIdentifiers(t *testing.T) {
 	h := newV2Harness(t, Auth{})
 	// Drive real traffic first so details are populated.
-	if _, err := h.client.CatalogV2(); err != nil {
+	if _, err := h.client.Catalog(); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(h.srv.URL + "/v2/health")
@@ -256,7 +256,7 @@ func TestHealthNoIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env Envelope
+	var env rawEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatalf("health body is not an envelope: %v", err)
 	}

@@ -2,50 +2,45 @@
 // clients an SDK speaking the same protocol, so the P2DRM parties can run
 // in separate processes (cmd/p2drmd + cmd/p2drm).
 //
-// # Two API surfaces
+// # One API tree
 //
-// The production surface lives under /v2/ and follows snapd's REST
-// design: every response is a uniform envelope
+// Every route lives under /v2/ and follows snapd's REST design: every
+// response is a uniform envelope
 //
 //	{"type":"sync","status-code":200,"result":...}
 //	{"type":"async","status-code":202,"operation":"/v2/operations/ID","result":{...}}
 //	{"type":"error","status-code":4xx,"result":{"message":"...","kind":"..."}}
 //
 // routes carry a minimum auth tier (guest read, authenticated user,
-// trusted admin — see Auth), and every long-running action (compaction,
-// revocation-list rebuild, bulk batch issuance, replica promotion and
-// resync) answers 202 Accepted with an operation URL pollable at
-// GET /v2/operations/{id}. Operations persist in the kvstore-backed
-// ops.Registry, so an operation in flight when the daemon dies is still
-// visible — resumed or marked aborted — after restart.
-//
-// The original /v1/ surface is kept as thin compatibility shims over
-// the same endpoint cores: bare JSON bodies, `{"error":...}` failures,
-// identical status codes. Each shim enforces the same auth tier as its
-// /v2 equivalent, so configured tokens protect the whole surface (with
-// no tokens configured both versions stay open). New clients should
-// speak /v2/; docs/rest.md is the authoritative reference for both.
+// trusted admin — see Auth), and every unbounded action (compaction,
+// revocation-list rebuild, replica promotion and resync) answers 202
+// Accepted with an operation URL pollable at GET /v2/operations/{id}.
+// Operations persist in the kvstore-backed ops.Registry, so an
+// operation in flight when the daemon dies is still visible — resumed
+// or marked aborted — after restart. A path no route matches answers
+// an envelope 404; docs/rest.md is the authoritative reference.
 //
 // # Wire conventions
 //
 // Binary artifacts (licenses, proofs, blinded blobs) travel
-// base64-encoded inside JSON envelopes. The three batch endpoints share
-// one shape: up to maxBatchItems slots, per-slot outcomes in request
-// order (a malformed or failed slot never voids the rest), and the
-// provider's shared worker pool underneath.
+// base64-encoded inside JSON envelopes. The three batch endpoints are
+// synchronous and share one shape: up to maxBatchItems slots, per-slot
+// outcomes in request order (a malformed or failed slot never voids the
+// rest), and the provider's shared worker pool underneath.
 package httpapi
 
 import (
-	"bytes"
 	cryptorand "crypto/rand"
 	"crypto/rsa"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
 	"net/http"
+	"net/url"
 	"time"
 
 	"p2drm/internal/cryptox/schnorr"
@@ -74,34 +69,9 @@ type Server struct {
 	replicas map[string]*replica.Source
 }
 
-// NewServer builds the handler tree: the /v2/ envelope surface plus the
-// /v1/ compatibility shims over the same endpoint cores.
+// NewServer builds the handler tree.
 func NewServer(p *provider.Provider) *Server {
 	s := &Server{Provider: p, api: newAPI()}
-	s.legacy("GET", "/v1/catalog", TierGuest, s.epCatalog)
-	s.legacyRaw("GET", "/v1/content", TierGuest, s.handleContent)
-	s.legacy("GET", "/v1/denomination", TierGuest, s.epDenomination)
-	s.legacy("GET", "/v1/challenge", TierGuest, s.epChallenge)
-	s.legacy("POST", "/v1/register", TierUser, s.epRegister)
-	s.legacy("POST", "/v1/purchase", TierUser, s.epPurchase)
-	s.legacy("POST", "/v1/purchase/batch", TierUser, s.epPurchaseBatch)
-	s.legacy("POST", "/v1/exchange", TierUser, s.epExchange)
-	s.legacy("POST", "/v1/exchange/batch", TierUser, s.epExchangeBatch)
-	s.legacy("POST", "/v1/redeem", TierUser, s.epRedeem)
-	s.legacy("POST", "/v1/redeem/batch", TierUser, s.epRedeemBatch)
-	s.legacy("GET", "/v1/revocation/filter", TierGuest, s.epFilter)
-	s.legacy("GET", "/v1/revocation/contains", TierGuest, s.epRevocationContains)
-	s.legacy("GET", "/v1/stats", TierGuest, s.epStats)
-	s.legacy("GET", "/v1/kv/get", TierGuest, s.epKVGet)
-	s.legacy("GET", "/v1/kv/has", TierGuest, s.epKVHas)
-	s.legacy("GET", "/v1/replica/manifest", TierGuest, s.epReplicaManifest)
-	s.legacyRaw("GET", "/v1/replica/segment/{id}", TierGuest, s.handleReplicaSegment)
-	s.legacy("POST", "/v1/replica/release", TierUser, s.epReplicaRelease)
-	s.legacy("GET", "/v1/replica/status", TierGuest, s.epReplicaStatus)
-	s.legacy("GET", "/v1/provider/key", TierGuest, s.epProviderKey)
-	s.legacy("GET", "/v1/bank/coinkey", TierGuest, s.epCoinKey)
-	s.legacy("POST", "/v1/bank/account", TierAdmin, s.epBankAccount)
-	s.legacy("POST", "/v1/bank/withdraw", TierUser, s.epWithdraw)
 	s.registerV2()
 	if p != nil {
 		s.registerCryptoMetrics()
@@ -209,28 +179,17 @@ func (s *Server) epWithdraw(r *http.Request) (any, *apiError) {
 
 // ProviderKey fetches the provider's license/revocation verification key.
 // Clients should pin it on first use.
-func (c *Client) ProviderKey() (*rsa.PublicKey, error) {
-	var out struct {
-		N string `json:"n"`
-		E int    `json:"e"`
-	}
-	if err := c.get("/v1/provider/key", &out); err != nil {
-		return nil, err
-	}
-	nBytes, err := unb64(out.N)
-	if err != nil {
-		return nil, err
-	}
-	return &rsa.PublicKey{N: new(big.Int).SetBytes(nBytes), E: out.E}, nil
-}
+func (c *Client) ProviderKey() (*rsa.PublicKey, error) { return c.fetchKey("/v2/provider/key") }
 
 // CoinKey fetches the bank's coin verification key.
-func (c *Client) CoinKey() (*rsa.PublicKey, error) {
+func (c *Client) CoinKey() (*rsa.PublicKey, error) { return c.fetchKey("/v2/bank/coinkey") }
+
+func (c *Client) fetchKey(path string) (*rsa.PublicKey, error) {
 	var out struct {
 		N string `json:"n"`
 		E int    `json:"e"`
 	}
-	if err := c.get("/v1/bank/coinkey", &out); err != nil {
+	if err := c.call("GET", path, nil, &out); err != nil {
 		return nil, err
 	}
 	nBytes, err := unb64(out.N)
@@ -242,7 +201,7 @@ func (c *Client) CoinKey() (*rsa.PublicKey, error) {
 
 // CreateAccount opens a demo bank account.
 func (c *Client) CreateAccount(id string, funds int64) error {
-	return c.post("/v1/bank/account", BankAccountRequest{ID: id, Funds: funds}, nil)
+	return c.call("POST", "/v2/bank/account", BankAccountRequest{ID: id, Funds: funds}, nil)
 }
 
 // WithdrawCoins mints n coins over the wire (blind withdrawal loop).
@@ -258,7 +217,7 @@ func (c *Client) WithdrawCoins(account string, n int) ([]*payment.Coin, error) {
 			return nil, err
 		}
 		var resp WithdrawResponse
-		if err := c.post("/v1/bank/withdraw", WithdrawRequest{Account: account, Blinded: b64(req.Blinded)}, &resp); err != nil {
+		if err := c.call("POST", "/v2/bank/withdraw", WithdrawRequest{Account: account, Blinded: b64(req.Blinded)}, &resp); err != nil {
 			return nil, err
 		}
 		blindSig, err := unb64(resp.BlindSig)
@@ -278,10 +237,6 @@ func (c *Client) WithdrawCoins(account string, n int) ([]*payment.Coin, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.api.serveHTTP(w, r) }
 
 // Wire types.
-
-type errorBody struct {
-	Error string `json:"error"`
-}
 
 // CatalogEntry is a catalog row.
 type CatalogEntry struct {
@@ -411,16 +366,6 @@ type StatsResponse struct {
 	Crypto *provider.CryptoStats    `json:"crypto,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
 func b64(b []byte) string { return base64.StdEncoding.EncodeToString(b) }
 
 func unb64(s string) ([]byte, error) { return base64.StdEncoding.DecodeString(s) }
@@ -437,20 +382,15 @@ func (s *Server) epCatalog(r *http.Request) (any, *apiError) {
 	return out, nil
 }
 
-// handleContent streams the encrypted blob; shared raw handler for both
-// API versions (errFn shapes the failure body per surface).
-func (s *Server) serveContent(w http.ResponseWriter, r *http.Request, errFn func(http.ResponseWriter, *apiError)) {
+// serveContent streams the encrypted blob.
+func (s *Server) serveContent(w http.ResponseWriter, r *http.Request) {
 	item, err := s.Provider.Item(license.ContentID(r.URL.Query().Get("id")))
 	if err != nil {
-		errFn(w, errNotFound(err))
+		writeEnvErr(w, errNotFound(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(item.Encrypted)
-}
-
-func (s *Server) handleContent(w http.ResponseWriter, r *http.Request) {
-	s.serveContent(w, r, func(w http.ResponseWriter, e *apiError) { writeErr(w, e.status, e) })
 }
 
 func (s *Server) epDenomination(r *http.Request) (any, *apiError) {
@@ -748,109 +688,26 @@ func (s *Server) epRevocationContains(r *http.Request) (any, *apiError) {
 	return KVValueResponse{Found: s.Provider.Revoked(serial)}, nil
 }
 
-// Client is the SDK speaking to a Server. The /v1 helpers talk bare
-// JSON; the /v2 helpers (client_v2.go) speak the envelope and attach
-// Token as a bearer credential when set.
-type Client struct {
-	BaseURL string
-	HTTP    *http.Client
-	Group   *schnorr.Group
-	// Token is the bearer credential sent on /v2 requests (empty for
-	// guest access).
-	Token string
-}
-
-// NewClient builds a client; group must match the server's.
-func NewClient(baseURL string, g *schnorr.Group) *Client {
-	return &Client{BaseURL: baseURL, HTTP: http.DefaultClient, Group: g}
-}
-
-// newReq builds a request against BaseURL with the client's bearer
-// token attached — the same credential serves both API versions, since
-// the server enforces the same tiers on /v1 and /v2.
-func (c *Client) newReq(method, path string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequest(method, c.BaseURL+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	return req, nil
-}
-
-func (c *Client) get(path string, out interface{}) error {
-	req, err := c.newReq("GET", path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResp(resp, out)
-}
-
-func (c *Client) post(path string, in, out interface{}) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := c.newReq("POST", path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResp(resp, out)
-}
-
-func decodeResp(resp *http.Response, out interface{}) error {
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
-			return fmt.Errorf("httpapi: server: %s", eb.Error)
-		}
-		return fmt.Errorf("httpapi: status %d", resp.StatusCode)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // Catalog lists items.
 func (c *Client) Catalog() ([]CatalogEntry, error) {
 	var out []CatalogEntry
-	return out, c.get("/v1/catalog", &out)
+	return out, c.call("GET", "/v2/catalog", nil, &out)
 }
 
 // Content downloads an encrypted content blob.
 func (c *Client) Content(id license.ContentID) ([]byte, error) {
-	req, err := c.newReq("GET", "/v1/content?id="+string(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.stream("/v2/content?id=" + url.QueryEscape(string(id)))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: status %d", resp.StatusCode)
-	}
 	return io.ReadAll(resp.Body)
 }
 
 // Denomination fetches an item's blind-signature verification key.
 func (c *Client) Denomination(id license.ContentID) (*rsa.PublicKey, license.DenominationID, error) {
 	var info DenominationInfo
-	if err := c.get("/v1/denomination?id="+string(id), &info); err != nil {
+	if err := c.call("GET", "/v2/denomination?id="+url.QueryEscape(string(id)), nil, &info); err != nil {
 		return nil, license.DenominationID{}, err
 	}
 	nBytes, err := unb64(info.N)
@@ -858,7 +715,7 @@ func (c *Client) Denomination(id license.ContentID) (*rsa.PublicKey, license.Den
 		return nil, license.DenominationID{}, err
 	}
 	var denom license.DenominationID
-	db, err := unb64From(info.Denom)
+	db, err := hex.DecodeString(info.Denom) // DenominationID.String is hex
 	if err != nil || len(db) != len(denom) {
 		return nil, license.DenominationID{}, errors.New("httpapi: bad denomination id")
 	}
@@ -866,17 +723,10 @@ func (c *Client) Denomination(id license.ContentID) (*rsa.PublicKey, license.Den
 	return &rsa.PublicKey{N: new(big.Int).SetBytes(nBytes), E: info.E}, denom, nil
 }
 
-// unb64From parses the hex denomination id (DenominationID.String is hex).
-func unb64From(hexStr string) ([]byte, error) {
-	out := make([]byte, len(hexStr)/2)
-	_, err := fmt.Sscanf(hexStr, "%x", &out)
-	return out, err
-}
-
 // Challenge fetches a nonce.
 func (c *Client) Challenge() (string, error) {
 	var out map[string]string
-	if err := c.get("/v1/challenge", &out); err != nil {
+	if err := c.call("GET", "/v2/challenge", nil, &out); err != nil {
 		return "", err
 	}
 	return out["nonce"], nil
@@ -888,7 +738,7 @@ func (c *Client) Register(signPub, encPub []byte, proof *schnorr.Proof, nonce st
 		SignPub: b64(signPub), EncPub: b64(encPub),
 		Proof: b64(proof.Bytes(c.Group)), Nonce: nonce,
 	}
-	return c.post("/v1/register", req, nil)
+	return c.call("POST", "/v2/register", req, nil)
 }
 
 // Purchase buys a license with coins.
@@ -898,7 +748,7 @@ func (c *Client) Purchase(id license.ContentID, signPub, encPub []byte, coins []
 		req.Coins = append(req.Coins, encodeCoin(coin))
 	}
 	var resp LicenseResponse
-	if err := c.post("/v1/purchase", req, &resp); err != nil {
+	if err := c.call("POST", "/v2/purchase", req, &resp); err != nil {
 		return nil, err
 	}
 	raw, err := unb64(resp.License)
@@ -923,7 +773,7 @@ type BatchPurchase struct {
 func (c *Client) PurchaseBatch(items []BatchPurchase) ([]*license.Personalized, []error, error) {
 	reqs := encodePurchases(items)
 	var resp BatchPurchaseResponse
-	if err := c.post("/v1/purchase/batch", BatchPurchaseRequest{Purchases: reqs}, &resp); err != nil {
+	if err := c.call("POST", "/v2/purchase/batch", BatchPurchaseRequest{Purchases: reqs}, &resp); err != nil {
 		return nil, nil, err
 	}
 	return decodePurchaseResults(resp, len(reqs))
@@ -972,7 +822,7 @@ func (c *Client) Exchange(lic *license.Personalized, proof *schnorr.Proof, nonce
 		Nonce: nonce, Blinded: b64(blinded),
 	}
 	var resp ExchangeResponse
-	if err := c.post("/v1/exchange", req, &resp); err != nil {
+	if err := c.call("POST", "/v2/exchange", req, &resp); err != nil {
 		return nil, err
 	}
 	return unb64(resp.BlindSig)
@@ -999,7 +849,7 @@ func (c *Client) ExchangeBatch(items []BatchExchange) ([][]byte, []error, error)
 		}
 	}
 	var resp BatchExchangeResponse
-	if err := c.post("/v1/exchange/batch", BatchExchangeRequest{Exchanges: reqs}, &resp); err != nil {
+	if err := c.call("POST", "/v2/exchange/batch", BatchExchangeRequest{Exchanges: reqs}, &resp); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Results) != len(reqs) {
@@ -1024,7 +874,7 @@ func (c *Client) ExchangeBatch(items []BatchExchange) ([][]byte, []error, error)
 func (c *Client) Redeem(anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
 	req := RedeemRequest{Anonymous: b64(anon.Marshal()), SignPub: b64(signPub), EncPub: b64(encPub)}
 	var resp LicenseResponse
-	if err := c.post("/v1/redeem", req, &resp); err != nil {
+	if err := c.call("POST", "/v2/redeem", req, &resp); err != nil {
 		return nil, err
 	}
 	raw, err := unb64(resp.License)
@@ -1054,7 +904,7 @@ func (c *Client) RedeemBatch(items []BatchRedeem) ([]*license.Personalized, []er
 		}
 	}
 	var resp BatchRedeemResponse
-	if err := c.post("/v1/redeem/batch", BatchRedeemRequest{Redeems: reqs}, &resp); err != nil {
+	if err := c.call("POST", "/v2/redeem/batch", BatchRedeemRequest{Redeems: reqs}, &resp); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Results) != len(reqs) {
@@ -1082,7 +932,7 @@ func (c *Client) RedeemBatch(items []BatchRedeem) ([]*license.Personalized, []er
 // Stats fetches the daemon's kvstore engine statistics.
 func (c *Client) Stats() (*StatsResponse, error) {
 	var resp StatsResponse
-	if err := c.get("/v1/stats", &resp); err != nil {
+	if err := c.call("GET", "/v2/stats", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -1091,7 +941,7 @@ func (c *Client) Stats() (*StatsResponse, error) {
 // RevocationFilter fetches and reassembles the signed filter.
 func (c *Client) RevocationFilter() (*revocation.SignedFilter, error) {
 	var resp FilterResponse
-	if err := c.get("/v1/revocation/filter", &resp); err != nil {
+	if err := c.call("GET", "/v2/revocation/filter", nil, &resp); err != nil {
 		return nil, err
 	}
 	filter, err1 := unb64(resp.Filter)

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -119,8 +120,48 @@ func TestCatalogAndContent(t *testing.T) {
 	if len(blob) == 0 {
 		t.Error("empty content blob")
 	}
-	if _, err := h.client.Content("missing"); err == nil {
-		t.Error("missing content served")
+	// A refused download carries the server's reason, not a bare status.
+	_, err = h.client.Content("missing")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Kind != "not-found" || !strings.Contains(err.Error(), provider.ErrUnknownContent.Error()) {
+		t.Errorf("missing content: err = %v, want not-found with the provider's message", err)
+	}
+}
+
+// TestContentIDQueryEscaping: a content ID made of query metacharacters
+// reaches the server intact through every SDK call that carries it in
+// the query string.
+func TestContentIDQueryEscaping(t *testing.T) {
+	h := newHarness(t)
+	const id = "a&b c#1"
+	template := rel.MustParse("grant play count 1;")
+	if _, err := h.prov.AddContent(id, "Odd", 1, template, []byte("odd-blob")); err != nil {
+		t.Fatal(err)
+	}
+	items, err := h.client.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := false
+	for _, it := range items {
+		listed = listed || it.ID == id
+	}
+	if !listed {
+		t.Fatalf("catalog %+v does not list %q", items, id)
+	}
+	_, wantDenom, err := h.prov.DenomPublic(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, denom, err := h.client.Denomination(id); err != nil || denom != wantDenom {
+		t.Errorf("Denomination(%q) = %v, %v; want %v", id, denom, err, wantDenom)
+	}
+	want, err := h.prov.Item(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := h.client.Content(id); err != nil || !bytes.Equal(blob, want.Encrypted) {
+		t.Errorf("Content(%q) = %d bytes, %v; want the item's %d-byte blob", id, len(blob), err, len(want.Encrypted))
 	}
 }
 
@@ -218,11 +259,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	cases := []struct {
 		path, body string
 	}{
-		{"/v1/register", `{"sign_pub":"!!!","enc_pub":"","proof":"","nonce":"x"}`},
-		{"/v1/register", `not-json`},
-		{"/v1/purchase", `{"content_id":"song-1","coins":["bad"]}`},
-		{"/v1/exchange", `{"license":"AA==","proof":"AA==","blinded":"AA=="}`},
-		{"/v1/redeem", `{"anonymous":"AA==","sign_pub":"","enc_pub":""}`},
+		{"/v2/register", `{"sign_pub":"!!!","enc_pub":"","proof":"","nonce":"x"}`},
+		{"/v2/register", `not-json`},
+		{"/v2/purchase", `{"content_id":"song-1","coins":["bad"]}`},
+		{"/v2/exchange", `{"license":"AA==","proof":"AA==","blinded":"AA=="}`},
+		{"/v2/redeem", `{"anonymous":"AA==","sign_pub":"","enc_pub":""}`},
 	}
 	for _, tc := range cases {
 		resp, err := h.srv.Client().Post(h.srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -267,8 +308,8 @@ func TestCoinCodec(t *testing.T) {
 
 // TestExchangeAndRedeemBatchOverHTTP drives the full deposit-side batch
 // pipeline through the SDK: buy 3 licenses, retire all three in one
-// /v1/exchange/batch call (with one malformed slot), then redeem the
-// resulting bearer tokens in one /v1/redeem/batch call (with one replayed
+// /v2/exchange/batch call (with one malformed slot), then redeem the
+// resulting bearer tokens in one /v2/redeem/batch call (with one replayed
 // serial). Per-slot errors must not disturb the healthy slots.
 func TestExchangeAndRedeemBatchOverHTTP(t *testing.T) {
 	h := newHarness(t)
@@ -372,37 +413,34 @@ func TestExchangeAndRedeemBatchOverHTTP(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointsRejectBadSizes: empty and oversized batches are
-// call-level errors on all three batch endpoints.
+// TestBatchEndpointsRejectBadSizes: malformed, empty and oversized
+// batches are call-level 400s on all three batch endpoints.
 func TestBatchEndpointsRejectBadSizes(t *testing.T) {
 	h := newHarness(t)
-	for _, tc := range []struct{ path, empty string }{
-		{"/v1/purchase/batch", `{"purchases":[]}`},
-		{"/v1/exchange/batch", `{"exchanges":[]}`},
-		{"/v1/redeem/batch", `{"redeems":[]}`},
+	for _, tc := range []struct{ path, field string }{
+		{"/v2/purchase/batch", "purchases"},
+		{"/v2/exchange/batch", "exchanges"},
+		{"/v2/redeem/batch", "redeems"},
 	} {
-		resp, err := h.srv.Client().Post(h.srv.URL+tc.path, "application/json", strings.NewReader(tc.empty))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("POST %s empty batch: status %d, want 400", tc.path, resp.StatusCode)
+		for name, body := range map[string]string{
+			"malformed": `{"` + tc.field + `":[`,
+			"empty":     `{"` + tc.field + `":[]}`,
+			"257 slots": `{"` + tc.field + `":[` + strings.Repeat("{},", maxBatchItems) + `{}]}`,
+		} {
+			if status, env := rawV2(t, h.srv.URL, "POST", tc.path, "", body); status != 400 || errKind(t, env) != "bad-request" {
+				t.Errorf("POST %s %s batch: status %d, want 400 bad-request", tc.path, name, status)
+			}
 		}
 	}
-	// One malformed slot inside a healthy envelope is a 200 with a
-	// per-slot error, never a call failure.
+	// One malformed slot inside a healthy batch is a 200 sync envelope
+	// with a per-slot error, never a call failure.
 	body := `{"exchanges":[{"license":"!!!","proof":"AA==","nonce":"x","blinded":"AA=="}]}`
-	resp, err := h.srv.Client().Post(h.srv.URL+"/v1/exchange/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("malformed slot escalated to status %d, want 200", resp.StatusCode)
+	status, env := rawV2(t, h.srv.URL, "POST", "/v2/exchange/batch", "", body)
+	if status != 200 || env.Type != "sync" {
+		t.Fatalf("malformed slot: status %d type %q, want a 200 sync envelope", status, env.Type)
 	}
 	var out BatchExchangeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(env.Result, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Results) != 1 || out.Results[0].Error == "" {
@@ -410,7 +448,7 @@ func TestBatchEndpointsRejectBadSizes(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint: GET /v1/stats reports the registered stores'
+// TestStatsEndpoint: GET /v2/stats reports the registered stores'
 // kvstore engine statistics through the client SDK.
 func TestStatsEndpoint(t *testing.T) {
 	pk, bk := keys()

@@ -1,7 +1,7 @@
 package httpapi
 
 // The REST plane's observability surface. Every route registered
-// through legacyRaw/v2raw is wrapped by instrument: a per-request
+// through v2raw is wrapped by instrument: a per-request
 // trace (threaded via context down to the kvstore span points), a
 // status-capturing writer, and per-route/per-status counters and
 // latency histograms. The /v2/metrics endpoint renders the server's
@@ -79,17 +79,13 @@ func (w *statusWriter) code() int {
 // instrument wraps one route's handler with tracing, auth enforcement
 // and metrics. Auth runs INSIDE the wrapper so denied requests are
 // counted and traced under their route like any other outcome.
-func (a *api) instrument(method, path string, tier Tier, env bool, h http.HandlerFunc) http.HandlerFunc {
+func (a *api) instrument(method, path string, tier Tier, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace(method + " " + path)
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 		sw := &statusWriter{ResponseWriter: w}
 		if e := a.auth.check(r, tier); e != nil {
-			if env {
-				writeEnvErr(sw, e)
-			} else {
-				writeErr(sw, e.status, e)
-			}
+			writeEnvErr(sw, e)
 		} else {
 			h(sw, r)
 		}
@@ -284,25 +280,18 @@ func registerFollowerMetrics(reg *obs.Registry, name string, f *replica.Follower
 // MetricsV2 fetches the raw Prometheus text exposition from
 // /v2/metrics (parse with obs.ParseMetrics).
 func (c *Client) MetricsV2() ([]byte, error) {
-	req, err := c.newReq("GET", "/v2/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.stream("/v2/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: resp.StatusCode, Kind: "metrics", Message: "metrics scrape failed"}
-	}
 	return io.ReadAll(resp.Body)
 }
 
 // TracesV2 fetches the retained slow-request traces (admin tier).
 func (c *Client) TracesV2() (*TracesResponse, error) {
 	var resp TracesResponse
-	if err := c.getV2("/v2/debug/traces", &resp); err != nil {
+	if err := c.call("GET", "/v2/debug/traces", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

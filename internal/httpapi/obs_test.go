@@ -43,7 +43,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Traffic with distinct outcomes: a guest 200, a 401 (user tier, no
 	// token), and the scrape itself.
-	if _, err := h.client.CatalogV2(); err != nil {
+	if _, err := h.client.Catalog(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.client.TracesV2(); err == nil {
@@ -92,7 +92,7 @@ func TestSlowTraceRing(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	h.server.WithTraceRetention(8, 0, quiet)
 
-	if _, err := h.client.CatalogV2(); err != nil {
+	if _, err := h.client.Catalog(); err != nil {
 		t.Fatal(err)
 	}
 	admin := NewClient(h.srv.URL, nil)

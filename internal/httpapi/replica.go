@@ -6,11 +6,12 @@ package httpapi
 // with identity metadata in X-Replica-* headers — they are CRC-framed
 // log records, so JSON/base64 framing would only add bulk.
 //
-// Both roles expose the endpoints on /v1 (bare JSON) and /v2
-// (envelope, tiered auth); promotion and resync are /v2-only async
-// operations. A compaction-invalidated segment read answers 410 Gone,
-// which the client maps back to kvstore.ErrSegmentGone so the
-// follower's snapshot fallback triggers exactly as it does in-process.
+// Promotion and resync are async operations. Source errors the follower
+// reacts to cross the wire as their own envelope error kinds
+// (replicaAPIError), which the client maps back to the sentinel — a
+// compaction-invalidated segment read comes back as
+// kvstore.ErrSegmentGone, so the follower's snapshot fallback triggers
+// exactly as it does in-process.
 
 import (
 	"context"
@@ -57,7 +58,7 @@ func (s *Server) epReplicaManifest(r *http.Request) (any, *apiError) {
 	}
 	m, err := src.Manifest(r.URL.Query().Get("pin") == "1")
 	if err != nil {
-		return nil, errStatus(replicaErrStatus(err), err)
+		return nil, replicaAPIError(err)
 	}
 	return m, nil
 }
@@ -74,17 +75,16 @@ const (
 	hdrActive  = "X-Replica-Active"
 )
 
-// serveReplicaSegment streams one segment chunk; shared raw handler for
-// both API versions (errFn shapes the failure body per surface).
-func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request, errFn func(http.ResponseWriter, *apiError)) {
+// serveReplicaSegment streams one segment chunk.
+func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request) {
 	src, apiErr := s.replicaSource(r)
 	if apiErr != nil {
-		errFn(w, apiErr)
+		writeEnvErr(w, apiErr)
 		return
 	}
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		errFn(w, errBadRequest(fmt.Errorf("httpapi: bad segment id: %w", err)))
+		writeEnvErr(w, errBadRequest(fmt.Errorf("httpapi: bad segment id: %w", err)))
 		return
 	}
 	q := r.URL.Query()
@@ -96,12 +96,12 @@ func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request, err
 		gen, err3 = strconv.ParseUint(g, 10, 64)
 	}
 	if err1 != nil || err2 != nil || err3 != nil {
-		errFn(w, errBadRequest(errors.New("httpapi: bad from/max/gen")))
+		writeEnvErr(w, errBadRequest(errors.New("httpapi: bad from/max/gen")))
 		return
 	}
 	ch, err := src.Segment(id, from, max, gen, q.Get("pin"))
 	if err != nil {
-		errFn(w, errStatus(replicaErrStatus(err), err))
+		writeEnvErr(w, replicaAPIError(err))
 		return
 	}
 	h := w.Header()
@@ -116,10 +116,6 @@ func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request, err
 	h.Set(hdrActive, strconv.FormatUint(ch.ActiveID, 10))
 	w.WriteHeader(http.StatusOK)
 	w.Write(ch.Data)
-}
-
-func (s *Server) handleReplicaSegment(w http.ResponseWriter, r *http.Request) {
-	s.serveReplicaSegment(w, r, func(w http.ResponseWriter, e *apiError) { writeErr(w, e.status, e) })
 }
 
 func (s *Server) epReplicaRelease(r *http.Request) (any, *apiError) {
@@ -160,18 +156,27 @@ func (s *Server) epReplicaStatus(r *http.Request) (any, *apiError) {
 	return resp, nil
 }
 
-// replicaErrStatus maps source errors onto transport codes the client
+// Error kinds of the source sentinels a follower reacts to. The client
+// maps them back by kind (replicaErr): a status alone cannot tell an
+// unknown pin from an unknown store, both 404.
+const (
+	kindSegmentGone = "segment-gone"
+	kindInMemory    = "in-memory"
+	kindUnknownPin  = "unknown-pin"
+)
+
+// replicaAPIError maps source errors onto envelope errors the client
 // can map back losslessly.
-func replicaErrStatus(err error) int {
+func replicaAPIError(err error) *apiError {
 	switch {
 	case errors.Is(err, kvstore.ErrSegmentGone):
-		return http.StatusGone
+		return &apiError{status: http.StatusGone, kind: kindSegmentGone, msg: err.Error()}
 	case errors.Is(err, kvstore.ErrInMemory):
-		return http.StatusNotImplemented
+		return &apiError{status: http.StatusNotImplemented, kind: kindInMemory, msg: err.Error()}
 	case errors.Is(err, replica.ErrUnknownPin):
-		return http.StatusNotFound
+		return &apiError{status: http.StatusNotFound, kind: kindUnknownPin, msg: err.Error()}
 	default:
-		return http.StatusInternalServerError
+		return errInternal(err)
 	}
 }
 
@@ -232,14 +237,6 @@ type ReplicaServer struct {
 // followers (keyed by store name, e.g. "provider" and "bank").
 func NewReplicaServer(followers map[string]*replica.Follower) *ReplicaServer {
 	rs := &ReplicaServer{followers: followers, api: newAPI()}
-	rs.legacy("GET", "/v1/kv/get", TierGuest, rs.epGet)
-	rs.legacy("GET", "/v1/kv/has", TierGuest, rs.epHas)
-	rs.legacy("POST", "/v1/kv/put", TierUser, rs.epPut)
-	rs.legacy("GET", "/v1/stats", TierGuest, rs.epStats)
-	rs.legacy("GET", "/v1/replica/status", TierGuest, rs.epStatus)
-	rs.legacy("POST", "/v1/replica/promote", TierAdmin, rs.epPromoteSync)
-	rs.legacy("GET", "/v1/revocation/contains", TierGuest, rs.epContains)
-
 	rs.v2("GET", "/v2/kv/get", TierGuest, rs.epGet)
 	rs.v2("GET", "/v2/kv/has", TierGuest, rs.epHas)
 	rs.v2("POST", "/v2/kv/put", TierUser, rs.epPut)
@@ -364,14 +361,6 @@ func (rs *ReplicaServer) epStatus(r *http.Request) (any, *apiError) {
 	return resp, nil
 }
 
-// epPromoteSync is the /v1 promote: immediate, all stores.
-func (rs *ReplicaServer) epPromoteSync(r *http.Request) (any, *apiError) {
-	for _, f := range rs.followers {
-		f.Promote()
-	}
-	return map[string]string{"status": "promoted"}, nil
-}
-
 // PromoteResult reports the post-promotion role per store.
 type PromoteResult struct {
 	Promoted []string `json:"promoted"`
@@ -462,51 +451,49 @@ func (rs *ReplicaServer) epContains(r *http.Request) (any, *apiError) {
 
 // --- client SDK ---
 
+// replicaErr maps the replication error kinds back onto the sentinels
+// the follower matches with errors.Is.
+func replicaErr(err error) error {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		switch ae.Kind {
+		case kindSegmentGone:
+			return kvstore.ErrSegmentGone
+		case kindInMemory:
+			return kvstore.ErrInMemory
+		case kindUnknownPin:
+			return replica.ErrUnknownPin
+		}
+	}
+	return err
+}
+
 // ReplicaManifest fetches a store's segment manifest; pin=true leases
 // the sealed set against compaction until ReplicaRelease (or TTL).
 func (c *Client) ReplicaManifest(store string, pin bool) (*replica.Manifest, error) {
-	p := "/v1/replica/manifest?store=" + url.QueryEscape(store)
+	p := "/v2/replica/manifest?store=" + url.QueryEscape(store)
 	if pin {
 		p += "&pin=1"
 	}
 	var m replica.Manifest
-	if err := c.get(p, &m); err != nil {
-		return nil, err
+	if err := c.call("GET", p, nil, &m); err != nil {
+		return nil, replicaErr(err)
 	}
 	return &m, nil
 }
 
 // ReplicaSegment fetches raw segment bytes; see replica.Fetcher.
 func (c *Client) ReplicaSegment(store string, id uint64, from, max int64, wantGen uint64, pinID string) (*replica.Chunk, error) {
-	p := fmt.Sprintf("/v1/replica/segment/%d?store=%s&from=%d&max=%d&gen=%d",
+	p := fmt.Sprintf("/v2/replica/segment/%d?store=%s&from=%d&max=%d&gen=%d",
 		id, url.QueryEscape(store), from, max, wantGen)
 	if pinID != "" {
 		p += "&pin=" + url.QueryEscape(pinID)
 	}
-	req, err := c.newReq("GET", p, nil)
+	resp, err := c.stream(p)
 	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
+		return nil, replicaErr(err)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusGone:
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return nil, kvstore.ErrSegmentGone
-	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return nil, replica.ErrUnknownPin
-	default:
-		var eb errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
-			return nil, fmt.Errorf("httpapi: server: %s", eb.Error)
-		}
-		return nil, fmt.Errorf("httpapi: status %d", resp.StatusCode)
-	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
@@ -548,29 +535,23 @@ func (c *Client) ReplicaSegment(store string, id uint64, from, max int64, wantGe
 
 // ReplicaRelease ends a pin lease.
 func (c *Client) ReplicaRelease(store, pinID string) error {
-	return c.post("/v1/replica/release?store="+url.QueryEscape(store)+"&pin="+url.QueryEscape(pinID), struct{}{}, nil)
+	return c.call("POST", "/v2/replica/release?store="+url.QueryEscape(store)+"&pin="+url.QueryEscape(pinID), nil, nil)
 }
 
 // ReplicaStatus reads either role's replication status.
 func (c *Client) ReplicaStatus() (*ReplicaStatusResponse, error) {
 	var resp ReplicaStatusResponse
-	if err := c.get("/v1/replica/status", &resp); err != nil {
+	if err := c.call("GET", "/v2/replica/status", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// ReplicaPromote promotes a follower daemon's stores to writable
-// (legacy /v1 synchronous form; see PromoteAsync).
-func (c *Client) ReplicaPromote() error {
-	return c.post("/v1/replica/promote", struct{}{}, nil)
-}
-
 // KVGet reads one key from a named store (primary or replica daemon).
 func (c *Client) KVGet(store string, key []byte) ([]byte, bool, error) {
 	var resp KVValueResponse
-	p := "/v1/kv/get?store=" + url.QueryEscape(store) + "&key=" + base64.URLEncoding.EncodeToString(key)
-	if err := c.get(p, &resp); err != nil {
+	p := "/v2/kv/get?store=" + url.QueryEscape(store) + "&key=" + base64.URLEncoding.EncodeToString(key)
+	if err := c.call("GET", p, nil, &resp); err != nil {
 		return nil, false, err
 	}
 	if !resp.Found {
@@ -583,8 +564,8 @@ func (c *Client) KVGet(store string, key []byte) ([]byte, bool, error) {
 // KVHas checks one key on a named store.
 func (c *Client) KVHas(store string, key []byte) (bool, error) {
 	var resp KVValueResponse
-	p := "/v1/kv/has?store=" + url.QueryEscape(store) + "&key=" + base64.URLEncoding.EncodeToString(key)
-	if err := c.get(p, &resp); err != nil {
+	p := "/v2/kv/has?store=" + url.QueryEscape(store) + "&key=" + base64.URLEncoding.EncodeToString(key)
+	if err := c.call("GET", p, nil, &resp); err != nil {
 		return false, err
 	}
 	return resp.Found, nil
@@ -592,14 +573,14 @@ func (c *Client) KVHas(store string, key []byte) (bool, error) {
 
 // KVPut attempts a write on a replica daemon (rejected until promoted).
 func (c *Client) KVPut(store string, key, val []byte) error {
-	return c.post("/v1/kv/put?store="+url.QueryEscape(store), KVPutRequest{Key: b64(key), Value: b64(val)}, nil)
+	return c.call("POST", "/v2/kv/put?store="+url.QueryEscape(store), KVPutRequest{Key: b64(key), Value: b64(val)}, nil)
 }
 
-// RevocationContains asks a replica for exact revocation containment.
+// RevocationContains asks either role for exact revocation containment.
 func (c *Client) RevocationContains(serial license.Serial) (bool, error) {
 	var resp KVValueResponse
-	p := "/v1/revocation/contains?serial=" + base64.URLEncoding.EncodeToString(serial[:])
-	if err := c.get(p, &resp); err != nil {
+	p := "/v2/revocation/contains?serial=" + base64.URLEncoding.EncodeToString(serial[:])
+	if err := c.call("GET", p, nil, &resp); err != nil {
 		return false, err
 	}
 	return resp.Found, nil

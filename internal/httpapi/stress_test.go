@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,6 +205,12 @@ func TestPurchaseBatchOverHTTP(t *testing.T) {
 		}
 	}
 
+	// A batch is one synchronous round trip: nothing lands in the
+	// operations registry.
+	if list, err := h.client.Operations(); err != nil || len(list) != 0 {
+		t.Errorf("operations after a batch = %+v, %v; want none", list, err)
+	}
+
 	// Empty batches are rejected outright.
 	if _, _, err := h.client.PurchaseBatch(nil); err == nil {
 		t.Error("empty batch accepted")
@@ -214,16 +219,12 @@ func TestPurchaseBatchOverHTTP(t *testing.T) {
 	// A slot that fails wire decoding (bad base64, unreachable through
 	// the typed SDK) must produce a per-slot error, not a call-level 400.
 	body := `{"purchases":[{"content_id":"song-1","sign_pub":"!!!","enc_pub":"","coins":[]}]}`
-	resp, err := h.srv.Client().Post(h.srv.URL+"/v1/purchase/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("decode-error slot: status %d, want 200 with per-slot error", resp.StatusCode)
+	status, env := rawV2(t, h.srv.URL, "POST", "/v2/purchase/batch", "", body)
+	if status != 200 || env.Type != "sync" {
+		t.Fatalf("decode-error slot: status %d type %q, want a 200 sync envelope with a per-slot error", status, env.Type)
 	}
 	var br BatchPurchaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	if err := json.Unmarshal(env.Result, &br); err != nil {
 		t.Fatal(err)
 	}
 	if len(br.Results) != 1 || br.Results[0].Error == "" {

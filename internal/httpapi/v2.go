@@ -1,9 +1,9 @@
 package httpapi
 
-// The primary daemon's /v2/ surface: the same endpoint cores as /v1
-// wrapped in the snapd-style envelope, tiered auth, and every
-// long-running action converted to a 202 background operation pollable
-// at /v2/operations/{id}.
+// The primary daemon's route table: endpoint cores wrapped in the
+// snapd-style envelope, tiered auth, and the unbounded maintenance
+// actions (compaction, revocation rebuild) run as 202 background
+// operations pollable at /v2/operations/{id}.
 
 import (
 	"context"
@@ -22,24 +22,23 @@ import (
 // admin.
 func (s *Server) registerV2() {
 	s.v2("GET", "/v2/catalog", TierGuest, s.epCatalog)
-	s.v2raw("GET", "/v2/content", TierGuest, KindStream, func(w http.ResponseWriter, r *http.Request) {
-		s.serveContent(w, r, func(w http.ResponseWriter, e *apiError) { writeEnvErr(w, e) })
-	})
+	s.v2raw("GET", "/v2/content", TierGuest, KindStream, s.serveContent)
 	s.v2("GET", "/v2/denomination", TierGuest, s.epDenomination)
 	s.v2("GET", "/v2/challenge", TierGuest, s.epChallenge)
 	s.v2("POST", "/v2/register", TierUser, s.epRegister)
 	s.v2("POST", "/v2/purchase", TierUser, s.epPurchase)
+	s.v2("POST", "/v2/purchase/batch", TierUser, s.epPurchaseBatch)
 	s.v2("POST", "/v2/exchange", TierUser, s.epExchange)
+	s.v2("POST", "/v2/exchange/batch", TierUser, s.epExchangeBatch)
 	s.v2("POST", "/v2/redeem", TierUser, s.epRedeem)
+	s.v2("POST", "/v2/redeem/batch", TierUser, s.epRedeemBatch)
 	s.v2("GET", "/v2/revocation/filter", TierGuest, s.epFilter)
 	s.v2("GET", "/v2/revocation/contains", TierGuest, s.epRevocationContains)
 	s.v2("GET", "/v2/stats", TierGuest, s.epStats)
 	s.v2("GET", "/v2/kv/get", TierGuest, s.epKVGet)
 	s.v2("GET", "/v2/kv/has", TierGuest, s.epKVHas)
 	s.v2("GET", "/v2/replica/manifest", TierGuest, s.epReplicaManifest)
-	s.v2raw("GET", "/v2/replica/segment/{id}", TierGuest, KindStream, func(w http.ResponseWriter, r *http.Request) {
-		s.serveReplicaSegment(w, r, func(w http.ResponseWriter, e *apiError) { writeEnvErr(w, e) })
-	})
+	s.v2raw("GET", "/v2/replica/segment/{id}", TierGuest, KindStream, s.serveReplicaSegment)
 	s.v2("POST", "/v2/replica/release", TierUser, s.epReplicaRelease)
 	s.v2("GET", "/v2/replica/status", TierGuest, s.epReplicaStatus)
 	s.v2("GET", "/v2/provider/key", TierGuest, s.epProviderKey)
@@ -47,30 +46,18 @@ func (s *Server) registerV2() {
 	s.v2("POST", "/v2/bank/account", TierAdmin, s.epBankAccount)
 	s.v2("POST", "/v2/bank/withdraw", TierUser, s.epWithdraw)
 
-	s.v2raw("POST", "/v2/purchase/batch", TierUser, KindAsync, s.handlePurchaseBatchV2)
-	s.v2raw("POST", "/v2/exchange/batch", TierUser, KindAsync, s.handleExchangeBatchV2)
-	s.v2raw("POST", "/v2/redeem/batch", TierUser, KindAsync, s.handleRedeemBatchV2)
 	s.v2raw("POST", "/v2/compact", TierAdmin, KindAsync, s.handleCompactV2)
 	s.v2raw("POST", "/v2/revocation/rebuild", TierAdmin, KindAsync, s.handleRevocationRebuildV2)
 	s.registerOpsRoutes()
 	s.registerObsRoutes()
 }
 
-// Operation kinds started by the primary server. Compaction and filter
-// rebuilds are idempotent and get Resumers in ResumeOps; the bulk-*
-// kinds spend coins/licenses and are aborted on restart instead.
+// Operation kinds started by the primary server. Both are idempotent
+// and get Resumers in ResumeOps.
 const (
 	opKindCompact           = "compact"
 	opKindRevocationRebuild = "revocation-rebuild"
-	opKindBulkIssuance      = "bulk-issuance"
-	opKindBulkExchange      = "bulk-exchange"
-	opKindBulkRedeem        = "bulk-redeem"
 )
-
-// batchChunk is how many batch slots each progress step covers: small
-// enough that pollers see movement, big enough to amortize the worker
-// pool's fan-out.
-const batchChunk = 32
 
 // compactParams names the store an async compaction targets; persisted
 // as operation params so a restarted daemon can re-run it.
@@ -147,116 +134,3 @@ func (s *Server) ResumeOps() (resumed, aborted int) {
 	})
 	return s.ops.Resume()
 }
-
-// handlePurchaseBatchV2 runs bulk issuance as a background operation:
-// the request is decoded (and size-checked) synchronously so malformed
-// input still fails fast with 400, then the slots are settled in
-// batchChunk chunks on the provider's worker pool with progress after
-// each chunk.
-func (s *Server) handlePurchaseBatchV2(w http.ResponseWriter, r *http.Request) {
-	var req BatchPurchaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeEnvErr(w, errBadRequest(err))
-		return
-	}
-	if e := checkBatchSize(len(req.Purchases)); e != nil {
-		writeEnvErr(w, e)
-		return
-	}
-	resp := BatchPurchaseResponse{Results: make([]BatchPurchaseResult, len(req.Purchases))}
-	reqs, slots := decodeSlots(req.Purchases, decodePurchase,
-		func(i int, err error) { resp.Results[i].Error = err.Error() })
-	summary := fmt.Sprintf("bulk issuance of %d licenses", len(req.Purchases))
-	s.startOperation(w, opKindBulkIssuance, summary, batchParams(len(req.Purchases)),
-		func(ctx context.Context, h *ops.Handle) (any, error) {
-			total := int64(len(reqs))
-			for off := 0; off < len(reqs); off += batchChunk {
-				end := min(off+batchChunk, len(reqs))
-				for j, res := range s.Provider.IssueBatch(ctx, reqs[off:end]) {
-					i := slots[off+j]
-					if res.Err != nil {
-						resp.Results[i].Error = res.Err.Error()
-						continue
-					}
-					resp.Results[i].License = b64(res.License.Marshal())
-				}
-				h.Progress(int64(end), total, "issuing licenses")
-			}
-			return resp, nil
-		})
-}
-
-// handleExchangeBatchV2 runs bulk exchange as a background operation;
-// see handlePurchaseBatchV2 for the shape.
-func (s *Server) handleExchangeBatchV2(w http.ResponseWriter, r *http.Request) {
-	var req BatchExchangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeEnvErr(w, errBadRequest(err))
-		return
-	}
-	if e := checkBatchSize(len(req.Exchanges)); e != nil {
-		writeEnvErr(w, e)
-		return
-	}
-	resp := BatchExchangeResponse{Results: make([]BatchExchangeResult, len(req.Exchanges))}
-	items, slots := decodeSlots(req.Exchanges, s.decodeExchange,
-		func(i int, err error) { resp.Results[i].Error = err.Error() })
-	summary := fmt.Sprintf("bulk exchange of %d licenses", len(req.Exchanges))
-	s.startOperation(w, opKindBulkExchange, summary, batchParams(len(req.Exchanges)),
-		func(ctx context.Context, h *ops.Handle) (any, error) {
-			total := int64(len(items))
-			for off := 0; off < len(items); off += batchChunk {
-				end := min(off+batchChunk, len(items))
-				for j, res := range s.Provider.ExchangeBatch(ctx, items[off:end]) {
-					i := slots[off+j]
-					if res.Err != nil {
-						resp.Results[i].Error = res.Err.Error()
-						continue
-					}
-					resp.Results[i].BlindSig = b64(res.BlindSig)
-				}
-				h.Progress(int64(end), total, "exchanging licenses")
-			}
-			return resp, nil
-		})
-}
-
-// handleRedeemBatchV2 runs bulk redemption as a background operation;
-// see handlePurchaseBatchV2 for the shape.
-func (s *Server) handleRedeemBatchV2(w http.ResponseWriter, r *http.Request) {
-	var req BatchRedeemRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeEnvErr(w, errBadRequest(err))
-		return
-	}
-	if e := checkBatchSize(len(req.Redeems)); e != nil {
-		writeEnvErr(w, e)
-		return
-	}
-	resp := BatchRedeemResponse{Results: make([]BatchRedeemResult, len(req.Redeems))}
-	items, slots := decodeSlots(req.Redeems, decodeRedeem,
-		func(i int, err error) { resp.Results[i].Error = err.Error() })
-	summary := fmt.Sprintf("bulk redemption of %d licenses", len(req.Redeems))
-	s.startOperation(w, opKindBulkRedeem, summary, batchParams(len(req.Redeems)),
-		func(ctx context.Context, h *ops.Handle) (any, error) {
-			total := int64(len(items))
-			for off := 0; off < len(items); off += batchChunk {
-				end := min(off+batchChunk, len(items))
-				for j, res := range s.Provider.RedeemBatch(ctx, items[off:end]) {
-					i := slots[off+j]
-					if res.Err != nil {
-						resp.Results[i].Error = res.Err.Error()
-						continue
-					}
-					resp.Results[i].License = b64(res.License.Marshal())
-				}
-				h.Progress(int64(end), total, "redeeming licenses")
-			}
-			return resp, nil
-		})
-}
-
-// batchParams records a bulk operation's size. The slots themselves are
-// deliberately not persisted: they carry one-shot coins and proofs, and
-// the operation is aborted (never re-run) after a restart.
-func batchParams(n int) map[string]int { return map[string]int{"items": n} }

@@ -1218,7 +1218,7 @@ func (s *Store) GarbageRatio() float64 {
 }
 
 // Stats is a point-in-time snapshot of the engine's shape, surfaced by
-// the daemon's GET /v1/stats.
+// the daemon's GET /v2/stats.
 type Stats struct {
 	// Segments counts log segment files, including the active one
 	// (0 for in-memory stores).

@@ -19,7 +19,7 @@ type cryptoCounters struct {
 }
 
 // CryptoStats is the crypto acceleration gauge snapshot served at
-// /v1/stats and /v2/stats: whether the fixed-base table for the group
+// /v2/stats: whether the fixed-base table for the group
 // generator is built, nonce/blinding pool depth and hit rate, and how
 // much proof verification went through the batched path.
 type CryptoStats struct {

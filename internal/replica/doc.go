@@ -11,9 +11,9 @@
 // segments are immutable files, the active segment grows at the tail.
 // Three HTTP endpoints (internal/httpapi) expose a Source:
 //
-//	GET /v1/replica/manifest?store=NAME[&pin=1]
-//	GET /v1/replica/segment/{id}?store=NAME&from=OFF&max=N&gen=G[&pin=ID]
-//	GET /v1/replica/status
+//	GET /v2/replica/manifest?store=NAME[&pin=1]
+//	GET /v2/replica/segment/{id}?store=NAME&from=OFF&max=N&gen=G[&pin=ID]
+//	GET /v2/replica/status
 //
 // The manifest lists every segment as {id, bytes, crc32, gen, sealed,
 // records, live, min_key, max_key} — the engine's per-segment metadata
@@ -69,5 +69,5 @@
 // cmd/p2drmd runs the follower side with -replica-of=<primary-url>,
 // replicating both the provider and bank stores and serving the
 // read-only HTTP surface (kv reads, stats, revocation contains,
-// replication status) plus POST /v1/replica/promote.
+// replication status) plus POST /v2/replica/promote (async).
 package replica

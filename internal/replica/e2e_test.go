@@ -228,9 +228,12 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	if len(promoted.Promoted) != 2 {
 		t.Fatalf("promote result = %+v", promoted)
 	}
-	// The /v1 shim stays wire-compatible and promotion is idempotent.
-	if err := rc.ReplicaPromote(); err != nil {
-		t.Fatal(err)
+	// Promotion is idempotent.
+	if op, err = rc.PromoteAsync(); err == nil {
+		op, err = rc.WaitOperation(ctx, op.ID, 0)
+	}
+	if err != nil || httpapi.OperationResult(op, nil) != nil {
+		t.Fatalf("second promote: %v (op %+v)", err, op)
 	}
 	if err := rc.KVPut("provider", []byte("rogue"), []byte("x")); err != nil {
 		t.Fatalf("promoted replica rejected write: %v", err)

@@ -98,7 +98,7 @@ type Cursor struct {
 }
 
 // Status is a point-in-time view of replication health, served by the
-// follower's /v1/replica/status.
+// follower's /v2/replica/status.
 type Status struct {
 	State    string `json:"state"` // init|snapshotting|tailing|error|promoted|stopped
 	Epoch    string `json:"epoch,omitempty"`

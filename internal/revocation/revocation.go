@@ -37,7 +37,7 @@ const keyPrefix = "rev:"
 // StoreKey returns the kvstore key under which serial s is recorded.
 // Exported so read replicas of the provider store can answer exact
 // Contains lookups without constructing a List (httpapi's follower-side
-// GET /v1/revocation/contains).
+// GET /v2/revocation/contains).
 func StoreKey(s license.Serial) []byte {
 	return append([]byte(keyPrefix), s[:]...)
 }

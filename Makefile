@@ -13,8 +13,9 @@ test:
 
 # Race detector over the concurrent serving path and everything that
 # drives it concurrently (workload generator, revocation list, sharded
-# bank property tests, root integration tests, and the crypto
-# precompute layer's shared tables/pools).
+# bank property tests, the kvstore commit sets batch workers note into,
+# root integration tests, and the crypto precompute layer's shared
+# tables/pools). CI's race job runs this target: the list lives here.
 race:
 	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind .
 

@@ -109,6 +109,17 @@ const (
 	opsGCRetain = time.Hour
 )
 
+// Connection bounds on every listener (public, replica, admin socket): a
+// client that opens a connection and never finishes its request headers,
+// or parks a keep-alive connection forever, is dropped instead of
+// pinning a goroutine. Bodies are bounded by size in httpapi; there is
+// no whole-request deadline because content and WAL-segment streams are
+// legitimately long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // fatal logs at error level and exits. Used only on startup paths,
 // before any protocol state needs a clean close.
 func fatal(msg string, args ...any) {
@@ -309,7 +320,7 @@ valid until "2030-01-01T00:00:00Z";
 	}
 	go opsGCLoop(ctx, reg)
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(*adminSocket, handler)
 	if err != nil {
 		fatal("admin socket", "err", err)
@@ -434,7 +445,7 @@ func serveAdminSocket(path string, handler http.Handler) (*http.Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/", handler)
-	srv := &http.Server{Handler: mux, ConnContext: httpapi.PeerCredConnContext}
+	srv := &http.Server{Handler: mux, ConnContext: httpapi.PeerCredConnContext, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() {
 		slog.Info("admin socket listening", "path", path)
 		if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
@@ -505,7 +516,7 @@ func runReplica(addr, adminSocket, stateDir, primaryURL, primaryToken string, po
 	}
 	go opsGCLoop(ctx, reg)
 
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(adminSocket, handler)
 	if err != nil {
 		fatal("admin socket", "err", err)

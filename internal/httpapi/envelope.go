@@ -81,7 +81,15 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
+// errBadRequest is a request the handler could not decode. A body cut
+// off by the maxRequestBody bound is the one decode failure with its own
+// status and kind, so a client can tell "split the batch" from "fix the
+// JSON".
 func errBadRequest(err error) *apiError {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{status: http.StatusRequestEntityTooLarge, kind: "request-too-large", msg: err.Error()}
+	}
 	return &apiError{status: http.StatusBadRequest, kind: "bad-request", msg: err.Error()}
 }
 

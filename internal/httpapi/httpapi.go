@@ -494,6 +494,15 @@ func (s *Server) epPurchase(r *http.Request) (any, *apiError) {
 // enforced by the provider's shared worker semaphore, not by this cap.
 const maxBatchItems = 256
 
+// maxRequestBody bounds every request body (http.MaxBytesReader in
+// instrument): a handler decodes at most this much before answering 413
+// request-too-large, so no client can make the daemon buffer an
+// unbounded document. 32 KiB per slot of a full batch is room for a
+// production-size (2048-bit) exchange slot — license, proof and blinded
+// serial come to about 4 KiB of base64 — eight times over, or for a
+// purchase slot paying with some eighty coins.
+const maxRequestBody = maxBatchItems * 32 << 10
+
 // checkBatchSize enforces the shared batch-size bound.
 func checkBatchSize(n int) *apiError {
 	if n == 0 || n > maxBatchItems {

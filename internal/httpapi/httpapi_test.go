@@ -499,3 +499,78 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("in-memory bank store reports %d segments, want 0", bs.Segments)
 	}
 }
+
+// TestRequestBodyBound: a body past maxRequestBody is refused with a
+// typed 413 envelope before the handler buffers it, and the bound leaves
+// a maximal legal batch — 256 slots, padded right up to the limit —
+// untouched.
+func TestRequestBodyBound(t *testing.T) {
+	h := newHarness(t)
+	signPub, encPub := h.registerOverHTTP(t, 0)
+	denomPub, denomID, err := h.client.Denomination("song-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coins, err := h.bank.WithdrawCoins("alice", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lic, err := h.client.Purchase("song-1", signPub, encPub, coins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, _ := license.NewSerial()
+	blinded, _, err := rsablind.Blind(denomPub, license.AnonymousSigningBytes(serial, denomID), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, err := h.client.Challenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := h.card.Prove(0, provider.ExchangeContext(nonce, lic.Serial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot 0 is a real exchange; the other 255 carry the same full-size
+	// license and proof under a nonce the provider never issued.
+	slot := ExchangeRequest{
+		License: b64(lic.Marshal()), Proof: b64(proof.Bytes(schnorr.Group768())),
+		Nonce: nonce, Blinded: b64(blinded),
+	}
+	req := BatchExchangeRequest{Exchanges: make([]ExchangeRequest, maxBatchItems)}
+	for i := range req.Exchanges {
+		req.Exchanges[i] = slot
+		if i > 0 {
+			req.Exchanges[i].Nonce = "never-issued"
+		}
+	}
+	doc, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) >= maxRequestBody {
+		t.Fatalf("a %d-slot batch is %d bytes, past the %d-byte bound", maxBatchItems, len(doc), maxRequestBody)
+	}
+	// Leading whitespace is part of the body the decoder reads.
+	pad := func(total int) string { return strings.Repeat(" ", total-len(doc)) + string(doc) }
+
+	status, env := rawV2(t, h.srv.URL, "POST", "/v2/exchange/batch", "", pad(maxRequestBody))
+	if status != 200 || env.Type != "sync" {
+		t.Fatalf("batch at the bound: status %d type %q, want a 200 sync envelope", status, env.Type)
+	}
+	var out BatchExchangeResponse
+	if err := json.Unmarshal(env.Result, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != maxBatchItems || out.Results[0].BlindSig == "" || out.Results[1].Error == "" {
+		t.Errorf("batch at the bound: %d results, slot 0 %+v, slot 1 %+v", len(out.Results), out.Results[0], out.Results[1])
+	}
+
+	for _, path := range []string{"/v2/exchange/batch", "/v2/exchange", "/v2/register"} {
+		status, env := rawV2(t, h.srv.URL, "POST", path, "", pad(maxRequestBody+1))
+		if status != 413 || errKind(t, env) != "request-too-large" {
+			t.Errorf("POST %s one byte past the bound: status %d, want 413 request-too-large", path, status)
+		}
+	}
+}

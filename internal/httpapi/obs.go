@@ -87,6 +87,7 @@ func (a *api) instrument(method, path string, tier Tier, h http.HandlerFunc) htt
 		if e := a.auth.check(r, tier); e != nil {
 			writeEnvErr(sw, e)
 		} else {
+			r.Body = http.MaxBytesReader(sw, r.Body, maxRequestBody)
 			h(sw, r)
 		}
 		dur := time.Since(tr.Start)

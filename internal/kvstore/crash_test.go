@@ -13,6 +13,11 @@ package kvstore
 //  3. Compaction transparency: compacting whatever the crash left behind
 //     and reopening yields byte-for-byte the same live set.
 //
+// TestCrashRecoveryCommitSet kills a second kind of child, which writes
+// the way provider.Purchase does — two stores under one commit set with a
+// payment-before-goods barrier between them — and checks the cross-store
+// form of the same two invariants.
+//
 // Three scenarios steer WHERE the SIGKILL lands: one big segment (kill
 // mid-group-commit), tiny segments (kill mid-roll — the child rolls
 // constantly), and tiny segments with a compaction loop (kill
@@ -20,6 +25,7 @@ package kvstore
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -38,11 +44,14 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv(crashChildEnv) == "1" {
+	switch os.Getenv(crashChildEnv) {
+	case "1":
 		crashChildMain()
-		return
+	case "commitset":
+		commitSetChildMain()
+	default:
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
 }
 
 // crashChildMain loops durable writes until the parent kills the process.
@@ -108,6 +117,48 @@ func crashChildMain() {
 	wg.Wait()
 }
 
+// killChildMidFlight re-execs the test binary as a writer child selected
+// by env, collects its ACK lines until there is a healthy sample or a
+// deadline passes, SIGKILLs it (its writers never stop, so the kill lands
+// with appends, rolls and — in the compaction scenario — segment swaps in
+// flight) and returns every id the child managed to acknowledge.
+func killChildMidFlight(t *testing.T, env ...string) []string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), env...)
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	acked := make([]string, 0, 512)
+	sc := bufio.NewScanner(stdout)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(acked) < 200 && time.Now().Before(deadline) && sc.Scan() {
+		if id, ok := strings.CutPrefix(sc.Text(), "ack "); ok {
+			acked = append(acked, id)
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Logf("kill: %v (child may have exited)", err)
+	}
+	// Drain remaining ACKs: every line the child managed to print was
+	// preceded by a durable return, so they all count.
+	for sc.Scan() {
+		if id, ok := strings.CutPrefix(sc.Text(), "ack "); ok {
+			acked = append(acked, id)
+		}
+	}
+	cmd.Wait() // expected: signal: killed
+	if len(acked) == 0 {
+		t.Fatal("child produced no acknowledged writes before being killed")
+	}
+	return acked
+}
+
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test skipped in -short mode")
@@ -123,50 +174,12 @@ func TestCrashRecovery(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cmd := exec.Command(os.Args[0], "-test.run=^$")
-			cmd.Env = append(os.Environ(),
-				crashChildEnv+"=1",
-				crashDirEnv+"="+dir,
-				crashSegBytesEnv+"="+strconv.FormatInt(tc.segBytes, 10))
+			env := []string{crashChildEnv + "=1", crashDirEnv + "=" + dir,
+				crashSegBytesEnv + "=" + strconv.FormatInt(tc.segBytes, 10)}
 			if tc.compact {
-				cmd.Env = append(cmd.Env, crashCompactEnv+"=1")
+				env = append(env, crashCompactEnv+"=1")
 			}
-			cmd.Stderr = os.Stderr
-			stdout, err := cmd.StdoutPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Collect ACKs until we have a healthy sample or a deadline
-			// passes, then SIGKILL the child mid-commit (its writers never
-			// stop, so the kill lands with appends, rolls and — in the
-			// compaction scenario — segment swaps in flight).
-			acked := make([]string, 0, 512)
-			sc := bufio.NewScanner(stdout)
-			deadline := time.Now().Add(10 * time.Second)
-			for len(acked) < 200 && time.Now().Before(deadline) && sc.Scan() {
-				line := sc.Text()
-				if id, ok := strings.CutPrefix(line, "ack "); ok {
-					acked = append(acked, id)
-				}
-			}
-			if err := cmd.Process.Kill(); err != nil {
-				t.Logf("kill: %v (child may have exited)", err)
-			}
-			// Drain remaining ACKs: every line the child managed to print
-			// was preceded by a durable return, so they all count.
-			for sc.Scan() {
-				if id, ok := strings.CutPrefix(sc.Text(), "ack "); ok {
-					acked = append(acked, id)
-				}
-			}
-			cmd.Wait() // expected: signal: killed
-			if len(acked) == 0 {
-				t.Fatal("child produced no acknowledged writes before being killed")
-			}
+			acked := killChildMidFlight(t, env...)
 
 			s, err := Open(dir)
 			if err != nil {
@@ -240,4 +253,98 @@ func snapshotMap(s *Store) map[string]string {
 		return true
 	})
 	return out
+}
+
+// commitSetChildMain loops purchases shaped like provider.Purchase until
+// the parent kills the process: under one commit set, two spent marks go
+// to the bank store, a Barrier makes them durable, the issuance record
+// goes to the provider store, End makes that durable, and only then is
+// the id acknowledged. Eight writers share both stores, so the kill lands
+// with sets at every stage.
+func commitSetChildMain() {
+	time.AfterFunc(30*time.Second, func() { os.Exit(3) })
+	die := func(what string, err error) {
+		fmt.Fprintf(os.Stderr, "child %s: %v\n", what, err)
+		os.Exit(2)
+	}
+	dir := os.Getenv(crashDirEnv)
+	bank, err := OpenWith(dir+"/bank", Options{Sync: SyncGroupCommit})
+	if err != nil {
+		die("open bank", err)
+	}
+	prov, err := OpenWith(dir+"/provider", Options{Sync: SyncGroupCommit})
+	if err != nil {
+		die("open provider", err)
+	}
+	var mu sync.Mutex // serializes ACK lines
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				id := fmt.Sprintf("g%d-%d", g, i)
+				ctx, commit := BeginCommit(context.Background())
+				for _, coin := range []string{"a", "b"} {
+					if _, err := bank.PutIfAbsentCtx(ctx, []byte("spent:"+id+coin), []byte{1}); err != nil {
+						die("spent", err)
+					}
+				}
+				if err := commit.Barrier(ctx); err != nil {
+					die("barrier", err)
+				}
+				if err := prov.PutCtx(ctx, []byte("issued:"+id), []byte(id)); err != nil {
+					die("issued", err)
+				}
+				if err := commit.End(ctx); err != nil {
+					die("end", err)
+				}
+				mu.Lock()
+				fmt.Fprintf(os.Stdout, "ack %s\n", id)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCrashRecoveryCommitSet: after a SIGKILL every acknowledged purchase
+// has both spent marks and its issuance record (the boundary wait covered
+// both stores), and no issuance record survives without its spent marks
+// (the barrier ordered the stores) — whatever stage each in-flight commit
+// set had reached.
+func TestCrashRecoveryCommitSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess crash test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	acked := killChildMidFlight(t, crashChildEnv+"=commitset", crashDirEnv+"="+dir)
+
+	bank, err := Open(dir + "/bank")
+	if err != nil {
+		t.Fatalf("replay bank after crash: %v", err)
+	}
+	defer bank.Close()
+	prov, err := Open(dir + "/provider")
+	if err != nil {
+		t.Fatalf("replay provider after crash: %v", err)
+	}
+	defer prov.Close()
+	paid := func(id string) bool {
+		return bank.Has([]byte("spent:"+id+"a")) && bank.Has([]byte("spent:"+id+"b"))
+	}
+	for _, id := range acked {
+		if !paid(id) || !prov.Has([]byte("issued:"+id)) {
+			t.Errorf("acknowledged purchase %s lost in crash: paid=%v issued=%v", id, paid(id), prov.Has([]byte("issued:"+id)))
+		}
+	}
+	issued := 0
+	prov.PrefixScan([]byte("issued:"), func(k, v []byte) bool {
+		issued++
+		if id := strings.TrimPrefix(string(k), "issued:"); !paid(id) {
+			t.Errorf("issued:%s survived without its spent marks (goods before payment)", id)
+		}
+		return true
+	})
+	t.Logf("commit-set crash test: %d acked, %d issued and %d spent marks replayed", len(acked), issued, bank.Len())
 }

@@ -70,6 +70,24 @@
 // have dropped the dirty pages and a retry would falsely report
 // durability.
 //
+// # Commit sets
+//
+// "Durable when the mutation returns" is the contract of every
+// context-free mutation and of the ...Ctx forms under a plain context. A
+// request that makes several writes can trade it for "durable when the
+// request's commit set is settled": under a context from BeginCommit
+// (commitset.go) the ...Ctx mutations append, apply and note their record
+// instead of waiting, and the set's owner waits once per store for the
+// highest seq noted there — Commit.End at the request boundary, on the
+// success and the refusal path alike, and Commit.Barrier wherever a
+// record in one store must be durable before a record in another is even
+// appended. The index runs ahead of the disk in both modes (a record is
+// visible to Get/Has from the moment it is applied), so what the contract
+// restricts is acting on a result, not reading: no acknowledgement and no
+// refusal that rests on a record may leave before that record's wait
+// returned nil. PutIfAbsentCtx's loser and ReadBarrierCtx note the newest
+// seq for exactly that reason.
+//
 // # Lock order
 //
 // shard locks → logMu → gcMu. Per-key writers hold one shard lock across
@@ -190,8 +208,10 @@ type Observer struct {
 	// (SyncAlways), the group-commit leader's shared sync, and explicit
 	// Sync calls.
 	FsyncSeconds func(time.Duration)
-	// CommitWaitSeconds observes how long one mutation blocked on the
-	// group-commit window (includes the fsync for the leader).
+	// CommitWaitSeconds observes how long one durability wait blocked on
+	// the group-commit window (includes the fsync for the leader): one
+	// per mutation under a plain context, one per store per settled
+	// commit set otherwise.
 	CommitWaitSeconds func(time.Duration)
 	// BatchOps observes the operation count of each applied Batch.
 	BatchOps func(n int)
@@ -600,11 +620,10 @@ func (s *Store) append(kind byte, body []byte) error {
 // waitDurableCtx is waitDurable plus observability: a "kv.commit_wait"
 // span on the context's trace (if any) and the observer's commit-wait
 // histogram. With no observer and no trace it collapses to waitDurable
-// — one atomic load and one context lookup.
+// — one atomic load and one context lookup. Reached only through
+// Store.commit, directly or from a commit set, so only on durable
+// group-commit stores.
 func (s *Store) waitDurableCtx(ctx context.Context, seq int64) error {
-	if !s.durable || s.opts.Sync != SyncGroupCommit {
-		return nil
-	}
 	o := s.observer()
 	if o == nil || o.CommitWaitSeconds == nil {
 		if obs.FromContext(ctx) == nil {
@@ -760,13 +779,27 @@ func (s *Store) Health() error {
 	return s.gcPoisoned()
 }
 
-// PoisonWAL injects a sticky append-path failure, exactly as if a WAL
-// write or fsync had returned err. It exists for fault-injection tests
-// (health-probe and crash suites); production code never calls it.
-// A nil err is ignored, and an already-poisoned store keeps its first
-// error — matching the sticky semantics of real failures.
+// PoisonWAL injects a sticky log failure, exactly as if the store's next
+// fsync had returned err. It exists for fault-injection tests (health
+// probes, crash suites, failed boundary waits); production code never
+// calls it. On a durable group-commit store the failed fsync is the
+// commit leader's: appends keep reaching the log, and every durability
+// wait from then on — a write's own, or a commit set's at its boundary —
+// returns the error. On every other store it is the append path's, and
+// mutations are refused outright. A nil err is ignored, and an
+// already-poisoned store keeps its first error — matching the sticky
+// semantics of real failures.
 func (s *Store) PoisonWAL(err error) {
 	if err == nil {
+		return
+	}
+	if s.durable && s.opts.Sync == SyncGroupCommit {
+		s.gcMu.Lock()
+		if s.gcErr == nil {
+			s.gcErr = err
+		}
+		s.gcCond.Broadcast()
+		s.gcMu.Unlock()
 		return
 	}
 	s.logMu.Lock()
@@ -861,13 +894,14 @@ func (s *Store) Put(key, val []byte) error {
 
 // PutCtx is Put threaded through a request context: when the context
 // carries a trace (obs.WithTrace) the group-commit wait is recorded as
-// a span on it.
+// a span on it, and when it carries a commit set (BeginCommit) the wait
+// is left to the set's owner.
 func (s *Store) PutCtx(ctx context.Context, key, val []byte) error {
 	seq, err := s.put(key, val)
 	if err != nil {
 		return err
 	}
-	return s.waitDurableCtx(ctx, seq)
+	return s.commit(ctx, seq)
 }
 
 // PutIfAbsent stores val under key only if the key is currently absent
@@ -884,8 +918,9 @@ func (s *Store) PutIfAbsent(key, val []byte) (bool, error) {
 	return s.PutIfAbsentCtx(context.Background(), key, val)
 }
 
-// PutIfAbsentCtx is PutIfAbsent threaded through a request context for
-// commit-wait span recording (see PutCtx).
+// PutIfAbsentCtx is PutIfAbsent threaded through a request context (see
+// PutCtx). Under a commit set the loser notes the record it lost to just
+// as the winner notes its own.
 func (s *Store) PutIfAbsentCtx(ctx context.Context, key, val []byte) (bool, error) {
 	if err := validateKV(key, val); err != nil {
 		return false, err
@@ -901,14 +936,14 @@ func (s *Store) PutIfAbsentCtx(ctx context.Context, key, val []byte) (bool, erro
 		// lock, so the current seq covers it.
 		seq := s.seqNow.Load()
 		sh.mu.Unlock()
-		return false, s.waitDurableCtx(ctx, seq)
+		return false, s.commit(ctx, seq)
 	}
 	seq, err := s.logAndApply(sh, op{key: key, val: append([]byte(nil), val...)})
 	sh.mu.Unlock()
 	if err != nil {
 		return false, err
 	}
-	return true, s.waitDurableCtx(ctx, seq)
+	return true, s.commit(ctx, seq)
 }
 
 // Get returns a copy of the value for key.
@@ -938,8 +973,7 @@ func (s *Store) Delete(key []byte) error {
 	return s.DeleteCtx(context.Background(), key)
 }
 
-// DeleteCtx is Delete threaded through a request context for
-// commit-wait span recording (see PutCtx).
+// DeleteCtx is Delete threaded through a request context (see PutCtx).
 func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
 	// Full validation, not just the empty-key check: an oversized key
 	// would be acknowledged here and then rejected by readRecord at
@@ -954,7 +988,7 @@ func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.waitDurableCtx(ctx, seq)
+	return s.commit(ctx, seq)
 }
 
 // Batch collects operations applied atomically by Apply.
@@ -988,8 +1022,8 @@ func (s *Store) Apply(b *Batch) error {
 
 // ApplyCtx is Apply threaded through a request context: the whole
 // batch is recorded as a "kv.apply_batch" span (with the commit wait
-// nested inside it) on the context's trace, and the observer's
-// batch-size histogram sees len(b).
+// nested inside it unless a commit set defers it, see PutCtx) on the
+// context's trace, and the observer's batch-size histogram sees len(b).
 func (s *Store) ApplyCtx(ctx context.Context, b *Batch) error {
 	if b == nil || len(b.ops) == 0 {
 		return nil
@@ -1077,7 +1111,7 @@ func (s *Store) applyBatch(ctx context.Context, b *Batch) error {
 	}
 	unlock()
 	s.liveBytes.Add(delta)
-	return s.waitDurableCtx(ctx, seq)
+	return s.commit(ctx, seq)
 }
 
 // Len returns the number of live keys.

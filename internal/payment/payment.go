@@ -29,7 +29,16 @@
 // BEFORE crediting the in-memory balance, so a crash between the two can
 // at worst lose the payee a credit, never mint one. With the ledger store
 // opened in kvstore group-commit (or fsync-per-write) mode, "Deposit
-// returned nil" implies the spent mark is on stable storage.
+// returned nil" implies the spent mark is on stable storage, and
+// "Deposit returned ErrDoubleSpend" that the mark it collided with is.
+//
+// Durability contract under a commit set: DepositCtx on a context from
+// kvstore.BeginCommit appends the spent mark (or, refused, notes the one
+// it lost to) and returns without waiting; the caller then owes the wait.
+// Payment before goods: a payee must settle it — Commit.Barrier — before
+// it appends anything that hands over what the coins paid for, so no
+// crash can leave the goods recorded and the coins spendable again, and
+// before it tells anyone a coin was double-spent.
 //
 // Lock order is trivial: no code path holds two shard locks at once, and
 // the kvstore synchronizes internally.
@@ -291,8 +300,9 @@ func (b *Bank) Deposit(payeeAccount string, c *Coin) error {
 	return b.DepositCtx(context.Background(), payeeAccount, c)
 }
 
-// DepositCtx is Deposit with a caller context, so a traced request
-// records the ledger's group-commit wait as a span.
+// DepositCtx is Deposit with a caller context: a traced request records
+// the ledger's group-commit wait as a span, and a request with a commit
+// set takes that wait over (see the package comment for what it owes).
 func (b *Bank) DepositCtx(ctx context.Context, payeeAccount string, c *Coin) error {
 	if err := VerifyCoin(b.CoinPub(), c); err != nil {
 		return err

@@ -1,12 +1,14 @@
 package payment
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"p2drm/internal/kvstore"
 )
@@ -284,6 +286,61 @@ func TestShardCountInvariance(t *testing.T) {
 		}
 		if got := b.TotalBalance(); got != 4 {
 			t.Errorf("shards=%d: total = %d, want 4 (1 coin in flight)", shards, got)
+		}
+	}
+}
+
+// TestDoubleSpendRefusalWaitsForWinnersMark: under commit sets the winner
+// of the spent-ledger CAS may still be waiting for its fsync (here it
+// never settles its set at all) when the loser arrives. The loser may not
+// report ErrDoubleSpend before the mark it lost to is on stable storage —
+// with a commit set of its own, not before its boundary.
+func TestDoubleSpendRefusalWaitsForWinnersMark(t *testing.T) {
+	st, err := kvstore.OpenWith(t.TempDir(), kvstore.Options{Sync: kvstore.SyncGroupCommit, CommitInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b, err := NewBank(testKey(t), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.CreateAccount("alice", 10)
+	b.CreateAccount("shop", 0)
+	coins, err := b.WithdrawCoins("alice", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undurable := func() int64 {
+		_, off := st.DurableOffset()
+		return st.Stats().LoggedBytes - off
+	}
+
+	for i, loserHasSet := range []bool{false, true} {
+		winCtx, _ := kvstore.BeginCommit(context.Background())
+		if err := b.DepositCtx(winCtx, "shop", coins[i]); err != nil {
+			t.Fatal(err)
+		}
+		if undurable() == 0 {
+			t.Fatal("winner's spent mark durable before anyone waited for it")
+		}
+		loseCtx, loser := context.Background(), kvstore.Commit{}
+		if loserHasSet {
+			loseCtx, loser = kvstore.BeginCommit(loseCtx)
+		}
+		if err := b.DepositCtx(loseCtx, "shop", coins[i]); !errors.Is(err, ErrDoubleSpend) {
+			t.Fatalf("second deposit: %v, want ErrDoubleSpend", err)
+		}
+		if loserHasSet {
+			if undurable() == 0 {
+				t.Error("loser with a commit set waited inside DepositCtx")
+			}
+			if err := loser.End(loseCtx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if undurable() != 0 {
+			t.Errorf("loserHasSet=%v: ErrDoubleSpend reported with the winner's mark not durable", loserHasSet)
 		}
 	}
 }

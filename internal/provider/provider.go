@@ -40,6 +40,28 @@
 //
 // Lock ordering is a non-issue by construction: no code path holds two
 // provider locks at once.
+//
+// # Durability
+//
+// Every public entry point that writes (Register, Purchase, Exchange,
+// Redeem, IssueBatch, ExchangeBatch, RedeemBatch) opens a kvstore commit
+// set on its context, so the writes below it — cfg.Store puts, the bank's
+// spent marks, the revocation list's TryAddCtx — append and apply at once
+// and the entry point blocks ONCE per store, at its end, for all of them.
+// It does so on the refusal path too: ErrAlreadyRedeemed, ErrLicenseRevoked
+// and the bank's ErrDoubleSpend rest on another request's record, and are
+// not returned before that record is durable. No worker of a batch parks
+// on an fsync, and the revocation list's lock is never held across one.
+// The entry points are still durable-on-return for every caller; a caller
+// that already opened a commit set of its own takes the wait over.
+//
+// Order within a store is the log's: revoke-before-sign in Exchange and
+// burn-before-issue in Redeem hold because the later record cannot be
+// durable without the earlier one. The one order ACROSS stores is an
+// explicit barrier — payment before goods: Purchase and IssueBatch wait
+// for the bank store's spent marks before appending any "issued:" record
+// to the provider store. So Purchase costs two durability waits, a batch
+// of purchases two, and everything else one.
 package provider
 
 import (
@@ -402,6 +424,15 @@ func regKey(fp string) []byte { return []byte("pseudonym:" + fp) }
 // Register records a pseudonym after verifying the ownership proof bound
 // to a Challenge nonce. The proof context matches smartcard.Card.Prove.
 func (p *Provider) Register(ctx context.Context, signPub, encPub []byte, proof *schnorr.Proof, nonce string) error {
+	ctx, commit := kvstore.BeginCommit(ctx)
+	err := p.register(ctx, signPub, encPub, proof, nonce)
+	if werr := commit.End(ctx); werr != nil {
+		return werr
+	}
+	return err
+}
+
+func (p *Provider) register(ctx context.Context, signPub, encPub []byte, proof *schnorr.Proof, nonce string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -451,6 +482,30 @@ type PurchaseRequest struct {
 // pseudonym. The provider learns the pseudonym but neither the identity
 // behind it nor the coins' withdrawal origin.
 func (p *Provider) Purchase(ctx context.Context, req PurchaseRequest) (*license.Personalized, error) {
+	ctx, commit := kvstore.BeginCommit(ctx)
+	lic, err := p.purchase(ctx, commit, req)
+	return sealed(ctx, commit, lic, err)
+}
+
+func (p *Provider) purchase(ctx context.Context, commit kvstore.Commit, req PurchaseRequest) (*license.Personalized, error) {
+	item, err := p.settle(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	// Payment before goods: the bank's spent marks are on stable storage
+	// before the issuance record is even appended to the provider store,
+	// so no crash leaves a license on record whose coins can be spent
+	// again. The reverse loss (coins spent, no license) is the help-desk
+	// case it always was.
+	if err := commit.Barrier(ctx); err != nil {
+		return nil, err
+	}
+	return p.deliver(ctx, item, req)
+}
+
+// settle is the paying half of a purchase: admission checks, then the
+// coins go to the bank.
+func (p *Provider) settle(ctx context.Context, req PurchaseRequest) (*CatalogItem, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -476,6 +531,12 @@ func (p *Provider) Purchase(ctx context.Context, req PurchaseRequest) (*license.
 			return nil, fmt.Errorf("provider: coin %d: %w", i, err)
 		}
 	}
+	return item, nil
+}
+
+// deliver is the issuing half of a purchase, run once settle's spent
+// marks are durable.
+func (p *Provider) deliver(ctx context.Context, item *CatalogItem, req PurchaseRequest) (*license.Personalized, error) {
 	lic, err := p.issue(ctx, item, req.SignPub, req.EncPub)
 	if err != nil {
 		return nil, err
@@ -487,6 +548,31 @@ func (p *Provider) Purchase(ctx context.Context, req PurchaseRequest) (*license.
 		Serial:      lic.Serial.String(),
 	})
 	return lic, nil
+}
+
+// sealed settles a request's commit set and folds the wait into its
+// outcome. It runs on the refusal path too — a refusal may rest on
+// another request's record (the coin already spent, the serial already
+// redeemed) that is not durable yet — and a failed wait overrides both:
+// nothing the request computed may be reported as committed.
+func sealed[T any](ctx context.Context, commit kvstore.Commit, v T, err error) (T, error) {
+	if werr := commit.End(ctx); werr != nil {
+		var zero T
+		return zero, werr
+	}
+	return v, err
+}
+
+// failAll is sealed for a batch: a failed durability wait (nil err is
+// the wait that held) is reported through fail for every index, the
+// slots that were refused for reasons of their own included.
+func failAll(n int, fail func(i int, err error), err error) {
+	if err == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		fail(i, err)
+	}
 }
 
 // BatchResult is one IssueBatch outcome; results come back in request
@@ -539,17 +625,34 @@ func (p *Provider) runBatch(ctx context.Context, n int, do func(i int), fail fun
 // IssueBatch settles a slice of purchases on the shared worker pool and
 // returns per-request outcomes in request order. Each purchase succeeds
 // or fails independently; a cancelled context fails the requests that
-// have not started crypto yet. The pool exists to amortize scheduling
-// and lock overhead for bulk clients (storefront checkout carts, load
-// generators).
+// have not started paying yet. The batch runs in two phases around ONE
+// payment-before-goods barrier — every request's coins to the bank, one
+// wait on the bank store, every paid request's license, one wait on the
+// provider store — so its durability cost is two fsync waits whatever
+// its size. A failed wait fails every slot.
 func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []BatchResult {
+	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]BatchResult, len(reqs))
+	fail := func(i int, err error) { results[i] = BatchResult{Err: err} }
+	items := make([]*CatalogItem, len(reqs))
+	p.runBatch(ctx, len(reqs),
+		func(i int) { items[i], results[i].Err = p.settle(ctx, reqs[i]) },
+		fail)
+	if err := commit.Barrier(ctx); err != nil {
+		failAll(len(reqs), fail, err)
+		return results
+	}
+	// Money has moved: the issuing phase no longer observes cancellation,
+	// so no client is charged licenseless.
+	ctx = context.WithoutCancel(ctx)
 	p.runBatch(ctx, len(reqs),
 		func(i int) {
-			lic, err := p.Purchase(ctx, reqs[i])
-			results[i] = BatchResult{License: lic, Err: err}
+			if results[i].Err == nil {
+				results[i].License, results[i].Err = p.deliver(ctx, items[i], reqs[i])
+			}
 		},
-		func(i int, err error) { results[i] = BatchResult{Err: err} })
+		fail)
+	failAll(len(reqs), fail, commit.End(ctx))
 	return results
 }
 
@@ -574,8 +677,12 @@ type ExchangeBatchResult struct {
 // pairing purchase batching on the deposit side: bulk wallets retire a
 // day's licenses in one call. Outcomes come back in request order; each
 // item keeps Exchange's single-winner and revoke-before-sign semantics.
+// The whole batch shares one durability wait; if it fails, every slot
+// fails.
 func (p *Provider) ExchangeBatch(ctx context.Context, items []ExchangeItem) []ExchangeBatchResult {
+	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]ExchangeBatchResult, len(items))
+	fail := func(i int, err error) { results[i] = ExchangeBatchResult{Err: err} }
 	// One combined Schnorr multi-exponentiation settles every well-formed
 	// ownership proof up front; the per-item workers then skip their own
 	// VerifyProof. Items the batch could not judge (nil license/proof)
@@ -587,7 +694,8 @@ func (p *Provider) ExchangeBatch(ctx context.Context, items []ExchangeItem) []Ex
 			sig, err := p.exchange(ctx, it.License, it.Proof, it.Nonce, it.Blinded, verdicts[i])
 			results[i] = ExchangeBatchResult{BlindSig: sig, Err: err}
 		},
-		func(i int, err error) { results[i] = ExchangeBatchResult{Err: err} })
+		fail)
+	failAll(len(items), fail, commit.End(ctx))
 	return results
 }
 
@@ -608,16 +716,20 @@ type RedeemBatchResult struct {
 // RedeemBatch redeems a slice of anonymous licenses on the shared worker
 // pool. Outcomes come back in request order; the durable redeemed-serial
 // CAS still guarantees a single winner per serial, even when the same
-// serial appears twice in one batch.
+// serial appears twice in one batch. The whole batch shares one
+// durability wait; if it fails, every slot fails.
 func (p *Provider) RedeemBatch(ctx context.Context, items []RedeemItem) []RedeemBatchResult {
+	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]RedeemBatchResult, len(items))
+	fail := func(i int, err error) { results[i] = RedeemBatchResult{Err: err} }
 	p.runBatch(ctx, len(items),
 		func(i int) {
 			it := items[i]
-			lic, err := p.Redeem(ctx, it.Anonymous, it.SignPub, it.EncPub)
+			lic, err := p.redeem(ctx, it.Anonymous, it.SignPub, it.EncPub)
 			results[i] = RedeemBatchResult{License: lic, Err: err}
 		},
-		func(i int, err error) { results[i] = RedeemBatchResult{Err: err} })
+		fail)
+	failAll(len(items), fail, commit.End(ctx))
 	return results
 }
 
@@ -667,7 +779,9 @@ func ExchangeContext(nonce string, serial license.Serial) []byte {
 // presented blinded anonymous-serial under the item's denomination key.
 // The provider never sees the serial inside `blinded`.
 func (p *Provider) Exchange(ctx context.Context, lic *license.Personalized, proof *schnorr.Proof, nonce string, blinded []byte) ([]byte, error) {
-	return p.exchange(ctx, lic, proof, nonce, blinded, nil)
+	ctx, commit := kvstore.BeginCommit(ctx)
+	sig, err := p.exchange(ctx, lic, proof, nonce, blinded, nil)
+	return sealed(ctx, commit, sig, err)
 }
 
 // exchange is Exchange with an optional pre-computed ownership-proof
@@ -690,6 +804,11 @@ func (p *Provider) exchange(ctx context.Context, lic *license.Personalized, proo
 		return nil, errors.New("provider: license not on issuance record")
 	}
 	if p.rev.Contains(lic.Serial) {
+		// The revocation is visible, not necessarily durable: the refusal
+		// waits for it like the loser of the TryAddCtx gate below would.
+		if err := p.cfg.Store.ReadBarrierCtx(ctx); err != nil {
+			return nil, err
+		}
 		return nil, ErrLicenseRevoked
 	}
 	// Holder must prove ownership: stops theft-by-exchange of a copied
@@ -715,10 +834,12 @@ func (p *Provider) exchange(ctx context.Context, lic *license.Personalized, proo
 	// Revoke first: if we crash between revoke and sign, the user lost a
 	// license but gained nothing — recoverable at the provider's help
 	// desk via the journal; the reverse order would mint free licenses.
-	// TryAdd is also the double-exchange gate: the rev.Contains check
+	// TryAddCtx is also the double-exchange gate: the rev.Contains check
 	// above is only a fast path, so of any number of concurrent
 	// exchanges of one license, exactly one reaches the blind signature.
-	fresh, err := p.rev.TryAdd(lic.Serial)
+	// The revocation is appended here and signed over below; both leave
+	// this process only after the request's durability wait.
+	fresh, err := p.rev.TryAddCtx(ctx, lic.Serial)
 	if err != nil {
 		return nil, err
 	}
@@ -759,6 +880,12 @@ func redeemedKey(s license.Serial) []byte { return []byte("redeemed:" + s.String
 // blocked by an atomic insert into the durable redeemed-serial set: of
 // any number of concurrent redemptions of one serial, exactly one wins.
 func (p *Provider) Redeem(ctx context.Context, anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
+	ctx, commit := kvstore.BeginCommit(ctx)
+	lic, err := p.redeem(ctx, anon, signPub, encPub)
+	return sealed(ctx, commit, lic, err)
+}
+
+func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -13,10 +13,15 @@
 //
 // The list itself is durable: every Add lands in the kvstore WAL before it
 // is acknowledged, because forgetting a redeemed serial re-enables double
-// redemption after a crash.
+// redemption after a crash. Contains answers from the index, which a
+// revocation enters when it is appended — before it is acknowledged — so
+// a lookup never queues behind another caller's fsync; the conservative
+// direction (briefly "revoked" for a record a crash could still drop) is
+// the safe one for a deny list.
 package revocation
 
 import (
+	"context"
 	"crypto/rsa"
 	"encoding/binary"
 	"errors"
@@ -230,22 +235,34 @@ func (l *List) Add(s license.Serial) error {
 }
 
 // TryAdd marks a serial revoked and reports whether this call was the
-// one that revoked it. Check and insert are atomic under the list lock,
-// so of any number of concurrent TryAdds on one serial exactly one gets
-// fresh=true — the provider's Exchange uses this as its double-exchange
-// gate.
+// one that revoked it; see TryAddCtx.
 func (l *List) TryAdd(s license.Serial) (fresh bool, err error) {
+	return l.TryAddCtx(context.Background(), s)
+}
+
+// TryAddCtx is the list's compare-and-set: of any number of concurrent
+// calls on one serial exactly one gets fresh=true — the provider's
+// Exchange uses it as its double-exchange gate. The store insert and the
+// Bloom update happen under the list lock; the durability wait does not,
+// so lookups and other revocations proceed (and share the fsync) while
+// this one waits. A context carrying a kvstore commit set defers that
+// wait to the set's owner; otherwise both answers are durable on return,
+// the loser's meaning the record it lost to.
+func (l *List) TryAddCtx(ctx context.Context, s license.Serial) (fresh bool, err error) {
+	ctx, commit := kvstore.BeginCommit(ctx)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	key := StoreKey(s)
-	if l.store.Has(key) {
-		return false, nil
+	fresh, err = l.store.PutIfAbsentCtx(ctx, StoreKey(s), []byte{1})
+	if err == nil && fresh {
+		l.addToFilterLocked(s[:])
 	}
-	if err := l.store.Put(key, []byte{1}); err != nil {
+	l.mu.Unlock()
+	if err == nil {
+		err = commit.End(ctx)
+	}
+	if err != nil {
 		return false, fmt.Errorf("revocation: persist: %w", err)
 	}
-	l.addToFilterLocked(s[:])
-	return true, nil
+	return fresh, nil
 }
 
 // addToFilterLocked records one freshly revoked serial in the fast path:
@@ -261,10 +278,12 @@ func (l *List) addToFilterLocked(serial []byte) {
 	l.maybeRebuildLocked()
 }
 
-// AddBatch revokes several serials atomically (one WAL record).
+// AddBatch revokes several serials atomically (one WAL record). Like
+// TryAddCtx it holds the list lock for the append and the Bloom update
+// only, not for the durability wait.
 func (l *List) AddBatch(serials []license.Serial) error {
+	ctx, commit := kvstore.BeginCommit(context.Background())
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	b := new(kvstore.Batch)
 	fresh := make([]license.Serial, 0, len(serials))
 	for _, s := range serials {
@@ -275,14 +294,23 @@ func (l *List) AddBatch(serials []license.Serial) error {
 		b.Put(key, []byte{1})
 		fresh = append(fresh, s)
 	}
-	if b.Len() == 0 {
-		return nil
+	// A serial skipped as present may belong to a revocation still waiting
+	// for its fsync: the barrier makes "nil" mean durable for those too.
+	err := l.store.ReadBarrierCtx(ctx)
+	if err == nil {
+		err = l.store.ApplyCtx(ctx, b)
 	}
-	if err := l.store.Apply(b); err != nil {
+	if err == nil {
+		for _, s := range fresh {
+			l.addToFilterLocked(s[:])
+		}
+	}
+	l.mu.Unlock()
+	if err == nil {
+		err = commit.End(ctx)
+	}
+	if err != nil {
 		return fmt.Errorf("revocation: persist batch: %w", err)
-	}
-	for _, s := range fresh {
-		l.addToFilterLocked(s[:])
 	}
 	return nil
 }

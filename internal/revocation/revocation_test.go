@@ -1,6 +1,7 @@
 package revocation
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/rsa"
 	"sync"
@@ -394,5 +395,110 @@ func TestForcedRebuildConcurrent(t *testing.T) {
 	}
 	if l.Len() != 200 {
 		t.Fatalf("Len = %d, want 200", l.Len())
+	}
+}
+
+// durableList opens a list on a group-commit store whose commit leader
+// sleeps interval before each fsync, so "still waiting" is a window a
+// test can stand in.
+func durableList(t *testing.T, interval time.Duration) (*List, *kvstore.Store) {
+	t.Helper()
+	st, err := kvstore.OpenWith(t.TempDir(), kvstore.Options{Sync: kvstore.SyncGroupCommit, CommitInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	l, err := Open(st, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, st
+}
+
+func undurable(st *kvstore.Store) int64 {
+	_, off := st.DurableOffset()
+	return st.Stats().LoggedBytes - off
+}
+
+// TestContainsDoesNotWaitForFsync: the list lock is not held across the
+// durability wait, so Contains answers — true, the serial is in the index
+// — while the TryAdd that revoked it is still parked on its fsync.
+func TestContainsDoesNotWaitForFsync(t *testing.T) {
+	l, _ := durableList(t, 400*time.Millisecond)
+	s := newSerial(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.TryAdd(s)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !l.Contains(s); {
+		if time.Now().After(deadline) {
+			t.Fatal("revocation never became visible")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Contains only answered once TryAdd had returned (err %v): the lookup queued behind the fsync", err)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTryAddCtxCommitSet: under a commit set TryAddCtx leaves the wait to
+// the set's owner, and the loser of the gate — with or without a set —
+// does not answer before the revocation it lost to is durable. AddBatch
+// gives the same cover to the serials it skips as already present.
+func TestTryAddCtxCommitSet(t *testing.T) {
+	l, st := durableList(t, 10*time.Millisecond)
+	for i, loserHasSet := range []bool{false, true} {
+		s := newSerial(t)
+		winCtx, _ := kvstore.BeginCommit(context.Background())
+		if fresh, err := l.TryAddCtx(winCtx, s); err != nil || !fresh {
+			t.Fatalf("winner: fresh=%v err=%v", fresh, err)
+		}
+		if undurable(st) == 0 {
+			t.Fatal("TryAddCtx under a commit set waited for its own fsync")
+		}
+		if !l.Contains(s) || l.Len() != i+1 {
+			t.Fatalf("appended revocation not visible: contains=%v len=%d", l.Contains(s), l.Len())
+		}
+		loseCtx, loser := context.Background(), kvstore.Commit{}
+		if loserHasSet {
+			loseCtx, loser = kvstore.BeginCommit(loseCtx)
+		}
+		if fresh, err := l.TryAddCtx(loseCtx, s); err != nil || fresh {
+			t.Fatalf("loser: fresh=%v err=%v", fresh, err)
+		}
+		if loserHasSet {
+			if undurable(st) == 0 {
+				t.Error("loser with a commit set waited inside TryAddCtx")
+			}
+			if err := loser.End(loseCtx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if undurable(st) != 0 {
+			t.Errorf("loserHasSet=%v: gate lost with the winner's revocation not durable", loserHasSet)
+		}
+	}
+
+	present, fresh := newSerial(t), newSerial(t)
+	winCtx, _ := kvstore.BeginCommit(context.Background())
+	if _, err := l.TryAddCtx(winCtx, present); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]license.Serial{{present}, {present, fresh}} {
+		if err := l.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if undurable(st) != 0 {
+			t.Errorf("AddBatch of %d returned with a serial it reports revoked not durable", len(batch))
+		}
+	}
+	if !l.Contains(fresh) || l.Len() != 4 {
+		t.Errorf("after AddBatch: contains=%v len=%d, want true, 4", l.Contains(fresh), l.Len())
 	}
 }

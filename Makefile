@@ -44,11 +44,14 @@ timing-guard:
 	$(GO) test -count=1 ./internal/cryptox/ctcheck/
 
 # Short-deadline go-native fuzzing (one -fuzz target per package run):
-# corrupted WAL tails and license encodings must error, never panic or
-# silently drop committed state. CI runs this on every PR.
+# corrupted WAL tails, license encodings and downloaded revocation
+# filters must error, never panic or silently drop committed state. CI
+# runs this on every PR.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=NONE -fuzz=FuzzLicenseCodec -fuzztime=10s ./internal/license
+	$(GO) test -run=NONE -fuzz=FuzzParseSignedFilter -fuzztime=10s ./internal/revocation
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/bloom
 
 # Subprocess crash/compaction suite: SIGKILL mid-group-commit, mid-
 # segment-roll and mid-incremental-compaction; -count=2 reruns each

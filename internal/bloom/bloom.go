@@ -127,9 +127,17 @@ func Unmarshal(data []byte) (*Filter, error) {
 	m := binary.BigEndian.Uint64(data[0:8])
 	k := binary.BigEndian.Uint32(data[8:12])
 	n := binary.BigEndian.Uint64(data[12:20])
-	words := int((m + 63) / 64)
-	if len(data) != 20+8*words {
-		return nil, fmt.Errorf("bloom: encoding length %d, want %d", len(data), 20+8*words)
+	// Compared against the bytes present before anything is sized from m:
+	// m is untrusted, and m+63 wraps for values near 2^64.
+	words := m / 64
+	if m%64 != 0 {
+		words++
+	}
+	if have := uint64(len(data) - 20); have%8 != 0 || have/8 != words {
+		return nil, fmt.Errorf("bloom: %d bytes of words for a %d-bit filter", have, m)
+	}
+	if uint64(k) > m {
+		return nil, fmt.Errorf("bloom: %d hash functions over %d bits", k, m)
 	}
 	f, err := New(m, k)
 	if err != nil {

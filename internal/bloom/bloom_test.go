@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -112,6 +114,19 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	if _, err := Unmarshal(data[:len(data)-1]); err == nil {
 		t.Error("accepted truncated body")
 	}
+	// A bit count near 2^64 must not wrap to "no words" and index past
+	// the end on the first lookup.
+	huge := append([]byte(nil), data[:20]...)
+	binary.BigEndian.PutUint64(huge[0:8], ^uint64(0))
+	if f, err := Unmarshal(huge); err == nil {
+		f.Contains([]byte("x"))
+		t.Error("accepted a 2^64-bit filter with no words")
+	}
+	greedy := append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(greedy[8:12], 129)
+	if _, err := Unmarshal(greedy); err == nil {
+		t.Error("accepted more hash functions than bits")
+	}
 }
 
 func TestUnion(t *testing.T) {
@@ -182,4 +197,26 @@ func TestQuickMarshalPreservesMembership(t *testing.T) {
 			t.Fatal("added key lost after roundtrip")
 		}
 	}
+}
+
+// FuzzUnmarshal: hostile bytes either fail to decode or give a filter
+// that encodes back to exactly those bytes and answers a lookup.
+func FuzzUnmarshal(f *testing.F) {
+	good, _ := NewWithEstimates(8, 0.01)
+	good.Add([]byte("serial"))
+	data := good.Marshal()
+	f.Add(data)
+	f.Add(data[:19])
+	f.Add(data[:len(data)-1])
+	f.Add(append(bytes.Repeat([]byte{0xff}, 8), data[8:20]...)) // 2^64-1 bits, no words
+	f.Fuzz(func(t *testing.T, data []byte) {
+		filter, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(filter.Marshal(), data) {
+			t.Fatalf("re-encoding differs from the %d decoded bytes", len(data))
+		}
+		filter.Contains([]byte("serial"))
+	})
 }

@@ -107,7 +107,13 @@ func (d *Device) Class() string { return d.cfg.Class }
 // InstallRevocationFilter verifies and installs a provider-signed
 // revocation filter. Filters older than the installed one are rejected so
 // an attacker cannot roll the device back to a filter that predates a
-// revocation.
+// revocation. Only whole seconds of IssuedAt are signed, so only those
+// are compared, and two filters cut either side of a revocation can carry
+// the same second: among those the signed element count decides, and the
+// one with fewer serials is the older. (A provider-side rebuild can lower
+// the count, which sums additions, not distinct serials; a device that
+// refuses such a filter takes the next one the provider cuts, no more
+// than a minute later.)
 func (d *Device) InstallRevocationFilter(sf *revocation.SignedFilter) error {
 	f, err := revocation.VerifyFilter(d.cfg.ProviderPub, sf)
 	if err != nil {
@@ -115,9 +121,11 @@ func (d *Device) InstallRevocationFilter(sf *revocation.SignedFilter) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.filterIssued.IsZero() && sf.IssuedAt.Before(d.filterIssued) {
-		return fmt.Errorf("device: filter rollback rejected (installed %s, offered %s)",
-			d.filterIssued.Format(time.RFC3339), sf.IssuedAt.Format(time.RFC3339))
+	offered, installed := sf.IssuedAt.Unix(), d.filterIssued.Unix()
+	if d.filter != nil && (offered < installed ||
+		offered == installed && f.Count() < d.filter.Count()) {
+		return fmt.Errorf("device: filter rollback rejected (installed %s with %d serials, offered %s with %d)",
+			d.filterIssued.Format(time.RFC3339), d.filter.Count(), sf.IssuedAt.Format(time.RFC3339), f.Count())
 	}
 	d.filter = f
 	d.filterIssued = sf.IssuedAt

@@ -245,6 +245,50 @@ func TestFilterRollbackRejected(t *testing.T) {
 	}
 }
 
+// Two filters cut inside one clock second, either side of a revocation,
+// carry the same signed timestamp: the one with fewer serials must not
+// replace the other, whatever sub-second value the offer claims.
+func TestFilterSameSecondRollbackRejected(t *testing.T) {
+	f := newFixture(t, "grant play;")
+	other, _ := license.NewSerial()
+	if err := f.revList.Add(other); err != nil {
+		t.Fatal(err)
+	}
+	before, err := f.revList.ExportFilter(testProv(t), fixedNow.Add(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.revList.Add(f.lic.Serial); err != nil {
+		t.Fatal(err)
+	}
+	after, err := f.revList.ExportFilter(testProv(t), fixedNow.Add(200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !before.IssuedAt.Equal(after.IssuedAt) {
+		t.Fatalf("fixture: filters not in one second (%s, %s)", before.IssuedAt, after.IssuedAt)
+	}
+	if err := f.dev.InstallRevocationFilter(before); err != nil {
+		t.Fatalf("older filter first: %v", err)
+	}
+	if err := f.dev.InstallRevocationFilter(after); err != nil {
+		t.Fatalf("newer filter of the same second refused: %v", err)
+	}
+	if err := f.dev.InstallRevocationFilter(after); err != nil {
+		t.Fatalf("same filter again refused: %v", err)
+	}
+	for _, claimed := range []time.Time{before.IssuedAt, before.IssuedAt.Add(900 * time.Millisecond)} {
+		offer := *before
+		offer.IssuedAt = claimed // the unsigned fraction of a second is the attacker's to set
+		if err := f.dev.InstallRevocationFilter(&offer); err == nil {
+			t.Errorf("filter cut before the revocation replaced the one cut after it (claimed %s)", claimed)
+		}
+	}
+	if err := f.play(t); err != ErrRevoked {
+		t.Errorf("err = %v, want ErrRevoked", err)
+	}
+}
+
 func TestWrongCardFailsChallenge(t *testing.T) {
 	f := newFixture(t, "grant play;")
 	thief, _ := smartcard.NewRandom(schnorr.Group768())

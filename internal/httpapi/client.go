@@ -116,13 +116,42 @@ func (c *Client) stream(path string) (*http.Response, error) {
 	return nil, fmt.Errorf("httpapi: status %d", resp.StatusCode)
 }
 
+// maxResponseBody bounds what the SDK buffers from one raw-bytes
+// response — the client-side half of the server's maxRequestBody: a
+// hostile or broken server cannot make a device allocate without limit.
+// The signed revocation filter for ten million serials is 24 MB.
+const maxResponseBody = 64 << 20
+
+// ErrResponseTooLarge reports a raw-bytes response over maxResponseBody.
+var ErrResponseTooLarge = fmt.Errorf("httpapi: response body over the client's %d MiB bound", maxResponseBody>>20)
+
+// readBody reads and closes a stream response's body, at most
+// maxResponseBody bytes of it.
+func readBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	size := resp.ContentLength
+	if size > maxResponseBody {
+		return nil, ErrResponseTooLarge
+	}
+	// With room for the announced length plus one more read, ReadFrom
+	// reaches EOF without growing; an absent length (-1) starts small.
+	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > maxResponseBody {
+		return nil, ErrResponseTooLarge
+	}
+	return buf.Bytes(), nil
+}
+
 // decodeEnvelope reads one envelope from body in a single pass: it
 // walks the frame's keys and decodes "result" directly into its
 // destination — out for sync/async, an *APIError for error — so a large
-// result (the signed revocation filter is ~420 KB) is never buffered as
-// raw JSON and parsed a second time. The destination is chosen by
-// "type", which the server always writes first; a frame that puts
-// "result" ahead of it is rejected rather than guessed at.
+// result is never buffered as raw JSON and parsed a second time. The
+// destination is chosen by "type", which the server always writes
+// first; a frame that puts "result" ahead of it is rejected rather than
+// guessed at.
 func decodeEnvelope(body io.Reader, status int, out any) (typ string, err error) {
 	bad := func(err error) (string, error) {
 		return "", fmt.Errorf("httpapi: bad envelope (status %d): %w", status, err)

@@ -4,13 +4,20 @@ package httpapi
 // replication error kinds back onto the sentinels followers match.
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"p2drm/internal/kvstore"
+	"p2drm/internal/license"
+	"p2drm/internal/obs"
 	"p2drm/internal/replica"
+	"p2drm/internal/revocation"
 )
 
 // TestDecodeEnvelopeErrorNeverReachesOut: whatever an error envelope's
@@ -96,5 +103,99 @@ func TestReplicaErrorMapping(t *testing.T) {
 	}
 	if _, err := c.ReplicaManifest("mem", false); !errors.Is(err, kvstore.ErrInMemory) {
 		t.Errorf("in-memory store: err = %v, want ErrInMemory", err)
+	}
+}
+
+// TestRevocationFilterStream: the signed filter travels as the
+// provider's cached artefact, byte for byte, with its length announced;
+// the SDK parses it into a filter that verifies; downloads of an
+// unchanged list share one signature, visible on /v2/metrics.
+func TestRevocationFilterStream(t *testing.T) {
+	h := newHarness(t)
+	want, err := h.prov.RevocationFilterWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(h.srv.URL + "/v2/revocation/filter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/octet-stream" ||
+		resp.Header.Get("Content-Length") != strconv.Itoa(len(want)) {
+		t.Errorf("status %d, headers %v; want 200, octet-stream, Content-Length %d", resp.StatusCode, resp.Header, len(want))
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("body is not the provider's artefact (%d bytes, want %d)", len(body), len(want))
+	}
+
+	for i := 0; i < 3; i++ {
+		sf, err := h.client.RevocationFilter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := revocation.VerifyFilter(h.prov.Public(), sf); err != nil {
+			t.Fatalf("downloaded filter does not verify: %v", err)
+		}
+		if !bytes.Equal(sf.Marshal(), want) {
+			t.Error("SDK artefact does not re-encode to the provider's bytes")
+		}
+	}
+
+	raw, err := h.client.MetricsV2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseMetrics(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for result, want := range map[string]float64{"signed": 1, "cached": 4} {
+		got, ok := m.Value("p2drm_revocation_filter_exports_total", map[string]string{"result": result})
+		if !ok || got != want {
+			t.Errorf("p2drm_revocation_filter_exports_total{result=%q} = %v (present %v), want %v", result, got, ok, want)
+		}
+	}
+}
+
+// TestStreamRouteErrors: a failure on a raw-bytes route still travels as
+// an envelope and reaches the caller as *APIError, and a body over the
+// client's bound is refused, announced or not.
+func TestStreamRouteErrors(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v2/revocation/filter", func(w http.ResponseWriter, r *http.Request) {
+		writeEnvErr(w, errInternal(errors.New("revocation: sign filter: injected")))
+	})
+	mux.HandleFunc("GET /v2/content", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("id") == "announced" {
+			w.Header().Set("Content-Length", strconv.Itoa(maxResponseBody+1))
+			return
+		}
+		chunk := make([]byte, 1<<20)
+		for i := 0; i <= maxResponseBody/len(chunk); i++ { // chunked: no length announced
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+
+	_, err := c.RevocationFilter()
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError ||
+		apiErr.Kind != "internal" || !strings.Contains(apiErr.Message, "injected") {
+		t.Errorf("RevocationFilter err = %v, want the server's internal APIError", err)
+	}
+	for _, id := range []string{"announced", "chunked"} {
+		if blob, err := c.Content(license.ContentID(id)); !errors.Is(err, ErrResponseTooLarge) {
+			t.Errorf("Content(%s) = %d bytes, %v; want ErrResponseTooLarge", id, len(blob), err)
+		}
 	}
 }

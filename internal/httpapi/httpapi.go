@@ -37,11 +37,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"net/http"
 	"net/url"
-	"time"
+	"strconv"
 
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/kvstore"
@@ -75,6 +74,7 @@ func NewServer(p *provider.Provider) *Server {
 	s.registerV2()
 	if p != nil {
 		s.registerCryptoMetrics()
+		s.registerRevocationMetrics()
 		s.registerCryptoHealth()
 	}
 	return s
@@ -347,13 +347,6 @@ type BatchRedeemResult struct {
 // BatchRedeemResponse returns outcomes in request order.
 type BatchRedeemResponse struct {
 	Results []BatchRedeemResult `json:"results"`
-}
-
-// FilterResponse carries a signed revocation filter.
-type FilterResponse struct {
-	Filter   string    `json:"filter"`
-	IssuedAt time.Time `json:"issued_at"`
-	Sig      string    `json:"sig"`
 }
 
 // StatsResponse reports per-store kvstore engine statistics (segments,
@@ -673,14 +666,18 @@ func (s *Server) epStats(r *http.Request) (any, *apiError) {
 	return resp, nil
 }
 
-func (s *Server) epFilter(r *http.Request) (any, *apiError) {
-	sf, err := s.Provider.RevocationFilter()
+// serveRevocationFilter writes the signed filter in its wire encoding
+// (revocation.SignedFilter.Marshal): the provider cuts the artefact once
+// per filter state, so this is a copy of cached bytes to the socket.
+func (s *Server) serveRevocationFilter(w http.ResponseWriter, r *http.Request) {
+	wire, err := s.Provider.RevocationFilterWire()
 	if err != nil {
-		return nil, errInternal(err)
+		writeEnvErr(w, errInternal(err))
+		return
 	}
-	return FilterResponse{
-		Filter: b64(sf.Filter), IssuedAt: sf.IssuedAt, Sig: b64(sf.Sig),
-	}, nil
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
+	w.Write(wire)
 }
 
 // epRevocationContains is the primary's exact-answer revocation check,
@@ -709,8 +706,7 @@ func (c *Client) Content(id license.ContentID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return readBody(resp)
 }
 
 // Denomination fetches an item's blind-signature verification key.
@@ -947,16 +943,16 @@ func (c *Client) Stats() (*StatsResponse, error) {
 	return &resp, nil
 }
 
-// RevocationFilter fetches and reassembles the signed filter.
+// RevocationFilter downloads the signed filter. It is untrusted until
+// revocation.VerifyFilter has accepted it.
 func (c *Client) RevocationFilter() (*revocation.SignedFilter, error) {
-	var resp FilterResponse
-	if err := c.call("GET", "/v2/revocation/filter", nil, &resp); err != nil {
+	resp, err := c.stream("/v2/revocation/filter")
+	if err != nil {
 		return nil, err
 	}
-	filter, err1 := unb64(resp.Filter)
-	sig, err2 := unb64(resp.Sig)
-	if err1 != nil || err2 != nil {
-		return nil, errors.New("httpapi: bad filter encoding")
+	data, err := readBody(resp)
+	if err != nil {
+		return nil, err
 	}
-	return &revocation.SignedFilter{Filter: filter, IssuedAt: resp.IssuedAt, Sig: sig}, nil
+	return revocation.ParseSignedFilter(data)
 }

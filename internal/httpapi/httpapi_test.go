@@ -193,6 +193,12 @@ func TestFullTransferOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A filter downloaded before the exchange: the artefact it caches must
+	// not outlive the revocation below.
+	if _, err := h.client.RevocationFilter(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Exchange via HTTP.
 	denomPub, denomID, err := h.client.Denomination("song-1")
 	if err != nil {
@@ -231,7 +237,7 @@ func TestFullTransferOverHTTP(t *testing.T) {
 	if err := license.VerifyPersonalized(h.prov.Public(), newLic); err != nil {
 		t.Fatalf("redeemed license invalid: %v", err)
 	}
-	// Old one revoked; filter over HTTP reflects it.
+	// Old one revoked; the very next filter over HTTP reflects it.
 	sf, err := h.client.RevocationFilter()
 	if err != nil {
 		t.Fatal(err)

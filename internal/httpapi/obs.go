@@ -14,7 +14,6 @@ package httpapi
 // cardinality is bounded by the route table.
 
 import (
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -248,6 +247,22 @@ func (s *Server) registerCryptoMetrics() {
 	})
 }
 
+// registerRevocationMetrics exports how signed-filter downloads were
+// answered: from the artefact cached for the current filter state, or by
+// marshalling and signing a new one.
+func (s *Server) registerRevocationMetrics() {
+	exports := s.obs.Reg.CounterVec("p2drm_revocation_filter_exports_total",
+		"Signed revocation filter exports, by whether the cached artefact was returned or a new one was signed.", "result")
+	exports.Func(func() int64 {
+		cached, _ := s.Provider.RevocationExportStats()
+		return int64(cached)
+	}, "cached")
+	exports.Func(func() int64 {
+		_, signed := s.Provider.RevocationExportStats()
+		return int64(signed)
+	}, "signed")
+}
+
 // registerFollowerMetrics exports one follower's replication status as
 // gauges (lag) and counters (applied records/bytes, resyncs), labeled
 // by store name.
@@ -285,8 +300,7 @@ func (c *Client) MetricsV2() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return readBody(resp)
 }
 
 // TracesV2 fetches the retained slow-request traces (admin tier).

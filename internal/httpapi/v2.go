@@ -32,7 +32,7 @@ func (s *Server) registerV2() {
 	s.v2("POST", "/v2/exchange/batch", TierUser, s.epExchangeBatch)
 	s.v2("POST", "/v2/redeem", TierUser, s.epRedeem)
 	s.v2("POST", "/v2/redeem/batch", TierUser, s.epRedeemBatch)
-	s.v2("GET", "/v2/revocation/filter", TierGuest, s.epFilter)
+	s.v2raw("GET", "/v2/revocation/filter", TierGuest, KindStream, s.serveRevocationFilter)
 	s.v2("GET", "/v2/revocation/contains", TierGuest, s.epRevocationContains)
 	s.v2("GET", "/v2/stats", TierGuest, s.epStats)
 	s.v2("GET", "/v2/kv/get", TierGuest, s.epKVGet)

@@ -924,9 +924,23 @@ func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub,
 	return lic, nil
 }
 
-// RevocationFilter exports the current signed filter for devices.
+// RevocationFilter exports the current signed filter for devices: the
+// artefact is cut once per filter state (see package revocation) and is
+// shared between callers, so it is read-only.
 func (p *Provider) RevocationFilter() (*revocation.SignedFilter, error) {
 	return p.rev.ExportFilter(p.signer, p.cfg.Clock())
+}
+
+// RevocationFilterWire is RevocationFilter in the artefact's wire
+// encoding (revocation.ParseSignedFilter reads it), built once with it.
+func (p *Provider) RevocationFilterWire() ([]byte, error) {
+	return p.rev.ExportFilterWire(p.signer, p.cfg.Clock())
+}
+
+// RevocationExportStats reports how many signed-filter exports were
+// answered from the cached artefact and how many signed a new one.
+func (p *Provider) RevocationExportStats() (cached, signed uint64) {
+	return p.rev.ExportStats()
 }
 
 // RebuildRevocationFilter forces a full revocation Bloom-filter rebuild

@@ -18,15 +18,34 @@
 // a lookup never queues behind another caller's fsync; the conservative
 // direction (briefly "revoked" for a record a crash could still drop) is
 // the safe one for a deny list.
+//
+// The signed filter is cut once per filter state. The list counts every
+// change to its filter (an added serial, a rebuild swap) under its lock,
+// and ExportFilter keeps the last artefact it signed together with the
+// count it was cut at: a call finding that count unchanged, the same
+// signer and an IssuedAt no more than filterMaxAge behind its clock (and
+// not ahead of it) gets the same artefact back; anything else marshals
+// and signs again. The invariant is strict: no artefact is returned once
+// the filter it was cut from has changed, so a revocation that has been
+// acknowledged is in the very next export. The provider signs
+//
+//	"p2drm/revfilter/v2" ‖ issued_at (unix seconds, 8 bytes) ‖ SHA-256(filter)
+//
+// — hash-then-sign, because the full-domain hash under the RSA signature
+// makes one SHA-256 pass over its message per 32 bytes of modulus; over
+// these 58 bytes that is free, and signer and verifier each read the
+// filter once.
 package revocation
 
 import (
 	"context"
 	"crypto/rsa"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2drm/internal/bloom"
@@ -82,11 +101,30 @@ type List struct {
 	pending [][]byte
 	// gen increments on every completed filter swap.
 	gen uint64
+	// filterVersion increments on every change to the filter's contents
+	// (an added serial, a swap): the state a signed artefact was cut at.
+	filterVersion uint64
 	// rebuildDone is closed when the in-flight rebuild finishes; nil
 	// while no rebuild runs. A fresh channel per rebuild (captured under
 	// l.mu) lets Rebuild and waitRebuild wait without the
 	// Add-at-zero-concurrent-with-Wait hazard a shared WaitGroup has.
 	rebuildDone chan struct{}
+
+	// exportMu serialises ExportFilter and guards exported, so downloads
+	// that arrive together after a revocation share one signature. It is
+	// taken before mu, never the other way round.
+	exportMu sync.Mutex
+	exported *exportedFilter
+	// exportsCached and exportsSigned count ExportFilter outcomes.
+	exportsCached, exportsSigned atomic.Uint64
+}
+
+// exportedFilter is a signed artefact with what it was cut from.
+type exportedFilter struct {
+	sf      *SignedFilter // Filter and Sig are views into wire
+	wire    []byte        // sf.Marshal()
+	version uint64        // filterVersion the filter bytes were copied at
+	signer  *rsablind.Signer
 }
 
 // Open loads (or creates) a list backed by store. expected sizes the Bloom
@@ -167,6 +205,7 @@ func (l *List) rebuild(target uint64, done chan struct{}) {
 	}
 	l.pending = nil
 	l.filter = f
+	l.filterVersion++
 	l.capacity = target
 	l.rebuilding = false
 	l.rebuildDone = nil
@@ -271,6 +310,7 @@ func (l *List) TryAddCtx(ctx context.Context, s license.Serial) (fresh bool, err
 // this serial's position). Caller holds l.mu.
 func (l *List) addToFilterLocked(serial []byte) {
 	l.filter.Add(serial)
+	l.filterVersion++
 	l.count++
 	if l.rebuilding {
 		l.pending = append(l.pending, append([]byte(nil), serial...))
@@ -343,33 +383,136 @@ func (l *List) serialsLocked() [][]byte {
 	return out
 }
 
-// SignedFilter is the device-side revocation artifact.
+// SignedFilter is the device-side revocation artifact. One returned by
+// ExportFilter is shared with every other caller that gets the same
+// artefact: treat it as read-only.
 type SignedFilter struct {
-	Filter   []byte // bloom.Marshal output
-	IssuedAt time.Time
-	Sig      []byte // provider FDH-RSA over signingBytes
+	Filter   []byte    // bloom.Marshal output
+	IssuedAt time.Time // whole seconds, UTC
+	Sig      []byte    // provider FDH-RSA over filterSigningBytes
 }
+
+// filterMaxAge bounds how long one signed artefact is handed out for an
+// unchanged filter: a device may rely on IssuedAt being at most this far
+// behind the moment it asked.
+const filterMaxAge = time.Minute
+
+const filterSigningTag = "p2drm/revfilter/v2"
 
 func filterSigningBytes(filter []byte, issuedAt time.Time) []byte {
-	out := make([]byte, 0, len(filter)+24)
-	out = append(out, []byte("p2drm/revfilter/v1")...)
-	var ts [8]byte
-	binary.BigEndian.PutUint64(ts[:], uint64(issuedAt.UTC().Unix()))
-	out = append(out, ts[:]...)
-	out = append(out, filter...)
-	return out
+	digest := sha256.Sum256(filter)
+	out := make([]byte, 0, len(filterSigningTag)+8+len(digest))
+	out = append(out, filterSigningTag...)
+	out = binary.BigEndian.AppendUint64(out, uint64(issuedAt.Unix()))
+	return append(out, digest[:]...)
 }
 
-// ExportFilter signs the current filter state for distribution to devices.
+// signedFilterHeader is issued_at[8] ‖ len(sig)[4].
+const signedFilterHeader = 12
+
+// Marshal serialises the artefact for the wire:
+//
+//	issued_at[8] | len(sig)[4] | sig | filter
+//
+// issued_at is unix seconds, both integers big-endian; the filter runs
+// to the end.
+func (sf *SignedFilter) Marshal() []byte {
+	out := make([]byte, 0, signedFilterHeader+len(sf.Sig)+len(sf.Filter))
+	out = binary.BigEndian.AppendUint64(out, uint64(sf.IssuedAt.Unix()))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(sf.Sig)))
+	out = append(out, sf.Sig...)
+	return append(out, sf.Filter...)
+}
+
+// ParseSignedFilter reads Marshal output. Filter and Sig are views into
+// data. It checks framing only: the bytes are untrusted until
+// VerifyFilter has accepted them.
+func ParseSignedFilter(data []byte) (*SignedFilter, error) {
+	if len(data) < signedFilterHeader {
+		return nil, errors.New("revocation: truncated signed filter")
+	}
+	sigLen := uint64(binary.BigEndian.Uint32(data[8:12]))
+	body := data[signedFilterHeader:]
+	if sigLen > uint64(len(body)) {
+		return nil, fmt.Errorf("revocation: signature length %d past the end of a %d-byte signed filter", sigLen, len(data))
+	}
+	return &SignedFilter{
+		IssuedAt: time.Unix(int64(binary.BigEndian.Uint64(data[:8])), 0).UTC(),
+		Sig:      body[:sigLen],
+		Filter:   body[sigLen:],
+	}, nil
+}
+
+// ExportFilter returns the current filter state signed for distribution
+// to devices, cutting a new artefact only when the cached one no longer
+// stands for it (see the package comment): the filter changed, the signer
+// differs, or now is before its IssuedAt or more than filterMaxAge after.
 func (l *List) ExportFilter(signer *rsablind.Signer, now time.Time) (*SignedFilter, error) {
+	e, err := l.export(signer, now)
+	if err != nil {
+		return nil, err
+	}
+	return e.sf, nil
+}
+
+// ExportFilterWire is ExportFilter returning the artefact's Marshal
+// encoding, which is built once with it. Read-only, like the artefact.
+func (l *List) ExportFilterWire(signer *rsablind.Signer, now time.Time) ([]byte, error) {
+	e, err := l.export(signer, now)
+	if err != nil {
+		return nil, err
+	}
+	return e.wire, nil
+}
+
+func (l *List) export(signer *rsablind.Signer, now time.Time) (*exportedFilter, error) {
+	issuedAt := now.UTC().Truncate(time.Second)
+	l.exportMu.Lock()
+	defer l.exportMu.Unlock()
+	c := l.exported
+	if c != nil && c.signer == signer &&
+		!issuedAt.Before(c.sf.IssuedAt) && now.Sub(c.sf.IssuedAt) <= filterMaxAge {
+		l.mu.RLock()
+		current := c.version == l.filterVersion
+		l.mu.RUnlock()
+		if current {
+			l.exportsCached.Add(1)
+			return c, nil
+		}
+	}
 	l.mu.RLock()
 	data := l.filter.Marshal()
+	version := l.filterVersion
 	l.mu.RUnlock()
-	sig, err := signer.Sign(filterSigningBytes(data, now))
+	sig, err := signer.Sign(filterSigningBytes(data, issuedAt))
 	if err != nil {
 		return nil, fmt.Errorf("revocation: sign filter: %w", err)
 	}
-	return &SignedFilter{Filter: data, IssuedAt: now.UTC(), Sig: sig}, nil
+	l.exportsSigned.Add(1)
+	// The artefact's fields are views into its encoding, so one copy of
+	// the filter stays resident, not two.
+	wire := (&SignedFilter{Filter: data, IssuedAt: issuedAt, Sig: sig}).Marshal()
+	sf, err := ParseSignedFilter(wire)
+	if err != nil {
+		return nil, err
+	}
+	e := &exportedFilter{sf: sf, wire: wire, version: version, signer: signer}
+	// A caller whose clock reads before the cached artefact gets one of
+	// its own and leaves the cache alone: the cached IssuedAt never moves
+	// backwards, so callers whose clocks do not run backwards (a daemon's
+	// concurrent requests, whichever order they take exportMu in) never
+	// see a later download carry an earlier timestamp, which a device
+	// would refuse as a rollback.
+	if c == nil || !issuedAt.Before(c.sf.IssuedAt) {
+		l.exported = e
+	}
+	return e, nil
+}
+
+// ExportStats reports how many ExportFilter calls were answered with the
+// cached artefact and how many marshalled and signed a new one.
+func (l *List) ExportStats() (cached, signed uint64) {
+	return l.exportsCached.Load(), l.exportsSigned.Load()
 }
 
 // VerifyFilter checks a signed filter and returns the usable Bloom filter.

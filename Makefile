@@ -45,13 +45,17 @@ timing-guard:
 
 # Short-deadline go-native fuzzing (one -fuzz target per package run):
 # corrupted WAL tails, license encodings and downloaded revocation
-# filters must error, never panic or silently drop committed state. CI
-# runs this on every PR.
+# filters must error, never panic or silently drop committed state; a
+# presented nonce is accepted once at most and only under this provider's
+# beacon; a withdraw body debits exactly what it gets signed or nothing.
+# CI runs this on every PR.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=NONE -fuzz=FuzzLicenseCodec -fuzztime=10s ./internal/license
 	$(GO) test -run=NONE -fuzz=FuzzParseSignedFilter -fuzztime=10s ./internal/revocation
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/bloom
+	$(GO) test -run=NONE -fuzz=FuzzConsumeNonce -fuzztime=10s ./internal/provider
+	$(GO) test -run=NONE -fuzz=FuzzWithdrawRequest -fuzztime=10s ./internal/httpapi
 
 # Subprocess crash/compaction suite: SIGKILL mid-group-commit, mid-
 # segment-roll and mid-incremental-compaction; -count=2 reruns each

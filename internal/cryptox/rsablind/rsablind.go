@@ -28,6 +28,7 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -39,7 +40,27 @@ var (
 	ErrVerification = errors.New("rsablind: verification failed")
 	// ErrBadBlindedValue is returned by the signer for out-of-range input.
 	ErrBadBlindedValue = errors.New("rsablind: blinded value out of range")
+	// ErrStaleKey is returned by the signer when the requester names a key
+	// other than the signer's: the requester blinded under a key it cached
+	// and the signer no longer holds, so a signature would be worthless.
+	ErrStaleKey = errors.New("rsablind: key id does not match the signing key")
 )
+
+// KeyID names a verification key in 16 hex digits: a truncated SHA-256
+// over the exponent and modulus. A requester sends the id of the key it
+// blinded under and the signer refuses (ErrStaleKey) before it debits,
+// burns or signs anything if that is not its own — which is what lets a
+// client cache a key. It is a name, not a commitment: it guards against a
+// changed key, not against a chosen one.
+func KeyID(pub *rsa.PublicKey) string {
+	h := sha256.New()
+	h.Write([]byte("p2drm/keyid/v1"))
+	var e [8]byte
+	binary.BigEndian.PutUint64(e[:], uint64(pub.E))
+	h.Write(e[:])
+	h.Write(pub.N.Bytes())
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
 
 var one = big.NewInt(1)
 
@@ -146,7 +167,8 @@ func maskedInverse(n, r *big.Int) *big.Int {
 
 // Signer holds the private key that signs blinded values.
 type Signer struct {
-	key *rsa.PrivateKey
+	key   *rsa.PrivateKey
+	keyID string
 }
 
 // NewSigner wraps an RSA private key for blind signing. The key must not
@@ -159,7 +181,7 @@ func NewSigner(key *rsa.PrivateKey) (*Signer, error) {
 		return nil, fmt.Errorf("rsablind: invalid key: %w", err)
 	}
 	key.Precompute() // CRT exponents for privExp (idempotent)
-	return &Signer{key: key}, nil
+	return &Signer{key: key, keyID: KeyID(&key.PublicKey)}, nil
 }
 
 // privExp computes b^d mod N via the CRT when the key is a standard
@@ -186,15 +208,41 @@ func (s *Signer) privExp(b *big.Int) *big.Int {
 // Public returns the signer's public key.
 func (s *Signer) Public() *rsa.PublicKey { return &s.key.PublicKey }
 
+// KeyID is KeyID(s.Public()), computed once.
+func (s *Signer) KeyID() string { return s.keyID }
+
+// CheckKeyID refuses a requester-named key id that is not the signer's.
+func (s *Signer) CheckKeyID(id string) error {
+	if id != s.keyID {
+		return ErrStaleKey
+	}
+	return nil
+}
+
+// CheckBlinded reports ErrBadBlindedValue for a value SignBlinded would
+// refuse, at the cost of a comparison: a caller that must refuse a whole
+// list over one bad entry checks before it signs any.
+func (s *Signer) CheckBlinded(blinded []byte) error {
+	_, err := s.blindedInt(blinded)
+	return err
+}
+
+func (s *Signer) blindedInt(blinded []byte) (*big.Int, error) {
+	b := new(big.Int).SetBytes(blinded)
+	if b.Sign() <= 0 || b.Cmp(s.key.N) >= 0 {
+		return nil, ErrBadBlindedValue
+	}
+	return b, nil
+}
+
 // SignBlinded raises the blinded value to the private exponent. The signer
 // learns nothing about the underlying message.
 func (s *Signer) SignBlinded(blinded []byte) ([]byte, error) {
-	b := new(big.Int).SetBytes(blinded)
-	n := s.key.N
-	if b.Sign() <= 0 || b.Cmp(n) >= 0 {
-		return nil, ErrBadBlindedValue
+	b, err := s.blindedInt(blinded)
+	if err != nil {
+		return nil, err
 	}
-	return toFixed(s.privExp(b), n), nil
+	return toFixed(s.privExp(b), s.key.N), nil
 }
 
 // Unblind removes the blinding factor from the signer's response, yielding

@@ -8,19 +8,27 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"crypto/rsa"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"p2drm/internal/cryptox/schnorr"
+	"p2drm/internal/license"
 	"p2drm/internal/ops"
 )
 
-// Client is the SDK speaking to a Server or ReplicaServer.
+// Client is the SDK speaking to a Server or ReplicaServer. It is safe for
+// concurrent use. It remembers what the server publishes to everyone and
+// does not change — the bank's coin key, denomination keys, the current
+// challenge beacon — so it holds a mutex: use it through the pointer
+// NewClient returns and do not copy it after first use. Two Clients share
+// no state, and nothing a Client remembers was issued to it alone.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -28,6 +36,13 @@ type Client struct {
 	// Token is the bearer credential sent on every request (empty for
 	// guest access).
 	Token string
+
+	// mu guards the caches below; it is never held across a request.
+	mu          sync.Mutex
+	coinPub     *rsa.PublicKey                     // WithdrawCoins
+	denoms      map[license.ContentID]denomination // Denomination
+	beacon      string                             // Challenge
+	beaconUntil time.Time                          // beacon is the current one before this
 }
 
 // NewClient builds a client; group must match the server's.

@@ -21,8 +21,10 @@ import (
 	"sort"
 	"strings"
 
+	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/obs"
 	"p2drm/internal/ops"
+	"p2drm/internal/provider"
 )
 
 // Tier is a route's minimum access level (snapd's guest /
@@ -99,9 +101,43 @@ func errNotFound(err error) *apiError {
 
 // errRejected is a protocol-level refusal (bad proof, double spend,
 // unregistered pseudonym): HTTP 403, but with its own kind so clients
-// can tell it from an authorization failure.
+// can tell it from an authorization failure. The two refusals a client
+// can repair by itself have kinds of their own (refusalKind).
 func errRejected(err error) *apiError {
-	return &apiError{status: http.StatusForbidden, kind: "rejected", msg: err.Error()}
+	kind := refusalKind(err)
+	if kind == "" {
+		kind = "rejected"
+	}
+	return &apiError{status: http.StatusForbidden, kind: kind, msg: err.Error()}
+}
+
+// The refusals that tell a client what it remembers is out of date:
+// stale-key — the request named a key the server does not sign with, and
+// nothing was debited, consumed or retired: fetch the key again and start
+// over; bad-nonce — the nonce is spent, expired or made under a beacon
+// that is not this process's: ask for a challenge again.
+const (
+	kindStaleKey = "stale-key"
+	kindBadNonce = "bad-nonce"
+)
+
+// refusalKind is the kind of such a refusal, "" for any other error. The
+// batch routes report it per slot.
+func refusalKind(err error) string {
+	switch {
+	case errors.Is(err, rsablind.ErrStaleKey):
+		return kindStaleKey
+	case errors.Is(err, provider.ErrBadNonce):
+		return kindBadNonce
+	}
+	return ""
+}
+
+// hasKind reports whether an SDK call failed with an error envelope of
+// the given kind.
+func hasKind(err error, kind string) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Kind == kind
 }
 
 func errInternal(err error) *apiError {

@@ -41,7 +41,10 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
+	"time"
 
+	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
@@ -75,14 +78,18 @@ func NewServer(p *provider.Provider) *Server {
 	if p != nil {
 		s.registerCryptoMetrics()
 		s.registerRevocationMetrics()
+		s.registerNonceMetrics()
 		s.registerCryptoHealth()
 	}
 	return s
 }
 
-// WithBank attaches a demo bank.
+// WithBank attaches a demo bank. Call before serving starts.
 func (s *Server) WithBank(b *payment.Bank) *Server {
 	s.Bank = b
+	s.obs.Reg.CounterFunc("p2drm_bank_coins_withdrawn_total",
+		"Coins blind-signed by successful withdrawals (a withdrawal request carries a list of them).",
+		b.CoinsWithdrawn)
 	return s
 }
 
@@ -120,15 +127,18 @@ type BankAccountRequest struct {
 	Funds int64  `json:"funds"`
 }
 
-// WithdrawRequest requests one blind-signed coin.
+// WithdrawRequest requests a list of blind-signed coins, all or nothing:
+// 1..maxBatchItems blinded coins, and the rsablind.KeyID of the coin key
+// they were blinded under.
 type WithdrawRequest struct {
-	Account string `json:"account"`
-	Blinded string `json:"blinded"`
+	Account string   `json:"account"`
+	KeyID   string   `json:"key_id"`
+	Blinded []string `json:"blinded"`
 }
 
-// WithdrawResponse carries the bank's blind signature.
+// WithdrawResponse carries the bank's blind signatures in request order.
 type WithdrawResponse struct {
-	BlindSig string `json:"blind_sig"`
+	BlindSigs []string `json:"blind_sigs"`
 }
 
 func (s *Server) epProviderKey(r *http.Request) (any, *apiError) {
@@ -166,15 +176,25 @@ func (s *Server) epWithdraw(r *http.Request) (any, *apiError) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return nil, errBadRequest(err)
 	}
-	blinded, err := unb64(req.Blinded)
-	if err != nil {
-		return nil, errBadRequest(err)
+	if e := checkBatchSize(len(req.Blinded)); e != nil {
+		return nil, e
 	}
-	sig, err := s.Bank.Withdraw(req.Account, blinded)
+	blinded := make([][]byte, len(req.Blinded))
+	for i, bl := range req.Blinded {
+		var err error
+		if blinded[i], err = unb64(bl); err != nil {
+			return nil, errBadRequest(err)
+		}
+	}
+	sigs, err := s.Bank.WithdrawList(req.Account, req.KeyID, blinded)
 	if err != nil {
 		return nil, errRejected(err)
 	}
-	return WithdrawResponse{BlindSig: b64(sig)}, nil
+	resp := WithdrawResponse{BlindSigs: make([]string, len(sigs))}
+	for i, sig := range sigs {
+		resp.BlindSigs[i] = b64(sig)
+	}
+	return resp, nil
 }
 
 // ProviderKey fetches the provider's license/revocation verification key.
@@ -204,33 +224,72 @@ func (c *Client) CreateAccount(id string, funds int64) error {
 	return c.call("POST", "/v2/bank/account", BankAccountRequest{ID: id, Funds: funds}, nil)
 }
 
-// WithdrawCoins mints n coins over the wire (blind withdrawal loop).
+// WithdrawCoins mints n coins over the wire: n blinded requests go to the
+// bank as one list (lists of maxBatchItems when n is larger), and every
+// coin is unblinded and verified before it is returned. A list is all or
+// nothing at the bank, so a failed call has debited nothing for it; only
+// when n spans several lists can an error come with coins — those of the
+// lists already paid for, never thrown away. The coin key is fetched once
+// per Client: the request names the key it blinded under, and a bank
+// holding another refuses before it debits, upon which the key is
+// fetched anew and the list sent once more.
 func (c *Client) WithdrawCoins(account string, n int) ([]*payment.Coin, error) {
-	pub, err := c.CoinKey()
+	coins := make([]*payment.Coin, 0, max(n, 0))
+	for len(coins) < n {
+		k := min(n-len(coins), maxBatchItems)
+		list, err := c.withdrawList(account, k)
+		if hasKind(err, kindStaleKey) {
+			list, err = c.withdrawList(account, k)
+		}
+		if err != nil {
+			return coins, err
+		}
+		coins = append(coins, list...)
+	}
+	return coins, nil
+}
+
+// withdrawList is one list withdrawal under the remembered coin key,
+// which it forgets when the bank says it is stale.
+func (c *Client) withdrawList(account string, n int) ([]*payment.Coin, error) {
+	c.mu.Lock()
+	pub := c.coinPub
+	c.mu.Unlock()
+	if pub == nil {
+		var err error
+		if pub, err = c.CoinKey(); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		c.coinPub = pub
+		c.mu.Unlock()
+	}
+	reqs, blinded, err := payment.NewCoinRequests(pub, n, cryptorand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	coins := make([]*payment.Coin, 0, n)
-	for i := 0; i < n; i++ {
-		req, err := payment.NewCoinRequest(pub, cryptorand.Reader)
-		if err != nil {
-			return nil, err
-		}
-		var resp WithdrawResponse
-		if err := c.call("POST", "/v2/bank/withdraw", WithdrawRequest{Account: account, Blinded: b64(req.Blinded)}, &resp); err != nil {
-			return nil, err
-		}
-		blindSig, err := unb64(resp.BlindSig)
-		if err != nil {
-			return nil, err
-		}
-		coin, err := req.Finish(pub, blindSig)
-		if err != nil {
-			return nil, err
-		}
-		coins = append(coins, coin)
+	wire := WithdrawRequest{Account: account, KeyID: rsablind.KeyID(pub), Blinded: make([]string, n)}
+	for i, bl := range blinded {
+		wire.Blinded[i] = b64(bl)
 	}
-	return coins, nil
+	var resp WithdrawResponse
+	if err := c.call("POST", "/v2/bank/withdraw", wire, &resp); err != nil {
+		if hasKind(err, kindStaleKey) {
+			c.mu.Lock()
+			if c.coinPub == pub {
+				c.coinPub = nil
+			}
+			c.mu.Unlock()
+		}
+		return nil, err
+	}
+	sigs := make([][]byte, len(resp.BlindSigs))
+	for i, sig := range resp.BlindSigs {
+		if sigs[i], err = unb64(sig); err != nil {
+			return nil, err
+		}
+	}
+	return payment.FinishCoins(pub, reqs, sigs)
 }
 
 // ServeHTTP implements http.Handler.
@@ -293,12 +352,15 @@ type BatchPurchaseResponse struct {
 	Results []BatchPurchaseResult `json:"results"`
 }
 
-// ExchangeRequest retires a license for a blind signature.
+// ExchangeRequest retires a license for a blind signature. KeyID is
+// optional: the rsablind.KeyID of the denomination key Blinded was made
+// under, which the provider checks before anything else.
 type ExchangeRequest struct {
 	License string `json:"license"`
 	Proof   string `json:"proof"`
 	Nonce   string `json:"nonce"`
 	Blinded string `json:"blinded"`
+	KeyID   string `json:"key_id,omitempty"`
 }
 
 // ExchangeResponse carries the blind signature.
@@ -313,10 +375,13 @@ type BatchExchangeRequest struct {
 }
 
 // BatchExchangeResult is one per-exchange outcome: exactly one of
-// BlindSig and Error is set.
+// BlindSig and Error is set. Kind accompanies an Error that has a kind of
+// its own in the error envelope of POST /v2/exchange (stale-key,
+// bad-nonce).
 type BatchExchangeResult struct {
 	BlindSig string `json:"blind_sig,omitempty"`
 	Error    string `json:"error,omitempty"`
+	Kind     string `json:"kind,omitempty"`
 }
 
 // BatchExchangeResponse returns outcomes in request order.
@@ -401,11 +466,12 @@ func (s *Server) epDenomination(r *http.Request) (any, *apiError) {
 }
 
 func (s *Server) epChallenge(r *http.Request) (any, *apiError) {
-	nonce, err := s.Provider.Challenge(r.Context())
+	beacon, currentFor := s.Provider.Beacon()
+	nonce, err := provider.NewNonce(beacon)
 	if err != nil {
 		return nil, errInternal(err)
 	}
-	return map[string]string{"nonce": nonce}, nil
+	return ChallengeResponse{Nonce: nonce, Beacon: beacon, CurrentForMS: currentFor.Milliseconds()}, nil
 }
 
 func (s *Server) epRegister(r *http.Request) (any, *apiError) {
@@ -561,7 +627,7 @@ func (s *Server) decodeExchange(er ExchangeRequest) (provider.ExchangeItem, erro
 	if err != nil {
 		return provider.ExchangeItem{}, err
 	}
-	return provider.ExchangeItem{License: lic, Proof: proof, Nonce: er.Nonce, Blinded: blinded}, nil
+	return provider.ExchangeItem{License: lic, Proof: proof, Nonce: er.Nonce, Blinded: blinded, KeyID: er.KeyID}, nil
 }
 
 // decodeRedeem converts one wire redeem into a provider item.
@@ -588,7 +654,7 @@ func (s *Server) epExchange(r *http.Request) (any, *apiError) {
 	if err != nil {
 		return nil, errBadRequest(err)
 	}
-	blindSig, err := s.Provider.Exchange(r.Context(), item.License, item.Proof, item.Nonce, item.Blinded)
+	blindSig, err := s.Provider.ExchangeOne(r.Context(), item)
 	if err != nil {
 		return nil, errRejected(err)
 	}
@@ -610,6 +676,7 @@ func (s *Server) epExchangeBatch(r *http.Request) (any, *apiError) {
 		i := slots[j]
 		if res.Err != nil {
 			resp.Results[i].Error = res.Err.Error()
+			resp.Results[i].Kind = refusalKind(res.Err)
 			continue
 		}
 		resp.Results[i].BlindSig = b64(res.BlindSig)
@@ -709,8 +776,25 @@ func (c *Client) Content(id license.ContentID) ([]byte, error) {
 	return readBody(resp)
 }
 
-// Denomination fetches an item's blind-signature verification key.
+// denomination is one remembered /v2/denomination answer.
+type denomination struct {
+	pub   *rsa.PublicKey
+	id    license.DenominationID
+	keyID string
+}
+
+// Denomination returns an item's blind-signature verification key. The
+// key is immutable, so it is fetched once per Client and content id;
+// Exchange and ExchangeBatch name the remembered key to the provider,
+// which refuses — nonce and licence untouched — should it ever hold
+// another, and the entry is forgotten on that refusal.
 func (c *Client) Denomination(id license.ContentID) (*rsa.PublicKey, license.DenominationID, error) {
+	c.mu.Lock()
+	d, ok := c.denoms[id]
+	c.mu.Unlock()
+	if ok {
+		return d.pub, d.id, nil
+	}
 	var info DenominationInfo
 	if err := c.call("GET", "/v2/denomination?id="+url.QueryEscape(string(id)), nil, &info); err != nil {
 		return nil, license.DenominationID{}, err
@@ -719,22 +803,93 @@ func (c *Client) Denomination(id license.ContentID) (*rsa.PublicKey, license.Den
 	if err != nil {
 		return nil, license.DenominationID{}, err
 	}
-	var denom license.DenominationID
 	db, err := hex.DecodeString(info.Denom) // DenominationID.String is hex
-	if err != nil || len(db) != len(denom) {
+	if err != nil || len(db) != len(d.id) {
 		return nil, license.DenominationID{}, errors.New("httpapi: bad denomination id")
 	}
-	copy(denom[:], db)
-	return &rsa.PublicKey{N: new(big.Int).SetBytes(nBytes), E: info.E}, denom, nil
+	copy(d.id[:], db)
+	d.pub = &rsa.PublicKey{N: new(big.Int).SetBytes(nBytes), E: info.E}
+	d.keyID = rsablind.KeyID(d.pub)
+	c.mu.Lock()
+	if c.denoms == nil {
+		c.denoms = make(map[license.ContentID]denomination)
+	}
+	c.denoms[id] = d
+	c.mu.Unlock()
+	return d.pub, d.id, nil
 }
 
-// Challenge fetches a nonce.
+// denomKeyID is the key id of the denomination key remembered for an
+// item, "" when Denomination has not been asked for it.
+func (c *Client) denomKeyID(id license.ContentID) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.denoms[id].keyID
+}
+
+// ChallengeResponse answers GET /v2/challenge: a complete nonce, the
+// beacon it was made under, and for how long that beacon is the current
+// one. Any provider.NewNonce of the beacon — the beacon followed by 32
+// lowercase hex digits — is a nonce the provider accepts once, until the
+// end of the epoch after the beacon's.
+type ChallengeResponse struct {
+	Nonce        string `json:"nonce"`
+	Beacon       string `json:"beacon"`
+	CurrentForMS int64  `json:"current_for_ms"`
+}
+
+// Challenge returns a fresh single-use nonce. While the beacon it last
+// fetched is still the provider's current one it makes the nonce itself
+// (provider.NewNonce) and otherwise it asks the provider; either way the
+// nonce has at least a full beacon epoch left to live. A provider that
+// refuses a nonce (bad-nonce: it may have restarted, and beacons die with
+// the process) makes the Client ask again next time.
 func (c *Client) Challenge() (string, error) {
-	var out map[string]string
+	// Taken before the request, the time the answer's current_for_ms is
+	// counted from can only make the beacon look older than it is.
+	now := time.Now()
+	c.mu.Lock()
+	beacon, current := c.beacon, now.Before(c.beaconUntil)
+	c.mu.Unlock()
+	if current {
+		return provider.NewNonce(beacon)
+	}
+	var out ChallengeResponse
 	if err := c.call("GET", "/v2/challenge", nil, &out); err != nil {
 		return "", err
 	}
-	return out["nonce"], nil
+	c.mu.Lock()
+	c.beacon, c.beaconUntil = out.Beacon, now.Add(time.Duration(out.CurrentForMS)*time.Millisecond)
+	c.mu.Unlock()
+	return out.Nonce, nil
+}
+
+// nonceRefused takes in the outcome of a call that carried a nonce: if
+// the provider refused a nonce made under the remembered beacon, the
+// beacon is not used again.
+func (c *Client) nonceRefused(err error, nonce string) {
+	if !hasKind(err, kindBadNonce) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.beacon != "" && strings.HasPrefix(nonce, c.beacon) {
+		c.beaconUntil = time.Time{}
+	}
+}
+
+// exchangeRefused is nonceRefused for an exchange, which also names a
+// key: the remembered denomination key the provider called stale goes.
+func (c *Client) exchangeRefused(err error, id license.ContentID, req ExchangeRequest) {
+	c.nonceRefused(err, req.Nonce)
+	if !hasKind(err, kindStaleKey) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.denoms[id].keyID == req.KeyID {
+		delete(c.denoms, id)
+	}
 }
 
 // Register registers a pseudonym.
@@ -743,7 +898,9 @@ func (c *Client) Register(signPub, encPub []byte, proof *schnorr.Proof, nonce st
 		SignPub: b64(signPub), EncPub: b64(encPub),
 		Proof: b64(proof.Bytes(c.Group)), Nonce: nonce,
 	}
-	return c.call("POST", "/v2/register", req, nil)
+	err := c.call("POST", "/v2/register", req, nil)
+	c.nonceRefused(err, nonce)
+	return err
 }
 
 // Purchase buys a license with coins.
@@ -822,15 +979,22 @@ func decodePurchaseResults(resp BatchPurchaseResponse, want int) ([]*license.Per
 
 // Exchange retires a license for a blind signature over blinded.
 func (c *Client) Exchange(lic *license.Personalized, proof *schnorr.Proof, nonce string, blinded []byte) ([]byte, error) {
-	req := ExchangeRequest{
-		License: b64(lic.Marshal()), Proof: b64(proof.Bytes(c.Group)),
-		Nonce: nonce, Blinded: b64(blinded),
-	}
+	req := c.exchangeRequest(BatchExchange{License: lic, Proof: proof, Nonce: nonce, Blinded: blinded})
 	var resp ExchangeResponse
 	if err := c.call("POST", "/v2/exchange", req, &resp); err != nil {
+		c.exchangeRefused(err, lic.ContentID, req)
 		return nil, err
 	}
 	return unb64(resp.BlindSig)
+}
+
+// exchangeRequest puts one exchange on the wire, naming the denomination
+// key remembered for the licence's item if Denomination fetched one.
+func (c *Client) exchangeRequest(it BatchExchange) ExchangeRequest {
+	return ExchangeRequest{
+		License: b64(it.License.Marshal()), Proof: b64(it.Proof.Bytes(c.Group)),
+		Nonce: it.Nonce, Blinded: b64(it.Blinded), KeyID: c.denomKeyID(it.License.ContentID),
+	}
 }
 
 // BatchExchange is one typed entry for Client.ExchangeBatch, mirroring
@@ -848,10 +1012,7 @@ type BatchExchange struct {
 func (c *Client) ExchangeBatch(items []BatchExchange) ([][]byte, []error, error) {
 	reqs := make([]ExchangeRequest, len(items))
 	for i, it := range items {
-		reqs[i] = ExchangeRequest{
-			License: b64(it.License.Marshal()), Proof: b64(it.Proof.Bytes(c.Group)),
-			Nonce: it.Nonce, Blinded: b64(it.Blinded),
-		}
+		reqs[i] = c.exchangeRequest(it)
 	}
 	var resp BatchExchangeResponse
 	if err := c.call("POST", "/v2/exchange/batch", BatchExchangeRequest{Exchanges: reqs}, &resp); err != nil {
@@ -863,6 +1024,11 @@ func (c *Client) ExchangeBatch(items []BatchExchange) ([][]byte, []error, error)
 	sigs := make([][]byte, len(reqs))
 	errs := make([]error, len(reqs))
 	for i, res := range resp.Results {
+		if res.Kind != "" {
+			errs[i] = &APIError{StatusCode: http.StatusForbidden, Kind: res.Kind, Message: res.Error}
+			c.exchangeRefused(errs[i], items[i].License.ContentID, reqs[i])
+			continue
+		}
 		if res.Error != "" {
 			errs[i] = fmt.Errorf("httpapi: server: %s", res.Error)
 			continue

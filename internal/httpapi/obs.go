@@ -263,6 +263,15 @@ func (s *Server) registerRevocationMetrics() {
 	}, "signed")
 }
 
+// registerNonceMetrics exports the size of the provider's only nonce
+// state: nonces that were presented and can still be replayed. Handing
+// out challenges does not move it.
+func (s *Server) registerNonceMetrics() {
+	s.obs.Reg.GaugeFunc("p2drm_provider_nonces_consumed",
+		"Challenge nonces presented under the current or the previous beacon, held to refuse a replay.",
+		func() float64 { return float64(s.Provider.ConsumedNonces()) })
+}
+
 // registerFollowerMetrics exports one follower's replication status as
 // gauges (lag) and counters (applied records/bytes, resyncs), labeled
 // by store name.

@@ -10,6 +10,20 @@
 // integer credit amounts. Double spending is prevented by a durable
 // spent-serial ledger at the bank.
 //
+// # Withdrawal
+//
+// A withdrawal is a list of blinded coins against one account
+// (WithdrawList; Withdraw and WithdrawCoins are its one-coin and
+// in-process callers) and it is all or nothing: every reason to refuse —
+// the requester blinded under a key that is not the bank's, a malformed
+// blinded value, too small a balance — is found before the debit, the
+// debit of n is one update under the account's shard lock, and a signing
+// failure after it refunds all n and releases no signature. The bank
+// therefore never signs more coins than it debits, and no caller loses
+// credits to a list that did not come back whole. The order of a list
+// tells the bank nothing: RSA blinding is perfectly hiding, so each
+// blinded value is uniform whatever coin it hides.
+//
 // # Concurrency model
 //
 // The bank serves every deposit on the purchase path, so its hot state is
@@ -18,8 +32,9 @@
 //
 //   - Balances live in N hash shards (FNV-1a over the account id), each
 //     with its own mutex. Withdraw and Deposit on different accounts in
-//     different shards never contend; the RSA blind signature in Withdraw
-//     runs with NO lock held (debit first, refund on signing failure).
+//     different shards never contend; the RSA blind signatures of a
+//     withdrawal run with NO lock held (debit first, refund on signing
+//     failure).
 //   - The spent-serial ledger is gated by kvstore.PutIfAbsent — a
 //     lock-free-from-the-bank's-view CAS — so two concurrent deposits of
 //     one coin see exactly one winner, with no bank lock around the
@@ -52,7 +67,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/kvstore"
@@ -117,6 +134,40 @@ func (r *CoinRequest) Finish(bankPub *rsa.PublicKey, blindSig []byte) (*Coin, er
 	return &Coin{Serial: r.serial, Sig: sig}, nil
 }
 
+// NewCoinRequests prepares n withdrawals and lists their blinded forms in
+// the same order, ready for Bank.WithdrawList.
+func NewCoinRequests(bankPub *rsa.PublicKey, n int, random io.Reader) ([]*CoinRequest, [][]byte, error) {
+	reqs := make([]*CoinRequest, n)
+	blinded := make([][]byte, n)
+	for i := range reqs {
+		req, err := NewCoinRequest(bankPub, random)
+		if err != nil {
+			return nil, nil, err
+		}
+		reqs[i], blinded[i] = req, req.Blinded
+	}
+	return reqs, blinded, nil
+}
+
+// FinishCoins unblinds the bank's answer to a list withdrawal, one
+// signature per request in request order. A bank that answers any other
+// number of signatures, or one that does not verify, yields an error and
+// no coins.
+func FinishCoins(bankPub *rsa.PublicKey, reqs []*CoinRequest, blindSigs [][]byte) ([]*Coin, error) {
+	if len(blindSigs) != len(reqs) {
+		return nil, fmt.Errorf("payment: bank answered %d signatures for %d coin requests", len(blindSigs), len(reqs))
+	}
+	coins := make([]*Coin, len(reqs))
+	for i, req := range reqs {
+		coin, err := req.Finish(bankPub, blindSigs[i])
+		if err != nil {
+			return nil, fmt.Errorf("payment: coin %d: %w", i, err)
+		}
+		coins[i] = coin
+	}
+	return coins, nil
+}
+
 // DefaultBankShards is the balance-shard count used by NewBank.
 const DefaultBankShards = 16
 
@@ -125,6 +176,8 @@ type Bank struct {
 	signer *rsablind.Signer
 	spent  *kvstore.Store
 	shards []*accountShard
+	// withdrawn counts coins signed by successful withdrawals.
+	withdrawn atomic.Int64
 }
 
 // accountShard is one independently locked slice of the balance map.
@@ -239,54 +292,113 @@ func (b *Bank) TotalBalance() int64 {
 	return total
 }
 
-// Withdraw debits one credit from the account and blind-signs the
-// presented blinded coin. The bank never sees the coin serial. The RSA
-// signature runs with no shard lock held: debit first, refund if signing
-// fails.
+// Withdraw is WithdrawList for one coin requested under the bank's own
+// key: what an in-process caller, holding CoinPub itself, has.
 func (b *Bank) Withdraw(accountID string, blinded []byte) ([]byte, error) {
+	sigs, err := b.WithdrawList(accountID, b.signer.KeyID(), [][]byte{blinded})
+	if err != nil {
+		return nil, err
+	}
+	return sigs[0], nil
+}
+
+// WithdrawList debits len(blinded) credits from the account and
+// blind-signs every presented blinded coin, signatures in request order.
+// The bank never sees a coin serial. It is all or nothing: a stale keyID
+// (rsablind.ErrStaleKey — the requester blinded under a key that is not
+// the bank's), an empty list, a malformed blinded value, an unknown
+// account or a balance below the list's length is refused before the
+// debit, and nothing is signed; the debit is one balance update under the
+// shard lock; the signatures run with no lock held on at most GOMAXPROCS
+// goroutines, and should one fail the whole debit is refunded and no
+// signature leaves the bank. So the bank never signs more coins than it
+// debits, and a caller never loses credits to a list that failed.
+func (b *Bank) WithdrawList(accountID, keyID string, blinded [][]byte) ([][]byte, error) {
+	if err := b.signer.CheckKeyID(keyID); err != nil {
+		return nil, err
+	}
+	n := int64(len(blinded))
+	if n == 0 {
+		return nil, errors.New("payment: empty withdrawal")
+	}
+	for i, bl := range blinded {
+		if err := b.signer.CheckBlinded(bl); err != nil {
+			return nil, fmt.Errorf("payment: blinded coin %d: %w", i, err)
+		}
+	}
 	sh := b.shard(accountID)
 	sh.mu.Lock()
 	bal, ok := sh.balances[accountID]
+	if ok && bal >= n {
+		sh.balances[accountID] = bal - n
+	}
+	sh.mu.Unlock()
 	if !ok {
-		sh.mu.Unlock()
 		return nil, fmt.Errorf("payment: unknown account %q", accountID)
 	}
-	if bal < 1 {
-		sh.mu.Unlock()
+	if bal < n {
 		return nil, ErrInsufficientFunds
 	}
-	sh.balances[accountID] = bal - 1
-	sh.mu.Unlock()
-	sig, err := b.signer.SignBlinded(blinded)
+	sigs, err := b.signAll(blinded)
 	if err != nil {
 		// Accounts are never deleted, so the refund cannot miss.
 		sh.mu.Lock()
-		sh.balances[accountID]++
+		sh.balances[accountID] += n
 		sh.mu.Unlock()
 		return nil, err
 	}
-	return sig, nil
+	b.withdrawn.Add(n)
+	return sigs, nil
 }
 
-// WithdrawCoins is the convenience client+bank loop minting n coins.
-func (b *Bank) WithdrawCoins(accountID string, n int) ([]*Coin, error) {
-	coins := make([]*Coin, 0, n)
-	for i := 0; i < n; i++ {
-		req, err := NewCoinRequest(b.CoinPub(), rand.Reader)
-		if err != nil {
-			return nil, err
+// signAll blind-signs every value, in order, on at most GOMAXPROCS
+// goroutines; the first failure is the result and no signature is.
+func (b *Bank) signAll(blinded [][]byte) ([][]byte, error) {
+	sigs := make([][]byte, len(blinded))
+	errs := make([]error, len(blinded))
+	workers := min(runtime.GOMAXPROCS(0), len(blinded))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	sign := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < len(blinded); i = int(next.Add(1)) - 1 {
+			sigs[i], errs[i] = b.signer.SignBlinded(blinded[i])
 		}
-		blindSig, err := b.Withdraw(accountID, req.Blinded)
-		if err != nil {
-			return nil, err
-		}
-		coin, err := req.Finish(b.CoinPub(), blindSig)
-		if err != nil {
-			return nil, err
-		}
-		coins = append(coins, coin)
 	}
-	return coins, nil
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go sign()
+	}
+	sign() // the caller is the first worker: a one-coin list starts no goroutine
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sigs, nil
+}
+
+// CoinsWithdrawn counts the coins signed by successful withdrawals.
+func (b *Bank) CoinsWithdrawn() int64 { return b.withdrawn.Load() }
+
+// WithdrawCoins mints n coins in process: blind n requests, withdraw them
+// as one list, unblind. All n coins or none and the account untouched.
+func (b *Bank) WithdrawCoins(accountID string, n int) ([]*Coin, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	reqs, blinded, err := NewCoinRequests(b.CoinPub(), n, rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	sigs, err := b.WithdrawList(accountID, b.signer.KeyID(), blinded)
+	if err != nil {
+		return nil, err
+	}
+	return FinishCoins(b.CoinPub(), reqs, sigs)
 }
 
 // Deposit verifies a coin, enforces single spending, and credits the

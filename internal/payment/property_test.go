@@ -1,12 +1,15 @@
 package payment
 
 // Property-based tests for the sharded bank. The model checked is value
-// conservation: withdrawals remove exactly one credit into a coin,
-// deposits move exactly one coin back into a balance, and nothing else
-// moves money. Run under -race in CI (see the race targets in the
-// Makefile) so the shard locking is exercised, not just the arithmetic.
+// conservation: a list withdrawal removes exactly one credit per coin it
+// returns — all of the list or none of it — deposits move exactly one
+// coin back into a balance, and nothing else moves money. Run under -race
+// in CI (see the race targets in the Makefile) so the shard locking is
+// exercised, not just the arithmetic.
 
 import (
+	crand "crypto/rand"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -14,8 +17,53 @@ import (
 	"testing"
 	"testing/quick"
 
+	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/kvstore"
 )
+
+// hostileLists are the list withdrawals the bank must refuse whole: each
+// spoils an otherwise valid request for n coins in one way.
+var hostileLists = []struct {
+	name  string
+	spoil func(b *Bank, keyID *string, blinded [][]byte) [][]byte
+	want  error
+}{
+	{"empty list", func(_ *Bank, _ *string, bl [][]byte) [][]byte { return bl[:0] }, nil},
+	{"stale key id", func(_ *Bank, id *string, bl [][]byte) [][]byte { *id = "0123456789abcdef"; return bl }, rsablind.ErrStaleKey},
+	{"no key id", func(_ *Bank, id *string, bl [][]byte) [][]byte { *id = ""; return bl }, rsablind.ErrStaleKey},
+	{"zero blinded value", func(_ *Bank, _ *string, bl [][]byte) [][]byte { bl[len(bl)/2] = []byte{0}; return bl }, rsablind.ErrBadBlindedValue},
+	{"blinded value over the modulus", func(b *Bank, _ *string, bl [][]byte) [][]byte {
+		bl[len(bl)-1] = append(b.CoinPub().N.Bytes(), 0)
+		return bl
+	}, rsablind.ErrBadBlindedValue},
+}
+
+// withdrawHostile sends every hostile variant of an n-coin list and
+// reports whether each was refused with nothing debited and nothing
+// signed.
+func withdrawHostile(t *testing.T, b *Bank, acct string, n int) bool {
+	for _, h := range hostileLists {
+		_, blinded, err := NewCoinRequests(b.CoinPub(), n, crand.Reader)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		keyID := rsablind.KeyID(b.CoinPub())
+		blinded = h.spoil(b, &keyID, blinded)
+		total, signed := b.TotalBalance(), b.CoinsWithdrawn()
+		sigs, err := b.WithdrawList(acct, keyID, blinded)
+		if err == nil || sigs != nil || (h.want != nil && !errors.Is(err, h.want)) {
+			t.Logf("%s: sigs %d, err %v", h.name, len(sigs), err)
+			return false
+		}
+		if b.TotalBalance() != total || b.CoinsWithdrawn() != signed {
+			t.Logf("%s: refused list moved the total %d -> %d, coins signed %d -> %d",
+				h.name, total, b.TotalBalance(), signed, b.CoinsWithdrawn())
+			return false
+		}
+	}
+	return true
+}
 
 // TestQuickSequentialConservation drives random single-threaded op
 // sequences against banks of random shard counts: every reachable state
@@ -42,15 +90,29 @@ func TestQuickSequentialConservation(t *testing.T) {
 		for i := 0; i < int(nOps)+10; i++ {
 			acct := fmt.Sprintf("acct-%d", r.Intn(accounts))
 			switch {
-			case r.Intn(3) != 0 || len(outstanding) == 0: // withdraw
-				coins, err := b.WithdrawCoins(acct, 1)
-				if err == ErrInsufficientFunds {
-					continue
-				}
-				if err != nil {
+			case r.Intn(8) == 0: // lists the bank must refuse whole
+				if !withdrawHostile(t, b, acct, 1+r.Intn(4)) {
 					return false
 				}
-				outstanding = append(outstanding, coins[0])
+			case r.Intn(3) != 0 || len(outstanding) == 0: // withdraw a list
+				// Mostly small, sometimes more than any account holds
+				// (and than one HTTP request may carry).
+				n := 1 + r.Intn(4)
+				if r.Intn(6) == 0 {
+					n = 300
+				}
+				bal, _ := b.Balance(acct)
+				coins, err := b.WithdrawCoins(acct, n)
+				if err == ErrInsufficientFunds {
+					if int64(n) <= bal || coins != nil {
+						return false
+					}
+					continue
+				}
+				if err != nil || len(coins) != n {
+					return false
+				}
+				outstanding = append(outstanding, coins...)
 			default: // deposit a random outstanding coin
 				j := r.Intn(len(outstanding))
 				if err := b.Deposit(acct, outstanding[j]); err != nil {
@@ -74,7 +136,7 @@ func TestQuickSequentialConservation(t *testing.T) {
 			}
 			spent++
 		}
-		return b.TotalBalance() == accounts*initial && b.SpentCount() == spent
+		return b.TotalBalance() == accounts*initial && b.SpentCount() == spent && b.CoinsWithdrawn() == int64(spent)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -176,4 +238,58 @@ func TestConcurrentConservationAcrossShards(t *testing.T) {
 			t.Logf("withdrawn %d, deposited %d, raced doubles rejected %d", withdrawn.Load(), deposited.Load(), doubles.Load())
 		})
 	}
+}
+
+// TestConcurrentListWithdrawNeverOverdraws: 32 goroutines pull lists of
+// assorted sizes from ONE account that cannot pay for all of them. Every
+// list comes back whole or not at all, the coins out equal the credits
+// gone, and the balance never goes below zero.
+func TestConcurrentListWithdrawNeverOverdraws(t *testing.T) {
+	st, _ := kvstore.Open("")
+	b, err := NewBankSharded(testKey(t), st, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, initial = 32, 100
+	if err := b.CreateAccount("shared", initial); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		minted  atomic.Int64
+		refused atomic.Int64
+		start   = make(chan struct{})
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for _, n := range []int{1 + w%7, 3, 1 + w%5} {
+				coins, err := b.WithdrawCoins("shared", n)
+				switch {
+				case err == nil && len(coins) == n:
+					minted.Add(int64(n))
+				case err == ErrInsufficientFunds && coins == nil:
+					refused.Add(1)
+				default:
+					t.Errorf("list of %d: %d coins, err %v", n, len(coins), err)
+				}
+				if bal, _ := b.Balance("shared"); bal < 0 {
+					t.Errorf("balance %d", bal)
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	bal, _ := b.Balance("shared")
+	if bal < 0 || bal+minted.Load() != initial || b.CoinsWithdrawn() != minted.Load() {
+		t.Errorf("balance %d + minted %d != initial %d (bank counts %d coins signed)",
+			bal, minted.Load(), initial, b.CoinsWithdrawn())
+	}
+	if refused.Load() == 0 {
+		t.Error("no list was refused: the account was never short, the test proves nothing")
+	}
+	t.Logf("minted %d coins, %d lists refused, %d credits left", minted.Load(), refused.Load(), bal)
 }

@@ -28,8 +28,8 @@
 //	catMu (RWMutex)  catalog, denomination signers and both denomination
 //	                 indexes. Written only by AddContent; the serving
 //	                 path takes short read locks to snapshot pointers.
-//	nonceMu (Mutex)  the single-use challenge nonce cache. Consumption
-//	                 is a delete-under-lock, so a nonce burns exactly
+//	nonceMu (Mutex)  the set of consumed challenge nonces. Consumption
+//	                 is an insert-under-lock, so a nonce burns exactly
 //	                 once no matter how many requests race on it.
 //	jmu (Mutex)      the append-only observation journal (events, seq).
 //	rev              revocation.List synchronizes internally.
@@ -40,6 +40,23 @@
 //
 // Lock ordering is a non-issue by construction: no code path holds two
 // provider locks at once.
+//
+// # Challenge nonces
+//
+// Register and Exchange verify a proof of ownership bound to a nonce that
+// must be fresh and single-use. The provider issues nothing per client
+// for it (nonce.go): its contribution is a public beacon, one per epoch
+// of nonceTTL/2 (150 s) — the epoch number and a 128-bit MAC of it under
+// a key drawn at process start — identical for every caller; a nonce is
+// the beacon followed by 128 random bits, drawn by the provider
+// (Challenge) or by the client itself (NewNonce). consumeNonce accepts a
+// well-formed nonce under this process's beacon of the current or the
+// previous epoch, once: a nonce lives 2.5 to 5 minutes and dies with the
+// process. The only nonce state is the consumed set — the nonces that
+// were presented, by the epoch of their beacon, each epoch's set dropped
+// whole two epochs later. A challenge that was handed out and never used
+// occupies no memory, and there is no record of a nonce being issued for
+// a later use to be joined with.
 //
 // # Durability
 //
@@ -102,15 +119,6 @@ var (
 	ErrAlreadyRedeemed  = errors.New("provider: anonymous serial already redeemed")
 	ErrUnknownDenom     = errors.New("provider: unknown denomination")
 )
-
-// nonceTTL bounds how long a challenge nonce stays valid.
-const nonceTTL = 5 * time.Minute
-
-// noncePurgeThreshold is the initial cache size that triggers an
-// expired-entry sweep; after each sweep the threshold doubles from the
-// surviving size, amortizing the O(n) scan so a burst of live nonces
-// cannot make every Challenge pay for a full-map walk.
-const noncePurgeThreshold = 4096
 
 // Config configures a provider.
 type Config struct {
@@ -179,10 +187,12 @@ type Provider struct {
 	denomByC map[license.ContentID]license.DenominationID
 	itemByD  map[license.DenominationID]*CatalogItem
 
-	// nonceMu guards the single-use nonce cache.
-	nonceMu    sync.Mutex
-	nonces     map[string]time.Time
-	nonceSweep int
+	// nonceKey is the per-process MAC key behind the challenge beacon
+	// (nonce.go); nonceMu guards nonces, the consumed nonces by the epoch
+	// of their beacon. A nonce that was only handed out is not in it.
+	nonceKey [32]byte
+	nonceMu  sync.Mutex
+	nonces   map[int64]map[string]struct{}
 
 	// jmu guards the append-only journal.
 	jmu    sync.Mutex
@@ -223,6 +233,10 @@ func New(cfg Config) (*Provider, error) {
 	if err != nil {
 		return nil, err
 	}
+	var nonceKey [32]byte
+	if _, err := io.ReadFull(rand.Reader, nonceKey[:]); err != nil {
+		return nil, fmt.Errorf("provider: beacon key: %w", err)
+	}
 	return &Provider{
 		group:      cfg.Group,
 		signer:     signer,
@@ -231,7 +245,8 @@ func New(cfg Config) (*Provider, error) {
 		denoms:     make(map[license.DenominationID]*rsablind.Signer),
 		denomByC:   make(map[license.ContentID]license.DenominationID),
 		itemByD:    make(map[license.DenominationID]*CatalogItem),
-		nonces:     make(map[string]time.Time),
+		nonceKey:   nonceKey,
+		nonces:     make(map[int64]map[string]struct{}),
 		batchSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		rev:        rev,
 	}, nil
@@ -367,55 +382,6 @@ func (p *Provider) denomState(d license.DenominationID) (*rsablind.Signer, *Cata
 		return nil, nil, false
 	}
 	return signer, p.itemByD[d], true
-}
-
-// Challenge issues a fresh nonce for proof-of-ownership flows. Nonces are
-// single-use and expire after 5 minutes.
-func (p *Provider) Challenge(ctx context.Context) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	buf := make([]byte, 16)
-	if _, err := io.ReadFull(rand.Reader, buf); err != nil {
-		return "", err
-	}
-	nonce := hex.EncodeToString(buf)
-	now := p.cfg.Clock()
-	p.nonceMu.Lock()
-	defer p.nonceMu.Unlock()
-	if p.nonceSweep == 0 {
-		p.nonceSweep = noncePurgeThreshold
-	}
-	if len(p.nonces) >= p.nonceSweep {
-		for n, exp := range p.nonces {
-			if now.After(exp) {
-				delete(p.nonces, n)
-			}
-		}
-		p.nonceSweep = 2 * len(p.nonces)
-		if p.nonceSweep < noncePurgeThreshold {
-			p.nonceSweep = noncePurgeThreshold
-		}
-	}
-	p.nonces[nonce] = now.Add(nonceTTL)
-	return nonce, nil
-}
-
-// consumeNonce validates and burns a nonce. The delete happens under
-// nonceMu, so of any number of concurrent requests presenting the same
-// nonce exactly one succeeds.
-func (p *Provider) consumeNonce(nonce string) error {
-	p.nonceMu.Lock()
-	defer p.nonceMu.Unlock()
-	exp, ok := p.nonces[nonce]
-	if !ok {
-		return ErrBadNonce
-	}
-	delete(p.nonces, nonce)
-	if p.cfg.Clock().After(exp) {
-		return ErrBadNonce
-	}
-	return nil
 }
 
 // registration storage key
@@ -656,14 +622,19 @@ func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []Bat
 	return results
 }
 
-// ExchangeItem is one ExchangeBatch entry, mirroring Exchange's
-// arguments: a live license, an ownership proof bound to a fresh nonce,
-// and the blinded anonymous serial to sign.
+// ExchangeItem is one exchange: a live license, an ownership proof bound
+// to a fresh nonce, and the blinded anonymous serial to sign. KeyID, when
+// set, is the rsablind.KeyID of the denomination key the holder blinded
+// under: if that is not the key the provider would sign with, the
+// exchange is refused with rsablind.ErrStaleKey before the nonce is
+// consumed or the license retired, so a holder working from a cached key
+// loses nothing to a key that changed.
 type ExchangeItem struct {
 	License *license.Personalized
 	Proof   *schnorr.Proof
 	Nonce   string
 	Blinded []byte
+	KeyID   string
 }
 
 // ExchangeBatchResult is one ExchangeBatch outcome: exactly one of
@@ -690,8 +661,7 @@ func (p *Provider) ExchangeBatch(ctx context.Context, items []ExchangeItem) []Ex
 	verdicts := p.preverifyExchangeProofs(items)
 	p.runBatch(ctx, len(items),
 		func(i int) {
-			it := items[i]
-			sig, err := p.exchange(ctx, it.License, it.Proof, it.Nonce, it.Blinded, verdicts[i])
+			sig, err := p.exchange(ctx, items[i], verdicts[i])
 			results[i] = ExchangeBatchResult{BlindSig: sig, Err: err}
 		},
 		fail)
@@ -779,18 +749,37 @@ func ExchangeContext(nonce string, serial license.Serial) []byte {
 // presented blinded anonymous-serial under the item's denomination key.
 // The provider never sees the serial inside `blinded`.
 func (p *Provider) Exchange(ctx context.Context, lic *license.Personalized, proof *schnorr.Proof, nonce string, blinded []byte) ([]byte, error) {
+	return p.ExchangeOne(ctx, ExchangeItem{License: lic, Proof: proof, Nonce: nonce, Blinded: blinded})
+}
+
+// ExchangeOne is Exchange for an item, which can name the key it was
+// blinded under (see ExchangeItem.KeyID).
+func (p *Provider) ExchangeOne(ctx context.Context, it ExchangeItem) ([]byte, error) {
 	ctx, commit := kvstore.BeginCommit(ctx)
-	sig, err := p.exchange(ctx, lic, proof, nonce, blinded, nil)
+	sig, err := p.exchange(ctx, it, nil)
 	return sealed(ctx, commit, sig, err)
 }
 
-// exchange is Exchange with an optional pre-computed ownership-proof
+// exchange is ExchangeOne with an optional pre-computed ownership-proof
 // verdict from the batch verifier. The verdict is exactly what the
 // inline VerifyProof would return for the same inputs, so every check
 // still runs in the same order with the same errors.
-func (p *Provider) exchange(ctx context.Context, lic *license.Personalized, proof *schnorr.Proof, nonce string, blinded []byte, verdict *proofVerdict) ([]byte, error) {
+func (p *Provider) exchange(ctx context.Context, it ExchangeItem, verdict *proofVerdict) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	lic, proof, nonce, blinded := it.License, it.Proof, it.Nonce, it.Blinded
+	// A holder who names the key it blinded under is refused here, with
+	// nonce and license intact, if the signature below would be made
+	// under any other.
+	if it.KeyID != "" && lic != nil {
+		signer, ok := p.denomSignerByContent(lic.ContentID)
+		if !ok {
+			return nil, rsablind.ErrStaleKey
+		}
+		if err := signer.CheckKeyID(it.KeyID); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.consumeNonce(nonce); err != nil {
 		return nil, err

@@ -20,16 +20,19 @@ import (
 	"testing"
 	"time"
 
+	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/linkage"
 	"p2drm/internal/provider"
 )
 
 // runPlaybackPairs executes K interleaved playback pairs and returns
 // the correlation count — how many pairs the provider-side attack
-// managed to connect from its own journal — plus the executor and
-// topology so follow-on assertions can inspect the run's ground truth
-// and the live server's observability surface.
-func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs []PlaybackPair, ex *Executor, topo Topology) {
+// managed to connect from its own journal — plus the executor, the
+// topology and that journal so follow-on assertions can inspect the
+// run's ground truth and what the live server retained of it. The whole
+// run goes through one shared httpapi.Client per role, so its coin-key,
+// denomination and beacon caches are in play throughout.
+func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs []PlaybackPair, ex *Executor, topo Topology, events []provider.Event) {
 	t.Helper()
 	topo, prov := newLoadHarness(t, 1)
 	cfg := ScenarioConfig{
@@ -59,7 +62,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 		t.Fatalf("completed %d pairs, want %d", len(pairs), k)
 	}
 
-	events := prov.Events()
+	events = prov.Events()
 	clustering := linkage.Attack(events, topo.Primary.Denomination)
 
 	// Locate each pair's two journal faces by the executor's ground
@@ -88,7 +91,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 			correlated++
 		}
 	}
-	return correlated, pairs, ex, topo
+	return correlated, pairs, ex, topo, events
 }
 
 // TestPlaybackUnlinkability: with blinding, the provider cannot
@@ -96,7 +99,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 // random-guess baseline.
 func TestPlaybackUnlinkability(t *testing.T) {
 	const k = 8
-	correlated, pairs, _, _ := runPlaybackPairs(t, k, false)
+	correlated, pairs, _, _, _ := runPlaybackPairs(t, k, false)
 	// Random guessing links 1/K of pairs in expectation; the attack's
 	// rules (pseudonym reuse, blinded-hash matching) find nothing at
 	// all against fresh pseudonyms and properly blinded blobs.
@@ -114,10 +117,15 @@ func TestPlaybackUnlinkability(t *testing.T) {
 // license serials, blinded-blob encodings, bank account IDs, or the
 // smartcards' pseudonym public keys. The harness retains EVERY trace
 // (threshold 0), so this holds even under the least favourable
-// retention setting.
+// retention setting. The values the SDK remembers between requests — the
+// key ids it names and the challenge beacon its nonces start with — are
+// public and the same for every client, but a surface that recorded one
+// next to a pseudonym would still be recording which request a client
+// made when: they must appear on no surface at all, the provider's own
+// journal included.
 func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	const k = 8
-	_, pairs, ex, topo := runPlaybackPairs(t, k, false)
+	_, pairs, ex, topo, events := runPlaybackPairs(t, k, false)
 
 	rawMetrics, err := topo.Primary.MetricsV2()
 	if err != nil {
@@ -160,6 +168,35 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 		}
 	}
 
+	// What the SDK caches carried on the wire during the run.
+	coinPub, err := topo.Primary.CoinKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	denomPub, _, err := topo.Primary.Denomination(pairs[0].ContentID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, err := topo.Primary.Challenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := []secret{
+		{"coin key id", rsablind.KeyID(coinPub)},
+		{"denomination key id", rsablind.KeyID(denomPub)},
+		{"challenge beacon", nonce[:len(nonce)-32]},
+	}
+	secrets = append(secrets, cached...)
+	rawJournal, err := json.Marshal(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range cached {
+		if s.value == "" || strings.Contains(string(rawJournal), s.value) {
+			t.Errorf("provider journal pairs its events with a %s: %q", s.kind, s.value)
+		}
+	}
+
 	for _, surface := range []struct {
 		name string
 		body string
@@ -183,7 +220,7 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 // test has teeth.
 func TestPlaybackLinkableControl(t *testing.T) {
 	const k = 8
-	correlated, pairs, _, _ := runPlaybackPairs(t, k, true)
+	correlated, pairs, _, _, _ := runPlaybackPairs(t, k, true)
 	if correlated != len(pairs) {
 		t.Errorf("linkable control: attack correlated %d/%d pairs, want all",
 			correlated, len(pairs))

@@ -14,16 +14,21 @@ test:
 # Race detector over the concurrent serving path and everything that
 # drives it concurrently (workload generator, revocation list, sharded
 # bank property tests, the kvstore commit sets batch workers note into,
-# root integration tests, and the crypto precompute layer's shared
-# tables/pools). CI's race job runs this target: the list lives here.
+# root integration tests, the crypto precompute layer's shared
+# tables/pools, and the KEM sender every serving goroutine wraps through,
+# with the license package that calls it). CI's race job runs this
+# target: the list lives here.
 race:
-	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind .
+	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license .
 
 # Full evaluation benchmarks (minutes; see bench_test.go for families).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1s .
 
-# One iteration per benchmark: proves they compile and run.
+# One iteration per benchmark: proves they compile and run. The T1_
+# pattern reaches the per-package micro-benchmarks docs/crypto.md quotes
+# (internal/cryptox/dlkem: T1_KEMShare; internal/cryptox/schnorr:
+# T1_VerifyBatch16).
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='BenchmarkT3_(Purchase|Exchange|Deposit|Get|PutIfAbsent)' -benchtime=1x .
@@ -37,9 +42,10 @@ benchmark-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark -short ./...
 
-# Statistical timing guard over the blinded crypto ops (dudect-style
-# Welch t-test, see docs/crypto.md): fails only on a leak confirmed in
-# two independent rounds, skips on boxes too noisy for a verdict.
+# Statistical timing guard over the blinded crypto ops, the KEM sender's
+# long-lived exponent included (dudect-style Welch t-test, see
+# docs/crypto.md): fails only on a leak confirmed in two independent
+# rounds, skips on boxes too noisy for a verdict.
 timing-guard:
 	$(GO) test -count=1 ./internal/cryptox/ctcheck/
 
@@ -48,7 +54,7 @@ timing-guard:
 # filters must error, never panic or silently drop committed state; a
 # presented nonce is accepted once at most and only under this provider's
 # beacon; a withdraw body debits exactly what it gets signed or nothing.
-# CI runs this on every PR.
+# CI's fuzz job runs this target on every PR: the list lives here.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=NONE -fuzz=FuzzLicenseCodec -fuzztime=10s ./internal/license

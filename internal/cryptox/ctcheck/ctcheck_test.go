@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"p2drm/internal/cryptox/ctcheck"
+	"p2drm/internal/cryptox/dlkem"
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 )
@@ -153,6 +154,55 @@ func TestTimingSchnorrSign(t *testing.T) {
 			i++
 		},
 	)
+}
+
+// The provider's KEM sender keeps ONE exponent k for the life of the
+// process and raises every new recipient key to it, so a recipient who
+// can time first-sight wraps is timing a fixed secret. The sender blinds
+// it per exponentiation (k + r·q, fresh r): a fixed k — the constant 1,
+// as in the ExpG guards, which bare would cost no exponentiation at all —
+// must be indistinguishable from a fresh random k per sample. Same
+// recipient throughout; every sample is a fresh Sender, so every share is
+// computed, none looked up. The fixed class rebuilds the SAME k from a
+// replayed seed each time (as TestTimingUnblind does for its factor),
+// which also keeps cache locality equal between the classes.
+func TestTimingKEMShare(t *testing.T) {
+	g := freshGroup("ct-kem-share")
+	g.Precompute() // only the senders' own g^k, outside the timed call
+	recipient, err := schnorr.GenerateKey(g, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One scalar draw reads 96 bytes (767-bit q): this seed is k = 1.
+	seed := make([]byte, 96)
+	seed[95] = 1
+	// guard calls each class warmup + 2 rounds × samples × reps times at
+	// most, and a sender computes a share once.
+	n := warmup + 2*samples*reps
+	fixed := make([]*dlkem.Sender, n)
+	fresh := make([]*dlkem.Sender, n)
+	for i := range fixed {
+		if fixed[i], err = dlkem.NewSender(g, bytes.NewReader(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if fresh[i], err = dlkem.NewSender(g, rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	share := func(senders []*dlkem.Sender, i *int) func() {
+		return func() {
+			s := senders[*i]
+			*i++
+			if _, _, err := s.Encap(recipient.Y); err != nil {
+				t.Fatal(err)
+			}
+			if _, computed := s.Stats(); computed != 1 {
+				t.Fatal("timed a cache hit, not a share")
+			}
+		}
+	}
+	ia, ib := 0, 0
+	guard(t, "dlkem.Sender share", share(fixed, &ia), share(fresh, &ib))
 }
 
 func timingTestKey(t *testing.T) *rsa.PrivateKey {

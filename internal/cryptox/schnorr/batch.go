@@ -28,16 +28,24 @@ const batchBlindBits = 128
 // Items whose proof carries a commitment R consistent with its challenge
 // (and whose y and R pass the subgroup check) join the combined check
 //
-//	g^(Σ z_i·s_i) == Π R_i^{z_i} · y_i^{z_i·e_i mod q}
+//	g^(Σ z_i·s_i) == Π_i R_i^{z_i} · Π_Y Y^{Σ_{i: y_i = Y} z_i·e_i mod q}
 //
 // with independent random 128-bit combiners z_i; reducing exponents
 // mod q is sound because the subgroup checks pinned every base to the
-// order-q subgroup. If the combined check fails, each participant is
-// re-verified alone to identify the culprits. Items that cannot join
-// (nil or legacy R-less proofs, out-of-subgroup keys, commitments
-// inconsistent with the challenge) are simply verified one at a time —
-// note an inconsistent R with a valid (E,S) pair must still be accepted,
-// exactly as VerifyProof accepts it, since R is advisory.
+// order-q subgroup. The second product runs over DISTINCT keys: items
+// that present the same key — a bulk wallet retiring a day's licenses
+// presents one pseudonym — have their z_i·e_i summed into one exponent,
+// so the key is validated once and costs one full-width term instead of
+// one per item. That is the same group element as the per-item product,
+// every item still has its own z_i on its own R_i and s_i, and so the
+// bound is unchanged: a batch with an invalid member passes with
+// probability at most 2^-128, whoever chose the keys. If the combined
+// check fails, each participant is re-verified alone to identify the
+// culprits. Items that cannot join (nil or legacy R-less proofs,
+// out-of-subgroup keys, commitments inconsistent with the challenge) are
+// simply verified one at a time — note an inconsistent R with a valid
+// (E,S) pair must still be accepted, exactly as VerifyProof accepts it,
+// since R is advisory.
 func VerifyProofBatch(g *Group, items []BatchProofItem, random io.Reader) []error {
 	errs := make([]error, len(items))
 	verifyOne := func(i int) {
@@ -50,12 +58,22 @@ func VerifyProofBatch(g *Group, items []BatchProofItem, random io.Reader) []erro
 		return errs
 	}
 
+	// holder is one distinct key of the batch: ze accumulates z_i·e_i over
+	// the items presenting it. A nil *holder in the map records a key that
+	// was validated and refused.
+	type holder struct {
+		y, ze *big.Int
+	}
+	holders := make(map[string]*holder)
+
 	// Partition: batchable items have a commitment that recomputes to
 	// their own challenge; everything else takes the per-item path.
 	batch := make([]int, 0, len(items))
+	owner := make([]*holder, 0, len(items)) // owner[j] is the key of items[batch[j]]
 	for i, it := range items {
 		p := it.Proof
-		if p == nil || p.Sig.R == nil || p.Sig.E == nil || p.Sig.S == nil {
+		if p == nil || p.Sig.R == nil || p.Sig.E == nil || p.Sig.S == nil ||
+			it.Y == nil || it.Y.Sign() <= 0 {
 			verifyOne(i)
 			continue
 		}
@@ -64,7 +82,15 @@ func VerifyProofBatch(g *Group, items []BatchProofItem, random io.Reader) []erro
 			verifyOne(i)
 			continue
 		}
-		if g.ValidatePublicKey(it.Y) != nil || g.ValidatePublicKey(p.Sig.R) != nil {
+		hk := string(it.Y.Bytes())
+		h, seen := holders[hk]
+		if !seen {
+			if g.ValidatePublicKey(it.Y) == nil {
+				h = &holder{y: it.Y}
+			}
+			holders[hk] = h
+		}
+		if h == nil || g.ValidatePublicKey(p.Sig.R) != nil {
 			verifyOne(i)
 			continue
 		}
@@ -74,6 +100,7 @@ func VerifyProofBatch(g *Group, items []BatchProofItem, random io.Reader) []erro
 			continue
 		}
 		batch = append(batch, i)
+		owner = append(owner, h)
 	}
 	if len(batch) < 2 {
 		for _, i := range batch {
@@ -82,12 +109,14 @@ func VerifyProofBatch(g *Group, items []BatchProofItem, random io.Reader) []erro
 		return errs
 	}
 
-	// Combined check over the batchable subset.
+	// Combined check over the batchable subset: one R_i^{z_i} per item,
+	// then one Y^{Σ z_i·e_i} per distinct key, in order of first use.
 	sSum := new(big.Int)
 	bases := make([]*big.Int, 0, 2*len(batch))
 	exps := make([]*big.Int, 0, 2*len(batch))
+	var keys []*holder
 	zs := make([]byte, batchBlindBits/8)
-	for _, i := range batch {
+	for j, i := range batch {
 		sig := &items[i].Proof.Sig
 		if _, err := io.ReadFull(random, zs); err != nil {
 			// No randomness, no soundness: verify everything one at a time.
@@ -100,10 +129,18 @@ func VerifyProofBatch(g *Group, items []BatchProofItem, random io.Reader) []erro
 		z.Add(z, big.NewInt(1)) // z in [1, 2^128]
 		t := new(big.Int).Mul(z, sig.S)
 		sSum.Add(sSum, t)
-		ze := t.Mul(z, sig.E)
-		ze.Mod(ze, g.Q)
-		bases = append(bases, sig.R, items[i].Y)
-		exps = append(exps, z, ze)
+		h := owner[j]
+		if h.ze == nil {
+			h.ze = new(big.Int)
+			keys = append(keys, h)
+		}
+		h.ze.Add(h.ze, t.Mul(z, sig.E))
+		bases = append(bases, sig.R)
+		exps = append(exps, z)
+	}
+	for _, h := range keys {
+		bases = append(bases, h.y)
+		exps = append(exps, h.ze.Mod(h.ze, g.Q))
 	}
 	sSum.Mod(sSum, g.Q)
 	lhs := g.ExpG(sSum)

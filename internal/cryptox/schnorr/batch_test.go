@@ -6,25 +6,10 @@ import (
 	"testing"
 )
 
+// batchFixtures builds n valid items under n distinct keys.
 func batchFixtures(t testing.TB, n int) ([]BatchProofItem, []*PrivateKey) {
 	t.Helper()
-	g := Group768()
-	items := make([]BatchProofItem, n)
-	keys := make([]*PrivateKey, n)
-	for i := range items {
-		k, err := GenerateKey(g, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := []byte{byte(i), 'c', 't', 'x'}
-		p, err := k.Prove(ctx, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = BatchProofItem{Y: k.Y, Context: ctx, Proof: p}
-		keys[i] = k
-	}
-	return items, keys
+	return sharedKeyFixtures(t, n, n)
 }
 
 // checkEquivalence asserts the batch verdicts equal per-item VerifyProof

@@ -345,6 +345,12 @@ func TestChallengesLeaveNoServerState(t *testing.T) {
 // scrapeValue reads one unlabelled sample from /v2/metrics.
 func scrapeValue(t *testing.T, c *Client, name string) float64 {
 	t.Helper()
+	return scrapeLabelled(t, c, name, nil)
+}
+
+// scrapeLabelled reads the sample of name carrying exactly labels.
+func scrapeLabelled(t *testing.T, c *Client, name string, labels map[string]string) float64 {
+	t.Helper()
 	raw, err := c.MetricsV2()
 	if err != nil {
 		t.Fatal(err)
@@ -353,9 +359,9 @@ func scrapeValue(t *testing.T, c *Client, name string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := m.Value(name, nil)
+	v, ok := m.Value(name, labels)
 	if !ok {
-		t.Fatalf("/v2/metrics has no %s", name)
+		t.Fatalf("/v2/metrics has no %s%v", name, labels)
 	}
 	return v
 }

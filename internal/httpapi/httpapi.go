@@ -79,6 +79,7 @@ func NewServer(p *provider.Provider) *Server {
 		s.registerCryptoMetrics()
 		s.registerRevocationMetrics()
 		s.registerNonceMetrics()
+		s.registerKEMMetrics()
 		s.registerCryptoHealth()
 	}
 	return s

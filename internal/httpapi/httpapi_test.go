@@ -88,17 +88,7 @@ func newHarness(t *testing.T) *harness {
 // registerOverHTTP runs registration through the client SDK.
 func (h *harness) registerOverHTTP(t *testing.T, index uint32) (signPub, encPub []byte) {
 	t.Helper()
-	g := schnorr.Group768()
-	ps, _ := h.card.Pseudonym(index)
-	nonce, err := h.client.Challenge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, _ := h.card.Prove(index, provider.RegisterContext(nonce))
-	if err := h.client.Register(ps.SignPublic(g), ps.EncPublic(g), proof, nonce); err != nil {
-		t.Fatal(err)
-	}
-	return ps.SignPublic(g), ps.EncPublic(g)
+	return registerCardOverHTTP(t, h.client, h.card, index)
 }
 
 func TestCatalogAndContent(t *testing.T) {

@@ -272,6 +272,22 @@ func (s *Server) registerNonceMetrics() {
 		func() float64 { return float64(s.Provider.ConsumedNonces()) })
 }
 
+// registerKEMMetrics exports how license key wraps got their share of the
+// encapsulation: from the provider's per-recipient cache, or by computing
+// it. Two process-wide counters, no recipient in sight.
+func (s *Server) registerKEMMetrics() {
+	shares := s.obs.Reg.CounterVec("p2drm_crypto_kem_shares_total",
+		"License key wraps, by whether the recipient's KEM share was cached or had to be computed (first license to an enc key).", "result")
+	shares.Func(func() int64 {
+		cached, _ := s.Provider.KEMShareStats()
+		return int64(cached)
+	}, "cached")
+	shares.Func(func() int64 {
+		_, computed := s.Provider.KEMShareStats()
+		return int64(computed)
+	}, "computed")
+}
+
 // registerFollowerMetrics exports one follower's replication status as
 // gauges (lag) and counters (applied records/bytes, resyncs), labeled
 // by store name.

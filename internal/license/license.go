@@ -73,19 +73,42 @@ func (s Serial) IsZero() bool { return s == Serial{} }
 // KeyWrap carries a content key encapsulated to a pseudonym encryption
 // key: a dlkem ciphertext plus the content key sealed under the derived
 // KEK. The seal's AAD binds the wrap to its license context.
+//
+// KEM identifies nothing. Wraps made through one dlkem.Sender — every
+// license a provider process issues — carry the same group element, and
+// two of them to one recipient were sealed under the same KEK; what keeps
+// each wrap its own is SealedKey: envelope.Seal's random nonce makes the
+// two ciphertexts differ and the label AAD makes each open only as part
+// of the license it was made for.
 type KeyWrap struct {
 	KEM       []byte
 	SealedKey []byte
 }
 
-// WrapKey encapsulates contentKey to the recipient's public enc key. The
-// label must identify the license context (serial + content ID) so wraps
-// cannot be transplanted between licenses.
+// WrapKey encapsulates contentKey to the recipient's public enc key under
+// a fresh ephemeral: the call for a party that wraps once. The label must
+// identify the license context (serial + content ID) so wraps cannot be
+// transplanted between licenses.
 func WrapKey(g *schnorr.Group, recipientY *big.Int, contentKey, label []byte) (KeyWrap, error) {
 	ct, kek, err := dlkem.Encap(g, recipientY, rand.Reader)
 	if err != nil {
 		return KeyWrap{}, err
 	}
+	return sealWrap(ct, kek, contentKey, label)
+}
+
+// WrapKeyFrom is WrapKey through a long-lived sender, which computes its
+// share of the encapsulation once per recipient. Same wrap, same Unwrap.
+func WrapKeyFrom(s *dlkem.Sender, recipientY *big.Int, contentKey, label []byte) (KeyWrap, error) {
+	ct, kek, err := s.Encap(recipientY)
+	if err != nil {
+		return KeyWrap{}, err
+	}
+	return sealWrap(ct, kek, contentKey, label)
+}
+
+// sealWrap seals contentKey under an encapsulation's KEK, bound to label.
+func sealWrap(ct, kek, contentKey, label []byte) (KeyWrap, error) {
 	sealed, err := envelope.Seal(kek, contentKey, label)
 	if err != nil {
 		return KeyWrap{}, err

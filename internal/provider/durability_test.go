@@ -81,15 +81,15 @@ func undurable(st *kvstore.Store) int64 {
 
 // purchaseRequests builds n paid-up purchases for one registered
 // pseudonym.
-func (dw *durableWorld) purchaseRequests(t *testing.T, signPub, encPub []byte, n int) []PurchaseRequest {
+func (w *world) purchaseRequests(t *testing.T, signPub, encPub []byte, n int) []PurchaseRequest {
 	t.Helper()
 	reqs := make([]PurchaseRequest, n)
 	for i := range reqs {
-		coins, err := dw.bank.WithdrawCoins("alice", int(dw.item.PriceCredits))
+		coins, err := w.bank.WithdrawCoins("alice", int(w.item.PriceCredits))
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs[i] = PurchaseRequest{ContentID: dw.item.ID, SignPub: signPub, EncPub: encPub, Coins: coins}
+		reqs[i] = PurchaseRequest{ContentID: w.item.ID, SignPub: signPub, EncPub: encPub, Coins: coins}
 	}
 	return reqs
 }

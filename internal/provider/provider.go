@@ -22,8 +22,8 @@
 //
 // The provider serves many anonymous users at once, so shared state is
 // split into independently locked slices and every public-key operation
-// (RSA-FDH signing and blind signing, Schnorr proof verification, KEM
-// encapsulation in license.WrapKey) runs with NO provider lock held:
+// (RSA-FDH signing and blind signing, Schnorr proof verification, the KEM
+// share behind a key wrap) runs with NO provider lock held:
 //
 //	catMu (RWMutex)  catalog, denomination signers and both denomination
 //	                 indexes. Written only by AddContent; the serving
@@ -33,6 +33,8 @@
 //	                 once no matter how many requests race on it.
 //	jmu (Mutex)      the append-only observation journal (events, seq).
 //	rev              revocation.List synchronizes internally.
+//	kem              dlkem.Sender synchronizes internally (a map lookup
+//	                 under its own mutex; never across an exponentiation).
 //	cfg.Store        registration table, issuance ledger and the
 //	                 redeemed-serial set live in the thread-safe kvstore;
 //	                 PutIfAbsent is the atomic double-spend gate for
@@ -57,6 +59,27 @@
 // whole two epochs later. A challenge that was handed out and never used
 // occupies no memory, and there is no record of a nonce being issued for
 // a later use to be joined with.
+//
+// # Key wraps
+//
+// A pseudonym is the pair (sign key, enc key) that went through Register,
+// and a purchase or redemption must name that pair: a registered sign key
+// beside any other enc key is ErrUnknownPseudonym. Every license is
+// wrapped through ONE dlkem.Sender built with the provider (issue is the
+// only wrapping site and has no other way to wrap): the sender keeps one
+// ephemeral exponent for the life of the process and the KEK per enc key,
+// so the provider pays the encapsulation's exponentiation once per
+// pseudonym — on the first license to it — and a map lookup for every
+// later one. A standing pseudonym that buys all day costs one share; the
+// fresh pseudonym a redemption is made to costs one, as it always did.
+// Consequences a reader of a license should know: KeyWrap.KEM is the same
+// group element on every license this process issues (it says "issued by
+// this process", which IssuedAt and the signature say more precisely),
+// nothing about it is stored, and a restart draws a new one — licenses
+// issued before carry their own and keep unwrapping. The pair check above
+// is also what bounds the sender's cache to keys that cost their owner an
+// ownership proof and a durable registration. docs/crypto.md has the
+// construction and the argument.
 //
 // # Durability
 //
@@ -96,6 +119,7 @@ import (
 	"sync"
 	"time"
 
+	"p2drm/internal/cryptox/dlkem"
 	"p2drm/internal/cryptox/envelope"
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
@@ -208,6 +232,10 @@ type Provider struct {
 	// crypto counts batch proof-verification activity (see crypto.go).
 	crypto cryptoCounters
 
+	// kem wraps every license this process issues (package comment, "Key
+	// wraps"): per-process like nonceKey, never stored.
+	kem *dlkem.Sender
+
 	rev *revocation.List
 }
 
@@ -237,6 +265,10 @@ func New(cfg Config) (*Provider, error) {
 	if _, err := io.ReadFull(rand.Reader, nonceKey[:]); err != nil {
 		return nil, fmt.Errorf("provider: beacon key: %w", err)
 	}
+	kem, err := dlkem.NewSender(cfg.Group, rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("provider: kem sender: %w", err)
+	}
 	return &Provider{
 		group:      cfg.Group,
 		signer:     signer,
@@ -248,6 +280,7 @@ func New(cfg Config) (*Provider, error) {
 		nonceKey:   nonceKey,
 		nonces:     make(map[int64]map[string]struct{}),
 		batchSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		kem:        kem,
 		rev:        rev,
 	}, nil
 }
@@ -430,9 +463,15 @@ func RegisterContext(nonce string) []byte {
 	return []byte("p2drm/register/v1|" + nonce)
 }
 
-// registered reports whether a pseudonym is known.
-func (p *Provider) registered(signPub []byte) bool {
-	return p.cfg.Store.Has(regKey(p.fingerprint(signPub)))
+// registered reports whether (signPub, encPub) is a pseudonym as it was
+// registered: the sign key is on record AND the enc key beside it is the
+// one Register stored with it. A license is wrapped to the enc key, so a
+// known sign key must not vouch for an enc key nobody proved anything
+// about.
+func (p *Provider) registered(signPub, encPub []byte) bool {
+	rec, ok := p.cfg.Store.Get(regKey(p.fingerprint(signPub)))
+	return ok && len(rec) == len(signPub)+len(encPub) &&
+		bytes.Equal(rec[:len(signPub)], signPub) && bytes.Equal(rec[len(signPub):], encPub)
 }
 
 // PurchaseRequest is an anonymous purchase: a registered pseudonym, the
@@ -479,7 +518,7 @@ func (p *Provider) settle(ctx context.Context, req PurchaseRequest) (*CatalogIte
 	if err != nil {
 		return nil, err
 	}
-	if !p.registered(req.SignPub) {
+	if !p.registered(req.SignPub, req.EncPub) {
 		return nil, ErrUnknownPseudonym
 	}
 	if int64(len(req.Coins)) != item.PriceCredits {
@@ -703,16 +742,17 @@ func (p *Provider) RedeemBatch(ctx context.Context, items []RedeemItem) []Redeem
 	return results
 }
 
-// issue builds and signs a personalized license for item to a pseudonym.
-// Both the KEM encapsulation in WrapKey and the RSA-FDH signature run
-// without any provider lock.
+// issue builds and signs a personalized license for item to a registered
+// pseudonym. The wrap goes through the provider's sender: an
+// exponentiation the first time this enc key is wrapped to, a lookup from
+// then on. That and the RSA-FDH signature run without any provider lock.
 func (p *Provider) issue(ctx context.Context, item *CatalogItem, signPub, encPub []byte) (*license.Personalized, error) {
 	serial, err := license.NewSerial()
 	if err != nil {
 		return nil, err
 	}
 	encY := new(big.Int).SetBytes(encPub)
-	kw, err := license.WrapKey(p.group, encY, item.contentKey,
+	kw, err := license.WrapKeyFrom(p.kem, encY, item.contentKey,
 		license.WrapLabelPersonalized(serial, item.ID))
 	if err != nil {
 		return nil, err
@@ -886,7 +926,7 @@ func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub,
 	if err := license.VerifyAnonymous(denomSigner.Public(), anon); err != nil {
 		return nil, err
 	}
-	if !p.registered(signPub) {
+	if !p.registered(signPub, encPub) {
 		return nil, ErrUnknownPseudonym
 	}
 	// The double-spend gate. If issue() fails after this point the
@@ -931,6 +971,11 @@ func (p *Provider) RevocationFilterWire() ([]byte, error) {
 func (p *Provider) RevocationExportStats() (cached, signed uint64) {
 	return p.rev.ExportStats()
 }
+
+// KEMShareStats reports how many key wraps found their recipient's share
+// in the sender's cache and how many computed it (first license to an enc
+// key since this process started, or since the key aged out).
+func (p *Provider) KEMShareStats() (cached, computed uint64) { return p.kem.Stats() }
 
 // RebuildRevocationFilter forces a full revocation Bloom-filter rebuild
 // and returns the resulting filter generation. Idempotent (a rebuild

@@ -89,26 +89,10 @@ func newWorld(t *testing.T) *world {
 	return &world{prov: prov, bank: bank, card: card, item: item}
 }
 
-// register runs the registration protocol for pseudonym index.
+// register runs the registration protocol for pseudonym index of w.card.
 func (w *world) register(t *testing.T, index uint32) (signPub, encPub []byte) {
 	t.Helper()
-	g := w.prov.Group()
-	ps, err := w.card.Pseudonym(index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err := w.prov.Challenge(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := w.card.Prove(index, RegisterContext(nonce))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.prov.Register(context.Background(), ps.SignPublic(g), ps.EncPublic(g), proof, nonce); err != nil {
-		t.Fatal(err)
-	}
-	return ps.SignPublic(g), ps.EncPublic(g)
+	return w.registerCard(t, w.card, index)
 }
 
 // buy purchases the default item under pseudonym index.

@@ -14,13 +14,18 @@ package workload
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"p2drm/internal/cryptox/dlkem"
 	"p2drm/internal/cryptox/rsablind"
+	"p2drm/internal/cryptox/schnorr"
+	"p2drm/internal/license"
 	"p2drm/internal/linkage"
 	"p2drm/internal/provider"
 )
@@ -28,13 +33,14 @@ import (
 // runPlaybackPairs executes K interleaved playback pairs and returns
 // the correlation count — how many pairs the provider-side attack
 // managed to connect from its own journal — plus the executor, the
-// topology and that journal so follow-on assertions can inspect the
-// run's ground truth and what the live server retained of it. The whole
+// topology and the provider (whose journal that is) so follow-on
+// assertions can inspect the run's ground truth and what the live server
+// retained of it. The whole
 // run goes through one shared httpapi.Client per role, so its coin-key,
 // denomination and beacon caches are in play throughout.
-func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs []PlaybackPair, ex *Executor, topo Topology, events []provider.Event) {
+func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs []PlaybackPair, ex *Executor, topo Topology, prov *provider.Provider) {
 	t.Helper()
-	topo, prov := newLoadHarness(t, 1)
+	topo, prov = newLoadHarness(t, 1)
 	cfg := ScenarioConfig{
 		Seed: 42, Users: k, Contents: 1, Ops: k,
 		// High RPS + wide in-flight window: all K pairs run
@@ -62,7 +68,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 		t.Fatalf("completed %d pairs, want %d", len(pairs), k)
 	}
 
-	events = prov.Events()
+	events := prov.Events()
 	clustering := linkage.Attack(events, topo.Primary.Denomination)
 
 	// Locate each pair's two journal faces by the executor's ground
@@ -91,7 +97,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 			correlated++
 		}
 	}
-	return correlated, pairs, ex, topo, events
+	return correlated, pairs, ex, topo, prov
 }
 
 // TestPlaybackUnlinkability: with blinding, the provider cannot
@@ -122,10 +128,14 @@ func TestPlaybackUnlinkability(t *testing.T) {
 // public and the same for every client, but a surface that recorded one
 // next to a pseudonym would still be recording which request a client
 // made when: they must appear on no surface at all, the provider's own
-// journal included.
+// journal included. The same goes for what the provider's KEM sender
+// remembers between requests — a map from pseudonym enc key to the KEK
+// its licenses are sealed under: neither half may reach a scrape, a
+// trace, a health body or the journal, in any encoding in use here.
 func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	const k = 8
-	_, pairs, ex, topo, events := runPlaybackPairs(t, k, false)
+	_, pairs, ex, topo, prov := runPlaybackPairs(t, k, false)
+	probeEnc, probeKEK := cachedKEKProbe(t, topo)
 
 	rawMetrics, err := topo.Primary.MetricsV2()
 	if err != nil {
@@ -142,11 +152,31 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	health, _, err := topo.Primary.HealthV2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawHealth, err := json.Marshal(health)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawJournal, err := json.Marshal(prov.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The run's ground-truth identifiers, in the encodings a leak would
 	// most plausibly use.
 	type secret struct{ kind, value string }
-	var secrets []secret
+	encodings := func(kind string, b []byte) []secret {
+		return []secret{
+			{kind + " (hex)", hex.EncodeToString(b)},
+			{kind + " (base64)", base64.StdEncoding.EncodeToString(b)},
+		}
+	}
+	// secrets must stay off the telemetry surfaces; sender — the two halves
+	// of the KEM sender's cache entries — off the journal as well.
+	var secrets, sender []secret
 	for _, p := range pairs {
 		secrets = append(secrets,
 			secret{"anonymous serial", p.AnonSerial},
@@ -162,11 +192,13 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			secrets = append(secrets,
-				secret{"pseudonym sign key", hex.EncodeToString(ps.SignPublic(g))},
-				secret{"pseudonym enc key", hex.EncodeToString(ps.EncPublic(g))})
+			secrets = append(secrets, secret{"pseudonym sign key", hex.EncodeToString(ps.SignPublic(g))})
+			sender = append(sender, encodings("pseudonym enc key", ps.EncPublic(g))...)
 		}
 	}
+	sender = append(sender, encodings("pseudonym enc key", probeEnc)...)
+	sender = append(sender, encodings("cached KEK", probeKEK)...)
+	secrets = append(secrets, sender...)
 
 	// What the SDK caches carried on the wire during the run.
 	coinPub, err := topo.Primary.CoinKey()
@@ -187,11 +219,7 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 		{"challenge beacon", nonce[:len(nonce)-32]},
 	}
 	secrets = append(secrets, cached...)
-	rawJournal, err := json.Marshal(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range cached {
+	for _, s := range append(cached, sender...) {
 		if s.value == "" || strings.Contains(string(rawJournal), s.value) {
 			t.Errorf("provider journal pairs its events with a %s: %q", s.kind, s.value)
 		}
@@ -203,6 +231,7 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	}{
 		{"/v2/metrics", string(rawMetrics)},
 		{"/v2/debug/traces", string(rawTraces)},
+		{"/v2/health", string(rawHealth)},
 	} {
 		for _, s := range secrets {
 			if s.value == "" {
@@ -213,6 +242,54 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cachedKEKProbe buys one license under a pseudonym whose enc private key
+// the test holds — the executor's cards keep theirs — and returns that
+// enc key and the KEK the license's wrap was sealed under: exactly one
+// entry of the provider's KEM sender cache, both halves.
+func cachedKEKProbe(t *testing.T, topo Topology) (encPub, kek []byte) {
+	t.Helper()
+	c := topo.Primary
+	g := c.Group
+	sign, err := schnorr.GenerateKey(g, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := schnorr.GenerateKey(g, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signPub, encPub := g.EncodeElement(sign.Y), g.EncodeElement(enc.Y)
+	nonce, err := c.Challenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := sign.Prove(provider.RegisterContext(nonce), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(signPub, encPub, proof, nonce); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateAccount("kek-probe", 1); err != nil {
+		t.Fatal(err)
+	}
+	coins, err := c.WithdrawCoins("kek-probe", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lic, err := c.Purchase("track-00", signPub, encPub, coins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kek, err = dlkem.Decap(g, enc.X, lic.KeyWrap.KEM); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lic.KeyWrap.Unwrap(g, enc.X, license.WrapLabelPersonalized(lic.Serial, lic.ContentID)); err != nil {
+		t.Fatalf("the probe's KEK is not the one its license was sealed under: %v", err)
+	}
+	return encPub, kek
 }
 
 // TestPlaybackLinkableControl: the same harness with blinding disabled

@@ -16,8 +16,9 @@ test:
 # bank property tests, the kvstore commit sets batch workers note into,
 # root integration tests, the crypto precompute layer's shared
 # tables/pools, and the KEM sender every serving goroutine wraps through,
-# with the license package that calls it). CI's race job runs this
-# target: the list lives here.
+# with the license package that calls it and that signs a batch call's
+# roots from several workers at once). CI's race job runs this target:
+# the list lives here.
 race:
 	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license .
 
@@ -28,7 +29,8 @@ bench:
 # One iteration per benchmark: proves they compile and run. The T1_
 # pattern reaches the per-package micro-benchmarks docs/crypto.md quotes
 # (internal/cryptox/dlkem: T1_KEMShare; internal/cryptox/schnorr:
-# T1_VerifyBatch16).
+# T1_VerifyBatch16; internal/license: T1_LicenseSignBatch16,
+# T1_LicenseVerifyPath).
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='BenchmarkT3_(Purchase|Exchange|Deposit|Get|PutIfAbsent)' -benchtime=1x .

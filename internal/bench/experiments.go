@@ -586,11 +586,9 @@ func RunF2(quick bool) (*Table, error) {
 			HolderSign: holder.SignPublic(g), HolderEnc: holder.EncPublic(g),
 			Rights: rights, KeyWrap: kw, IssuedAt: fixedNow,
 		}
-		sig, err := signer.Sign(lic.SigningBytes())
-		if err != nil {
+		if err := license.Sign(signer, lic); err != nil {
 			return nil, err
 		}
-		lic.ProviderSig = sig
 
 		anonSerial, _ := license.NewSerial()
 		denom := license.Denom("c", rights)
@@ -696,8 +694,9 @@ func RunF3(quick bool) (*Table, error) {
 			HolderSign: dm.SignPublic(g), HolderEnc: dm.EncPublic(g),
 			Rights: rel.MustParse("grant play; require domain;"), KeyWrap: kw, IssuedAt: fixedNow,
 		}
-		sig, _ := signer.Sign(lic.SigningBytes())
-		lic.ProviderSig = sig
+		if err := license.Sign(signer, lic); err != nil {
+			return nil, err
+		}
 
 		dWrap, err := timeOp(4, func() error {
 			_, err := mgr.MemberWrap(lic, "dev-0")

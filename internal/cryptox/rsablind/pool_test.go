@@ -33,15 +33,15 @@ func TestPrivExpMatchesFullExponent(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := new(big.Int).Exp(b, key.D, key.N)
-		if got := s.privExp(b); got.Cmp(want) != 0 {
-			t.Fatalf("privExp mismatch on input %v", b)
+		if got, err := s.privExp(b); err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("privExp mismatch on input %v (%v)", b, err)
 		}
 	}
 	// Edge inputs.
 	for _, b := range []*big.Int{big.NewInt(1), big.NewInt(2), new(big.Int).Sub(key.N, big.NewInt(1))} {
 		want := new(big.Int).Exp(b, key.D, key.N)
-		if got := s.privExp(b); got.Cmp(want) != 0 {
-			t.Fatalf("privExp edge mismatch on %v", b)
+		if got, err := s.privExp(b); err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("privExp edge mismatch on %v (%v)", b, err)
 		}
 	}
 }
@@ -203,7 +203,9 @@ func BenchmarkPrivExpCRT(b *testing.B) {
 	m, _ := rand.Int(rand.Reader, key.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.privExp(m)
+		if _, err := s.privExp(m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"math/big"
 	mrand "math/rand"
 	"sync"
@@ -261,5 +262,94 @@ func TestRandIntUniformBounds(t *testing.T) {
 	z, err := randInt(rand.Reader, big.NewInt(0))
 	if err != nil || z.Sign() != 0 {
 		t.Errorf("randInt(0) = %v, %v", z, err)
+	}
+}
+
+// A CRT result with one faulted half must not leave the signer: whoever
+// chose the input could factor the modulus from it (Bellcore attack). The
+// test corrupts Dp, shows that the value the unchecked Garner step would
+// have released does give up a prime, and that Sign and SignBlinded
+// release nothing.
+func TestFaultedCRTResultIsNotReleased(t *testing.T) {
+	k, err := rsa.GenerateKey(rand.Reader, 1024) // own key: the fault stays out of the shared one
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSigner(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("root statement")
+	blinded, _, err := Blind(s.Public(), msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Sign(msg); err != nil {
+		t.Fatalf("healthy key: Sign: %v", err)
+	}
+	if _, err := s.SignBlinded(blinded); err != nil {
+		t.Fatalf("healthy key: SignBlinded: %v", err)
+	}
+
+	k.Precomputed.Dp = new(big.Int).Add(k.Precomputed.Dp, big.NewInt(2))
+
+	// What the recombination yields without the check, and what it is worth.
+	b := new(big.Int).SetBytes(blinded)
+	p, q := k.Primes[0], k.Primes[1]
+	m1 := new(big.Int).Exp(b, k.Precomputed.Dp, p)
+	m2 := new(big.Int).Exp(b, k.Precomputed.Dq, q)
+	h := new(big.Int).Sub(m1, m2)
+	h.Mul(h, k.Precomputed.Qinv).Mod(h, p)
+	faulty := h.Mul(h, q).Add(h, m2)
+	diff := new(big.Int).Exp(faulty, big.NewInt(int64(k.E)), k.N)
+	diff.Sub(diff, b)
+	if f := new(big.Int).GCD(nil, nil, diff.Abs(diff), k.N); f.Cmp(q) != 0 {
+		t.Fatalf("the faulted value does not factor N (gcd = %v): the test no longer models the attack", f)
+	}
+
+	before := s.PrivateOps()
+	if sig, err := s.Sign(msg); !errors.Is(err, ErrFault) || sig != nil {
+		t.Errorf("Sign on a faulted key = %x, %v; want nothing and ErrFault", sig, err)
+	}
+	if sig, err := s.SignBlinded(blinded); !errors.Is(err, ErrFault) || sig != nil {
+		t.Errorf("SignBlinded on a faulted key = %x, %v; want nothing and ErrFault", sig, err)
+	}
+	if got := s.PrivateOps() - before; got != 2 {
+		t.Errorf("faulted operations counted %d times, want 2", got)
+	}
+}
+
+// PrivateOps counts exactly the private exponentiations: one per Sign and
+// per SignBlinded, none for a refused input, a key-id check or a
+// verification.
+func TestPrivateOpsCountsSignatures(t *testing.T) {
+	s := testSigner(t)
+	msg := []byte("counted")
+	blinded, _, err := Blind(s.Public(), msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.PrivateOps() != 0 {
+		t.Fatalf("fresh signer counts %d operations", s.PrivateOps())
+	}
+	sig, err := s.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.SignBlinded(blinded); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.SignBlinded(nil); err == nil {
+		t.Fatal("empty blinded value signed")
+	}
+	_ = s.CheckBlinded(blinded)
+	_ = s.CheckKeyID(s.KeyID())
+	if err := Verify(s.Public(), msg, sig); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.PrivateOps(); got != 4 {
+		t.Errorf("PrivateOps = %d, want 4 (one Sign, three SignBlinded)", got)
 	}
 }

@@ -100,11 +100,9 @@ func newFixture(t *testing.T, rightsSrc string) *fixture {
 		KeyWrap:    kw,
 		IssuedAt:   fixedNow.Add(-time.Hour),
 	}
-	sig, err := p.Sign(lic.SigningBytes())
-	if err != nil {
+	if err := license.Sign(p, lic); err != nil {
 		t.Fatal(err)
 	}
-	lic.ProviderSig = sig
 
 	// Empty revocation list → signed filter.
 	rst, _ := kvstore.Open("")
@@ -141,6 +139,54 @@ func TestPlayHappyPath(t *testing.T) {
 	used, err := f.dev.UsedCount(f.lic.Serial, rel.ActPlay)
 	if err != nil || used != 1 {
 		t.Errorf("used = %d, %v", used, err)
+	}
+}
+
+// The device has one verification for a license signed alone and one out
+// of a batch call: fold the path, check the root signature. A license
+// re-signed under a root it shares with fourteen others plays; the same
+// license with its path bent, or with the signature of the root it was
+// under before, does not — and its counters are its own, not the root's.
+func TestPlayLicenseUnderASharedRoot(t *testing.T) {
+	f := newFixture(t, "grant play count 2;")
+	loneSig := f.lic.ProviderSig
+	set := []*license.Personalized{f.lic}
+	for i := 1; i < 15; i++ { // 15 leaves: promoted nodes on the way up
+		sibling := *f.lic
+		sibling.Serial[0] ^= byte(i)
+		set = append(set, &sibling)
+	}
+	if err := license.Sign(testProv(t), set...); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.lic.Path.Siblings) == 0 {
+		t.Fatal("the re-signed license has no path")
+	}
+	if err := f.play(t); err != nil {
+		t.Fatalf("license under a shared root does not play: %v", err)
+	}
+	if used, err := f.dev.UsedCount(set[1].Serial, rel.ActPlay); err != nil || used != 0 {
+		t.Errorf("a play was counted against a sibling under the same root: %d, %v", used, err)
+	}
+
+	good := f.lic
+	bent := *good
+	bent.Path.Rights = append([]bool(nil), good.Path.Rights...)
+	bent.Path.Rights[0] = !bent.Path.Rights[0]
+	stale := *good
+	stale.ProviderSig = loneSig
+	for name, l := range map[string]*license.Personalized{"bent path": &bent, "the former root's signature": &stale} {
+		f.lic = l
+		if err := f.play(t); err == nil || !strings.Contains(err.Error(), "provider signature") {
+			t.Errorf("%s: play = %v, want the signature refusal", name, err)
+		}
+	}
+	f.lic = good
+	if err := f.play(t); err != nil {
+		t.Fatalf("second play: %v", err)
+	}
+	if err := f.play(t); err == nil {
+		t.Error("third play allowed with count 2")
 	}
 }
 

@@ -247,8 +247,9 @@ func TestDomainPlaybackEndToEnd(t *testing.T) {
 		KeyWrap:    kw,
 		IssuedAt:   fixedNow,
 	}
-	sig, _ := p.Sign(lic.SigningBytes())
-	lic.ProviderSig = sig
+	if err := license.Sign(p, lic); err != nil {
+		t.Fatal(err)
+	}
 
 	// Member joins and gets a wrap.
 	dev, cert := certifiedDevice(t, "tv")

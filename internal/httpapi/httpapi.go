@@ -80,6 +80,7 @@ func NewServer(p *provider.Provider) *Server {
 		s.registerRevocationMetrics()
 		s.registerNonceMetrics()
 		s.registerKEMMetrics()
+		s.registerRSAMetrics()
 		s.registerCryptoHealth()
 	}
 	return s
@@ -91,6 +92,7 @@ func (s *Server) WithBank(b *payment.Bank) *Server {
 	s.obs.Reg.CounterFunc("p2drm_bank_coins_withdrawn_total",
 		"Coins blind-signed by successful withdrawals (a withdrawal request carries a list of them).",
 		b.CoinsWithdrawn)
+	s.rsaPrivateOps().Func(func() int64 { return int64(b.RSAPrivateOps()) }, "coin")
 	return s
 }
 

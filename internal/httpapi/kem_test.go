@@ -180,3 +180,80 @@ func TestKEMShareMetric(t *testing.T) {
 		t.Errorf("after a license to a second pseudonym: cached=%v computed=%v, want %d/2", cached, computed, n-1)
 	}
 }
+
+// rsaPrivateOps reads p2drm_crypto_rsa_private_ops_total off /v2/metrics.
+func rsaPrivateOps(t *testing.T, c *Client) (licenseKey, denomination, coin float64) {
+	t.Helper()
+	const family = "p2drm_crypto_rsa_private_ops_total"
+	return scrapeLabelled(t, c, family, map[string]string{"key": "license"}),
+		scrapeLabelled(t, c, family, map[string]string{"key": "denomination"}),
+		scrapeLabelled(t, c, family, map[string]string{"key": "coin"})
+}
+
+// p2drm_crypto_rsa_private_ops_total over the wire: a list withdrawal
+// costs the coin key one operation per coin, a batch purchase by one
+// pseudonym costs the license key ONE whatever its size — and every
+// license of it decodes, path included, and verifies client-side — a
+// single purchase one, an exchange the denomination key one.
+func TestRSAPrivateOpsMetric(t *testing.T) {
+	h := newV2Harness(t, Auth{})
+	sign0, enc0 := registerCardOverHTTP(t, h.client, h.card, 0)
+	if l, d, c := rsaPrivateOps(t, h.client); l+d+c != 0 {
+		t.Fatalf("before any signature: license=%v denomination=%v coin=%v", l, d, c)
+	}
+	const n = 9
+	coins, err := h.client.WithdrawCoins("alice", n+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]BatchPurchase, n)
+	for i := range items {
+		items[i] = BatchPurchase{ContentID: "song-1", SignPub: sign0, EncPub: enc0, Coins: coins[i : i+1]}
+	}
+	lics, slotErrs, err := h.client.PurchaseBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	provPub, err := h.client.ProviderKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lic := range lics {
+		if slotErrs[i] != nil {
+			t.Fatalf("slot %d: %v", i, slotErrs[i])
+		}
+		if err := license.VerifyPersonalized(provPub, lic); err != nil {
+			t.Errorf("slot %d: license off the wire does not verify: %v", i, err)
+		}
+		if len(lic.Path.Siblings) == 0 {
+			t.Errorf("slot %d: a license of a %d-license call arrived without a path", i, n)
+		}
+	}
+	if l, d, c := rsaPrivateOps(t, h.client); l != 1 || d != 0 || c != n+1 {
+		t.Errorf("after a %d-coin list and a %d-license batch: license=%v denomination=%v coin=%v, want 1/0/%d", n+1, n, l, d, c, n+1)
+	}
+	alone, err := h.client.Purchase("song-1", sign0, enc0, coins[n:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alone.Path.Siblings) != 0 {
+		t.Errorf("a license bought alone arrived with a path of %d", len(alone.Path.Siblings))
+	}
+	denomPub, denomID, err := h.client.Denomination("song-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, _ := license.NewSerial()
+	blinded, _, err := rsablind.Blind(denomPub, license.AnonymousSigningBytes(serial, denomID), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, _ := h.client.Challenge()
+	proof, _ := h.card.Prove(0, provider.ExchangeContext(nonce, lics[3].Serial))
+	if _, err := h.client.Exchange(lics[3], proof, nonce, blinded); err != nil {
+		t.Fatalf("exchange of a license out of the batch: %v", err)
+	}
+	if l, d, c := rsaPrivateOps(t, h.client); l != 2 || d != 1 || c != n+1 {
+		t.Errorf("after a single purchase and an exchange: license=%v denomination=%v coin=%v, want 2/1/%d", l, d, c, n+1)
+	}
+}

@@ -288,6 +288,31 @@ func (s *Server) registerKEMMetrics() {
 	}, "computed")
 }
 
+// rsaPrivateOps is the family counting RSA private-key operations by the
+// role of the key — "license" (the provider key: one per signed root,
+// plus revocation artefacts and device certificates), "denomination"
+// (blind exchange signatures, every denomination together), "coin" (the
+// bank's blind signatures). It is the count behind a serving path's RSA
+// cost: a 16-license batch flow reads 2 + 16 + 32.
+func (s *Server) rsaPrivateOps() *obs.CounterVec {
+	return s.obs.Reg.CounterVec("p2drm_crypto_rsa_private_ops_total",
+		"RSA private-key operations, by the role of the key that ran them.", "key")
+}
+
+// registerRSAMetrics exports the provider's two key roles; WithBank adds
+// the bank's.
+func (s *Server) registerRSAMetrics() {
+	ops := s.rsaPrivateOps()
+	ops.Func(func() int64 {
+		n, _ := s.Provider.RSAPrivateOps()
+		return int64(n)
+	}, "license")
+	ops.Func(func() int64 {
+		_, n := s.Provider.RSAPrivateOps()
+		return int64(n)
+	}, "denomination")
+}
+
 // registerFollowerMetrics exports one follower's replication status as
 // gauges (lag) and counters (applied records/bytes, resyncs), labeled
 // by store name.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"p2drm/internal/merkle"
 )
 
 // Binary codec helpers. All license encodings are canonical: fixed field
@@ -110,6 +112,26 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) str() string { return string(r.bytes()) }
+
+// path reads a license's Merkle path in merkle's own proof encoding,
+// which states its length; one that no Sign call can have produced is
+// refused here, unread.
+func (r *reader) path() merkle.Proof {
+	if r.err != nil {
+		return merkle.Proof{}
+	}
+	p, rest, err := merkle.ReadProof(r.buf[r.off:], MaxPathLen)
+	if err != nil {
+		r.fail(fmt.Errorf("license: path: %w", err))
+		return merkle.Proof{}
+	}
+	if err := checkPath(p); err != nil {
+		r.fail(err)
+		return merkle.Proof{}
+	}
+	r.off = len(r.buf) - len(rest)
+	return *p
+}
 
 // done checks the whole input was consumed (trailing bytes would let two
 // distinct encodings share a prefix, breaking signature canonicality).

@@ -8,8 +8,8 @@ import (
 	"p2drm/internal/rel"
 )
 
-// fuzzSeedLicenses builds structurally valid (unsigned-garbage) licenses
-// so the fuzzer starts from well-formed encodings of every kind.
+// fuzzSeedLicenses builds structurally valid licenses so the fuzzer starts
+// from well-formed encodings of every kind.
 func fuzzSeedLicenses(f *testing.F) {
 	f.Helper()
 	rights := rel.MustParse("grant play count 3; grant transfer; delegate allow;")
@@ -42,6 +42,24 @@ func fuzzSeedLicenses(f *testing.F) {
 	f.Add(star.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{encVersion, kindPersonalized})
+	// Licenses with real paths: signed alone (empty path), a full 16-leaf
+	// tree (four siblings), and odd-sized trees whose promoted nodes make
+	// paths of different lengths under one root.
+	for _, n := range []int{1, 16, 3, 5} {
+		lics := make([]*Personalized, n)
+		for i := range lics {
+			l := *pers
+			l.Serial[0] = byte(i)
+			lics[i] = &l
+		}
+		if err := Sign(testProvider(f), lics...); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(lics[0].Marshal())
+		if n > 1 {
+			f.Add(lics[n-1].Marshal())
+		}
+	}
 }
 
 // FuzzLicenseCodec: decoding arbitrary bytes must never panic; anything

@@ -2,7 +2,10 @@
 // and their canonical signed encodings.
 //
 //   - Personalized licenses bind content + rights + a wrapped content key
-//     to one pseudonym. They are what compliant devices enforce.
+//     to one pseudonym. They are what compliant devices enforce. The
+//     provider signs a Merkle root over the licenses one call issues to
+//     one pseudonym (Sign) and each carries its path to it; a license
+//     issued alone is the one-leaf case of the same encoding.
 //   - Anonymous licenses are bearer tokens: a user-chosen serial
 //     blind-signed by the provider under a per-(content, rights)
 //     denomination key. They exist so a license can change hands without
@@ -30,6 +33,7 @@ import (
 	"p2drm/internal/cryptox/envelope"
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
+	"p2drm/internal/merkle"
 	"p2drm/internal/rel"
 )
 
@@ -151,18 +155,33 @@ type Personalized struct {
 	Rights     *rel.Rights
 	KeyWrap    KeyWrap
 	IssuedAt   time.Time
-	// ProviderSig is an FDH-RSA signature over SigningBytes.
+	// Path leads from this license's leaf — the hash of SigningBytes — to
+	// the root ProviderSig signs. The licenses Sign was given together
+	// share that root and signature and differ in their paths; a license
+	// signed alone is its own root and its path is empty (the zero value).
+	// To whoever holds the license a path says how many licenses the call
+	// issued, to the power of two, and where this one sat among them.
+	Path merkle.Proof
+	// ProviderSig is an FDH-RSA signature over the root statement.
 	ProviderSig []byte
 }
 
 const (
-	encVersion       = 1
+	encVersion       = 2
 	kindPersonalized = 1
 	kindAnonymous    = 2
 	kindStar         = 3
 )
 
-// SigningBytes returns the canonical byte string the provider signs.
+// MaxPathLen bounds a license's path and MaxPerRoot the licenses one root
+// covers: the size of the largest batch call.
+const (
+	MaxPathLen = 8
+	MaxPerRoot = 1 << MaxPathLen
+)
+
+// SigningBytes returns the canonical byte string the provider's signature
+// vouches for: the license's leaf under the signed root.
 func (l *Personalized) SigningBytes() []byte {
 	w := &writer{}
 	w.byte(encVersion)
@@ -178,9 +197,67 @@ func (l *Personalized) SigningBytes() []byte {
 	return w.buf
 }
 
-// Marshal encodes the full license including the provider signature.
+// rootStatement is what the provider key signs for the licenses under
+// root. The tag keeps it apart from everything else that key signs — the
+// revocation snapshot and filter statements, device certificates — and
+// from a license's own encoding, which that key never signs directly.
+func rootStatement(root [merkle.HashLen]byte) []byte {
+	return append([]byte("p2drm/license-root/v1|"), root[:]...)
+}
+
+// Sign signs lics with ONE private-key operation: they become the leaves
+// of a Merkle tree, the signature is over its root, and every license
+// receives the signature and its own path. Call it with the licenses one
+// call issues to one pseudonym and never across two: licenses under one
+// root are provably co-issued, which a shared pseudonym says already and
+// nothing else may. A single license is its own root and no tree is
+// built. On error no license has been touched.
+func Sign(signer *rsablind.Signer, lics ...*Personalized) error {
+	if len(lics) == 0 {
+		return nil
+	}
+	if len(lics) > MaxPerRoot {
+		return fmt.Errorf("license: %d licenses under one root, at most %d", len(lics), MaxPerRoot)
+	}
+	leaves := make([][]byte, len(lics))
+	for i, l := range lics {
+		// Nothing is signed that Verify would refuse on structure alone.
+		if l == nil {
+			return errors.New("license: nil license")
+		}
+		if err := l.Validate(); err != nil {
+			return err
+		}
+		leaves[i] = l.SigningBytes()
+	}
+	paths := make([]merkle.Proof, len(lics))
+	root := merkle.LeafHash(leaves[0])
+	if len(lics) > 1 {
+		tree := merkle.Build(leaves)
+		root = tree.Root()
+		for i, leaf := range leaves {
+			p, err := tree.Prove(leaf)
+			if err != nil {
+				return fmt.Errorf("license: path: %w", err)
+			}
+			paths[i] = *p
+		}
+	}
+	sig, err := signer.Sign(rootStatement(root))
+	if err != nil {
+		return fmt.Errorf("license: root signature: %w", err)
+	}
+	for i, l := range lics {
+		l.Path, l.ProviderSig = paths[i], append([]byte(nil), sig...)
+	}
+	return nil
+}
+
+// Marshal encodes the full license: the signed fields, the path, the
+// provider signature.
 func (l *Personalized) Marshal() []byte {
 	w := &writer{buf: l.SigningBytes()}
+	w.buf = append(w.buf, l.Path.Marshal()...)
 	w.bytes(l.ProviderSig)
 	return w.buf
 }
@@ -207,6 +284,7 @@ func UnmarshalPersonalized(data []byte) (*Personalized, error) {
 	l.KeyWrap.KEM = r.bytes()
 	l.KeyWrap.SealedKey = r.bytes()
 	l.IssuedAt = time.Unix(int64(r.u64()), 0).UTC()
+	l.Path = r.path()
 	l.ProviderSig = r.bytes()
 	if err := r.done(); err != nil {
 		return nil, err
@@ -239,10 +317,22 @@ func (l *Personalized) Validate() error {
 	if len(l.KeyWrap.KEM) == 0 || len(l.KeyWrap.SealedKey) == 0 {
 		return errors.New("license: missing key wrap")
 	}
+	return checkPath(&l.Path)
+}
+
+// checkPath refuses a path no Sign call can have produced, before any of
+// it is hashed.
+func checkPath(p *merkle.Proof) error {
+	if len(p.Siblings) > MaxPathLen || len(p.Rights) != len(p.Siblings) ||
+		p.LeafIndex < 0 || p.LeafIndex >= MaxPerRoot {
+		return fmt.Errorf("license: path outside a tree of %d licenses", MaxPerRoot)
+	}
 	return nil
 }
 
-// VerifyPersonalized checks structure and the provider signature.
+// VerifyPersonalized checks structure, folds the license's leaf along its
+// path and checks the provider signature over the root that yields: the
+// one verification for a license issued alone and one issued in a batch.
 func VerifyPersonalized(providerPub *rsa.PublicKey, l *Personalized) error {
 	if l == nil {
 		return errors.New("license: nil license")
@@ -250,7 +340,11 @@ func VerifyPersonalized(providerPub *rsa.PublicKey, l *Personalized) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
-	if err := rsablind.Verify(providerPub, l.SigningBytes(), l.ProviderSig); err != nil {
+	root, err := l.Path.Root(l.SigningBytes())
+	if err != nil {
+		return fmt.Errorf("license: path: %w", err)
+	}
+	if err := rsablind.Verify(providerPub, rootStatement(root), l.ProviderSig); err != nil {
 		return fmt.Errorf("license: provider signature: %w", err)
 	}
 	return nil

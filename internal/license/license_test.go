@@ -21,7 +21,7 @@ var (
 	rsaSigner  *rsablind.Signer
 )
 
-func testProvider(t *testing.T) *rsablind.Signer {
+func testProvider(t testing.TB) *rsablind.Signer {
 	t.Helper()
 	signerOnce.Do(func() {
 		key, err := rsa.GenerateKey(rand.Reader, 1024)
@@ -43,7 +43,7 @@ type pseudonym struct {
 	enc  *schnorr.PrivateKey
 }
 
-func newPseudonym(t *testing.T) *pseudonym {
+func newPseudonym(t testing.TB) *pseudonym {
 	t.Helper()
 	s, err := schnorr.GenerateKey(testGroup(), rand.Reader)
 	if err != nil {
@@ -62,7 +62,17 @@ grant transfer;
 delegate allow;
 `)
 
+// makePersonalized is a license to p signed alone, the one-leaf case.
 func makePersonalized(t *testing.T, p *pseudonym, contentKey []byte) *Personalized {
+	t.Helper()
+	l := unsignedPersonalized(t, p, contentKey)
+	if err := Sign(testProvider(t), l); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func unsignedPersonalized(t testing.TB, p *pseudonym, contentKey []byte) *Personalized {
 	t.Helper()
 	serial, err := NewSerial()
 	if err != nil {
@@ -82,15 +92,10 @@ func makePersonalized(t *testing.T, p *pseudonym, contentKey []byte) *Personaliz
 		KeyWrap:    kw,
 		IssuedAt:   time.Date(2004, 6, 1, 12, 0, 0, 0, time.UTC),
 	}
-	sig, err := testProvider(t).Sign(l.SigningBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ProviderSig = sig
 	return l
 }
 
-func testContentKey(t *testing.T) []byte {
+func testContentKey(t testing.TB) []byte {
 	t.Helper()
 	k := make([]byte, 32)
 	if _, err := rand.Read(k); err != nil {
@@ -466,11 +471,9 @@ func TestQuickPersonalizedCodec(t *testing.T) {
 			KeyWrap:    kw,
 			IssuedAt:   time.Date(2004, 3, 4, 5, 6, 7, 0, time.UTC),
 		}
-		sig, err := prov.Sign(l.SigningBytes())
-		if err != nil {
+		if err := Sign(prov, l); err != nil {
 			return false
 		}
-		l.ProviderSig = sig
 		back, err := UnmarshalPersonalized(l.Marshal())
 		if err != nil {
 			return false

@@ -1,10 +1,12 @@
 // Package merkle implements a binary Merkle hash tree with inclusion
 // proofs.
 //
-// The content provider periodically snapshots its revocation list into a
-// Merkle tree and signs the root. Compliant devices hold only the signed
-// root (32 bytes plus a signature) yet can verify, from a short proof
-// served with a license, that a given serial is or is not in the snapshot —
+// The content provider signs one root over the licenses a batch call
+// issues to one pseudonym, and every license carries its path to that
+// root (package license): one signature vouches for the whole call. It
+// also snapshots its revocation list into a tree and signs the root, so
+// that a device holding only the signed root (32 bytes plus a signature)
+// can verify, from a short proof, that a given serial is in the snapshot —
 // without trusting the channel that delivered the proof.
 //
 // Leaves are domain-separated from interior nodes (0x00 / 0x01 prefixes)
@@ -156,13 +158,17 @@ func (t *Tree) Prove(data []byte) (*Proof, error) {
 	return p, nil
 }
 
-// VerifyInclusion checks an inclusion proof of data against root.
-func VerifyInclusion(root [HashLen]byte, data []byte, p *Proof) error {
+// Root folds data's leaf hash along the proof's path and returns the root
+// the proof places it under: the whole of verification for a caller that
+// authenticates the root some other way (a signature over it) rather than
+// holding it. An empty path makes the leaf hash the root — the one-leaf
+// tree, which needs no Build.
+func (p *Proof) Root(data []byte) ([HashLen]byte, error) {
 	if p == nil {
-		return errors.New("merkle: nil proof")
+		return [HashLen]byte{}, errors.New("merkle: nil proof")
 	}
 	if len(p.Siblings) != len(p.Rights) {
-		return errors.New("merkle: malformed proof")
+		return [HashLen]byte{}, errors.New("merkle: malformed proof")
 	}
 	h := LeafHash(data)
 	for i, sib := range p.Siblings {
@@ -171,6 +177,15 @@ func VerifyInclusion(root [HashLen]byte, data []byte, p *Proof) error {
 		} else {
 			h = nodeHash(sib, h)
 		}
+	}
+	return h, nil
+}
+
+// VerifyInclusion checks an inclusion proof of data against root.
+func VerifyInclusion(root [HashLen]byte, data []byte, p *Proof) error {
+	h, err := p.Root(data)
+	if err != nil {
+		return err
 	}
 	if h != root {
 		return errors.New("merkle: inclusion proof does not match root")
@@ -202,30 +217,47 @@ func (p *Proof) Marshal() []byte {
 
 // UnmarshalProof decodes a Marshal-ed proof.
 func UnmarshalProof(data []byte) (*Proof, error) {
+	p, rest, err := ReadProof(data, 1<<16-1) // the count field's own range
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("merkle: proof length %d, want %d", len(data), len(data)-len(rest))
+	}
+	return p, nil
+}
+
+// ReadProof decodes the proof at the front of data and returns the bytes
+// after it: the encoding states its own length, so a proof can sit inside
+// a larger one (a license carries its path this way). A proof that states
+// more than maxSiblings is refused before anything is read or allocated
+// for it.
+func ReadProof(data []byte, maxSiblings int) (*Proof, []byte, error) {
 	if len(data) < 6 {
-		return nil, errors.New("merkle: truncated proof")
+		return nil, nil, errors.New("merkle: truncated proof")
 	}
 	idx := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
 	count := int(data[4])<<8 | int(data[5])
-	want := 6 + count*(1+HashLen)
-	if len(data) != want {
-		return nil, fmt.Errorf("merkle: proof length %d, want %d", len(data), want)
+	if count > maxSiblings {
+		return nil, nil, fmt.Errorf("merkle: proof of %d siblings, at most %d allowed", count, maxSiblings)
+	}
+	end := 6 + count*(1+HashLen)
+	if len(data) < end {
+		return nil, nil, errors.New("merkle: truncated proof")
 	}
 	p := &Proof{LeafIndex: idx}
-	off := 6
-	for i := 0; i < count; i++ {
+	for off := 6; off < end; off += 1 + HashLen {
 		switch data[off] {
 		case 0:
 			p.Rights = append(p.Rights, false)
 		case 1:
 			p.Rights = append(p.Rights, true)
 		default:
-			return nil, errors.New("merkle: invalid direction byte")
+			return nil, nil, errors.New("merkle: invalid direction byte")
 		}
 		var h [HashLen]byte
 		copy(h[:], data[off+1:])
 		p.Siblings = append(p.Siblings, h)
-		off += 1 + HashLen
 	}
-	return p, nil
+	return p, data[end:], nil
 }

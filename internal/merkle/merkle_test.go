@@ -210,3 +210,68 @@ func TestQuickInclusion(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Root is verification for a caller that authenticates the root by other
+// means: it folds every leaf of every tree shape — promoted odd nodes
+// included — to the tree's root, the one-leaf tree's to the leaf hash
+// itself, and refuses a proof whose two halves disagree.
+func TestProofRootFoldsToTheTreeRoot(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 16, 17, 255, 256} {
+		set := leaves(n)
+		tr := Build(set)
+		for _, leaf := range set {
+			p, err := tr.Prove(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := p.Root(leaf)
+			if err != nil || root != tr.Root() {
+				t.Fatalf("n=%d leaf %q: Root = %x, %v; want the tree root", n, leaf, root[:4], err)
+			}
+			if other, _ := p.Root([]byte("another leaf")); other == tr.Root() {
+				t.Fatalf("n=%d: a different leaf folded to the same root", n)
+			}
+		}
+	}
+	lone := []byte("lone")
+	if root, err := new(Proof).Root(lone); err != nil || root != LeafHash(lone) || root != Build([][]byte{lone}).Root() {
+		t.Errorf("empty path: Root = %x, %v; want the leaf hash, which is the one-leaf tree's root", root[:4], err)
+	}
+	if _, err := (&Proof{Siblings: make([][HashLen]byte, 2), Rights: []bool{true}}).Root(lone); err == nil {
+		t.Error("a proof with two siblings and one direction folded")
+	}
+	if _, err := (*Proof)(nil).Root(lone); err == nil {
+		t.Error("a nil proof folded")
+	}
+}
+
+// ReadProof takes a proof off the front of a larger encoding and hands
+// back the rest; it refuses a proof that states more siblings than the
+// caller allows before reading any of them.
+func TestReadProofInsideALargerEncoding(t *testing.T) {
+	tr := Build(leaves(33))
+	leaf := []byte("serial-0017")
+	p, _ := tr.Prove(leaf)
+	enc := p.Marshal()
+	tail := []byte("what follows")
+	back, rest, err := ReadProof(append(append([]byte(nil), enc...), tail...), len(p.Siblings))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rest) != string(tail) {
+		t.Errorf("rest = %q, want %q", rest, tail)
+	}
+	if err := VerifyInclusion(tr.Root(), leaf, back); err != nil {
+		t.Errorf("proof read from a larger encoding is invalid: %v", err)
+	}
+	if _, _, err := ReadProof(enc, len(p.Siblings)-1); err == nil {
+		t.Error("a proof longer than the caller's bound was read")
+	}
+	if _, _, err := ReadProof(enc[:len(enc)-1], len(p.Siblings)); err == nil {
+		t.Error("a proof cut short was read")
+	}
+	// A header that promises 65535 siblings with nothing behind it.
+	if _, _, err := ReadProof([]byte{0, 0, 0, 0, 0xff, 0xff}, 1<<16-1); err == nil {
+		t.Error("a header with no siblings behind it was read")
+	}
+}

@@ -384,6 +384,10 @@ func (b *Bank) signAll(blinded [][]byte) ([][]byte, error) {
 // CoinsWithdrawn counts the coins signed by successful withdrawals.
 func (b *Bank) CoinsWithdrawn() int64 { return b.withdrawn.Load() }
 
+// RSAPrivateOps counts the coin key's private-key operations: one per
+// blind signature attempted.
+func (b *Bank) RSAPrivateOps() uint64 { return b.signer.PrivateOps() }
+
 // WithdrawCoins mints n coins in process: blind n requests, withdraw them
 // as one list, unblind. All n coins or none and the account untouched.
 func (b *Bank) WithdrawCoins(accountID string, n int) ([]*Coin, error) {

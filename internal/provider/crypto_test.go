@@ -2,7 +2,6 @@ package provider
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"math/big"
 	"testing"
@@ -16,27 +15,7 @@ import (
 // by pseudonym index.
 func (w *world) exchangeItem(t *testing.T, lic *license.Personalized, index uint32) ExchangeItem {
 	t.Helper()
-	denomPub, denomID, err := w.prov.DenomPublic(lic.ContentID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := license.NewSerial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blinded, _, err := rsablind.Blind(denomPub, license.AnonymousSigningBytes(serial, denomID), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err := w.prov.Challenge(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := w.card.Prove(index, ExchangeContext(nonce, lic.Serial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ExchangeItem{License: lic, Proof: proof, Nonce: nonce, Blinded: blinded}
+	return w.pendingExchange(t, lic, index).item
 }
 
 // ExchangeBatch with the combined proof check must accept and reject

@@ -102,9 +102,9 @@ type pendingToken struct {
 	state  *rsablind.State
 }
 
-func (dw *durableWorld) exchangeItem(t *testing.T, lic *license.Personalized, holderIdx uint32) pendingToken {
+func (w *world) pendingExchange(t *testing.T, lic *license.Personalized, holderIdx uint32) pendingToken {
 	t.Helper()
-	denomPub, denomID, err := dw.prov.DenomPublic(lic.ContentID)
+	denomPub, denomID, err := w.prov.DenomPublic(lic.ContentID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,20 +116,20 @@ func (dw *durableWorld) exchangeItem(t *testing.T, lic *license.Personalized, ho
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, err := dw.prov.Challenge(context.Background())
+	nonce, err := w.prov.Challenge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := dw.card.Prove(holderIdx, ExchangeContext(nonce, lic.Serial))
+	proof, err := w.card.Prove(holderIdx, ExchangeContext(nonce, lic.Serial))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pendingToken{item: ExchangeItem{License: lic, Proof: proof, Nonce: nonce, Blinded: blinded}, serial: serial, state: st}
 }
 
-func (dw *durableWorld) anonymous(t *testing.T, p pendingToken, blindSig []byte) *license.Anonymous {
+func (w *world) anonymous(t *testing.T, p pendingToken, blindSig []byte) *license.Anonymous {
 	t.Helper()
-	denomPub, denomID, err := dw.prov.DenomPublic(p.item.License.ContentID)
+	denomPub, denomID, err := w.prov.DenomPublic(p.item.License.ContentID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDurabilityWaitsPerCall(t *testing.T) {
 		}
 	})
 
-	tok := dw.exchangeItem(t, lic, 0)
+	tok := dw.pendingExchange(t, lic, 0)
 	var anon *license.Anonymous
 	check("Exchange", 1, func() {
 		sig, err := dw.prov.Exchange(ctx, tok.item.License, tok.item.Proof, tok.item.Nonce, tok.item.Blinded)
@@ -204,7 +204,7 @@ func TestDurabilityWaitsPerCall(t *testing.T) {
 	toks := make([]pendingToken, n)
 	items := make([]ExchangeItem, n)
 	for i, l := range lics {
-		toks[i] = dw.exchangeItem(t, l, 0)
+		toks[i] = dw.pendingExchange(t, l, 0)
 		items[i] = toks[i].item
 	}
 	redeems := make([]RedeemItem, n)
@@ -263,7 +263,7 @@ func TestRefusalsWaitForTheWinner(t *testing.T) {
 	}
 
 	// Revoked-serial list: exchange a license whose exchange is in flight.
-	first, second := dw.exchangeItem(t, lic, 0), dw.exchangeItem(t, lic, 0)
+	first, second := dw.pendingExchange(t, lic, 0), dw.pendingExchange(t, lic, 0)
 	sig, err := dw.prov.Exchange(winCtx, first.item.License, first.item.Proof, first.item.Nonce, first.item.Blinded)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestFailedWaitFailsEverySlot(t *testing.T) {
 		lics = append(lics, res.License)
 	}
 	for _, l := range lics[:2] {
-		tok := dw.exchangeItem(t, l, 0)
+		tok := dw.pendingExchange(t, l, 0)
 		sig, err := dw.prov.Exchange(ctx, l, tok.item.Proof, tok.item.Nonce, tok.item.Blinded)
 		if err != nil {
 			t.Fatal(err)
@@ -321,7 +321,7 @@ func TestFailedWaitFailsEverySlot(t *testing.T) {
 		redeems = append(redeems, RedeemItem{Anonymous: dw.anonymous(t, tok, sig), SignPub: signPub, EncPub: encPub})
 	}
 	redeems = append(redeems, redeems[0]) // one slot loses the redeemed-serial CAS
-	exchanges := []ExchangeItem{dw.exchangeItem(t, lics[2], 0).item, dw.exchangeItem(t, lics[3], 0).item}
+	exchanges := []ExchangeItem{dw.pendingExchange(t, lics[2], 0).item, dw.pendingExchange(t, lics[3], 0).item}
 	reqs := dw.purchaseRequests(t, signPub, encPub, n)
 	issued := func() (count int) {
 		dw.provStore.PrefixScan([]byte("issued:"), func(k, v []byte) bool { count++; return true })

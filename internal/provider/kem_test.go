@@ -245,6 +245,14 @@ func TestEveryIssuingPathUsesTheSender(t *testing.T) {
 func TestLicenseSurvivesProviderRebuild(t *testing.T) {
 	w := newWorld(t)
 	before := w.buy(t, 0)
+	signPub, encPub := w.register(t, 0)
+	batch := w.prov.IssueBatch(context.Background(), w.purchaseRequests(t, signPub, encPub, 3))
+	for i, res := range batch {
+		if res.Err != nil {
+			t.Fatalf("batch purchase %d: %v", i, res.Err)
+		}
+	}
+	fromBatch := batch[1].License // under a root it shares with two others
 
 	rebuilt, err := New(Config{
 		Group:        w.prov.group,
@@ -268,10 +276,14 @@ func TestLicenseSurvivesProviderRebuild(t *testing.T) {
 	if bytes.Equal(before.KeyWrap.KEM, after.KeyWrap.KEM) {
 		t.Error("the rebuilt provider re-used the old ephemeral: it was stored somewhere")
 	}
-	for name, lic := range map[string]*license.Personalized{"before": before, "after": after} {
+	for name, lic := range map[string]*license.Personalized{"before": before, "in a batch before": fromBatch, "after": after} {
 		if _, err := w.card.UnwrapContentKey(0, lic.KeyWrap, license.WrapLabelPersonalized(lic.Serial, lic.ContentID)); err != nil {
 			t.Errorf("license issued %s the rebuild does not unwrap: %v", name, err)
 		}
+		if err := license.VerifyPersonalized(rebuilt.Public(), lic); err != nil {
+			t.Errorf("license issued %s the rebuild does not verify: %v", name, err)
+		}
 	}
 	anonFor(t, w, before, 0) // fatal unless the rebuilt provider exchanges it
+	anonFor(t, w, fromBatch, 0)
 }

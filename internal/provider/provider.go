@@ -65,7 +65,7 @@
 // A pseudonym is the pair (sign key, enc key) that went through Register,
 // and a purchase or redemption must name that pair: a registered sign key
 // beside any other enc key is ErrUnknownPseudonym. Every license is
-// wrapped through ONE dlkem.Sender built with the provider (issue is the
+// wrapped through ONE dlkem.Sender built with the provider (build is the
 // only wrapping site and has no other way to wrap): the sender keeps one
 // ephemeral exponent for the life of the process and the KEK per enc key,
 // so the provider pays the encapsulation's exponentiation once per
@@ -80,6 +80,21 @@
 // is also what bounds the sender's cache to keys that cost their owner an
 // ownership proof and a durable registration. docs/crypto.md has the
 // construction and the argument.
+//
+// # License signatures
+//
+// The provider key signs Merkle roots, not licenses: every license is
+// built unsigned, the licenses one call issues to one pseudonym become the
+// leaves of a tree (license.Sign), one signature covers its root, and each
+// license carries that signature and its path. Purchase and Redeem are the
+// one-leaf case of the same code; IssueBatch and RedeemBatch cost one
+// private-key operation per pseudonym they name instead of one per
+// license. A root never spans two pseudonyms, because licenses under one
+// root are provably co-issued and only a shared pseudonym may say that.
+// The issuance record holds the license with its path and signature, and
+// Exchange admits a license by comparing it to that record, which settles
+// more than verifying the signature again would. docs/crypto.md has the
+// construction and what a path reveals.
 //
 // # Durability
 //
@@ -505,7 +520,15 @@ func (p *Provider) purchase(ctx context.Context, commit kvstore.Commit, req Purc
 	if err := commit.Barrier(ctx); err != nil {
 		return nil, err
 	}
-	return p.deliver(ctx, item, req)
+	lic, err := p.build(item, req.SignPub, req.EncPub)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.record(ctx, lic); err != nil {
+		return nil, err
+	}
+	p.logIssued(EvPurchase, lic, "")
+	return lic, nil
 }
 
 // settle is the paying half of a purchase: admission checks, then the
@@ -537,22 +560,6 @@ func (p *Provider) settle(ctx context.Context, req PurchaseRequest) (*CatalogIte
 		}
 	}
 	return item, nil
-}
-
-// deliver is the issuing half of a purchase, run once settle's spent
-// marks are durable.
-func (p *Provider) deliver(ctx context.Context, item *CatalogItem, req PurchaseRequest) (*license.Personalized, error) {
-	lic, err := p.issue(ctx, item, req.SignPub, req.EncPub)
-	if err != nil {
-		return nil, err
-	}
-	p.log(Event{
-		Type:        EvPurchase,
-		PseudonymFP: p.fingerprint(req.SignPub),
-		ContentID:   item.ID,
-		Serial:      lic.Serial.String(),
-	})
-	return lic, nil
 }
 
 // sealed settles a request's commit set and folds the wait into its
@@ -634,7 +641,8 @@ func (p *Provider) runBatch(ctx context.Context, n int, do func(i int), fail fun
 // payment-before-goods barrier — every request's coins to the bank, one
 // wait on the bank store, every paid request's license, one wait on the
 // provider store — so its durability cost is two fsync waits whatever
-// its size. A failed wait fails every slot.
+// its size, and its licenses cost one provider signature per pseudonym
+// named (issueBatch). A failed wait fails every slot.
 func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []BatchResult {
 	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]BatchResult, len(reqs))
@@ -650,13 +658,21 @@ func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []Bat
 	// Money has moved: the issuing phase no longer observes cancellation,
 	// so no client is charged licenseless.
 	ctx = context.WithoutCancel(ctx)
+	lics := make([]*license.Personalized, len(reqs))
 	p.runBatch(ctx, len(reqs),
 		func(i int) {
 			if results[i].Err == nil {
-				results[i].License, results[i].Err = p.deliver(ctx, items[i], reqs[i])
+				lics[i], results[i].Err = p.build(items[i], reqs[i].SignPub, reqs[i].EncPub)
 			}
 		},
 		fail)
+	p.issueBatch(ctx, lics, fail)
+	for i, lic := range lics {
+		if lic != nil && results[i].Err == nil {
+			results[i].License = lic
+			p.logIssued(EvPurchase, lic, "")
+		}
+	}
 	failAll(len(reqs), fail, commit.End(ctx))
 	return results
 }
@@ -725,28 +741,39 @@ type RedeemBatchResult struct {
 // RedeemBatch redeems a slice of anonymous licenses on the shared worker
 // pool. Outcomes come back in request order; the durable redeemed-serial
 // CAS still guarantees a single winner per serial, even when the same
-// serial appears twice in one batch. The whole batch shares one
-// durability wait; if it fails, every slot fails.
+// serial appears twice in one batch. The admitted slots' licenses cost one
+// provider signature per pseudonym named (issueBatch). The whole batch
+// shares one durability wait; if it fails, every slot fails.
 func (p *Provider) RedeemBatch(ctx context.Context, items []RedeemItem) []RedeemBatchResult {
 	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]RedeemBatchResult, len(items))
 	fail := func(i int, err error) { results[i] = RedeemBatchResult{Err: err} }
+	lics := make([]*license.Personalized, len(items))
 	p.runBatch(ctx, len(items),
 		func(i int) {
 			it := items[i]
-			lic, err := p.redeem(ctx, it.Anonymous, it.SignPub, it.EncPub)
-			results[i] = RedeemBatchResult{License: lic, Err: err}
+			lics[i], results[i].Err = p.admit(ctx, it.Anonymous, it.SignPub, it.EncPub)
 		},
 		fail)
+	// Serials are burned: like a purchase whose money has moved, the
+	// issuing phase no longer observes cancellation.
+	ctx = context.WithoutCancel(ctx)
+	p.issueBatch(ctx, lics, fail)
+	for i, lic := range lics {
+		if lic != nil && results[i].Err == nil {
+			results[i].License = lic
+			p.logIssued(EvRedeem, lic, items[i].Anonymous.Serial.String())
+		}
+	}
 	failAll(len(items), fail, commit.End(ctx))
 	return results
 }
 
-// issue builds and signs a personalized license for item to a registered
-// pseudonym. The wrap goes through the provider's sender: an
-// exponentiation the first time this enc key is wrapped to, a lookup from
-// then on. That and the RSA-FDH signature run without any provider lock.
-func (p *Provider) issue(ctx context.Context, item *CatalogItem, signPub, encPub []byte) (*license.Personalized, error) {
+// build makes the unsigned license for item to a registered pseudonym.
+// The wrap goes through the provider's sender: an exponentiation the
+// first time this enc key is wrapped to, a lookup from then on, with no
+// provider lock held.
+func (p *Provider) build(item *CatalogItem, signPub, encPub []byte) (*license.Personalized, error) {
 	serial, err := license.NewSerial()
 	if err != nil {
 		return nil, err
@@ -757,7 +784,7 @@ func (p *Provider) issue(ctx context.Context, item *CatalogItem, signPub, encPub
 	if err != nil {
 		return nil, err
 	}
-	lic := &license.Personalized{
+	return &license.Personalized{
 		Serial:     serial,
 		ContentID:  item.ID,
 		HolderSign: append([]byte(nil), signPub...),
@@ -765,18 +792,81 @@ func (p *Provider) issue(ctx context.Context, item *CatalogItem, signPub, encPub
 		Rights:     item.Template.Clone(),
 		KeyWrap:    kw,
 		IssuedAt:   p.cfg.Clock().UTC().Truncate(time.Second),
+	}, nil
+}
+
+// issuedKey is where a license's issuance is recorded: the exact bytes
+// that left this provider, which is what Exchange later holds a presented
+// license against.
+func issuedKey(s license.Serial) []byte { return []byte("issued:" + s.String()) }
+
+// record signs built licenses that all name one pseudonym — never call it
+// across two: what shares a root is provably co-issued — and appends
+// their issuance records under the request's commit set.
+func (p *Provider) record(ctx context.Context, lics ...*license.Personalized) error {
+	if err := license.Sign(p.signer, lics...); err != nil {
+		return err
 	}
-	sig, err := p.signer.Sign(lic.SigningBytes())
-	if err != nil {
-		return nil, err
+	for _, lic := range lics {
+		if err := p.cfg.Store.PutCtx(ctx, issuedKey(lic.Serial), lic.Marshal()); err != nil {
+			return err
+		}
 	}
-	lic.ProviderSig = sig
-	// Persist the issuance so Exchange can later check the license is
-	// live and was really issued here.
-	if err := p.cfg.Store.PutCtx(ctx, []byte("issued:"+serial.String()), lic.Marshal()); err != nil {
-		return nil, err
+	return nil
+}
+
+// issueBatch records a batch call's built licenses (nil where the slot
+// has already failed), one root per registered holder pair: the fold
+// VerifyProofBatch does over the same keys, so what a shared root links
+// is what naming one pseudonym has linked already, and a call that names
+// two pseudonyms yields two roots with nothing in common. The groups are
+// signed on the shared worker slots. A group that cannot be signed or
+// recorded fails each of its slots through fail and no other's.
+func (p *Provider) issueBatch(ctx context.Context, lics []*license.Personalized, fail func(i int, err error)) {
+	type holder struct{ sign, enc string }
+	filling := make(map[holder]int) // the group a holder's next license joins
+	var groups [][]int
+	for i, lic := range lics {
+		if lic == nil {
+			continue
+		}
+		h := holder{string(lic.HolderSign), string(lic.HolderEnc)}
+		g, ok := filling[h]
+		if !ok || len(groups[g]) == license.MaxPerRoot {
+			g = len(groups)
+			filling[h] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	return lic, nil
+	failGroup := func(g int, err error) {
+		for _, i := range groups[g] {
+			fail(i, err)
+		}
+	}
+	p.runBatch(ctx, len(groups),
+		func(g int) {
+			set := make([]*license.Personalized, len(groups[g]))
+			for k, i := range groups[g] {
+				set[k] = lics[i]
+			}
+			if err := p.record(ctx, set...); err != nil {
+				failGroup(g, err)
+			}
+		},
+		failGroup)
+}
+
+// logIssued journals a license leaving the provider: a purchase, or the
+// redemption of anonSerial.
+func (p *Provider) logIssued(typ EventType, lic *license.Personalized, anonSerial string) {
+	p.log(Event{
+		Type:        typ,
+		PseudonymFP: p.fingerprint(lic.HolderSign),
+		ContentID:   lic.ContentID,
+		Serial:      lic.Serial.String(),
+		AnonSerial:  anonSerial,
+	})
 }
 
 // ExchangeContext is the proof context binding an exchange to a nonce and
@@ -824,13 +914,8 @@ func (p *Provider) exchange(ctx context.Context, it ExchangeItem, verdict *proof
 	if err := p.consumeNonce(nonce); err != nil {
 		return nil, err
 	}
-	if err := license.VerifyPersonalized(p.Public(), lic); err != nil {
+	if err := p.onRecord(lic); err != nil {
 		return nil, err
-	}
-	// Only licenses this provider actually issued can be exchanged.
-	stored, ok := p.cfg.Store.Get([]byte("issued:" + lic.Serial.String()))
-	if !ok || !bytes.Equal(stored, lic.Marshal()) {
-		return nil, errors.New("provider: license not on issuance record")
 	}
 	if p.rev.Contains(lic.Serial) {
 		// The revocation is visible, not necessarily durable: the refusal
@@ -889,6 +974,25 @@ func (p *Provider) exchange(ctx context.Context, it ExchangeItem, verdict *proof
 	return blindSig, nil
 }
 
+// onRecord admits only a license this provider issued: its issuance
+// record must hold exactly the presented bytes. The record was written
+// with the signature this provider made, so a match says everything
+// VerifyPersonalized would and costs no public-key operation; only a
+// license that does NOT match is verified, to tell a forged one (the
+// verification error) from a well-signed one this store never issued.
+func (p *Provider) onRecord(lic *license.Personalized) error {
+	if lic != nil && lic.Validate() == nil {
+		stored, ok := p.cfg.Store.Get(issuedKey(lic.Serial))
+		if ok && bytes.Equal(stored, lic.Marshal()) {
+			return nil
+		}
+	}
+	if err := license.VerifyPersonalized(p.Public(), lic); err != nil {
+		return err
+	}
+	return errors.New("provider: license not on issuance record")
+}
+
 // denomSignerByContent resolves a content id to its denomination signer
 // under one short read lock.
 func (p *Provider) denomSignerByContent(id license.ContentID) (*rsablind.Signer, bool) {
@@ -915,6 +1019,21 @@ func (p *Provider) Redeem(ctx context.Context, anon *license.Anonymous, signPub,
 }
 
 func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
+	lic, err := p.admit(ctx, anon, signPub, encPub)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.record(ctx, lic); err != nil {
+		return nil, err
+	}
+	p.logIssued(EvRedeem, lic, anon.Serial.String())
+	return lic, nil
+}
+
+// admit is the burning half of a redemption: the anonymous license and
+// the pseudonym are checked, the serial goes through the double-spend
+// gate, and the winner gets its license built, unsigned.
+func (p *Provider) admit(ctx context.Context, anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -929,9 +1048,9 @@ func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub,
 	if !p.registered(signPub, encPub) {
 		return nil, ErrUnknownPseudonym
 	}
-	// The double-spend gate. If issue() fails after this point the
-	// serial stays burned — same recoverable-at-the-help-desk posture as
-	// the revoke-before-sign ordering in Exchange.
+	// The double-spend gate. If issuing fails after this point the serial
+	// stays burned — same recoverable-at-the-help-desk posture as the
+	// revoke-before-sign ordering in Exchange.
 	inserted, err := p.cfg.Store.PutIfAbsentCtx(ctx, redeemedKey(anon.Serial), []byte{1})
 	if err != nil {
 		return nil, err
@@ -939,18 +1058,7 @@ func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub,
 	if !inserted {
 		return nil, ErrAlreadyRedeemed
 	}
-	lic, err := p.issue(ctx, item, signPub, encPub)
-	if err != nil {
-		return nil, err
-	}
-	p.log(Event{
-		Type:        EvRedeem,
-		PseudonymFP: p.fingerprint(signPub),
-		ContentID:   item.ID,
-		Serial:      lic.Serial.String(),
-		AnonSerial:  anon.Serial.String(),
-	})
-	return lic, nil
+	return p.build(item, signPub, encPub)
 }
 
 // RevocationFilter exports the current signed filter for devices: the
@@ -970,6 +1078,19 @@ func (p *Provider) RevocationFilterWire() ([]byte, error) {
 // answered from the cached artefact and how many signed a new one.
 func (p *Provider) RevocationExportStats() (cached, signed uint64) {
 	return p.rev.ExportStats()
+}
+
+// RSAPrivateOps reports the private-key operations this provider's keys
+// have run: the license key's (one per root Sign is called for, plus the
+// revocation artefacts and device certificates it also signs) and the
+// denomination keys' together (one blind signature per exchange).
+func (p *Provider) RSAPrivateOps() (licenseKey, denominationKeys uint64) {
+	p.catMu.RLock()
+	defer p.catMu.RUnlock()
+	for _, signer := range p.denoms {
+		denominationKeys += signer.PrivateOps()
+	}
+	return p.signer.PrivateOps(), denominationKeys
 }
 
 // KEMShareStats reports how many key wraps found their recipient's share

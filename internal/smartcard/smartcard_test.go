@@ -170,11 +170,9 @@ func makeParent(t *testing.T, c *Card, index uint32, rights *rel.Rights, key []b
 		KeyWrap:    kw,
 		IssuedAt:   time.Date(2004, 5, 1, 0, 0, 0, 0, time.UTC),
 	}
-	sig, err := testProv(t).Sign(l.SigningBytes())
-	if err != nil {
+	if err := license.Sign(testProv(t), l); err != nil {
 		t.Fatal(err)
 	}
-	l.ProviderSig = sig
 	return l
 }
 

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke benchmark-check timing-guard fuzz-smoke kv-crash replica-crash load-smoke examples fmt fmt-check vet ci
+.PHONY: build test race bench-smoke benchmark-check timing-guard fuzz-smoke kv-crash replica-crash load-smoke examples fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,6 @@ test:
 race:
 	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license .
 
-# Full evaluation benchmarks (minutes; see bench_test.go for families).
-bench:
-	$(GO) test -run=NONE -bench=. -benchtime=1s .
-
 # One iteration per benchmark: proves they compile and run. The T1_
 # pattern reaches the per-package micro-benchmarks docs/crypto.md quotes
 # (internal/cryptox/dlkem: T1_KEMShare; internal/cryptox/schnorr:
@@ -33,7 +29,6 @@ bench:
 # T1_LicenseVerifyPath).
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
-	$(GO) test -run=NONE -bench='BenchmarkT3_(Purchase|Exchange|Deposit|Get|PutIfAbsent)' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkT3_ReplicaCatchup -benchtime=1x ./internal/replica
 
 # The live-topology benchmark (BENCHMARK.json, benchmark/) is its own
@@ -103,5 +98,11 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The line counts ROADMAP and BENCH.md quote: every *.go file outside
+# benchmark/ (its own module), split on the _test.go suffix.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs echo "non-test Go lines:"
+	@find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l | xargs echo "test Go lines:    "
 
 ci: build vet fmt-check test race bench-smoke benchmark-check timing-guard fuzz-smoke examples kv-crash replica-crash load-smoke

@@ -4,8 +4,6 @@
 // Usage:
 //
 //	p2drmd -addr :8474 -state /var/lib/p2drm -rsa-bits 2048 -seed-demo \
-//	       -bank-shards 16 -wal-group-commit \
-//	       -kv-index-shards 16 -kv-segment-bytes 67108864 \
 //	       -admin-socket /run/p2drmd.socket -log-level info
 //
 // With -seed-demo the catalog is populated with a few items and a funded
@@ -40,20 +38,15 @@
 //
 // # Storage
 //
-// -bank-shards sizes the bank's balance-shard count; -wal-group-commit
-// (default on) opens the durable stores in kvstore group-commit mode, so
-// every acknowledged write — spent coins, redeemed serials, issued
-// licenses — is fsynced before its HTTP response, with concurrent writers
-// sharing each fsync. Disabling it falls back to flush-on-write /
-// fsync-on-close (faster for single-user demos, loses the tail on an OS
-// crash).
-//
-// -kv-index-shards sizes the kvstore's lock-striped in-memory index
-// (rounded up to a power of two) and -kv-segment-bytes caps one WAL
-// segment file; stores with a state directory roll segments at that size
-// and compact them incrementally in the background. GET /v2/stats
-// reports the resulting engine shape (segments, live keys, dead bytes,
-// compactions) per store.
+// The durable stores open in kvstore group-commit mode, so every
+// acknowledged write — spent coins, redeemed serials, issued licenses —
+// is fsynced before its HTTP response, with concurrent writers sharing
+// each fsync. Stores with a state directory roll WAL segments at the
+// kvstore's default size and compact them incrementally in the
+// background. GET /v2/stats reports the resulting engine shape (segments,
+// live keys, dead bytes, compactions) per store. None of this is a flag:
+// the shard counts, the segment size and the sync mode are the constants
+// every deployment and the repository benchmark have run with.
 //
 // # Replication
 //
@@ -66,7 +59,7 @@
 // runs as a READ REPLICA instead: no keys are generated, no provider or
 // bank is mounted; the daemon tails both stores from the primary
 // (snapshot bootstrap, then incremental WAL-segment shipping with
-// reconnect/backoff, -replica-poll tunes the idle poll) and serves
+// reconnect/backoff, polling every 500 ms when idle) and serves
 // read-only traffic while rejecting writes with 403. POST
 // /v2/replica/promote (async) stops replication and opens the local
 // stores for writes; POST /v2/replica/resync forces a fresh snapshot
@@ -120,6 +113,27 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// replicaPoll is the follower's idle tail poll, and most of what
+// revocation.visible_ms measures: a revocation reaches a quiet replica
+// up to this long after the primary acknowledged it. It is the interval
+// the daemon has always run with, twice the replica package's default.
+const replicaPoll = 500 * time.Millisecond
+
+// walOpts is how every durable store of the daemon opens: group commit,
+// so an acknowledged write is fsynced before its response (an operation
+// record, a spent coin or a redeemed serial that vanishes in a crash
+// defeats its store's purpose), with the kvstore's default index shards
+// and segment size.
+var walOpts = kvstore.Options{
+	Sync: kvstore.SyncGroupCommit,
+	// Reclaim dead segment bytes continuously; compaction never
+	// blocks request-path writers.
+	CompactEvery: 30 * time.Second,
+}
+
+// labRSABits is the RSA key size -lab fixes, beside the 768-bit group.
+const labRSABits = 1024
+
 // fatal logs at error level and exits. Used only on startup paths,
 // before any protocol state needs a clean close.
 func fatal(msg string, args ...any) {
@@ -142,96 +156,103 @@ func parseLogLevel(s string) slog.Level {
 	}
 }
 
+// flagValues holds the parsed value of every flag the daemon has.
+type flagValues struct {
+	addr         string
+	adminSocket  string
+	stateDir     string
+	rsaBits      int
+	lab          bool
+	seedDemo     bool
+	userToken    string
+	adminToken   string
+	replicaOf    string
+	primaryToken string
+	logLevel     string
+	sloLatency   time.Duration
+}
+
+// parseFlags defines the daemon's flags on fs, parses args and refuses
+// combinations in which one flag would silently override another.
+func parseFlags(fs *flag.FlagSet, args []string) (*flagValues, error) {
+	c := new(flagValues)
+	fs.StringVar(&c.addr, "addr", ":8474", "listen address")
+	fs.StringVar(&c.adminSocket, "admin-socket", "", "also serve on this unix socket with SO_PEERCRED admin auth and /debug/pprof/")
+	fs.StringVar(&c.stateDir, "state", "", "state directory (empty = in-memory)")
+	fs.IntVar(&c.rsaBits, "rsa-bits", 2048, "provider/bank RSA key size (not with -lab, which fixes it)")
+	fs.BoolVar(&c.lab, "lab", false, "use laboratory parameters (768-bit group, 1024-bit RSA)")
+	fs.BoolVar(&c.seedDemo, "seed-demo", true, "seed demo catalog and bank account")
+	fs.StringVar(&c.userToken, "user-token", "", "bearer token for the user tier (empty with -admin-token empty = open API)")
+	fs.StringVar(&c.adminToken, "admin-token", "", "bearer token for the admin tier")
+	fs.StringVar(&c.replicaOf, "replica-of", "", "run as a read replica of the primary daemon at this base URL")
+	fs.StringVar(&c.primaryToken, "primary-token", "", "bearer token presented to the primary daemon (replica mode, when the primary has auth configured)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
+	fs.DurationVar(&c.sloLatency, "slo-latency", 250*time.Millisecond, "per-request latency SLO target feeding /v2/health and the p2drm_slo_* families")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if c.lab {
+		var sized bool
+		fs.Visit(func(f *flag.Flag) { sized = sized || f.Name == "rsa-bits" })
+		if sized {
+			return nil, fmt.Errorf("-lab fixes the RSA key size at %d bits: drop -rsa-bits or -lab", labRSABits)
+		}
+		c.rsaBits = labRSABits
+	}
+	return c, nil
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8474", "listen address")
-		adminSocket  = flag.String("admin-socket", "", "also serve on this unix socket with SO_PEERCRED admin auth and /debug/pprof/")
-		stateDir     = flag.String("state", "", "state directory (empty = in-memory)")
-		rsaBits      = flag.Int("rsa-bits", 2048, "provider/bank RSA key size")
-		lab          = flag.Bool("lab", false, "use laboratory parameters (768-bit group, 1024-bit RSA)")
-		seedDemo     = flag.Bool("seed-demo", true, "seed demo catalog and bank account")
-		userToken    = flag.String("user-token", "", "bearer token for the user tier (empty with -admin-token empty = open API)")
-		adminToken   = flag.String("admin-token", "", "bearer token for the admin tier")
-		bankShards   = flag.Int("bank-shards", payment.DefaultBankShards, "bank balance-shard count")
-		groupWAL     = flag.Bool("wal-group-commit", true, "fsync durable stores via group commit (off = fsync only on close)")
-		kvShards     = flag.Int("kv-index-shards", kvstore.DefaultIndexShards, "kvstore index lock-stripe count (rounded up to a power of two)")
-		kvSegBytes   = flag.Int64("kv-segment-bytes", kvstore.DefaultSegmentBytes, "kvstore WAL segment size cap in bytes")
-		replicaOf    = flag.String("replica-of", "", "run as a read replica of the primary daemon at this base URL")
-		replicaPoll  = flag.Duration("replica-poll", 500*time.Millisecond, "replica idle tail poll interval")
-		primaryToken = flag.String("primary-token", "", "bearer token presented to the primary daemon (replica mode, when the primary has auth configured)")
-		cryptoPre    = flag.Bool("crypto-precompute", true, "build the fixed-base exponentiation table for the group generator")
-		noncePool    = flag.Int("crypto-nonce-pool", 256, "Schnorr/KEM nonce pool capacity (0 disables pooling)")
-		poolFillers  = flag.Int("crypto-pool-fillers", 1, "background filler goroutines per crypto pool")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-		sloLatency   = flag.Duration("slo-latency", 250*time.Millisecond, "per-request latency SLO target feeding /v2/health and the p2drm_slo_* families")
-	)
-	flag.Parse()
+	fl, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "p2drmd:", err)
+		os.Exit(2)
+	}
 
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr,
-		&slog.HandlerOptions{Level: parseLogLevel(*logLevel)})))
+		&slog.HandlerOptions{Level: parseLogLevel(fl.logLevel)})))
 
-	walOpts := kvstore.Options{
-		Sync:         kvstore.SyncOnClose,
-		IndexShards:  *kvShards,
-		SegmentBytes: *kvSegBytes,
-		// Reclaim dead segment bytes continuously; compaction never
-		// blocks request-path writers.
-		CompactEvery: 30 * time.Second,
-	}
-	if *groupWAL {
-		walOpts.Sync = kvstore.SyncGroupCommit
-	}
-	auth := httpapi.Auth{UserToken: *userToken, AdminToken: *adminToken}
+	auth := httpapi.Auth{UserToken: fl.userToken, AdminToken: fl.adminToken}
 
-	if *replicaOf != "" {
-		runReplica(*addr, *adminSocket, *stateDir, *replicaOf, *primaryToken, *replicaPoll, *sloLatency, walOpts, auth)
+	if fl.replicaOf != "" {
+		runReplica(fl, auth)
 		return
 	}
 	slog.Info("starting",
-		"bank_shards", *bankShards, "wal_group_commit", *groupWAL,
-		"kv_index_shards", *kvShards, "kv_segment_bytes", *kvSegBytes,
+		"bank_shards", payment.DefaultBankShards, "wal_group_commit", true,
+		"kv_index_shards", kvstore.DefaultIndexShards, "kv_segment_bytes", kvstore.DefaultSegmentBytes,
 		"kv_compact_every", walOpts.CompactEvery)
 
 	group := schnorr.Group2048()
-	bits := *rsaBits
-	if *lab {
+	if fl.lab {
 		group = schnorr.Group768()
-		bits = 1024
 	}
-	if *cryptoPre {
-		group.Precompute()
-	}
-	if *noncePool > 0 {
-		fillers := *poolFillers
-		if fillers < 1 {
-			fillers = 1
-		}
-		group.EnableNoncePool(*noncePool, fillers)
-	}
-	slog.Info("crypto acceleration",
-		"precompute", *cryptoPre, "nonce_pool", *noncePool, "fillers", *poolFillers)
+	// The fixed-base table for the group generator: every proof
+	// verification and key wrap exponentiates it.
+	group.Precompute()
+	slog.Info("crypto acceleration", "precompute", group.Precomputed())
 
-	slog.Info("generating keys", "rsa_bits", bits, "group", group.Name)
-	bankKey, err := rsa.GenerateKey(rand.Reader, bits)
+	slog.Info("generating keys", "rsa_bits", fl.rsaBits, "group", group.Name)
+	bankKey, err := rsa.GenerateKey(rand.Reader, fl.rsaBits)
 	if err != nil {
 		fatal("bank key", "err", err)
 	}
-	provKey, err := rsa.GenerateKey(rand.Reader, bits)
+	provKey, err := rsa.GenerateKey(rand.Reader, fl.rsaBits)
 	if err != nil {
 		fatal("provider key", "err", err)
 	}
 
 	bankDir, provDir, opsDir := "", "", ""
-	if *stateDir != "" {
-		bankDir = *stateDir + "/bank"
-		provDir = *stateDir + "/provider"
-		opsDir = *stateDir + "/ops"
+	if fl.stateDir != "" {
+		bankDir = fl.stateDir + "/bank"
+		provDir = fl.stateDir + "/provider"
+		opsDir = fl.stateDir + "/ops"
 	}
 	spent, err := kvstore.OpenWith(bankDir, walOpts)
 	if err != nil {
 		fatal("bank store", "err", err)
 	}
-	bank, err := payment.NewBankSharded(bankKey, spent, *bankShards)
+	bank, err := payment.NewBank(bankKey, spent)
 	if err != nil {
 		fatal("bank", "err", err)
 	}
@@ -245,7 +266,7 @@ func main() {
 	prov, err := provider.New(provider.Config{
 		Group:        group,
 		SignerKey:    provKey,
-		DenomKeyBits: bits,
+		DenomKeyBits: fl.rsaBits,
 		Store:        store,
 		Bank:         bank,
 		BankAccount:  "provider",
@@ -254,9 +275,9 @@ func main() {
 	if err != nil {
 		fatal("provider", "err", err)
 	}
-	reg, opsStore := openOps(opsDir, walOpts)
+	reg, opsStore := openOps(opsDir)
 
-	if *seedDemo {
+	if fl.seedDemo {
 		template := rel.MustParse(`
 grant play count 25;
 grant transfer;
@@ -303,7 +324,7 @@ valid until "2030-01-01T00:00:00Z";
 	// Feed the storage engines' timing hooks into the same registry
 	// /v2/metrics renders: fsync/commit-wait/compaction per store.
 	plane := handler.Obs()
-	plane.SLO.SetLatencyTarget(*sloLatency)
+	plane.SLO.SetLatencyTarget(fl.sloLatency)
 	store.SetObserver(httpapi.StoreObserver(plane, "provider"))
 	spent.SetObserver(httpapi.StoreObserver(plane, "bank"))
 	if opsStore != nil {
@@ -320,16 +341,14 @@ valid until "2030-01-01T00:00:00Z";
 	}
 	go opsGCLoop(ctx, reg)
 
-	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-	adminSrv, err := serveAdminSocket(*adminSocket, handler)
+	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
 	if err != nil {
 		fatal("admin socket", "err", err)
 	}
-	// closeStores syncs the WALs; every serving-phase exit path must run
-	// it — under -wal-group-commit=false the stores only fsync on Close,
-	// and losing redeemed-serial or spent-coin records reopens
-	// double-spend windows. (The fatal calls above run before any
-	// protocol state exists, so they may exit without it.)
+	// closeStores settles and closes the WALs; every serving-phase exit
+	// path must run it. (The fatal calls above run before any protocol
+	// state exists, so they may exit without it.)
 	closeStores := func() {
 		reg.Close() // settle in-flight operation persists first
 		if err := store.Close(); err != nil {
@@ -346,7 +365,7 @@ valid until "2030-01-01T00:00:00Z";
 	}
 	errc := make(chan error, 1)
 	go func() {
-		slog.Info("listening", "addr", *addr)
+		slog.Info("listening", "addr", fl.addr)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -374,16 +393,12 @@ valid until "2030-01-01T00:00:00Z";
 
 // openOps builds the operations registry: kvstore-backed when the
 // daemon has a state directory (so operations survive restarts),
-// volatile otherwise. The ops store always group-commits — an
-// operation record that vanishes on crash defeats the registry's
-// purpose — but it is tiny and off the request hot path.
-func openOps(dir string, walOpts kvstore.Options) (*ops.Registry, *kvstore.Store) {
+// volatile otherwise.
+func openOps(dir string) (*ops.Registry, *kvstore.Store) {
 	if dir == "" {
 		return ops.New(nil), nil
 	}
-	opsOpts := walOpts
-	opsOpts.Sync = kvstore.SyncGroupCommit
-	st, err := kvstore.OpenWith(dir, opsOpts)
+	st, err := kvstore.OpenWith(dir, walOpts)
 	if err != nil {
 		fatal("ops store", "err", err)
 	}
@@ -460,24 +475,24 @@ func serveAdminSocket(path string, handler http.Handler) (*http.Server, error) {
 // reconnect/backoff) and serve the read-only replica HTTP surface. No
 // keys are generated — a replica holds replicated state, not signing
 // capability; POST /v2/replica/promote opens the stores for writes.
-func runReplica(addr, adminSocket, stateDir, primaryURL, primaryToken string, poll, sloLatency time.Duration, walOpts kvstore.Options, auth httpapi.Auth) {
-	slog.Info("replica mode", "primary", primaryURL, "poll", poll)
-	client := httpapi.NewClient(primaryURL, nil)
+func runReplica(fl *flagValues, auth httpapi.Auth) {
+	slog.Info("replica mode", "primary", fl.replicaOf, "poll", replicaPoll)
+	client := httpapi.NewClient(fl.replicaOf, nil)
 	// The replication reads are guest-tier, but releasing a pin lease is
 	// user-tier on an auth-configured primary.
-	client.Token = primaryToken
+	client.Token = fl.primaryToken
 	followers := make(map[string]*replica.Follower, 2)
 	for _, name := range []string{"provider", "bank"} {
 		dir := ""
-		if stateDir != "" {
-			dir = stateDir + "/replica-" + name
+		if fl.stateDir != "" {
+			dir = fl.stateDir + "/replica-" + name
 		}
 		name := name
 		f, err := replica.Open(replica.Options{
 			Dir:          dir,
 			Fetch:        httpapi.NewReplicaFetcher(client, name),
 			KV:           walOpts,
-			PollInterval: poll,
+			PollInterval: replicaPoll,
 			// The replica package reports reconnects, backoff and
 			// snapshot fallbacks through this hook; route them into the
 			// leveled log with the store name attached.
@@ -492,10 +507,10 @@ func runReplica(addr, adminSocket, stateDir, primaryURL, primaryToken string, po
 		followers[name] = f
 	}
 	opsDir := ""
-	if stateDir != "" {
-		opsDir = stateDir + "/replica-ops"
+	if fl.stateDir != "" {
+		opsDir = fl.stateDir + "/replica-ops"
 	}
-	reg, opsStore := openOps(opsDir, walOpts)
+	reg, opsStore := openOps(opsDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -503,7 +518,7 @@ func runReplica(addr, adminSocket, stateDir, primaryURL, primaryToken string, po
 	handler := httpapi.NewReplicaServer(followers).WithOps(reg).WithAuth(auth)
 	// Feed fetch/apply timings into the follower server's registry.
 	plane := handler.Obs()
-	plane.SLO.SetLatencyTarget(sloLatency)
+	plane.SLO.SetLatencyTarget(fl.sloLatency)
 	for name, f := range followers {
 		f.SetObserver(httpapi.FollowerObserver(plane, name))
 	}
@@ -516,14 +531,14 @@ func runReplica(addr, adminSocket, stateDir, primaryURL, primaryToken string, po
 	}
 	go opsGCLoop(ctx, reg)
 
-	srv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-	adminSrv, err := serveAdminSocket(adminSocket, handler)
+	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
 	if err != nil {
 		fatal("admin socket", "err", err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		slog.Info("replica listening", "addr", addr)
+		slog.Info("replica listening", "addr", fl.addr)
 		errc <- srv.ListenAndServe()
 	}()
 	closeFollowers := func() {

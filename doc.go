@@ -5,9 +5,8 @@
 //
 // The implementation lives under internal/: start at internal/core for
 // the assembled protocols, and see README.md for the architecture map.
-// Root-level bench_test.go exposes one testing.B benchmark per
-// evaluation table/figure; BENCH.md tracks the benchmark trajectory
-// across PRs.
+// The benchmark/ module (BENCHMARK.json) is the live-topology benchmark
+// that gates every PR; BENCH.md tracks its trajectory across PRs.
 //
 // Deployment shape: cmd/p2drmd serves the provider + demo bank over
 // HTTP on one API tree, /v2/ (snapd-style response envelope,

@@ -1,8 +1,8 @@
 // Package bloom implements a standard Bloom filter used as the fast path
 // of the revocation list: a negative answer ("serial not revoked") is
 // exact and costs a few hashes; a positive answer falls back to the exact
-// store. Sized for a target false-positive rate so the fallback stays rare
-// (T4 in DESIGN.md measures this crossover).
+// store. Sized for a target false-positive rate so the fallback stays
+// rare.
 package bloom
 
 import (

@@ -51,27 +51,11 @@ type Options struct {
 	StateDir string
 	// Clock injects time for deterministic tests.
 	Clock func() time.Time
-	// DisableBlinding switches Transfer to the ablation mode (A1 in
-	// DESIGN.md): anonymous serials are sent to the provider in clear,
-	// making exchange↔redeem linkable. Never use outside experiments.
+	// DisableBlinding switches Transfer to the no-blinding ablation:
+	// anonymous serials are sent to the provider in clear, making
+	// exchange↔redeem linkable. Never use outside experiments.
 	DisableBlinding bool
-	// CryptoPools enables the crypto acceleration layer: the fixed-base
-	// table for the group generator, a background-filled Schnorr/KEM
-	// nonce pool, and RSA blinding-factor pools for the bank coin key
-	// and (via EnableCryptoPools after AddContent) the denomination
-	// keys. Results are bit-identical to the inline paths; this only
-	// moves work off the request path.
-	CryptoPools bool
 }
-
-// Crypto pool sizing for CryptoPools mode: enough depth to ride out a
-// burst of a full HTTP batch (256 items) with one filler goroutine per
-// pool so background refill cannot starve the serving path on small
-// boxes.
-const (
-	cryptoPoolSize    = 512
-	cryptoPoolFillers = 1
-)
 
 // System is an assembled P2DRM deployment.
 type System struct {
@@ -152,27 +136,13 @@ func NewSystem(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
+	return &System{
 		Group:    opts.Group,
 		Provider: prov,
 		Bank:     bank,
 		opts:     opts,
 		users:    make(map[string]*User),
-	}
-	if opts.CryptoPools {
-		sys.EnableCryptoPools()
-	}
-	return sys, nil
-}
-
-// EnableCryptoPools builds the fixed-base table for the group generator
-// and starts the nonce and blinding-factor pools (idempotent). Call it
-// again after AddContent so new denomination keys get pools too.
-func (s *System) EnableCryptoPools() {
-	s.Group.Precompute()
-	s.Group.EnableNoncePool(cryptoPoolSize, cryptoPoolFillers)
-	s.Bank.EnableCoinBlindingPool(cryptoPoolSize, cryptoPoolFillers)
-	s.Provider.EnableDenomBlindingPools(cryptoPoolSize, cryptoPoolFillers)
+	}, nil
 }
 
 // NewUser creates a local user with a fresh card and a funded bank

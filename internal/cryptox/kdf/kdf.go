@@ -5,7 +5,7 @@
 // construction is written out here against crypto/hmac and crypto/sha256.
 // Smartcards derive per-pseudonym secrets from one master seed so that a
 // card can mint arbitrarily many unlinkable pseudonyms while persisting only
-// 32 bytes (see DESIGN.md §1.2).
+// 32 bytes.
 package kdf
 
 import (
@@ -82,8 +82,8 @@ func MustKey(ikm, salt, info []byte, length int) []byte {
 // A smartcard holds a single 32-byte master seed. Pseudonym i's secret
 // material is HKDF(seed, salt="p2drm/pseudonym", info=index). Distinct
 // indices yield computationally independent secrets, so the content
-// provider cannot link pseudonyms of one card (F1 in DESIGN.md relies on
-// this).
+// provider cannot link pseudonyms of one card
+// (linkage.TestPseudonymReuseIncreasesLinkage relies on this).
 
 // pseudonymSalt domain-separates pseudonym derivation from any other use
 // of the same master seed.

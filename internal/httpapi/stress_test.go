@@ -87,6 +87,16 @@ func TestServerUnderConcurrentLoad(t *testing.T) {
 	if got := prov.RevokedCount(); got != wantRevoked {
 		t.Errorf("revoked count = %d, want %d", got, wantRevoked)
 	}
+	// The journal holds every purchase and both halves of every transfer.
+	journaled := make(map[provider.EventType]int)
+	for _, e := range prov.Events() {
+		journaled[e.Type]++
+	}
+	for _, typ := range []provider.EventType{provider.EvPurchase, provider.EvExchange, provider.EvRedeem} {
+		if journaled[typ] != wantRevoked {
+			t.Errorf("journaled %v events = %d, want %d", typ, journaled[typ], wantRevoked)
+		}
+	}
 }
 
 // runFlow buys, exchanges and redeems one license entirely over HTTP,

@@ -235,7 +235,6 @@ func TestRootStatementHasItsOwnDomain(t *testing.T) {
 		t.Fatalf("root statement = %q, want the tag and the root", stmt)
 	}
 	others := []string{
-		"p2drm/revsnapshot/v1",                             // revocation.snapshotSigningBytes
 		"p2drm/revfilter/v2",                               // revocation.filterSigningBytes
 		"p2drm/device-cert/v1|",                            // device.Certificate.SigningBytes
 		string([]byte{encVersion, kindPersonalized}),       // a license leaf

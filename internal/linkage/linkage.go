@@ -226,22 +226,3 @@ func MeanEntropy(sizes []int) float64 {
 	}
 	return sum / float64(len(sizes))
 }
-
-// BaselineTruthMetrics scores the identified-DRM journal, where every
-// event names the user: linkage is total by construction. Provided so the
-// experiment tables can print the reference row without special-casing.
-func BaselineTruthMetrics(userOf map[int]string) Metrics {
-	seqs := make([]int, 0, len(userOf))
-	for s := range userOf {
-		seqs = append(seqs, s)
-	}
-	var samePairs int
-	for i := 0; i < len(seqs); i++ {
-		for j := i + 1; j < len(seqs); j++ {
-			if userOf[seqs[i]] == userOf[seqs[j]] {
-				samePairs++
-			}
-		}
-	}
-	return Metrics{Recall: 1, Precision: 1, Pairs: samePairs}
-}

@@ -174,13 +174,6 @@ func TestClusteringPrimitives(t *testing.T) {
 	}
 }
 
-func TestBaselineTruthMetrics(t *testing.T) {
-	m := BaselineTruthMetrics(map[int]string{1: "a", 2: "a", 3: "b"})
-	if m.Recall != 1 || m.Precision != 1 || m.Pairs != 1 {
-		t.Errorf("baseline metrics = %+v", m)
-	}
-}
-
 func TestEvaluateEmptyTruth(t *testing.T) {
 	s, res := runTrace(t, false, 1, 0)
 	c := Attack(res.Events, s.Provider.DenomPublic)

@@ -3,11 +3,7 @@
 //
 // The content provider signs one root over the licenses a batch call
 // issues to one pseudonym, and every license carries its path to that
-// root (package license): one signature vouches for the whole call. It
-// also snapshots its revocation list into a tree and signs the root, so
-// that a device holding only the signed root (32 bytes plus a signature)
-// can verify, from a short proof, that a given serial is in the snapshot —
-// without trusting the channel that delivered the proof.
+// root (package license): one signature vouches for the whole call.
 //
 // Leaves are domain-separated from interior nodes (0x00 / 0x01 prefixes)
 // to prevent second-preimage splicing attacks.
@@ -181,18 +177,6 @@ func (p *Proof) Root(data []byte) ([HashLen]byte, error) {
 	return h, nil
 }
 
-// VerifyInclusion checks an inclusion proof of data against root.
-func VerifyInclusion(root [HashLen]byte, data []byte, p *Proof) error {
-	h, err := p.Root(data)
-	if err != nil {
-		return err
-	}
-	if h != root {
-		return errors.New("merkle: inclusion proof does not match root")
-	}
-	return nil
-}
-
 // Marshal encodes a proof:
 //
 //	leafIndex[4] | count[2] | (dir[1] | hash[32])*
@@ -213,18 +197,6 @@ func (p *Proof) Marshal() []byte {
 		off += 1 + HashLen
 	}
 	return out
-}
-
-// UnmarshalProof decodes a Marshal-ed proof.
-func UnmarshalProof(data []byte) (*Proof, error) {
-	p, rest, err := ReadProof(data, 1<<16-1) // the count field's own range
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("merkle: proof length %d, want %d", len(data), len(data)-len(rest))
-	}
-	return p, nil
 }
 
 // ReadProof decodes the proof at the front of data and returns the bytes

@@ -232,21 +232,6 @@ func (b *Bank) shard(accountID string) *accountShard {
 // CoinPub returns the bank's coin verification key.
 func (b *Bank) CoinPub() *rsa.PublicKey { return b.signer.Public() }
 
-// EnableCoinBlindingPool starts a background-filled pool of RSA
-// blinding factors for the coin key, so withdrawal requests blind with
-// a precomputed factor instead of paying an inverse plus an
-// exponentiation inline. Purely an accelerator: pooled and inline
-// withdrawals produce identically distributed (and identically
-// verifiable) coins, and each factor is handed out at most once.
-func (b *Bank) EnableCoinBlindingPool(capacity, fillers int) {
-	rsablind.EnableBlindingPool(b.CoinPub(), capacity, fillers)
-}
-
-// DisableCoinBlindingPool stops and removes the coin key's pool.
-func (b *Bank) DisableCoinBlindingPool() {
-	rsablind.DisableBlindingPool(b.CoinPub())
-}
-
 // CreateAccount opens an account with an initial balance.
 func (b *Bank) CreateAccount(id string, balance int64) error {
 	if id == "" {

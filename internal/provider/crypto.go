@@ -62,28 +62,6 @@ func (p *Provider) CryptoStats() *CryptoStats {
 	return cs
 }
 
-// EnableDenomBlindingPools registers a blinding-factor pool for every
-// current denomination key. In-process clients (core.System, benches)
-// blind anonymous serials against these keys on the exchange path;
-// remote clients run their own pools. Call again after AddContent to
-// cover new denominations (enabling is idempotent per key).
-func (p *Provider) EnableDenomBlindingPools(capacity, fillers int) {
-	p.catMu.RLock()
-	defer p.catMu.RUnlock()
-	for _, signer := range p.denoms {
-		rsablind.EnableBlindingPool(signer.Public(), capacity, fillers)
-	}
-}
-
-// DisableDenomBlindingPools removes every denomination key's pool.
-func (p *Provider) DisableDenomBlindingPools() {
-	p.catMu.RLock()
-	defer p.catMu.RUnlock()
-	for _, signer := range p.denoms {
-		rsablind.DisableBlindingPool(signer.Public())
-	}
-}
-
 // proofVerdict carries a pre-computed ownership-proof verdict into the
 // per-item exchange path: Err is exactly what schnorr.VerifyProof would
 // have returned for the same inputs (the batch verifier guarantees it).

@@ -4,8 +4,9 @@
 //
 // The provider is honest-but-curious in the threat model: it follows the
 // protocol but logs everything it sees. The Events() journal is therefore
-// a first-class output — the linkage experiments (F1/A1 in DESIGN.md) run
-// the published attack directly against this journal.
+// a first-class output — the adversary tests (package linkage,
+// workload/unlink_test.go) run the published attack directly against this
+// journal.
 //
 // What the provider can and cannot see, by operation:
 //
@@ -141,7 +142,6 @@ import (
 	"p2drm/internal/device"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
-	"p2drm/internal/merkle"
 	"p2drm/internal/payment"
 	"p2drm/internal/rel"
 	"p2drm/internal/revocation"
@@ -1103,12 +1103,6 @@ func (p *Provider) KEMShareStats() (cached, computed uint64) { return p.kem.Stat
 // scans the exact durable store), so the REST plane may expose it as a
 // resumable background operation.
 func (p *Provider) RebuildRevocationFilter() uint64 { return p.rev.Rebuild() }
-
-// RevocationSnapshot exports a signed Merkle snapshot plus the tree that
-// serves inclusion ("this license is dead") proofs.
-func (p *Provider) RevocationSnapshot() (*revocation.Snapshot, *merkle.Tree, error) {
-	return p.rev.Snapshot(p.signer, p.cfg.Clock())
-}
 
 // Revoked reports whether a serial is revoked (help-desk path for devices
 // that got a Bloom positive).

@@ -406,20 +406,6 @@ func TestRevocationArtifacts(t *testing.T) {
 	if !f.Contains(lic.Serial[:]) {
 		t.Error("filter missing exchanged serial")
 	}
-	snap, tree, err := w.prov.RevocationSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := revocation.VerifySnapshot(w.prov.Public(), snap); err != nil {
-		t.Fatal(err)
-	}
-	proof, err := revocation.ProveRevoked(tree, lic.Serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := revocation.VerifyRevoked(snap, lic.Serial, proof); err != nil {
-		t.Errorf("revocation proof invalid: %v", err)
-	}
 }
 
 func TestJournalShape(t *testing.T) {

@@ -1,15 +1,10 @@
 // Package revocation implements the provider's revoked/redeemed-serial
-// list and the two artifacts devices and auditors consume:
-//
-//   - SignedFilter: a Bloom filter over all revoked serials, signed by the
-//     provider. Compliant devices hold the latest filter and refuse to play
-//     any license whose serial tests positive. Negatives are exact, so an
-//     honest license is never wrongly blocked; positives are conservative
-//     denials whose rate is a design parameter (measured in T4/A-benches).
-//   - Snapshot: a signed Merkle root over the exact list. An inclusion
-//     proof demonstrates that a specific serial IS revoked — the artifact a
-//     seller hands a buyer during a transfer to prove the old license died
-//     before money changes hands (dispute resolution in the 2004 scheme).
+// list and the artifact devices consume: SignedFilter, a Bloom filter over
+// all revoked serials, signed by the provider. Compliant devices hold the
+// latest filter and refuse to play any license whose serial tests
+// positive. Negatives are exact, so an honest license is never wrongly
+// blocked; positives are conservative denials whose rate is a design
+// parameter.
 //
 // The list itself is durable: every Add lands in the kvstore WAL before it
 // is acknowledged, because forgetting a redeemed serial re-enables double
@@ -52,7 +47,6 @@ import (
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
-	"p2drm/internal/merkle"
 )
 
 // keyPrefix namespaces revocation keys inside a shared store.
@@ -373,16 +367,6 @@ func (l *List) Len() int {
 	return l.count
 }
 
-// serials returns all revoked serials (held lock).
-func (l *List) serialsLocked() [][]byte {
-	out := make([][]byte, 0, l.count)
-	l.store.PrefixScan([]byte(keyPrefix), func(k, v []byte) bool {
-		out = append(out, append([]byte(nil), k[len(keyPrefix):]...))
-		return true
-	})
-	return out
-}
-
 // SignedFilter is the device-side revocation artifact. One returned by
 // ExportFilter is shared with every other caller that gets the same
 // artefact: treat it as read-only.
@@ -524,60 +508,4 @@ func VerifyFilter(pub *rsa.PublicKey, sf *SignedFilter) (*bloom.Filter, error) {
 		return nil, fmt.Errorf("revocation: filter signature: %w", err)
 	}
 	return bloom.Unmarshal(sf.Filter)
-}
-
-// Snapshot is a signed Merkle commitment to the exact revocation set.
-type Snapshot struct {
-	Root     [merkle.HashLen]byte
-	Size     int
-	IssuedAt time.Time
-	Sig      []byte
-}
-
-func snapshotSigningBytes(root [merkle.HashLen]byte, size int, issuedAt time.Time) []byte {
-	out := make([]byte, 0, merkle.HashLen+32)
-	out = append(out, []byte("p2drm/revsnapshot/v1")...)
-	out = append(out, root[:]...)
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(size))
-	binary.BigEndian.PutUint64(buf[8:], uint64(issuedAt.UTC().Unix()))
-	return append(out, buf[:]...)
-}
-
-// Snapshot builds and signs a Merkle snapshot plus the tree needed to
-// serve inclusion proofs.
-func (l *List) Snapshot(signer *rsablind.Signer, now time.Time) (*Snapshot, *merkle.Tree, error) {
-	l.mu.RLock()
-	leaves := l.serialsLocked()
-	l.mu.RUnlock()
-	tree := merkle.Build(leaves)
-	snap := &Snapshot{Root: tree.Root(), Size: tree.Size(), IssuedAt: now.UTC()}
-	sig, err := signer.Sign(snapshotSigningBytes(snap.Root, snap.Size, snap.IssuedAt))
-	if err != nil {
-		return nil, nil, fmt.Errorf("revocation: sign snapshot: %w", err)
-	}
-	snap.Sig = sig
-	return snap, tree, nil
-}
-
-// VerifySnapshot checks the provider signature over a snapshot.
-func VerifySnapshot(pub *rsa.PublicKey, snap *Snapshot) error {
-	if snap == nil {
-		return errors.New("revocation: nil snapshot")
-	}
-	if err := rsablind.Verify(pub, snapshotSigningBytes(snap.Root, snap.Size, snap.IssuedAt), snap.Sig); err != nil {
-		return fmt.Errorf("revocation: snapshot signature: %w", err)
-	}
-	return nil
-}
-
-// ProveRevoked produces a Merkle inclusion proof that serial is in the
-// snapshot tree — the "this license is dead" receipt used during transfer.
-func ProveRevoked(tree *merkle.Tree, s license.Serial) (*merkle.Proof, error) {
-	return tree.Prove(s[:])
-}
-
-// VerifyRevoked checks an inclusion proof against a verified snapshot.
-func VerifyRevoked(snap *Snapshot, s license.Serial, proof *merkle.Proof) error {
-	return merkle.VerifyInclusion(snap.Root, s[:], proof)
 }

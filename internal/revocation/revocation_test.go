@@ -185,62 +185,6 @@ func TestSignedFilterTamperRejected(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndInclusionProof(t *testing.T) {
-	l := memList(t)
-	sgn := testSigner(t)
-	serials := make([]license.Serial, 20)
-	for i := range serials {
-		serials[i] = newSerial(t)
-		l.Add(serials[i])
-	}
-	snap, tree, err := l.Snapshot(sgn, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshot(sgn.Public(), snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Size != 20 {
-		t.Errorf("snapshot size = %d", snap.Size)
-	}
-	proof, err := ProveRevoked(tree, serials[7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyRevoked(snap, serials[7], proof); err != nil {
-		t.Errorf("inclusion proof rejected: %v", err)
-	}
-	// Proof must not transfer to another serial.
-	if err := VerifyRevoked(snap, serials[8], proof); err == nil {
-		t.Error("proof accepted for wrong serial")
-	}
-	// Absent serial has no proof.
-	if _, err := ProveRevoked(tree, newSerial(t)); err == nil {
-		t.Error("proof produced for non-revoked serial")
-	}
-}
-
-func TestSnapshotTamperRejected(t *testing.T) {
-	l := memList(t)
-	sgn := testSigner(t)
-	l.Add(newSerial(t))
-	snap, _, _ := l.Snapshot(sgn, time.Now())
-
-	bad := *snap
-	bad.Size++
-	if err := VerifySnapshot(sgn.Public(), &bad); err == nil {
-		t.Error("size-tampered snapshot accepted")
-	}
-	bad2 := *snap
-	bad2.Root[0] ^= 1
-	if err := VerifySnapshot(sgn.Public(), &bad2); err == nil {
-		t.Error("root-tampered snapshot accepted")
-	}
-	if err := VerifySnapshot(sgn.Public(), nil); err == nil {
-		t.Error("nil snapshot accepted")
-	}
-}
-
 func TestNoFalseNegativesAtScale(t *testing.T) {
 	l := memList(t)
 	var serials []license.Serial

@@ -214,82 +214,3 @@ func TestZipfSkewsContent(t *testing.T) {
 		t.Errorf("zipf head count = %d; distribution not skewed", counts["content-000"])
 	}
 }
-
-func TestRunConcurrent(t *testing.T) {
-	s := newSystem(t)
-	cfg := ConcurrentConfig{
-		Workers: 8, PerWorker: 3, Contents: 2,
-		PriceCredits: 1, TransferFraction: 0.5, Seed: 11,
-	}
-	if err := Populate(s, Config{Contents: cfg.Contents, PriceCredits: cfg.PriceCredits}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunConcurrent(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Purchases != cfg.Workers*cfg.PerWorker {
-		t.Errorf("purchases = %d, want %d", res.Purchases, cfg.Workers*cfg.PerWorker)
-	}
-	if res.OpsPerSec <= 0 {
-		t.Errorf("ops/sec = %f", res.OpsPerSec)
-	}
-	// The journal saw every purchase and both halves of every transfer.
-	var evP, evX, evR int
-	for _, e := range s.Provider.Events() {
-		switch e.Type {
-		case provider.EvPurchase:
-			evP++
-		case provider.EvExchange:
-			evX++
-		case provider.EvRedeem:
-			evR++
-		}
-	}
-	if evP != res.Purchases {
-		t.Errorf("journaled purchases = %d, want %d", evP, res.Purchases)
-	}
-	if evX != res.Transfers || evR != res.Transfers {
-		t.Errorf("journaled exchange/redeem = %d/%d, want %d", evX, evR, res.Transfers)
-	}
-}
-
-func TestRunConcurrentValidation(t *testing.T) {
-	s := newSystem(t)
-	if _, err := RunConcurrent(s, ConcurrentConfig{}); err == nil {
-		t.Error("zero config accepted")
-	}
-}
-
-// TestRunConcurrentErrorTallies is the error-attribution regression
-// test: a failing run must come back WITH the partial result and a
-// per-kind error tally, not just an opaque first error.
-func TestRunConcurrentErrorTallies(t *testing.T) {
-	s := newSystem(t)
-	// Populate one content but let the trace span two: every worker
-	// that draws the missing item fails its purchase.
-	if err := Populate(s, Config{Contents: 1, PriceCredits: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := ConcurrentConfig{
-		Workers: 4, PerWorker: 8, Contents: 2,
-		PriceCredits: 1, ZipfS: 1.01, Seed: 11,
-	}
-	res, err := RunConcurrent(s, cfg)
-	if err == nil {
-		t.Fatal("run against a missing catalog item succeeded")
-	}
-	if res == nil {
-		t.Fatal("failing run returned no partial result")
-	}
-	if res.Errors["purchase"] == 0 {
-		t.Errorf("error tally = %v, want purchase failures counted", res.Errors)
-	}
-	var total int
-	for _, n := range res.Errors {
-		total += n
-	}
-	if total == 0 {
-		t.Error("no errors tallied despite failed run")
-	}
-}

@@ -98,8 +98,6 @@ var coreFamilies = []string{
 	"p2drm_kvstore_segments",
 	"p2drm_kvstore_live_keys",
 	"p2drm_kvstore_compactions_total",
-	"p2drm_ops_operations",
-	"p2drm_ops_finished_total",
 	"p2drm_crypto_group_precomputed",
 	"p2drm_crypto_batch_verify_runs_total",
 	"p2drm_health_status",

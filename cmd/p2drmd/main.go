@@ -13,12 +13,10 @@
 // # API surface
 //
 // The daemon serves one API tree, /v2/ (see docs/rest.md): every
-// response is a snapd-style envelope, routes carry auth tiers, and
-// unbounded actions (compaction, revocation rebuild, replica
-// promotion/resync) run as background operations pollable at
-// GET /v2/operations/{id}. Operations persist in a kvstore under
-// <state>/ops, so work in flight at a crash is re-adopted — resumed or
-// marked aborted — on the next start.
+// response is a snapd-style envelope and routes carry auth tiers. Every
+// action answers in its own request, the admin ones (compaction,
+// revocation rebuild, replica promotion/resync) included; each is
+// idempotent, so one cut off by a crash is sent again.
 //
 // -user-token and -admin-token configure bearer credentials for the
 // auth tiers; with both empty the API is open (every caller is admin), which keeps demo setups
@@ -61,7 +59,7 @@
 // (snapshot bootstrap, then incremental WAL-segment shipping with
 // reconnect/backoff, polling every 500 ms when idle) and serves
 // read-only traffic while rejecting writes with 403. POST
-// /v2/replica/promote (async) stops replication and opens the local
+// /v2/replica/promote stops replication and opens the local
 // stores for writes; POST /v2/replica/resync forces a fresh snapshot
 // bootstrap (see internal/replica for the protocol and failover
 // semantics).
@@ -87,19 +85,10 @@ import (
 	"p2drm/internal/httpapi"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
-	"p2drm/internal/ops"
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
 	"p2drm/internal/rel"
 	"p2drm/internal/replica"
-)
-
-// opsGCEvery / opsGCRetain pace the background reaping of terminal
-// operations: poll-once-a-minute granularity, an hour for clients to
-// collect results.
-const (
-	opsGCEvery  = time.Minute
-	opsGCRetain = time.Hour
 )
 
 // Connection bounds on every listener (public, replica, admin socket): a
@@ -120,9 +109,9 @@ const (
 const replicaPoll = 500 * time.Millisecond
 
 // walOpts is how every durable store of the daemon opens: group commit,
-// so an acknowledged write is fsynced before its response (an operation
-// record, a spent coin or a redeemed serial that vanishes in a crash
-// defeats its store's purpose), with the kvstore's default index shards
+// so an acknowledged write is fsynced before its response (a spent coin
+// or a redeemed serial that vanishes in a crash defeats its store's
+// purpose), with the kvstore's default index shards
 // and segment size.
 var walOpts = kvstore.Options{
 	Sync: kvstore.SyncGroupCommit,
@@ -242,11 +231,10 @@ func main() {
 		fatal("provider key", "err", err)
 	}
 
-	bankDir, provDir, opsDir := "", "", ""
+	bankDir, provDir := "", ""
 	if fl.stateDir != "" {
 		bankDir = fl.stateDir + "/bank"
 		provDir = fl.stateDir + "/provider"
-		opsDir = fl.stateDir + "/ops"
 	}
 	spent, err := kvstore.OpenWith(bankDir, walOpts)
 	if err != nil {
@@ -275,7 +263,6 @@ func main() {
 	if err != nil {
 		fatal("provider", "err", err)
 	}
-	reg, opsStore := openOps(opsDir)
 
 	if fl.seedDemo {
 		template := rel.MustParse(`
@@ -319,7 +306,6 @@ valid until "2030-01-01T00:00:00Z";
 		WithStoreStats("bank", spent).
 		WithReplicaSource("provider", replica.NewSource(store)).
 		WithReplicaSource("bank", replica.NewSource(spent)).
-		WithOps(reg).
 		WithAuth(auth)
 	// Feed the storage engines' timing hooks into the same registry
 	// /v2/metrics renders: fsync/commit-wait/compaction per store.
@@ -327,19 +313,6 @@ valid until "2030-01-01T00:00:00Z";
 	plane.SLO.SetLatencyTarget(fl.sloLatency)
 	store.SetObserver(httpapi.StoreObserver(plane, "provider"))
 	spent.SetObserver(httpapi.StoreObserver(plane, "bank"))
-	if opsStore != nil {
-		opsStore.SetObserver(httpapi.StoreObserver(plane, "ops"))
-		// The ops store is wired outside WithStoreStats, so its WAL and
-		// compaction health probes need explicit registration.
-		httpapi.StoreHealth(plane, "ops", opsStore)
-	}
-	// Adopt operations a previous process left running (the registry is
-	// durable under <state>/ops): idempotent kinds re-run, the rest are
-	// marked aborted but stay pollable.
-	if resumed, aborted := handler.ResumeOps(); resumed+aborted > 0 {
-		slog.Info("adopted operations from previous run", "resumed", resumed, "aborted", aborted)
-	}
-	go opsGCLoop(ctx, reg)
 
 	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
@@ -350,17 +323,11 @@ valid until "2030-01-01T00:00:00Z";
 	// path must run it. (The fatal calls above run before any protocol
 	// state exists, so they may exit without it.)
 	closeStores := func() {
-		reg.Close() // settle in-flight operation persists first
 		if err := store.Close(); err != nil {
 			slog.Error("close provider store", "err", err)
 		}
 		if err := spent.Close(); err != nil {
 			slog.Error("close bank store", "err", err)
-		}
-		if opsStore != nil {
-			if err := opsStore.Close(); err != nil {
-				slog.Error("close ops store", "err", err)
-			}
 		}
 	}
 	errc := make(chan error, 1)
@@ -389,41 +356,6 @@ valid until "2030-01-01T00:00:00Z";
 		}
 	}
 	closeStores()
-}
-
-// openOps builds the operations registry: kvstore-backed when the
-// daemon has a state directory (so operations survive restarts),
-// volatile otherwise.
-func openOps(dir string) (*ops.Registry, *kvstore.Store) {
-	if dir == "" {
-		return ops.New(nil), nil
-	}
-	st, err := kvstore.OpenWith(dir, walOpts)
-	if err != nil {
-		fatal("ops store", "err", err)
-	}
-	return ops.New(st), st
-}
-
-// opsGCLoop reaps terminal operations older than opsGCRetain until ctx
-// is done.
-func opsGCLoop(ctx context.Context, reg *ops.Registry) {
-	t := time.NewTicker(opsGCEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			res := reg.GC(opsGCRetain)
-			if res.Reaped > 0 {
-				slog.Info("reaped finished operations", "reaped", res.Reaped, "by_kind", res.ByKind)
-			}
-			if len(res.Errors) > 0 {
-				slog.Warn("ops GC could not delete operations", "errors", res.Errors)
-			}
-		}
-	}
 }
 
 // serveAdminSocket serves handler on a unix socket whose callers are
@@ -506,30 +438,17 @@ func runReplica(fl *flagValues, auth httpapi.Auth) {
 		f.Start()
 		followers[name] = f
 	}
-	opsDir := ""
-	if fl.stateDir != "" {
-		opsDir = fl.stateDir + "/replica-ops"
-	}
-	reg, opsStore := openOps(opsDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	handler := httpapi.NewReplicaServer(followers).WithOps(reg).WithAuth(auth)
+	handler := httpapi.NewReplicaServer(followers).WithAuth(auth)
 	// Feed fetch/apply timings into the follower server's registry.
 	plane := handler.Obs()
 	plane.SLO.SetLatencyTarget(fl.sloLatency)
 	for name, f := range followers {
 		f.SetObserver(httpapi.FollowerObserver(plane, name))
 	}
-	if opsStore != nil {
-		opsStore.SetObserver(httpapi.StoreObserver(plane, "ops"))
-		httpapi.StoreHealth(plane, "ops", opsStore)
-	}
-	if resumed, aborted := handler.ResumeOps(); resumed+aborted > 0 {
-		slog.Info("adopted operations from previous run", "resumed", resumed, "aborted", aborted)
-	}
-	go opsGCLoop(ctx, reg)
 
 	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
@@ -542,15 +461,9 @@ func runReplica(fl *flagValues, auth httpapi.Auth) {
 		errc <- srv.ListenAndServe()
 	}()
 	closeFollowers := func() {
-		reg.Close()
 		for name, f := range followers {
 			if err := f.Close(); err != nil {
 				slog.Error("close replica", "store", name, "err", err)
-			}
-		}
-		if opsStore != nil {
-			if err := opsStore.Close(); err != nil {
-				slog.Error("close ops store", "err", err)
 			}
 		}
 	}

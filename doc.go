@@ -10,13 +10,12 @@
 //
 // Deployment shape: cmd/p2drmd serves the provider + demo bank over
 // HTTP on one API tree, /v2/ (snapd-style response envelope,
-// guest/user/admin auth tiers, unbounded work as durable background
-// operations pollable at /v2/operations/{id}; see docs/rest.md for the
-// full reference and internal/httpapi + internal/ops for the
-// machinery). A
-// second daemon started with -replica-of=<primary-url> runs as a read
-// replica (snapshot + WAL-segment shipping, async promotion/resync on
-// failover) — see internal/replica for the replication protocol.
+// guest/user/admin auth tiers, every action answered in its own
+// request; see docs/rest.md for the full reference and internal/httpapi
+// for the machinery). A second daemon started with
+// -replica-of=<primary-url> runs as a read replica (snapshot +
+// WAL-segment shipping, promotion/resync on failover) — see
+// internal/replica for the replication protocol.
 //
 // Development workflow: the Makefile mirrors the CI pipeline
 // (.github/workflows/ci.yml) — `make ci` runs build, vet, gofmt check,

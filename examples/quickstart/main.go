@@ -1,18 +1,16 @@
 // Quickstart: stand up a P2DRM world in-process, buy a song anonymously,
 // play it on a compliant device, then talk to the same provider over
-// the /v2 REST API with the client SDK (envelope decoding + background
-// operations).
+// the /v2 REST API with the client SDK (envelope decoding and an admin
+// action).
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
-	"time"
 
 	"p2drm/internal/core"
 	"p2drm/internal/cryptox/schnorr"
@@ -99,22 +97,11 @@ delegate allow;
 	fmt.Printf("\n/v2/catalog: %d item(s); first: %q at %d credits\n",
 		len(catalog), catalog[0].Title, catalog[0].PriceCredits)
 
-	// Async request: revocation-filter rebuild returns 202 + an
-	// operation; WaitOperation polls /v2/operations/{id} until it is
-	// terminal and OperationResult unpacks the typed result.
-	op, err := client.RebuildRevocationFilter()
+	// Admin action: the revocation-filter rebuild answers in the same
+	// request, with the new filter generation as its result.
+	rebuilt, err := client.RebuildRevocationFilter()
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if op, err = client.WaitOperation(ctx, op.ID, 25*time.Millisecond); err != nil {
-		log.Fatal(err)
-	}
-	var rebuilt httpapi.RebuildResult
-	if err := httpapi.OperationResult(op, &rebuilt); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("/v2/revocation/rebuild: operation %s %s, filter generation %d\n",
-		op.ID, op.Status, rebuilt.Generation)
+	fmt.Printf("/v2/revocation/rebuild: filter generation %d\n", rebuilt.Generation)
 }

@@ -78,7 +78,6 @@ type User struct {
 
 	mu            sync.Mutex
 	nextPseudonym uint32
-	wallet        []*license.Personalized
 	pseudonymOf   map[license.Serial]uint32
 }
 
@@ -171,33 +170,6 @@ func (u *User) FreshPseudonym() uint32 {
 	return idx
 }
 
-// Wallet returns the user's held licenses.
-func (u *User) Wallet() []*license.Personalized {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return append([]*license.Personalized(nil), u.wallet...)
-}
-
-// addLicense stores a license in the wallet.
-func (u *User) addLicense(l *license.Personalized) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.wallet = append(u.wallet, l)
-}
-
-// dropLicense removes a license (after transfer).
-func (u *User) dropLicense(serial license.Serial) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	kept := u.wallet[:0]
-	for _, l := range u.wallet {
-		if l.Serial != serial {
-			kept = append(kept, l)
-		}
-	}
-	u.wallet = kept
-}
-
 // register runs the pseudonym registration protocol.
 func (s *System) register(u *User, index uint32) (signPub, encPub []byte, err error) {
 	ps, err := u.Card.Pseudonym(index)
@@ -250,7 +222,6 @@ func (s *System) PurchaseWithPseudonym(u *User, contentID license.ContentID, ind
 	if err != nil {
 		return nil, err
 	}
-	u.addLicense(lic)
 	// Remember which pseudonym the license binds to, for later use.
 	u.mu.Lock()
 	u.pseudonymOf[lic.Serial] = index
@@ -321,7 +292,6 @@ func (s *System) Exchange(u *User, lic *license.Personalized) (*license.Anonymou
 			return nil, err
 		}
 	}
-	u.dropLicense(lic.Serial)
 	return &license.Anonymous{Serial: serial, Denom: denomID, Sig: sig}, nil
 }
 
@@ -337,7 +307,6 @@ func (s *System) Redeem(u *User, anon *license.Anonymous) (*license.Personalized
 	if err != nil {
 		return nil, err
 	}
-	u.addLicense(lic)
 	u.mu.Lock()
 	u.pseudonymOf[lic.Serial] = idx
 	u.mu.Unlock()

@@ -51,9 +51,6 @@ func TestPurchaseAndPlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alice.Wallet()) != 1 {
-		t.Errorf("wallet size = %d", len(alice.Wallet()))
-	}
 	if bal, _ := s.Bank.Balance("alice"); bal != 7 {
 		t.Errorf("alice balance = %d, want 7", bal)
 	}
@@ -90,12 +87,6 @@ func TestTransferEndToEnd(t *testing.T) {
 	newLic, err := s.Transfer(alice, lic, bob)
 	if err != nil {
 		t.Fatalf("transfer: %v", err)
-	}
-	if len(alice.Wallet()) != 0 {
-		t.Error("alice kept the license after transfer")
-	}
-	if len(bob.Wallet()) != 1 {
-		t.Error("bob did not receive the license")
 	}
 	// Old license dead, new license plays.
 	if !s.Provider.Revoked(lic.Serial) {

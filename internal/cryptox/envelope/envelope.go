@@ -7,12 +7,14 @@
 //     AES-256-CTR with an HMAC-SHA256 tag (encrypt-then-MAC), chunked so
 //     devices can decrypt large items in bounded memory and seek to chunk
 //     boundaries.
-//   - The content key is wrapped per-license to the buyer's key with
-//     RSA-OAEP, so possession of a license is possession of the key.
+//   - A short message is sealed whole under the same construction
+//     (Seal/Open). license.WrapKey seals each licence's content key this
+//     way under a key-encryption key from the dlkem KEM, so possession of
+//     the licence holder's key is possession of the content key.
 //
-// AES-GCM would do for the wrap path, but CTR+HMAC is written out here for
-// the streaming path to keep the construction explicit and auditable, per
-// the reproduction's hand-rolled-primitives mandate.
+// AES-GCM would do for the short path, but CTR+HMAC is written out here
+// for the streaming path to keep the construction explicit and auditable,
+// per the reproduction's hand-rolled-primitives mandate.
 package envelope
 
 import (
@@ -21,7 +23,6 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -54,34 +55,6 @@ func NewContentKey() ([]byte, error) {
 	k := make([]byte, KeyLen)
 	if _, err := io.ReadFull(rand.Reader, k); err != nil {
 		return nil, fmt.Errorf("envelope: keygen: %w", err)
-	}
-	return k, nil
-}
-
-// WrapKey encrypts a content key to a license holder's RSA public key with
-// OAEP. The label binds the wrap to a license context (content ID +
-// license serial), so a wrapped key lifted from one license cannot be
-// decrypted in the context of another.
-func WrapKey(pub *rsa.PublicKey, contentKey []byte, label []byte) ([]byte, error) {
-	if len(contentKey) != KeyLen {
-		return nil, fmt.Errorf("envelope: content key must be %d bytes, got %d", KeyLen, len(contentKey))
-	}
-	out, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, contentKey, label)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: wrap: %w", err)
-	}
-	return out, nil
-}
-
-// UnwrapKey decrypts a wrapped content key with the matching private key
-// and the same label used at wrap time.
-func UnwrapKey(priv *rsa.PrivateKey, wrapped []byte, label []byte) ([]byte, error) {
-	k, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, priv, wrapped, label)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: unwrap: %w", err)
-	}
-	if len(k) != KeyLen {
-		return nil, ErrFormat
 	}
 	return k, nil
 }

@@ -109,39 +109,6 @@ func TestSealRejectsBadKey(t *testing.T) {
 	}
 }
 
-func TestWrapUnwrapKey(t *testing.T) {
-	priv := testRSA(t)
-	k := mustKey(t)
-	label := []byte("content-3|serial-77")
-	wrapped, err := WrapKey(&priv.PublicKey, k, label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnwrapKey(priv, wrapped, label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, k) {
-		t.Error("unwrapped key differs")
-	}
-}
-
-func TestUnwrapRejectsWrongLabel(t *testing.T) {
-	priv := testRSA(t)
-	k := mustKey(t)
-	wrapped, _ := WrapKey(&priv.PublicKey, k, []byte("license-A"))
-	if _, err := UnwrapKey(priv, wrapped, []byte("license-B")); err == nil {
-		t.Error("context confusion: wrong label accepted")
-	}
-}
-
-func TestWrapRejectsBadKeyLen(t *testing.T) {
-	priv := testRSA(t)
-	if _, err := WrapKey(&priv.PublicKey, []byte("short"), nil); err == nil {
-		t.Error("short content key accepted")
-	}
-}
-
 func TestStreamRoundtrip(t *testing.T) {
 	k := mustKey(t)
 	sizes := []int{0, 1, 100, DefaultChunkSize, DefaultChunkSize + 1, 3*1024 + 17}

@@ -35,21 +35,6 @@ func poolKey(pub *rsa.PublicKey) string {
 	return string(h.Sum(nil))
 }
 
-func newFactor(pub *rsa.PublicKey) (blindingFactor, error) {
-	for {
-		r, err := randomUnit(pub.N, rand.Reader)
-		if err != nil {
-			return blindingFactor{}, err
-		}
-		rInv := maskedInverse(pub.N, r)
-		if rInv == nil {
-			continue // gcd(r, N) != 1: astronomically rare
-		}
-		re := new(big.Int).Exp(r, big.NewInt(int64(pub.E)), pub.N)
-		return blindingFactor{re: re, rInv: rInv}, nil
-	}
-}
-
 // EnableBlindingPool starts a background-filled pool of blinding
 // factors for pub (idempotent per key).
 func EnableBlindingPool(pub *rsa.PublicKey, capacity, fillers int) {
@@ -58,7 +43,7 @@ func EnableBlindingPool(pub *rsa.PublicKey, capacity, fillers int) {
 		return
 	}
 	p := precomp.NewPool(capacity, fillers, func() (blindingFactor, error) {
-		return newFactor(pub)
+		return newFactor(pub, rand.Reader)
 	})
 	if _, loaded := blindPools.LoadOrStore(key, p); loaded {
 		p.Close()

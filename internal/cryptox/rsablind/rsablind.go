@@ -121,54 +121,51 @@ func Blind(pub *rsa.PublicKey, msg []byte, random io.Reader) ([]byte, *State, er
 		return nil, nil, errors.New("rsablind: nil or invalid public key")
 	}
 	m := fdh(pub.N, msg)
+	f, ok := blindingFactor{}, false
 	if random == rand.Reader {
-		if f, ok := drawFactor(pub); ok {
-			blinded := new(big.Int).Mul(m, f.re)
-			blinded.Mod(blinded, pub.N)
-			st := &State{msg: append([]byte(nil), msg...), rInv: f.rInv}
-			return toFixed(blinded, pub.N), st, nil
-		}
+		f, ok = drawFactor(pub)
 	}
-	for tries := 0; tries < 64; tries++ {
-		r, err := randomUnit(pub.N, random)
-		if err != nil {
+	if !ok {
+		var err error
+		if f, err = newFactor(pub, random); err != nil {
 			return nil, nil, err
 		}
-		rInv := maskedInverse(pub.N, r)
-		if rInv == nil {
-			continue // r not invertible (gcd != 1): astronomically rare, retry
-		}
-		e := big.NewInt(int64(pub.E))
-		re := new(big.Int).Exp(r, e, pub.N)
-		blinded := new(big.Int).Mul(m, re)
-		blinded.Mod(blinded, pub.N)
-		st := &State{msg: append([]byte(nil), msg...), rInv: rInv}
-		return toFixed(blinded, pub.N), st, nil
 	}
-	return nil, nil, errors.New("rsablind: could not find invertible blinding factor")
+	blinded := new(big.Int).Mul(m, f.re)
+	blinded.Mod(blinded, pub.N)
+	st := &State{msg: append([]byte(nil), msg...), rInv: f.rInv}
+	return toFixed(blinded, pub.N), st, nil
 }
 
-// maskedInverse computes r^-1 mod n without running math/big's
-// (non-constant-time) extended GCD directly on the secret r: it inverts
-// the masked value r·s for a throwaway random s and unmasks the result,
-// (r·s)^-1·s = r^-1, so inversion timing is decorrelated from r. The
-// mask always comes from crypto/rand — it influences only timing, never
-// the result, so callers with deterministic readers still consume
-// exactly the bytes they always did. Returns nil when r (or the mask)
-// is not invertible.
-func maskedInverse(n, r *big.Int) *big.Int {
-	s, err := randomUnit(n, rand.Reader)
-	if err != nil {
-		return new(big.Int).ModInverse(r, n) // no randomness: inline, unmasked
+// newFactor draws a blinding factor r from random and returns r^e and
+// r^-1 mod N computed on r·u for a fresh unit u, never on r:
+// (r·u)^e · (u^-1)^e = r^e. One inversion, of w = r·u², yields both
+// inverses: r^-1 = w^-1·u² and u^-1 = w^-1·r·u. math/big's Exp and
+// ModInverse take operand-dependent time, measurable on a reused r
+// (TestTimingBlind). u comes from crypto/rand and changes only timing,
+// so a deterministic reader still yields the same factor.
+func newFactor(pub *rsa.PublicKey, random io.Reader) (blindingFactor, error) {
+	n, e := pub.N, big.NewInt(int64(pub.E))
+	mulMod := func(x, y *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Mul(x, y), n) }
+	for tries := 0; tries < 64; tries++ {
+		r, err := randomUnit(n, random)
+		if err != nil {
+			return blindingFactor{}, err
+		}
+		u, err := randomUnit(n, rand.Reader)
+		if err != nil {
+			u = big.NewInt(1) // no randomness for the mask: unmasked
+		}
+		ru := mulMod(r, u)
+		wInv := new(big.Int).ModInverse(mulMod(ru, u), n)
+		if wInv == nil {
+			continue // gcd(r·u, N) != 1: astronomically rare, retry
+		}
+		uInv := mulMod(wInv, ru)
+		re := mulMod(new(big.Int).Exp(ru, e, n), uInv.Exp(uInv, e, n))
+		return blindingFactor{re: re, rInv: mulMod(mulMod(wInv, u), u)}, nil
 	}
-	rs := new(big.Int).Mul(r, s)
-	rs.Mod(rs, n)
-	rsInv := rs.ModInverse(rs, n)
-	if rsInv == nil {
-		return nil
-	}
-	rInv := rsInv.Mul(rsInv, s)
-	return rInv.Mod(rInv, n)
+	return blindingFactor{}, errors.New("rsablind: could not find invertible blinding factor")
 }
 
 // Signer holds the private key that signs blinded values.

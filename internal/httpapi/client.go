@@ -3,11 +3,10 @@ package httpapi
 // The client SDK's transport: one request helper that attaches the
 // bearer token, one envelope decoder that parses each response body in
 // a single pass, APIError carrying the server's error kind, and the
-// operation polling helpers.
+// admin actions.
 
 import (
 	"bytes"
-	"context"
 	"crypto/rsa"
 	"encoding/json"
 	"errors"
@@ -20,7 +19,6 @@ import (
 
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/license"
-	"p2drm/internal/ops"
 )
 
 // Client is the SDK speaking to a Server or ReplicaServer. It is safe for
@@ -87,24 +85,17 @@ func (c *Client) send(method, path string, in any) (*http.Response, error) {
 	return c.HTTP.Do(req)
 }
 
-// reply is what a JSON round trip reports besides the decoded result.
-type reply struct {
-	Type   string // envelope type: sync or async
-	Status int    // HTTP status code
-}
-
 // roundTrip is the one JSON transport: it sends the request and decodes
-// the envelope, the result going straight into out (nil discards it).
-// An error envelope comes back as *APIError and never touches out.
-func (c *Client) roundTrip(method, path string, in, out any) (reply, error) {
+// the envelope, the result going straight into out (nil discards it),
+// and reports the HTTP status. An error envelope comes back as
+// *APIError and never touches out.
+func (c *Client) roundTrip(method, path string, in, out any) (int, error) {
 	resp, err := c.send(method, path, in)
 	if err != nil {
-		return reply{}, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	rep := reply{Status: resp.StatusCode}
-	rep.Type, err = decodeEnvelope(resp.Body, resp.StatusCode, out)
-	return rep, err
+	return resp.StatusCode, decodeEnvelope(resp.Body, resp.StatusCode, out)
 }
 
 // call is roundTrip for callers that need only the result.
@@ -125,7 +116,7 @@ func (c *Client) stream(path string) (*http.Response, error) {
 		return resp, nil
 	}
 	defer resp.Body.Close()
-	if _, err := decodeEnvelope(resp.Body, resp.StatusCode, nil); err != nil {
+	if err := decodeEnvelope(resp.Body, resp.StatusCode, nil); err != nil {
 		return nil, err
 	}
 	return nil, fmt.Errorf("httpapi: status %d", resp.StatusCode)
@@ -162,15 +153,16 @@ func readBody(resp *http.Response) ([]byte, error) {
 
 // decodeEnvelope reads one envelope from body in a single pass: it
 // walks the frame's keys and decodes "result" directly into its
-// destination — out for sync/async, an *APIError for error — so a large
+// destination — out for sync, an *APIError for error — so a large
 // result is never buffered as raw JSON and parsed a second time. The
 // destination is chosen by "type", which the server always writes
-// first; a frame that puts "result" ahead of it is rejected rather than
-// guessed at.
-func decodeEnvelope(body io.Reader, status int, out any) (typ string, err error) {
-	bad := func(err error) (string, error) {
-		return "", fmt.Errorf("httpapi: bad envelope (status %d): %w", status, err)
+// first; a frame that puts "result" ahead of it, or names another type,
+// is rejected rather than guessed at.
+func decodeEnvelope(body io.Reader, status int, out any) error {
+	bad := func(err error) error {
+		return fmt.Errorf("httpapi: bad envelope (status %d): %w", status, err)
 	}
+	var typ string
 	dec := json.NewDecoder(body)
 	if t, err := dec.Token(); err != nil {
 		return bad(err)
@@ -196,7 +188,7 @@ func decodeEnvelope(body io.Reader, status int, out any) (typ string, err error)
 				return bad(errors.New("result precedes type"))
 			case typ == "error":
 				dst = &er
-			case out != nil:
+			case typ == "sync" && out != nil:
 				dst = out
 			}
 		}
@@ -208,118 +200,47 @@ func decodeEnvelope(body io.Reader, status int, out any) (typ string, err error)
 		return bad(err)
 	}
 	switch typ {
-	case "":
-		return bad(errors.New("no type"))
-	case "error":
-		return typ, &APIError{StatusCode: status, Kind: er.Kind, Message: er.Message}
-	}
-	return typ, nil
-}
-
-// postAsync posts to an async route and returns the spawned operation
-// snapshot.
-func (c *Client) postAsync(path string) (*ops.Operation, error) {
-	var op ops.Operation
-	rep, err := c.roundTrip("POST", path, nil, &op)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Type != "async" {
-		return nil, fmt.Errorf("httpapi: expected async envelope, got %q", rep.Type)
-	}
-	return &op, nil
-}
-
-// Operation polls one operation by ID.
-func (c *Client) Operation(id string) (*ops.Operation, error) {
-	var op ops.Operation
-	if err := c.call("GET", OperationURL(id), nil, &op); err != nil {
-		return nil, err
-	}
-	return &op, nil
-}
-
-// Operations lists the daemon's operations, newest first.
-func (c *Client) Operations() ([]ops.Operation, error) {
-	var resp OperationsResponse
-	if err := c.call("GET", "/v2/operations", nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Operations, nil
-}
-
-// DeleteOperation removes a terminal operation from the registry.
-func (c *Client) DeleteOperation(id string) error {
-	return c.call("DELETE", OperationURL(id), nil, nil)
-}
-
-// WaitOperation polls an operation every poll interval until it reaches
-// a terminal status or ctx expires. A zero poll defaults to 50ms.
-func (c *Client) WaitOperation(ctx context.Context, id string, poll time.Duration) (*ops.Operation, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		op, err := c.Operation(id)
-		if err != nil {
-			return nil, err
-		}
-		if op.Status.Terminal() {
-			return op, nil
-		}
-		select {
-		case <-ctx.Done():
-			return op, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-// OperationResult decodes a terminal operation's result into out,
-// surfacing failed/aborted operations as errors.
-func OperationResult(op *ops.Operation, out any) error {
-	switch op.Status {
-	case ops.StatusDone:
-	case ops.StatusError, ops.StatusAborted:
-		return fmt.Errorf("httpapi: operation %s %s: %s", op.ID, op.Status, op.Error)
-	default:
-		return fmt.Errorf("httpapi: operation %s still %s", op.ID, op.Status)
-	}
-	if out == nil {
+	case "sync":
 		return nil
+	case "error":
+		return &APIError{StatusCode: status, Kind: er.Kind, Message: er.Message}
 	}
-	return json.Unmarshal(op.Result, out)
+	return bad(fmt.Errorf("unknown type %q", typ))
 }
 
-// --- operation starters ---
+// --- admin actions (admin tier); each answers when its work is done ---
 
-// CompactStore starts a full compaction of a named store and returns
-// the operation to poll (admin tier).
-func (c *Client) CompactStore(store string) (*ops.Operation, error) {
-	return c.postAsync("/v2/compact?store=" + url.QueryEscape(store))
+// adminPost runs one admin action and decodes its result.
+func adminPost[T any](c *Client, path string) (*T, error) {
+	var res T
+	if err := c.call("POST", path, nil, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
-// RebuildRevocationFilter starts a revocation bloom rebuild and returns
-// the operation to poll (admin tier).
-func (c *Client) RebuildRevocationFilter() (*ops.Operation, error) {
-	return c.postAsync("/v2/revocation/rebuild")
+// CompactStore runs a full compaction of a named store.
+func (c *Client) CompactStore(store string) (*CompactResult, error) {
+	return adminPost[CompactResult](c, "/v2/compact?store="+url.QueryEscape(store))
 }
 
-// PromoteAsync starts follower promotion on a replica daemon and
-// returns the operation to poll (admin tier).
-func (c *Client) PromoteAsync() (*ops.Operation, error) {
-	return c.postAsync("/v2/replica/promote")
+// RebuildRevocationFilter rebuilds the revocation Bloom filter.
+func (c *Client) RebuildRevocationFilter() (*RebuildResult, error) {
+	return adminPost[RebuildResult](c, "/v2/revocation/rebuild")
 }
 
-// ResyncReplica starts a snapshot re-bootstrap on a replica daemon
-// (store == "" resyncs all stores) and returns the operation to poll
-// (admin tier).
-func (c *Client) ResyncReplica(store string) (*ops.Operation, error) {
+// Promote opens a replica daemon's stores for writes.
+func (c *Client) Promote() (*PromoteResult, error) {
+	return adminPost[PromoteResult](c, "/v2/replica/promote")
+}
+
+// ResyncReplica re-bootstraps a replica daemon from a fresh snapshot
+// (store == "" resyncs all stores). Stores that failed while others
+// succeeded are listed in the result's Errors.
+func (c *Client) ResyncReplica(store string) (*ResyncResult, error) {
 	p := "/v2/replica/resync"
 	if store != "" {
 		p += "?store=" + url.QueryEscape(store)
 	}
-	return c.postAsync(p)
+	return adminPost[ResyncResult](c, p)
 }

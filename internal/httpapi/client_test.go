@@ -27,7 +27,7 @@ func TestDecodeEnvelopeErrorNeverReachesOut(t *testing.T) {
 	out := KVValueResponse{Value: "untouched"}
 	body := `{"type":"error","status":"Forbidden","status-code":403,` +
 		`"result":{"message":"nope","kind":"rejected","found":true,"value":"leaked"}}`
-	_, err := decodeEnvelope(strings.NewReader(body), 403, &out)
+	err := decodeEnvelope(strings.NewReader(body), 403, &out)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Kind != "rejected" || apiErr.Message != "nope" || apiErr.StatusCode != 403 {
 		t.Fatalf("err = %v, want the envelope's APIError", err)
@@ -39,7 +39,7 @@ func TestDecodeEnvelopeErrorNeverReachesOut(t *testing.T) {
 	// The destination is chosen by "type"; a frame that hides it behind
 	// the result is refused before anything is decoded.
 	body = `{"result":{"found":true,"value":"leaked"},"type":"error","status-code":403}`
-	if _, err := decodeEnvelope(strings.NewReader(body), 403, &out); err == nil || errors.As(err, &apiErr) {
+	if err := decodeEnvelope(strings.NewReader(body), 403, &out); err == nil || errors.As(err, &apiErr) {
 		t.Errorf("result-before-type frame: err = %v, want a bad-envelope error", err)
 	}
 	if out.Found || out.Value != "untouched" {
@@ -47,12 +47,14 @@ func TestDecodeEnvelopeErrorNeverReachesOut(t *testing.T) {
 	}
 
 	// The happy path decodes the same shape straight into out.
-	typ, err := decodeEnvelope(strings.NewReader(`{"type":"sync","status-code":200,"result":{"found":true,"value":"v"}}`), 200, &out)
-	if err != nil || typ != "sync" || !out.Found || out.Value != "v" {
-		t.Errorf("sync envelope: typ %q out %+v err %v", typ, out, err)
+	err = decodeEnvelope(strings.NewReader(`{"type":"sync","status-code":200,"result":{"found":true,"value":"v"}}`), 200, &out)
+	if err != nil || !out.Found || out.Value != "v" {
+		t.Errorf("sync envelope: out %+v err %v", out, err)
 	}
-	for _, bad := range []string{``, `[]`, `{}`, `{"type":"sync","result":`, `{"type":"sync","result":{}`, `<html>502</html>`} {
-		if _, err := decodeEnvelope(strings.NewReader(bad), 502, nil); err == nil {
+	// Sync and error are the only types; the retired async one is refused.
+	for _, bad := range []string{``, `[]`, `{}`, `{"type":"sync","result":`, `{"type":"sync","result":{}`, `<html>502</html>`,
+		`{"type":"async","status-code":202,"result":{}}`, `{"type":"async","status-code":202}`} {
+		if err := decodeEnvelope(strings.NewReader(bad), 502, nil); err == nil {
 			t.Errorf("body %q accepted as an envelope", bad)
 		}
 	}

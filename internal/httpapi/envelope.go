@@ -1,17 +1,15 @@
 package httpapi
 
 // The /v2/ response envelope, modeled on snapd's REST design. Every
-// /v2/ endpoint answers one of three envelope types:
+// /v2/ endpoint answers one of two envelope types:
 //
 //	{"type":"sync","status":"OK","status-code":200,"result":...}
-//	{"type":"async","status":"Accepted","status-code":202,
-//	 "operation":"/v2/operations/<id>","result":{...operation doc...}}
 //	{"type":"error","status":"...","status-code":4xx|5xx,
 //	 "result":{"message":"...","kind":"..."}}
 //
-// A 202 async response also sets the Location header to the operation
-// URL; the embedded operation document is a convenience snapshot — the
-// authoritative state is always GET /v2/operations/{id}.
+// snapd adds a third, 202 "async" with a pollable operation, for work
+// that outlives a request. Nothing here does: the admin actions finish
+// inside their own request, so every answer is final.
 
 import (
 	"encoding/json"
@@ -23,7 +21,6 @@ import (
 
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/obs"
-	"p2drm/internal/ops"
 	"p2drm/internal/provider"
 )
 
@@ -51,17 +48,6 @@ func (t Tier) String() string {
 	}
 }
 
-// RouteKind classifies a route's response shape for the API reference.
-type RouteKind string
-
-// KindSync answers inline; KindAsync answers 202 + operation URL;
-// KindStream answers raw bytes (content blobs, WAL segments).
-const (
-	KindSync   RouteKind = "sync"
-	KindAsync  RouteKind = "async"
-	KindStream RouteKind = "stream"
-)
-
 // Route is one registered route's metadata. The route table is
 // exported (Routes) so the docs drift test can diff it against
 // docs/rest.md.
@@ -69,7 +55,6 @@ type Route struct {
 	Method string
 	Path   string
 	Tier   Tier
-	Kind   RouteKind
 }
 
 // apiError is a transport-level error: an HTTP status, a stable
@@ -149,7 +134,6 @@ type envelope struct {
 	Type       string `json:"type"`
 	Status     string `json:"status"`
 	StatusCode int    `json:"status-code"`
-	Operation  string `json:"operation,omitempty"`
 	Result     any    `json:"result,omitempty"`
 }
 
@@ -158,9 +142,6 @@ type errorResult struct {
 	Message string `json:"message"`
 	Kind    string `json:"kind,omitempty"`
 }
-
-// OperationURL returns the pollable URL for an operation ID.
-func OperationURL(id string) string { return "/v2/operations/" + id }
 
 func writeEnvelope(w http.ResponseWriter, env envelope) {
 	w.Header().Set("Content-Type", "application/json")
@@ -173,17 +154,6 @@ func writeSync(w http.ResponseWriter, result any) {
 	writeEnvelope(w, envelope{
 		Type: "sync", Status: http.StatusText(http.StatusOK),
 		StatusCode: http.StatusOK, Result: result,
-	})
-}
-
-// writeAsync answers 202 Accepted with the operation document and its
-// pollable URL (also in the Location header).
-func writeAsync(w http.ResponseWriter, op ops.Operation) {
-	url := OperationURL(op.ID)
-	w.Header().Set("Location", url)
-	writeEnvelope(w, envelope{
-		Type: "async", Status: http.StatusText(http.StatusAccepted),
-		StatusCode: http.StatusAccepted, Operation: url, Result: op,
 	})
 }
 
@@ -201,13 +171,11 @@ func writeEnvErr(w http.ResponseWriter, e *apiError) {
 type endpoint func(r *http.Request) (any, *apiError)
 
 // api is the shared REST-plane chassis embedded by Server and
-// ReplicaServer: the mux, the route table, the auth policy, the
-// operations registry, and the observability plane every route reports
-// into (obs.go).
+// ReplicaServer: the mux, the route table, the auth policy, and the
+// observability plane every route reports into (obs.go).
 type api struct {
 	mux    *http.ServeMux
 	auth   Auth
-	ops    *ops.Registry
 	obs    *obs.Plane
 	routes []Route
 
@@ -218,7 +186,7 @@ type api struct {
 func newAPI() api {
 	p := obs.NewPlane()
 	return api{
-		mux: http.NewServeMux(), ops: ops.New(nil), obs: p,
+		mux: http.NewServeMux(), obs: p,
 		httpReqs: p.Reg.CounterVec("p2drm_http_requests_total",
 			"HTTP requests served, by method, route pattern and status.",
 			"method", "route", "status"),
@@ -230,7 +198,7 @@ func newAPI() api {
 
 // v2 registers an enveloped synchronous route with tier enforcement.
 func (a *api) v2(method, path string, tier Tier, ep endpoint) {
-	a.v2raw(method, path, tier, KindSync, func(w http.ResponseWriter, r *http.Request) {
+	a.v2raw(method, path, tier, func(w http.ResponseWriter, r *http.Request) {
 		res, apiErr := ep(r)
 		if apiErr != nil {
 			writeEnvErr(w, apiErr)
@@ -241,9 +209,9 @@ func (a *api) v2(method, path string, tier Tier, ep endpoint) {
 }
 
 // v2raw registers a route with tier enforcement and a custom writer
-// (async 202 responses and raw byte streams).
-func (a *api) v2raw(method, path string, tier Tier, kind RouteKind, h http.HandlerFunc) {
-	a.routes = append(a.routes, Route{Method: method, Path: path, Tier: tier, Kind: kind})
+// (raw byte streams, and the health report's load-bearing status).
+func (a *api) v2raw(method, path string, tier Tier, h http.HandlerFunc) {
+	a.routes = append(a.routes, Route{Method: method, Path: path, Tier: tier})
 	a.mux.HandleFunc(method+" "+path, a.instrument(method, path, tier, h))
 }
 
@@ -307,55 +275,4 @@ func pathMatches(pattern, path string) bool {
 		}
 	}
 	return true
-}
-
-// --- operations surface (registered by both servers) ---
-
-// registerOpsRoutes mounts the operations registry: list, poll, and
-// admin-only delete of terminal operations.
-func (a *api) registerOpsRoutes() {
-	a.v2("GET", "/v2/operations", TierUser, a.epOpsList)
-	a.v2("GET", "/v2/operations/{id}", TierUser, a.epOpGet)
-	a.v2("DELETE", "/v2/operations/{id}", TierAdmin, a.epOpDelete)
-}
-
-// OperationsResponse answers GET /v2/operations.
-type OperationsResponse struct {
-	Operations []ops.Operation `json:"operations"`
-}
-
-func (a *api) epOpsList(r *http.Request) (any, *apiError) {
-	return OperationsResponse{Operations: a.ops.List()}, nil
-}
-
-func (a *api) epOpGet(r *http.Request) (any, *apiError) {
-	id := r.PathValue("id")
-	op, ok := a.ops.Get(id)
-	if !ok {
-		return nil, &apiError{status: http.StatusNotFound, kind: "operation-not-found",
-			msg: fmt.Sprintf("httpapi: unknown operation %q", id)}
-	}
-	return op, nil
-}
-
-func (a *api) epOpDelete(r *http.Request) (any, *apiError) {
-	id := r.PathValue("id")
-	if _, ok := a.ops.Get(id); !ok {
-		return nil, &apiError{status: http.StatusNotFound, kind: "operation-not-found",
-			msg: fmt.Sprintf("httpapi: unknown operation %q", id)}
-	}
-	if err := a.ops.Delete(id); err != nil {
-		return nil, &apiError{status: http.StatusConflict, kind: "conflict", msg: err.Error()}
-	}
-	return map[string]string{"status": "deleted"}, nil
-}
-
-// startOperation launches task on the registry and answers 202.
-func (a *api) startOperation(w http.ResponseWriter, kind, summary string, params any, task ops.Task) {
-	op, err := a.ops.Start(kind, summary, params, task)
-	if err != nil {
-		writeEnvErr(w, errInternal(err))
-		return
-	}
-	writeAsync(w, op)
 }

@@ -15,7 +15,6 @@ import (
 
 	"p2drm/internal/kvstore"
 	"p2drm/internal/obs"
-	"p2drm/internal/ops"
 	"p2drm/internal/replica"
 )
 
@@ -31,10 +30,6 @@ const (
 	// Replica lag in whole primary segments.
 	replicaLagDegraded = 2
 	replicaLagFailing  = 8
-
-	// Ops-registry backlog: operations created or running.
-	opsBacklogDegraded = 64
-	opsBacklogFailing  = 512
 
 	// SLO burn-rate thresholds (multiwindow, see obs.SLO.BurnRateProbe):
 	// 2x budget burn sustained across both windows is degraded, 10x is
@@ -75,11 +70,11 @@ func (a *api) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // registerHealth mounts GET /v2/health, the health gauge/counter
 // families, the p2drm_slo_* families, and the probes every role
-// carries: ops-registry backlog, SLO burn rate, and slow-trace rate.
+// carries: SLO burn rate and slow-trace rate.
 // Store, follower, and crypto probes are registered where those
 // subsystems are wired.
 func (a *api) registerHealth() {
-	a.v2raw("GET", "/v2/health", TierGuest, KindSync, a.handleHealth)
+	a.v2raw("GET", "/v2/health", TierGuest, a.handleHealth)
 
 	reg := a.obs.Reg
 	reg.GaugeFunc("p2drm_health_status",
@@ -95,21 +90,6 @@ func (a *api) registerHealth() {
 	// time so WithTraceRetention replacing the tracer stays honest.
 	a.obs.SLO.SetSlowFunc(func() int64 { return a.obs.Tracer.SlowTotal() })
 
-	// Ops backlog, read through the api pointer so WithOps replacing
-	// the registry later is safe.
-	a.obs.Health.Register("ops:backlog", func() obs.Check {
-		by := a.ops.Counts().ByStatus
-		backlog := by[ops.StatusCreated] + by[ops.StatusRunning]
-		detail := fmt.Sprintf("%d operations pending or running", backlog)
-		switch {
-		case backlog >= opsBacklogFailing:
-			return obs.Check{Status: obs.HealthFailing, Detail: detail}
-		case backlog >= opsBacklogDegraded:
-			return obs.Check{Status: obs.HealthDegraded, Detail: detail}
-		default:
-			return obs.Check{Status: obs.HealthOK, Detail: detail}
-		}
-	})
 	a.obs.Health.Register("slo:burn_rate",
 		a.obs.SLO.BurnRateProbe(sloBurnDegraded, sloBurnFailing))
 	a.obs.Health.Register("slo:slow_requests",
@@ -136,13 +116,6 @@ func registerStoreHealth(h *obs.Health, name string, st *kvstore.Store) {
 		}
 		return obs.Check{Status: obs.HealthOK, Detail: detail}
 	})
-}
-
-// StoreHealth registers store probes on plane for a kvstore the server
-// doesn't own through WithStoreStats — the daemon uses it for the
-// operations store.
-func StoreHealth(p *obs.Plane, name string, st *kvstore.Store) {
-	registerStoreHealth(p.Health, name, st)
 }
 
 // registerFollowerHealth adds one follower's probe. Unknown lag
@@ -218,9 +191,9 @@ func (s *Server) registerCryptoHealth() {
 // a transport failure, so it does not produce an error.
 func (c *Client) HealthV2() (*HealthResponse, int, error) {
 	var hr HealthResponse
-	rep, err := c.roundTrip("GET", "/v2/health", nil, &hr)
+	status, err := c.roundTrip("GET", "/v2/health", nil, &hr)
 	if err != nil {
-		return nil, rep.Status, err
+		return nil, status, err
 	}
-	return &hr, rep.Status, nil
+	return &hr, status, nil
 }

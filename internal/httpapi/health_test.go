@@ -39,7 +39,7 @@ func TestHealthEndpoint(t *testing.T) {
 	for _, comp := range []string{
 		"store:provider:wal", "store:provider:compaction",
 		"store:bank:wal", "store:bank:compaction",
-		"crypto:pools", "ops:backlog", "slo:burn_rate", "slo:slow_requests",
+		"crypto:pools", "slo:burn_rate", "slo:slow_requests",
 	} {
 		if _, ok := hr.Components[comp]; !ok {
 			t.Errorf("component %q missing: %+v", comp, hr.Components)

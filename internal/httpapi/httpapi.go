@@ -8,17 +8,14 @@
 // response is a uniform envelope
 //
 //	{"type":"sync","status-code":200,"result":...}
-//	{"type":"async","status-code":202,"operation":"/v2/operations/ID","result":{...}}
 //	{"type":"error","status-code":4xx,"result":{"message":"...","kind":"..."}}
 //
-// routes carry a minimum auth tier (guest read, authenticated user,
-// trusted admin — see Auth), and every unbounded action (compaction,
-// revocation-list rebuild, replica promotion and resync) answers 202
-// Accepted with an operation URL pollable at GET /v2/operations/{id}.
-// Operations persist in the kvstore-backed ops.Registry, so an
-// operation in flight when the daemon dies is still visible — resumed
-// or marked aborted — after restart. A path no route matches answers
-// an envelope 404; docs/rest.md is the authoritative reference.
+// and routes carry a minimum auth tier (guest read, authenticated user,
+// trusted admin — see Auth). Every action answers in its own request,
+// the admin ones (compaction, revocation-list rebuild, replica
+// promotion and resync) included: each is idempotent, so one cut off by
+// a crash or a disconnect is simply sent again. A path no route matches
+// answers an envelope 404; docs/rest.md is the authoritative reference.
 //
 // # Wire conventions
 //
@@ -48,7 +45,6 @@ import (
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
-	"p2drm/internal/ops"
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
 	"p2drm/internal/replica"
@@ -63,7 +59,7 @@ type Server struct {
 	Provider *provider.Provider
 	Bank     *payment.Bank
 	// stores are the kvstore instances surfaced by stats, kv/get|has and
-	// async compaction, keyed by a human-readable name (registered
+	// compaction, keyed by a human-readable name (registered
 	// before serving starts).
 	stores map[string]*kvstore.Store
 	// replicas are the replication sources served under replica/*,
@@ -97,7 +93,7 @@ func (s *Server) WithBank(b *payment.Bank) *Server {
 }
 
 // WithStoreStats registers a kvstore under name for stats, kv reads and
-// async compaction. Call before serving starts (registration is not
+// compaction. Call before serving starts (registration is not
 // synchronized).
 func (s *Server) WithStoreStats(name string, st *kvstore.Store) *Server {
 	if s.stores == nil {
@@ -106,14 +102,6 @@ func (s *Server) WithStoreStats(name string, st *kvstore.Store) *Server {
 	s.stores[name] = st
 	registerStoreMetrics(s.obs.Reg, name, st)
 	registerStoreHealth(s.obs.Health, name, st)
-	return s
-}
-
-// WithOps replaces the default volatile operations registry with reg —
-// typically a kvstore-backed one so operations survive restarts. Call
-// before serving starts.
-func (s *Server) WithOps(reg *ops.Registry) *Server {
-	s.ops = reg
 	return s
 }
 

@@ -10,7 +10,7 @@ package httpapi
 // while the retained slow-trace ring is admin-only.
 //
 // Route labels are always the registered pattern ("/v2/kv/get",
-// "/v2/operations/{id}"), never the raw request path, so label
+// "/v2/replica/segment/{id}"), never the raw request path, so label
 // cardinality is bounded by the route table.
 
 import (
@@ -21,7 +21,6 @@ import (
 
 	"p2drm/internal/kvstore"
 	"p2drm/internal/obs"
-	"p2drm/internal/ops"
 	"p2drm/internal/provider"
 	"p2drm/internal/replica"
 )
@@ -122,31 +121,16 @@ func (a *api) epTraces(r *http.Request) (any, *apiError) {
 }
 
 // registerObsRoutes mounts /v2/metrics (guest — aggregate-only by
-// construction) and the admin slow-trace ring, and registers the ops
-// registry's census metrics. The ops registry is read through the api
-// pointer at scrape time, so WithOps replacing it later is safe.
+// construction), the admin slow-trace ring and the health report.
 func (a *api) registerObsRoutes() {
-	a.v2raw("GET", "/v2/metrics", TierGuest, KindStream, a.obs.Reg.Handler().ServeHTTP)
+	a.v2raw("GET", "/v2/metrics", TierGuest, a.obs.Reg.Handler().ServeHTTP)
 	a.v2("GET", "/v2/debug/traces", TierAdmin, a.epTraces)
 	a.registerHealth()
 
-	reg := a.obs.Reg
-	depth := reg.GaugeVec("p2drm_ops_operations",
-		"Background operations currently held in the registry, by lifecycle status.", "status")
-	for _, st := range []ops.Status{ops.StatusCreated, ops.StatusRunning, ops.StatusDone, ops.StatusError, ops.StatusAborted} {
-		st := st
-		depth.Func(func() float64 { return float64(a.ops.Counts().ByStatus[st]) }, string(st))
-	}
-	fin := reg.CounterVec("p2drm_ops_finished_total",
-		"Background operations that reached a terminal status in this process (monotonic across GC reaps).", "status")
-	for _, st := range []ops.Status{ops.StatusDone, ops.StatusError, ops.StatusAborted} {
-		st := st
-		fin.Func(func() int64 { return int64(a.ops.Counts().Finished[st]) }, string(st))
-	}
 	// Read the tracer through a.obs at scrape time, so replacing it
 	// (WithTraceRetention) after route registration keeps the counter
 	// honest.
-	reg.CounterFunc("p2drm_http_slow_requests_total",
+	a.obs.Reg.CounterFunc("p2drm_http_slow_requests_total",
 		"Requests at or above the slow-trace threshold.",
 		func() int64 { return a.obs.Tracer.SlowTotal() })
 }

@@ -57,8 +57,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"p2drm_http_slow_requests_total",
 		"p2drm_kvstore_segments",
 		"p2drm_kvstore_compactions_total",
-		"p2drm_ops_operations",
-		"p2drm_ops_finished_total",
 		"p2drm_crypto_group_precomputed",
 		"p2drm_crypto_batch_verify_runs_total",
 	} {

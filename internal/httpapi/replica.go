@@ -6,15 +6,14 @@ package httpapi
 // with identity metadata in X-Replica-* headers — they are CRC-framed
 // log records, so JSON/base64 framing would only add bulk.
 //
-// Promotion and resync are async operations. Source errors the follower
-// reacts to cross the wire as their own envelope error kinds
+// Promotion and resync answer in their own request. Source errors the
+// follower reacts to cross the wire as their own envelope error kinds
 // (replicaAPIError), which the client maps back to the sentinel — a
 // compaction-invalidated segment read comes back as
 // kvstore.ErrSegmentGone, so the follower's snapshot fallback triggers
 // exactly as it does in-process.
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -26,7 +25,6 @@ import (
 
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
-	"p2drm/internal/ops"
 	"p2drm/internal/replica"
 	"p2drm/internal/revocation"
 )
@@ -226,8 +224,7 @@ func (s *Server) epKVHas(r *http.Request) (any, *apiError) {
 
 // ReplicaServer is the HTTP surface of a follower daemon: read-only KV
 // and revocation lookups against the local replicas, replication
-// status, and async promotion/resync operations. Writes are rejected
-// until promotion.
+// status, promotion and resync. Writes are rejected until promotion.
 type ReplicaServer struct {
 	api
 	followers map[string]*replica.Follower
@@ -243,9 +240,8 @@ func NewReplicaServer(followers map[string]*replica.Follower) *ReplicaServer {
 	rs.v2("GET", "/v2/stats", TierGuest, rs.epStats)
 	rs.v2("GET", "/v2/replica/status", TierGuest, rs.epStatus)
 	rs.v2("GET", "/v2/revocation/contains", TierGuest, rs.epContains)
-	rs.v2raw("POST", "/v2/replica/promote", TierAdmin, KindAsync, rs.handlePromoteV2)
-	rs.v2raw("POST", "/v2/replica/resync", TierAdmin, KindAsync, rs.handleResyncV2)
-	rs.registerOpsRoutes()
+	rs.v2("POST", "/v2/replica/promote", TierAdmin, rs.epPromote)
+	rs.v2("POST", "/v2/replica/resync", TierAdmin, rs.epResync)
 	rs.registerObsRoutes()
 	for name, f := range followers {
 		registerFollowerMetrics(rs.obs.Reg, name, f)
@@ -254,28 +250,11 @@ func NewReplicaServer(followers map[string]*replica.Follower) *ReplicaServer {
 	return rs
 }
 
-// WithOps replaces the default volatile operations registry with reg —
-// typically a kvstore-backed one so operations survive restarts. Call
-// before serving starts.
-func (rs *ReplicaServer) WithOps(reg *ops.Registry) *ReplicaServer {
-	rs.ops = reg
-	return rs
-}
-
 // WithAuth installs the access policy (see Auth). Call before serving
 // starts; the zero policy leaves the API open.
 func (rs *ReplicaServer) WithAuth(a Auth) *ReplicaServer {
 	rs.auth = a
 	return rs
-}
-
-// ResumeOps adopts operations persisted by a previous process. Neither
-// follower operation is idempotent enough to re-run blindly (a promote
-// may have half-applied, a resync restarts anyway on next divergence),
-// so both kinds are marked aborted; the method exists so a restarted
-// follower daemon surfaces them rather than losing them.
-func (rs *ReplicaServer) ResumeOps() (resumed, aborted int) {
-	return rs.ops.Resume()
 }
 
 // ServeHTTP implements http.Handler.
@@ -366,21 +345,18 @@ type PromoteResult struct {
 	Promoted []string `json:"promoted"`
 }
 
-// handlePromoteV2 promotes every follower as a background operation:
-// promotion waits for in-flight tail appends to drain, which on a busy
-// follower is not bounded-latency work.
-func (rs *ReplicaServer) handlePromoteV2(w http.ResponseWriter, r *http.Request) {
-	rs.startOperation(w, "promote", "promote follower stores to writable", nil,
-		func(ctx context.Context, h *ops.Handle) (any, error) {
-			var res PromoteResult
-			total := int64(len(rs.followers))
-			for name, f := range rs.followers {
-				f.Promote()
-				res.Promoted = append(res.Promoted, name)
-				h.Progress(int64(len(res.Promoted)), total, "promoted "+name)
-			}
-			return res, nil
-		})
+// epPromote promotes every follower. Promotion is idempotent: a store
+// already promoted promotes again as a no-op, so after a failure the
+// admin re-sends the request and the stores that are left follow.
+func (rs *ReplicaServer) epPromote(r *http.Request) (any, *apiError) {
+	var res PromoteResult
+	for name, f := range rs.followers {
+		if _, err := f.Promote(); err != nil {
+			return nil, errInternal(fmt.Errorf("httpapi: promote %s (promoted so far: %v): %w", name, res.Promoted, err))
+		}
+		res.Promoted = append(res.Promoted, name)
+	}
+	return res, nil
 }
 
 // ResyncResult reports per-store resync outcomes.
@@ -389,43 +365,32 @@ type ResyncResult struct {
 	Errors   map[string]string `json:"errors,omitempty"`
 }
 
-// handleResyncV2 forces a full snapshot re-bootstrap of each follower
-// (?store=NAME limits it to one) as a background operation.
-func (rs *ReplicaServer) handleResyncV2(w http.ResponseWriter, r *http.Request) {
+// epResync forces a full snapshot re-bootstrap of each follower
+// (?store=NAME limits it to one), waiting under the request context. A
+// partial failure answers with the per-store errors; a failure of every
+// store is an error envelope.
+func (rs *ReplicaServer) epResync(r *http.Request) (any, *apiError) {
 	only := r.URL.Query().Get("store")
 	if only != "" && rs.followers[only] == nil {
-		writeEnvErr(w, errNotFound(fmt.Errorf("httpapi: no replica for store %q", only)))
-		return
+		return nil, errNotFound(fmt.Errorf("httpapi: no replica for store %q", only))
 	}
-	rs.startOperation(w, "resync", "snapshot re-bootstrap of follower stores",
-		map[string]string{"store": only},
-		func(ctx context.Context, h *ops.Handle) (any, error) {
-			res := ResyncResult{Errors: make(map[string]string)}
-			var done, total int64
-			for name := range rs.followers {
-				if only == "" || name == only {
-					total++
-				}
-			}
-			for name, f := range rs.followers {
-				if only != "" && name != only {
-					continue
-				}
-				if err := f.Resync(ctx); err != nil {
-					res.Errors[name] = err.Error()
-				} else {
-					res.Resynced = append(res.Resynced, name)
-				}
-				done++
-				h.Progress(done, total, "resynced "+name)
-			}
-			if len(res.Errors) == 0 {
-				res.Errors = nil
-			} else if len(res.Resynced) == 0 {
-				return nil, fmt.Errorf("httpapi: resync failed for all %d stores", len(res.Errors))
-			}
-			return res, nil
-		})
+	res := ResyncResult{Errors: make(map[string]string)}
+	for name, f := range rs.followers {
+		if only != "" && name != only {
+			continue
+		}
+		if err := f.Resync(r.Context()); err != nil {
+			res.Errors[name] = err.Error()
+		} else {
+			res.Resynced = append(res.Resynced, name)
+		}
+	}
+	if len(res.Errors) == 0 {
+		res.Errors = nil
+	} else if len(res.Resynced) == 0 {
+		return nil, errInternal(fmt.Errorf("httpapi: resync failed for all %d stores: %v", len(res.Errors), res.Errors))
+	}
+	return res, nil
 }
 
 // epContains answers revocation lookups from the replicated provider

@@ -449,12 +449,9 @@ func TestQuickPersonalizedCodec(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rights, err := rel.NewBuilder().
-			GrantCount(rel.ActPlay, int64(playCount%500)+1).
-			ValidUntil(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(hours) * time.Hour)).
-			Build()
-		if err != nil {
-			return false
+		rights := &rel.Rights{
+			Grants:   map[rel.Action]rel.Grant{rel.ActPlay: {Action: rel.ActPlay, Count: int64(playCount%500) + 1}},
+			NotAfter: time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(hours) * time.Hour),
 		}
 		key := make([]byte, 32)
 		rand.Read(key)

@@ -22,7 +22,6 @@ package linkage
 
 import (
 	"crypto/rsa"
-	"math"
 
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/license"
@@ -188,41 +187,4 @@ func Evaluate(events []provider.Event, c *Clustering, truth Truth) Metrics {
 		m.Precision = 1 // attack linked nothing: vacuously precise
 	}
 	return m
-}
-
-// AnonymitySetSizes computes, for every redeem event, the number of
-// plausible source exchanges: exchanges of the same content that happened
-// before it, minus earlier redemptions of that content (each consumes one
-// source). Size 1 means the provider knows the source with certainty.
-func AnonymitySetSizes(events []provider.Event) []int {
-	exchangesSoFar := make(map[license.ContentID]int)
-	redeemsSoFar := make(map[license.ContentID]int)
-	var sizes []int
-	for _, e := range events {
-		switch e.Type {
-		case provider.EvExchange:
-			exchangesSoFar[e.ContentID]++
-		case provider.EvRedeem:
-			size := exchangesSoFar[e.ContentID] - redeemsSoFar[e.ContentID]
-			if size < 1 {
-				size = 1
-			}
-			sizes = append(sizes, size)
-			redeemsSoFar[e.ContentID]++
-		}
-	}
-	return sizes
-}
-
-// MeanEntropy converts anonymity-set sizes to mean bits of uncertainty
-// (log2 of set size, uniform prior).
-func MeanEntropy(sizes []int) float64 {
-	if len(sizes) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range sizes {
-		sum += math.Log2(float64(s))
-	}
-	return sum / float64(len(sizes))
 }

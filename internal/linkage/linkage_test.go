@@ -131,25 +131,6 @@ func TestAblationNoBlindingLinksTransfers(t *testing.T) {
 	}
 }
 
-func TestAnonymitySets(t *testing.T) {
-	_, res := runTrace(t, false, 1, 0.5)
-	sizes := AnonymitySetSizes(res.Events)
-	if len(sizes) == 0 {
-		t.Fatal("no redeems")
-	}
-	for i, s := range sizes {
-		if s < 1 {
-			t.Errorf("anonymity set %d = %d", i, s)
-		}
-	}
-	if MeanEntropy(sizes) < 0 {
-		t.Error("negative entropy")
-	}
-	if MeanEntropy(nil) != 0 {
-		t.Error("empty entropy not zero")
-	}
-}
-
 func TestClusteringPrimitives(t *testing.T) {
 	c := newClustering()
 	c.union(1, 2)

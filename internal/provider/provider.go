@@ -1099,9 +1099,9 @@ func (p *Provider) RSAPrivateOps() (licenseKey, denominationKeys uint64) {
 func (p *Provider) KEMShareStats() (cached, computed uint64) { return p.kem.Stats() }
 
 // RebuildRevocationFilter forces a full revocation Bloom-filter rebuild
-// and returns the resulting filter generation. Idempotent (a rebuild
-// scans the exact durable store), so the REST plane may expose it as a
-// resumable background operation.
+// and returns the resulting filter generation once it is done.
+// Idempotent: a rebuild scans the exact durable store, so an
+// interrupted one is simply run again.
 func (p *Provider) RebuildRevocationFilter() uint64 { return p.rev.Rebuild() }
 
 // Revoked reports whether a serial is revoked (help-desk path for devices

@@ -61,8 +61,8 @@ type Grant struct {
 }
 
 // Rights is the compiled, canonical form of a rights expression. The zero
-// value grants nothing and never validates; build with Parse or the
-// Builder.
+// value grants nothing and never validates; build with Parse (or a
+// literal, checked with Validate).
 type Rights struct {
 	Grants map[Action]Grant
 	// NotBefore/NotAfter bound validity; zero time means unbounded.
@@ -372,69 +372,4 @@ func (r *Rights) Validate() error {
 		return errors.New("rel: validity window is empty")
 	}
 	return nil
-}
-
-// Builder constructs Rights fluently; used by provider catalog code and
-// tests.
-type Builder struct {
-	r Rights
-}
-
-// NewBuilder starts an empty rights builder.
-func NewBuilder() *Builder {
-	return &Builder{r: Rights{Grants: make(map[Action]Grant)}}
-}
-
-// Grant adds an unlimited grant.
-func (b *Builder) Grant(a Action) *Builder {
-	b.r.Grants[a] = Grant{Action: a, Count: Unlimited}
-	return b
-}
-
-// GrantCount adds a counted grant.
-func (b *Builder) GrantCount(a Action, n int64) *Builder {
-	b.r.Grants[a] = Grant{Action: a, Count: n}
-	return b
-}
-
-// ValidFrom sets the window start.
-func (b *Builder) ValidFrom(t time.Time) *Builder { b.r.NotBefore = t; return b }
-
-// ValidUntil sets the window end.
-func (b *Builder) ValidUntil(t time.Time) *Builder { b.r.NotAfter = t; return b }
-
-// DeviceClass appends to the device-class allowlist.
-func (b *Builder) DeviceClass(classes ...string) *Builder {
-	b.r.DeviceClasses = append(b.r.DeviceClasses, classes...)
-	return b
-}
-
-// Region appends to the region allowlist.
-func (b *Builder) Region(regions ...string) *Builder {
-	b.r.Regions = append(b.r.Regions, regions...)
-	return b
-}
-
-// RequireDomain restricts use to authorized-domain devices.
-func (b *Builder) RequireDomain() *Builder { b.r.RequireDomain = true; return b }
-
-// AllowDelegation permits star licensing.
-func (b *Builder) AllowDelegation() *Builder { b.r.DelegationAllowed = true; return b }
-
-// Build validates and returns the rights.
-func (b *Builder) Build() (*Rights, error) {
-	r := b.r.Clone()
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// MustBuild is Build for statically-known-good rights; panics on error.
-func (b *Builder) MustBuild() *Rights {
-	r, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

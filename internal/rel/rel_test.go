@@ -271,41 +271,6 @@ func TestNarrowerRejectsWidening(t *testing.T) {
 	}
 }
 
-func TestBuilder(t *testing.T) {
-	r, err := NewBuilder().
-		GrantCount(ActPlay, 5).
-		Grant(ActTransfer).
-		ValidUntil(t2005).
-		DeviceClass("audio").
-		Region("EU").
-		AllowDelegation().
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Builder output must round-trip through the parser.
-	r2, err := Parse(r.String())
-	if err != nil {
-		t.Fatalf("builder output does not parse: %v\n%s", err, r.String())
-	}
-	if !r.Equal(r2) {
-		t.Error("builder/parse mismatch")
-	}
-}
-
-func TestBuilderValidation(t *testing.T) {
-	if _, err := NewBuilder().Build(); err == nil {
-		t.Error("empty builder produced rights")
-	}
-	if _, err := NewBuilder().GrantCount(ActPlay, -3).Build(); err == nil {
-		t.Error("negative count accepted")
-	}
-	bad := NewBuilder().Grant(ActPlay).ValidFrom(t2005).ValidUntil(t2004)
-	if _, err := bad.Build(); err == nil {
-		t.Error("inverted window accepted")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	r := MustParse(sampleSrc)
 	c := r.Clone()
@@ -319,37 +284,34 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// randomRights builds arbitrary-but-valid rights from a seed.
+// randomRights builds arbitrary-but-valid rights from a seed, every
+// field of the language included.
 func randomRights(r *rand.Rand) *Rights {
-	b := NewBuilder()
+	out := &Rights{Grants: make(map[Action]Grant)}
 	actions := []Action{ActPlay, ActCopy, ActTransfer, ActExport, ActPrint}
 	n := 1 + r.Intn(len(actions))
 	for _, a := range actions[:n] {
-		if r.Intn(2) == 0 {
-			b.Grant(a)
-		} else {
-			b.GrantCount(a, int64(1+r.Intn(100)))
+		count := Unlimited
+		if r.Intn(2) != 0 {
+			count = int64(1 + r.Intn(100))
 		}
+		out.Grants[a] = Grant{Action: a, Count: count}
 	}
 	if r.Intn(2) == 0 {
-		b.ValidUntil(t2005.Add(time.Duration(r.Intn(1000)) * time.Hour))
+		out.NotAfter = t2005.Add(time.Duration(r.Intn(1000)) * time.Hour)
 	}
 	if r.Intn(3) == 0 {
-		b.ValidFrom(t2004.Add(-time.Duration(r.Intn(1000)) * time.Hour))
+		out.NotBefore = t2004.Add(-time.Duration(r.Intn(1000)) * time.Hour)
 	}
 	if r.Intn(2) == 0 {
-		b.DeviceClass([]string{"audio", "video", "ebook"}[r.Intn(3)])
+		out.DeviceClasses = []string{[]string{"audio", "video", "ebook"}[r.Intn(3)]}
 	}
 	if r.Intn(2) == 0 {
-		b.Region([]string{"EU", "US", "JP"}[r.Intn(3)])
+		out.Regions = []string{[]string{"EU", "US", "JP"}[r.Intn(3)]}
 	}
-	if r.Intn(4) == 0 {
-		b.RequireDomain()
-	}
-	if r.Intn(2) == 0 {
-		b.AllowDelegation()
-	}
-	return b.MustBuild()
+	out.RequireDomain = r.Intn(4) == 0
+	out.DelegationAllowed = r.Intn(2) == 0
+	return out
 }
 
 // Property: canonical text always reparses to equal rights.

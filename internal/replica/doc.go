@@ -62,12 +62,15 @@
 // persisted (a sidecar JSON file, atomically renamed). After a crash
 // the cursor is never ahead of applied state; re-fetching from it
 // re-applies a suffix of absolute put/delete records, which is
-// idempotent. Promotion (Follower.Promote) stops the tail loop and
-// hands back the underlying store, open for writes; until then every
-// write through the follower returns ErrReadOnly.
+// idempotent. Promotion (Follower.Promote) first fsyncs a PROMOTED
+// marker, then stops the tail loop and hands back the underlying store,
+// open for writes; until then every write through the follower returns
+// ErrReadOnly, and a promotion whose marker could not be made durable
+// changes nothing.
 //
 // cmd/p2drmd runs the follower side with -replica-of=<primary-url>,
 // replicating both the provider and bank stores and serving the
 // read-only HTTP surface (kv reads, stats, revocation contains,
-// replication status) plus POST /v2/replica/promote (async).
+// replication status) plus POST /v2/replica/promote and
+// POST /v2/replica/resync, each answered when its work is done.
 package replica

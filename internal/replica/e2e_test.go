@@ -6,7 +6,6 @@ package replica_test
 // same wiring cmd/p2drmd uses for -replica-of. Runs under -race in CI.
 
 import (
-	"context"
 	"crypto/rand"
 	"fmt"
 	"net/http/httptest"
@@ -189,51 +188,30 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 		t.Errorf("primary status incomplete: %+v", pst.Stores["provider"])
 	}
 
-	// Async resync via the /v2 operations plane: re-bootstrap the
-	// provider follower from a fresh snapshot while serving, then prove
-	// it converges to the same live set again.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	op, err := rc.ResyncReplica("provider")
+	// Resync over /v2: re-bootstrap the provider follower from a fresh
+	// snapshot while serving; the answer comes when it is done, and the
+	// follower converges to the same live set again.
+	resynced, err := rc.ResyncReplica("provider")
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err = rc.WaitOperation(ctx, op.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resynced httpapi.ResyncResult
-	if err := httpapi.OperationResult(op, &resynced); err != nil {
-		t.Fatalf("resync operation failed: %v (op %+v)", err, op)
-	}
-	if len(resynced.Resynced) != 1 || resynced.Resynced[0] != "provider" {
+	if len(resynced.Resynced) != 1 || resynced.Resynced[0] != "provider" || resynced.Errors != nil {
 		t.Fatalf("resync result = %+v", resynced)
 	}
-	waitCaughtUp("after async resync")
+	waitCaughtUp("after resync")
 
-	// Promotion as a /v2 background operation: the same write now
-	// succeeds.
-	op, err = rc.PromoteAsync()
+	// Promotion over /v2: once it has answered, the same write succeeds
+	// on the very next request.
+	promoted, err := rc.Promote()
 	if err != nil {
 		t.Fatal(err)
-	}
-	op, err = rc.WaitOperation(ctx, op.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var promoted httpapi.PromoteResult
-	if err := httpapi.OperationResult(op, &promoted); err != nil {
-		t.Fatalf("promote operation failed: %v (op %+v)", err, op)
 	}
 	if len(promoted.Promoted) != 2 {
 		t.Fatalf("promote result = %+v", promoted)
 	}
 	// Promotion is idempotent.
-	if op, err = rc.PromoteAsync(); err == nil {
-		op, err = rc.WaitOperation(ctx, op.ID, 0)
-	}
-	if err != nil || httpapi.OperationResult(op, nil) != nil {
-		t.Fatalf("second promote: %v (op %+v)", err, op)
+	if again, err := rc.Promote(); err != nil || len(again.Promoted) != 2 {
+		t.Fatalf("second promote = %+v, %v", again, err)
 	}
 	if err := rc.KVPut("provider", []byte("rogue"), []byte("x")); err != nil {
 		t.Fatalf("promoted replica rejected write: %v", err)

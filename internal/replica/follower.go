@@ -148,6 +148,9 @@ type Follower struct {
 	persistedCursor Cursor
 	status          Status
 	promoted        bool
+	// promoteMu serializes Promote, so two concurrent calls cannot both
+	// see the follower unpromoted and race on the marker.
+	promoteMu sync.Mutex
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -274,6 +277,12 @@ func writeCurrent(dir, genName string) error {
 	if err := os.Rename(tmp, filepath.Join(dir, currentMarker)); err != nil {
 		return err
 	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -466,9 +475,8 @@ func (f *Follower) handleResync(reply chan error) {
 // Resync asks the tail loop for an explicit full snapshot bootstrap
 // (the entry point behind POST /v2/replica/resync) and waits for it to
 // finish. The resync itself is the same pinned-manifest, CRC-verified,
-// new-generation-swap path the loop uses for automatic fallbacks, so a
-// restarted daemon simply bootstrapping again supersedes an interrupted
-// call — the REST plane marks such operations aborted, not resumed.
+// new-generation-swap path the loop uses for automatic fallbacks, so an
+// interrupted call leaves a consistent store and is simply sent again.
 func (f *Follower) Resync(ctx context.Context) error {
 	reply := make(chan error, 1)
 	select {
@@ -859,33 +867,58 @@ func (f *Follower) Delete(key []byte) error {
 // Promote converts the follower into a primary-capable store: the tail
 // loop stops, the read-only gate opens, and the underlying store — a
 // normal kvstore, writable all along — is returned for full use (e.g.
-// to mount a provider on it). Promotion is made DURABLE: a PROMOTED
-// marker is fsynced into the state directory (and the cursor file
-// removed), so a restarted daemon that still carries -replica-of
-// cannot re-enter replica mode, resync against some primary and
-// silently destroy the writes accepted after promotion — Open refuses
-// with ErrPromoted instead.
-func (f *Follower) Promote() *kvstore.Store {
+// to mount a provider on it). Promotion is DURABLE before it is
+// visible: a PROMOTED marker is fsynced into the state directory first,
+// so a restarted daemon that still carries -replica-of cannot resync
+// over the writes accepted after promotion — Open refuses with
+// ErrPromoted. If the marker cannot be made durable, Promote returns the
+// error and the follower stays read-only and tailing. Promoting twice is
+// a no-op.
+func (f *Follower) Promote() (*kvstore.Store, error) {
+	f.promoteMu.Lock()
+	defer f.promoteMu.Unlock()
+	f.mu.RLock()
+	st, promoted := f.store, f.promoted
+	f.mu.RUnlock()
+	if promoted {
+		return st, nil
+	}
+	if f.opts.Dir != "" {
+		if err := markPromoted(f.opts.Dir); err != nil {
+			return nil, fmt.Errorf("replica: write promotion marker: %w", err)
+		}
+	}
 	f.stopLoop()
 	f.mu.Lock()
 	f.promoted = true
 	f.status.State = "promoted"
-	st := f.store
-	dir, gen := f.opts.Dir, f.genName
+	st, gen := f.store, f.genName
 	f.mu.Unlock()
-	if dir != "" {
-		os.Remove(filepath.Join(dir, gen, cursorFile))
-		if mf, err := os.Create(filepath.Join(dir, promotedMarker)); err == nil {
-			mf.Sync() //nolint:errcheck
-			mf.Close()
-			if d, err := os.Open(dir); err == nil {
-				d.Sync() //nolint:errcheck
-				d.Close()
-			}
-		} else {
-			f.logf("replica: write promotion marker: %v", err)
-		}
+	if f.opts.Dir != "" {
+		os.Remove(filepath.Join(f.opts.Dir, gen, cursorFile))
 	}
 	f.logf("replica: promoted; store now writable")
-	return st
+	return st, nil
+}
+
+// markPromoted creates the PROMOTED marker and fsyncs it and its
+// directory entry. A marker it created but could not make durable is
+// removed again; anything already at that path is left alone.
+func markPromoted(dir string) error {
+	path := filepath.Join(dir, promotedMarker)
+	mf, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	err = mf.Sync()
+	if cerr := mf.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }

@@ -6,6 +6,8 @@ package replica_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -131,7 +133,10 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 		t.Fatalf("follower delete: got %v, want ErrReadOnly", err)
 	}
 
-	st := f.Promote()
+	st, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Put([]byte("rogue"), []byte("w")); err != nil {
 		t.Fatalf("promoted follower write: %v", err)
 	}
@@ -160,7 +165,23 @@ func TestPromotionIsDurable(t *testing.T) {
 	}
 	f.Start()
 	waitConverged(t, f, primary, 5*time.Second)
-	st := f.Promote()
+	// Concurrent promotions: one writes the marker, the others are no-ops.
+	stores := make(chan *kvstore.Store, 4)
+	for range cap(stores) {
+		go func() {
+			st, err := f.Promote()
+			if err != nil {
+				t.Error(err)
+			}
+			stores <- st
+		}()
+	}
+	st := <-stores
+	for range cap(stores) - 1 {
+		if <-stores != st {
+			t.Fatal("concurrent promotions returned different stores")
+		}
+	}
 	if err := st.Put([]byte("post-promotion"), []byte("precious")); err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +193,29 @@ func TestPromotionIsDurable(t *testing.T) {
 	}); err != replica.ErrPromoted {
 		t.Fatalf("replica.Open on promoted dir: got %v, want ErrPromoted", err)
 	}
+}
+
+// TestPromotionMarkerFailureChangesNothing: when the PROMOTED marker
+// cannot be written (here a directory squats on its path), Promote
+// fails and the follower stays exactly what it was: read-only and
+// tailing.
+func TestPromotionMarkerFailureChangesNothing(t *testing.T) {
+	primary := newPrimary(t)
+	fill(t, primary, "k", 10)
+	dir := t.TempDir()
+	f := startFollower(t, replica.NewSource(primary), dir)
+	waitConverged(t, f, primary, 5*time.Second)
+	if err := os.Mkdir(filepath.Join(dir, "PROMOTED"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := f.Promote(); err == nil {
+		t.Fatalf("Promote with an unwritable marker = %v, nil; want an error", st)
+	}
+	if err := f.Put([]byte("rogue"), []byte("w")); err != replica.ErrReadOnly {
+		t.Fatalf("write after a failed promote: got %v, want ErrReadOnly", err)
+	}
+	fill(t, primary, "after", 5)
+	waitConverged(t, f, primary, 5*time.Second)
 }
 
 // TestFollowerSurvivesPrimaryCompaction: compaction rewrites/deletes

@@ -66,10 +66,6 @@ type Card struct {
 	group *schnorr.Group
 	seed  [kdf.SeedLen]byte
 
-	// OpDelay, when non-zero, is added per modular exponentiation to
-	// model constrained card hardware.
-	opDelay time.Duration
-
 	mu    sync.Mutex
 	cache map[uint32]*Pseudonym
 
@@ -93,9 +89,6 @@ func NewRandom(g *schnorr.Group) (*Card, error) {
 	return New(g, seed), nil
 }
 
-// SetOpDelay configures the per-modexp simulated latency (0 disables).
-func (c *Card) SetOpDelay(d time.Duration) { c.opDelay = d }
-
 // Group returns the card's group.
 func (c *Card) Group() *schnorr.Group { return c.group }
 
@@ -112,9 +105,6 @@ func (c *Card) Stats() Stats {
 // chargeExp accounts for n modular exponentiations.
 func (c *Card) chargeExp(n int64) {
 	c.modExps.Add(n)
-	if c.opDelay > 0 {
-		time.Sleep(time.Duration(n) * c.opDelay)
-	}
 }
 
 // Pseudonym derives (or returns the cached) pseudonym at index.

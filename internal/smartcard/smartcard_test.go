@@ -136,19 +136,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestOpDelaySimulation(t *testing.T) {
-	c := testCard(t)
-	c.Pseudonym(0) // warm cache so only the proof costs
-	c.SetOpDelay(5 * time.Millisecond)
-	start := time.Now()
-	if _, err := c.Prove(0, []byte("n")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Errorf("op delay not applied: %v", elapsed)
-	}
-}
-
 func makeParent(t *testing.T, c *Card, index uint32, rights *rel.Rights, key []byte) *license.Personalized {
 	t.Helper()
 	g := c.Group()

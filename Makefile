@@ -15,17 +15,18 @@ test:
 # drives it concurrently (workload generator, revocation list, sharded
 # bank property tests, the kvstore commit sets batch workers note into,
 # root integration tests, the crypto precompute layer's shared
-# tables/pools, and the KEM sender every serving goroutine wraps through,
-# with the license package that calls it and that signs a batch call's
-# roots from several workers at once). CI's race job runs this target:
-# the list lives here.
+# tables/pools, the group table a schnorr group builds under concurrent
+# callers and the card whose provers cross that build, and the KEM sender
+# every serving goroutine wraps through, with the license package that
+# calls it and that signs a batch call's roots from several workers at
+# once). CI's race job runs this target: the list lives here.
 race:
-	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license .
+	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license ./internal/smartcard .
 
 # One iteration per benchmark: proves they compile and run. The T1_
 # pattern reaches the per-package micro-benchmarks docs/crypto.md quotes
 # (internal/cryptox/dlkem: T1_KEMShare; internal/cryptox/schnorr:
-# T1_VerifyBatch16; internal/license: T1_LicenseSignBatch16,
+# T1_ExpG, T1_VerifyBatch16; internal/license: T1_LicenseSignBatch16,
 # T1_LicenseVerifyPath).
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
@@ -50,7 +51,9 @@ timing-guard:
 # corrupted WAL tails, license encodings and downloaded revocation
 # filters must error, never panic or silently drop committed state; a
 # presented nonce is accepted once at most and only under this provider's
-# beacon; a withdraw body debits exactly what it gets signed or nothing.
+# beacon; a withdraw body debits exactly what it gets signed or nothing;
+# a Schnorr proof or signature off the wire errors or is judged, never
+# panics, and a commitment outside [1, p) is refused.
 # CI's fuzz job runs this target on every PR: the list lives here.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/bloom
 	$(GO) test -run=NONE -fuzz=FuzzConsumeNonce -fuzztime=10s ./internal/provider
 	$(GO) test -run=NONE -fuzz=FuzzWithdrawRequest -fuzztime=10s ./internal/httpapi
+	$(GO) test -run=NONE -fuzz=FuzzParseProof -fuzztime=10s ./internal/cryptox/schnorr
 
 # Subprocess crash/compaction suite: SIGKILL mid-group-commit, mid-
 # segment-roll and mid-incremental-compaction; -count=2 reruns each

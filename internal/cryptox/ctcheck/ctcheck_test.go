@@ -110,18 +110,32 @@ func TestTimingExpGTable(t *testing.T) {
 	)
 }
 
-// Same guard for the math/big fallback path (no table built): ExpG
-// blinds there too, so both deployment configurations carry the same
-// posture.
+// Same guard for the math/big path a group takes before it builds its
+// table: ExpG blinds there too, so both paths carry the same posture. A
+// group builds its table at its 128th exponentiation, so the classes
+// share a fresh group copy for every 100 calls and none ever builds.
 func TestTimingExpGFallback(t *testing.T) {
-	g := freshGroup("ct-fallback")
+	var groups []*schnorr.Group
+	calls := 0
+	group := func() *schnorr.Group {
+		if calls%100 == 0 {
+			groups = append(groups, freshGroup("ct-fallback"))
+		}
+		calls++
+		return groups[len(groups)-1]
+	}
 	fixed := big.NewInt(1)
-	rnd := randomScalars(t, g, samples+warmup)
+	rnd := randomScalars(t, schnorr.Group768(), samples+warmup)
 	i := 0
 	guard(t, "ExpG/fallback",
-		func() { g.ExpG(fixed) },
-		func() { g.ExpG(rnd[i%len(rnd)]); i++ },
+		func() { group().ExpG(fixed) },
+		func() { group().ExpG(rnd[i%len(rnd)]); i++ },
 	)
+	for _, g := range groups {
+		if g.Precomputed() {
+			t.Fatal("a fallback group built its table: the guard timed the table path")
+		}
+	}
 }
 
 // Whole-operation guard over schnorr.Sign: one fixed private key

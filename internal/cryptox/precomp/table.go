@@ -8,7 +8,9 @@
 // base^x mod p; a pool hands out values drawn from exactly the
 // distribution the inline path would have drawn from, each value exactly
 // once. Callers always keep an inline fallback for when no table is
-// built or a pool is drained.
+// built yet or a pool is drained. When to build a table is the owner's
+// decision: schnorr builds a group's once the group has served enough
+// exponentiations to repay the build.
 package precomp
 
 import "math/big"
@@ -17,7 +19,7 @@ import "math/big"
 // radix digit one exponent byte, cutting the call-time work to one
 // modular multiplication per exponent byte — about a third of what
 // math/big's square-and-multiply pays at our group sizes — in exchange
-// for 256-entry rows built once at startup.
+// for 256-entry rows that cost a one-time build.
 const tableWindow = 8
 
 // Table is a fixed-base windowed exponentiation table for computing
@@ -26,9 +28,10 @@ const tableWindow = 8
 //	rows[i][j] = base^(j << (w*i)) mod p
 //
 // so base^x = Π_i rows[i][digit_i(x)] where digit_i is the i-th radix-2^w
-// digit of x. Built once (tens of ms, ~4 MB for a 768-bit group; a few
-// hundred ms, ~20 MB for 2048 bits), then shared read-only; Exp is safe
-// for concurrent use.
+// digit of x. The build costs tens of ms and ~7 MB of heap for a 768-bit
+// group, a few hundred ms and ~41 MB for 2048 bits, so it pays only a caller
+// that goes on to compute about a hundred exponentiations; once built
+// the table is shared read-only, and Exp is safe for concurrent use.
 //
 // The table lookup is indexed by exponent digit, so the memory-access
 // pattern depends on the exponent. Callers exponentiating secrets MUST

@@ -17,7 +17,14 @@ import (
 // acceleration for every user at once.
 type groupState struct {
 	table atomic.Pointer[precomp.Table]
-	pool  atomic.Pointer[precomp.Pool[Nonce]]
+	// uses counts ExpG calls served without a table; the one that brings
+	// it to tableAfter builds the table.
+	uses atomic.Int64
+	// claimed is set, once, by the caller that builds the table, and
+	// built is closed when that caller has published it.
+	claimed atomic.Bool
+	built   chan struct{}
+	pool    atomic.Pointer[precomp.Pool[Nonce]]
 }
 
 var groupStates sync.Map // *Group -> *groupState
@@ -26,7 +33,7 @@ func (g *Group) state() *groupState {
 	if st, ok := groupStates.Load(g); ok {
 		return st.(*groupState)
 	}
-	st, _ := groupStates.LoadOrStore(g, &groupState{})
+	st, _ := groupStates.LoadOrStore(g, &groupState{built: make(chan struct{})})
 	return st.(*groupState)
 }
 
@@ -37,42 +44,84 @@ func (g *Group) state() *groupState {
 // secret exponent. The table is sized to cover the widened exponent.
 const blindBits = 64
 
-// Precompute builds the fixed-base table for g.G (idempotent; tens of
-// ms and ~4 MB for the 768-bit group, a few hundred ms and ~20 MB for
-// the 2048-bit group). After it returns, Sign, Prove, GenerateKey,
-// Verify's commitment side, and dlkem encapsulation all use the table;
-// without it they fall back to math/big exactly as before.
+// tableAfter is the number of ExpG calls a group serves through
+// math/big before it builds its fixed-base table. The build pays for
+// itself after build/(plain − table) calls: about 127 for modp768 and
+// 80 for modp2048 on the 2-vCPU lab VM (BenchmarkT1_ExpG; figures in
+// docs/crypto.md). 128 is the larger, rounded up. A process that keeps
+// computing g^x — the daemon, a card, an SDK client, a load generator —
+// passes it within its first few operations; a one-shot command, which
+// computes a handful, never builds.
+const tableAfter = 128
+
+// build builds and publishes the table and returns it, unless another
+// caller has claimed the build: then it returns nil at once.
+func (st *groupState) build(g *Group) *precomp.Table {
+	if !st.claimed.CompareAndSwap(false, true) {
+		return nil
+	}
+	t := newTable(g)
+	st.table.Store(t)
+	close(st.built)
+	return t
+}
+
+// newTable builds the fixed-base table for g.G, wide enough for a
+// blinded exponent.
+func newTable(g *Group) *precomp.Table {
+	return precomp.NewTable(g.G, g.P, g.Q.BitLen()+blindBits+8)
+}
+
+// Precompute builds the fixed-base table for g.G now instead of at the
+// group's tableAfter-th ExpG (tens of ms and ~7 MB of heap for the
+// 768-bit group, a few hundred ms and ~41 MB for 2048 bits). The daemon
+// calls it so that no request pays the build. It is idempotent, and a
+// table is built at most once per group: a call that meets a build in
+// progress waits for it.
 func (g *Group) Precompute() {
 	st := g.state()
-	if st.table.Load() != nil {
-		return
+	if st.build(g) == nil {
+		<-st.built
 	}
-	st.table.Store(precomp.NewTable(g.G, g.P, g.Q.BitLen()+blindBits+8))
 }
 
 // Precomputed reports whether the fixed-base table is built.
 func (g *Group) Precomputed() bool { return g.state().table.Load() != nil }
 
-// ExpG computes G^x mod P, via the fixed-base table when one is built.
+// ExpG computes G^x mod P: via the fixed-base table once the group has
+// one, through math/big before that. The call that brings the group's
+// table-less calls to tableAfter builds the table and uses it; calls
+// that arrive while it builds take math/big and do not wait.
 // Non-negative exponents are blinded with a fresh multiple of the group
 // order (x + r·q, r 64-bit random — the same group element, randomized
-// digit pattern) on BOTH the table path and the math/big fallback, so
-// the memory-access pattern of either path is decorrelated from x and
-// the two paths carry the same side-channel posture.
+// digit pattern) on BOTH paths, so the memory-access pattern of either
+// is decorrelated from x and the two carry the same side-channel
+// posture.
 func (g *Group) ExpG(x *big.Int) *big.Int {
 	if x.Sign() < 0 {
 		return new(big.Int).Exp(g.G, x, g.P)
 	}
-	e := x
-	var rb [blindBits / 8]byte
-	if _, err := io.ReadFull(rand.Reader, rb[:]); err == nil {
-		r := new(big.Int).SetBytes(rb[:])
-		e = r.Mul(r, g.Q).Add(r, x)
+	e := g.blind(x)
+	st := g.state()
+	t := st.table.Load()
+	if t == nil && st.uses.Add(1) == tableAfter {
+		t = st.build(g)
 	}
-	if t := g.state().table.Load(); t != nil {
+	if t != nil {
 		return t.Exp(e)
 	}
 	return new(big.Int).Exp(g.G, e, g.P)
+}
+
+// blind returns x + r·q for a fresh 64-bit r, or x itself if the
+// randomness source fails.
+func (g *Group) blind(x *big.Int) *big.Int {
+	var rb [blindBits / 8]byte
+	if _, err := io.ReadFull(rand.Reader, rb[:]); err != nil {
+		return x
+	}
+	r := new(big.Int).SetBytes(rb[:])
+	return r.Mul(r, g.Q).Add(r, x)
 }
 
 // Nonce is a precomputed Schnorr nonce pair (K secret, R = G^K).

@@ -7,10 +7,13 @@ import (
 	"math/big"
 	"sync"
 	"testing"
+
+	"p2drm/internal/cryptox/precomp"
 )
 
-// freshGroup returns a new *Group with the 768-bit parameters so pool
-// state does not leak between tests (the registry is keyed by pointer).
+// freshGroup returns a new *Group with the 768-bit parameters so table,
+// use-count and pool state do not leak between tests (the registry is
+// keyed by pointer).
 func freshGroup() *Group { return mustGroup("modp768-test", hex768) }
 
 func TestExpGMatchesExpWithTable(t *testing.T) {
@@ -39,6 +42,102 @@ func TestExpGMatchesExpWithTable(t *testing.T) {
 		if got := g.ExpG(x); got.Cmp(want) != 0 {
 			t.Fatalf("ExpG edge mismatch for %v", x)
 		}
+	}
+}
+
+// A group serves its first tableAfter−1 exponentiations through math/big
+// and builds no table; the tableAfter-th builds it. ExpG's values are
+// the same on both sides of the switch, edge exponents and negative ones
+// included.
+func TestExpGSameValuesAcrossTheThreshold(t *testing.T) {
+	g := freshGroup()
+	one := big.NewInt(1)
+	xs := []*big.Int{
+		big.NewInt(0), one, new(big.Int).Sub(g.Q, one), g.Q, new(big.Int).Add(g.Q, one),
+		big.NewInt(-1), new(big.Int).Neg(g.Q),
+	}
+	for i := 0; i < 4; i++ {
+		x, err := randScalar(g, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, x)
+	}
+	check := func(side string) {
+		t.Helper()
+		for _, x := range xs {
+			if got, want := g.ExpG(x), new(big.Int).Exp(g.G, x, g.P); got.Cmp(want) != 0 {
+				t.Errorf("%s the threshold: ExpG(%v) differs from Exp", side, x)
+			}
+		}
+	}
+	check("below")
+	st := g.state()
+	for st.uses.Load() < tableAfter-1 {
+		g.ExpG(one)
+	}
+	if g.Precomputed() {
+		t.Fatalf("table built after %d calls, want none before %d", st.uses.Load(), tableAfter)
+	}
+	check("at and above")
+	if !g.Precomputed() {
+		t.Fatalf("no table after %d calls", st.uses.Load())
+	}
+	if n := st.uses.Load(); n != tableAfter {
+		t.Errorf("%d calls counted, want counting to stop at %d once the table is built", n, tableAfter)
+	}
+}
+
+// 32 goroutines crossing the threshold together, one of them calling
+// Precompute on the way, publish one table: every goroutine that sees a
+// table sees the same one, the pointer is never replaced, and Precompute
+// returns only once the table is there. Run with -race.
+func TestExpGConcurrentCrossingBuildsOnce(t *testing.T) {
+	g := freshGroup()
+	st := g.state()
+	const workers = 32
+	const per = 2 * tableAfter / workers
+	x := big.NewInt(0x5eed)
+	want := new(big.Int).Exp(g.G, x, g.P)
+	seen := make([][]*precomp.Table, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < per; i++ {
+				if w == 0 && i == per/2 {
+					g.Precompute()
+					if !g.Precomputed() {
+						t.Error("Precompute returned before the table was published")
+					}
+				}
+				if g.ExpG(x).Cmp(want) != 0 {
+					t.Error("ExpG value changed across the switch")
+				}
+				seen[w] = append(seen[w], st.table.Load())
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	final := st.table.Load()
+	if final == nil {
+		t.Fatal("no table after the threshold was crossed")
+	}
+	for w, ts := range seen {
+		for _, tb := range ts {
+			if tb != nil && tb != final {
+				t.Fatalf("goroutine %d saw a table that was later replaced", w)
+			}
+		}
+	}
+	g.Precompute()
+	g.ExpG(x)
+	if st.table.Load() != final {
+		t.Fatal("Precompute replaced a published table")
 	}
 }
 
@@ -149,5 +248,47 @@ func TestNoncePoolDisableIdempotent(t *testing.T) {
 	g.DisableNoncePool()
 	if _, ok := g.NoncePoolStats(); ok {
 		t.Fatal("pool still reported after disable")
+	}
+}
+
+var (
+	expSink   *big.Int
+	tableSink *precomp.Table
+)
+
+// BenchmarkT1_ExpG is where tableAfter and docs/crypto.md's generator
+// table figures come from:
+//
+//	go test -run '^$' -bench T1_ExpG -benchtime 100x ./internal/cryptox/schnorr
+//
+// plain is g^x through math/big and table through the fixed-base table,
+// both on the blinded exponent ExpG computes; build is the table's
+// one-time cost. The build pays for itself after build/(plain − table)
+// calls.
+func BenchmarkT1_ExpG(b *testing.B) {
+	for _, base := range []*Group{Group768(), Group2048()} {
+		g := &Group{Name: base.Name, P: base.P, Q: base.Q, G: base.G}
+		bits := g.Name[len("modp"):]
+		x, err := randScalar(g, rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("plain/"+bits, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				expSink = new(big.Int).Exp(g.G, g.blind(x), g.P)
+			}
+		})
+		b.Run("table/"+bits, func(b *testing.B) {
+			g.Precompute()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				expSink = g.ExpG(x)
+			}
+		})
+		b.Run("build/"+bits, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tableSink = newTable(g)
+			}
+		})
 	}
 }

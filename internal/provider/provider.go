@@ -455,13 +455,11 @@ func (p *Provider) register(ctx context.Context, signPub, encPub []byte, proof *
 	}
 	signY := new(big.Int).SetBytes(signPub)
 	encY := new(big.Int).SetBytes(encPub)
-	if err := p.group.ValidatePublicKey(signY); err != nil {
-		return fmt.Errorf("provider: sign key: %w", err)
-	}
 	if err := p.group.ValidatePublicKey(encY); err != nil {
 		return fmt.Errorf("provider: enc key: %w", err)
 	}
 	// Schnorr verification: public-key crypto, no provider lock held.
+	// VerifyProof checks the sign key's range and subgroup itself.
 	if err := schnorr.VerifyProof(p.group, signY, RegisterContext(nonce), proof); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadProof, err)
 	}

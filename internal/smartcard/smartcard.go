@@ -11,9 +11,11 @@
 //     the card no storage.
 //   - Private scalars never leave the card; callers get proofs,
 //     signatures and unwrapped content keys, never keys used to make them.
-//   - Cards are slow. A configurable per-modexp delay models mid-2000s
-//     card silicon, which experiment T5 sweeps to show where the protocol
-//     budget goes on constrained hardware.
+//   - Card cost is counted, not simulated: Stats tallies the modular
+//     exponentiations real card silicon would pay. The host pays them
+//     in software, and a card in a long-lived process pays the group's
+//     fixed-base rate: the group builds its table once the process has
+//     computed enough g^x (schnorr.Group.ExpG), with no call from here.
 package smartcard
 
 import (

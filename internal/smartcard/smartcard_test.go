@@ -86,6 +86,72 @@ func TestProveVerifies(t *testing.T) {
 	}
 }
 
+// A card's group builds its fixed-base table after its first hundred or
+// so exponentiations, with provers running. Proofs made before the
+// switch, across it (the Prove whose g^k builds the table) and after it
+// all pass VerifyProof and VerifyProofBatch.
+func TestProofsVerifyAcrossTheTableSwitch(t *testing.T) {
+	base := schnorr.Group768()
+	g := &schnorr.Group{Name: "card-switch", P: base.P, Q: base.Q, G: base.G}
+	c := New(g, [kdf.SeedLen]byte{7})
+	p, err := c.Pseudonym(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 4, 64
+	type made struct {
+		ctx           []byte
+		proof         *schnorr.Proof
+		before, after bool
+	}
+	out := make([][]made, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				m := made{ctx: []byte{byte(w), byte(i)}, before: g.Precomputed()}
+				proof, err := c.Prove(0, m.ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m.proof, m.after = proof, g.Precomputed()
+				out[w] = append(out[w], m)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	var items []schnorr.BatchProofItem
+	sides := map[string]int{}
+	for _, ms := range out {
+		for _, m := range ms {
+			switch {
+			case !m.after:
+				sides["before"]++
+			case !m.before:
+				sides["during"]++
+			default:
+				sides["after"]++
+			}
+			if err := schnorr.VerifyProof(g, p.SignY(), m.ctx, m.proof); err != nil {
+				t.Errorf("proof %x (table before %v, after %v): %v", m.ctx, m.before, m.after, err)
+			}
+			items = append(items, schnorr.BatchProofItem{Y: p.SignY(), Context: m.ctx, Proof: m.proof})
+		}
+	}
+	for i, err := range schnorr.VerifyProofBatch(g, items, rand.Reader) {
+		if err != nil {
+			t.Errorf("batch slot %d: %v", i, err)
+		}
+	}
+	if sides["before"] == 0 || sides["during"] == 0 || sides["after"] == 0 {
+		t.Errorf("proofs per side of the switch: %v, want some on every side", sides)
+	}
+}
+
 func TestSignVerifies(t *testing.T) {
 	c := testCard(t)
 	p, _ := c.Pseudonym(1)

@@ -19,15 +19,18 @@ test:
 # callers and the card whose provers cross that build, and the KEM sender
 # every serving goroutine wraps through, with the license package that
 # calls it and that signs a batch call's roots from several workers at
-# once). CI's race job runs this target: the list lives here.
+# once), and the daemon, whose boot runs key generation, the generator
+# table and the WAL replays side by side: its subprocess tests build it
+# with -race when they run under it. CI's race job runs this target: the
+# list lives here.
 race:
-	$(GO) test -race ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license ./internal/smartcard .
+	$(GO) test -race ./cmd/p2drmd ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license ./internal/smartcard .
 
 # One iteration per benchmark: proves they compile and run. The T1_
 # pattern reaches the per-package micro-benchmarks docs/crypto.md quotes
 # (internal/cryptox/dlkem: T1_KEMShare; internal/cryptox/schnorr:
 # T1_ExpG, T1_VerifyBatch16; internal/license: T1_LicenseSignBatch16,
-# T1_LicenseVerifyPath).
+# T1_LicenseVerifyPath; internal/revocation: T1_RevocationOpen).
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
 	$(GO) test -run=NONE -bench=BenchmarkT3_ReplicaCatchup -benchtime=1x ./internal/replica

@@ -78,6 +78,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -128,6 +129,35 @@ const labRSABits = 1024
 func fatal(msg string, args ...any) {
 	slog.Error(msg, args...)
 	os.Exit(1)
+}
+
+// bootStep is one independent piece of startup work and the fatal line
+// its failure ends in: msg, then args and the error.
+type bootStep struct {
+	msg  string
+	args []any
+	run  func() error
+}
+
+// runBoot runs steps side by side and waits for every one of them. The
+// first failed step in list order ends the process in its fatal line,
+// the line it ended in when boot ran one step after another.
+func runBoot(steps ...bootStep) {
+	errs := make([]error, len(steps))
+	var wg sync.WaitGroup
+	for i, s := range steps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.run()
+		}()
+	}
+	wg.Wait()
+	for i, s := range steps {
+		if errs[i] != nil {
+			fatal(s.msg, append(s.args, "err", errs[i])...)
+		}
+	}
 }
 
 // parseLogLevel maps the -log-level flag onto slog levels; unknown
@@ -216,40 +246,52 @@ func main() {
 	if fl.lab {
 		group = schnorr.Group768()
 	}
-	// The fixed-base table for the group generator: every proof
-	// verification and key wrap exponentiates it.
-	group.Precompute()
-	slog.Info("crypto acceleration", "precompute", group.Precomputed())
-
-	slog.Info("generating keys", "rsa_bits", fl.rsaBits, "group", group.Name)
-	bankKey, err := rsa.GenerateKey(rand.Reader, fl.rsaBits)
-	if err != nil {
-		fatal("bank key", "err", err)
-	}
-	provKey, err := rsa.GenerateKey(rand.Reader, fl.rsaBits)
-	if err != nil {
-		fatal("provider key", "err", err)
-	}
-
 	bankDir, provDir := "", ""
 	if fl.stateDir != "" {
 		bankDir = fl.stateDir + "/bank"
 		provDir = fl.stateDir + "/provider"
 	}
-	spent, err := kvstore.OpenWith(bankDir, walOpts)
-	if err != nil {
-		fatal("bank store", "err", err)
-	}
+
+	// Boot order. First, side by side, the work that needs nothing but the
+	// flags: the bank and provider RSA keys, the generator's fixed-base
+	// table (every proof verification and key wrap exponentiates it), and
+	// the replay of the bank and provider WALs. Boot waits for all five
+	// before it uses any. Then the bank and the provider are assembled on
+	// them — the provider's revocation list reads its serials once, into a
+	// filter at its final size — and last the demo items, whose
+	// denomination keys are generated side by side too.
+	slog.Info("generating keys", "rsa_bits", fl.rsaBits, "group", group.Name)
+	var (
+		bankKey, provKey *rsa.PrivateKey
+		spent, store     *kvstore.Store
+	)
+	runBoot(
+		bootStep{"bank key", nil, func() (err error) {
+			bankKey, err = rsa.GenerateKey(rand.Reader, fl.rsaBits)
+			return err
+		}},
+		bootStep{"provider key", nil, func() (err error) {
+			provKey, err = rsa.GenerateKey(rand.Reader, fl.rsaBits)
+			return err
+		}},
+		bootStep{"precompute", nil, func() error { group.Precompute(); return nil }},
+		bootStep{"bank store", nil, func() (err error) {
+			spent, err = kvstore.OpenWith(bankDir, walOpts)
+			return err
+		}},
+		bootStep{"provider store", nil, func() (err error) {
+			store, err = kvstore.OpenWith(provDir, walOpts)
+			return err
+		}},
+	)
+	slog.Info("crypto acceleration", "precompute", group.Precomputed())
+
 	bank, err := payment.NewBank(bankKey, spent)
 	if err != nil {
 		fatal("bank", "err", err)
 	}
 	if err := bank.CreateAccount("provider", 0); err != nil {
 		fatal("provider account", "err", err)
-	}
-	store, err := kvstore.OpenWith(provDir, walOpts)
-	if err != nil {
-		fatal("provider store", "err", err)
 	}
 	prov, err := provider.New(provider.Config{
 		Group:        group,
@@ -280,13 +322,18 @@ valid until "2030-01-01T00:00:00Z";
 			{"song-red", "Red Rain (demo)", 3},
 			{"film-grey", "Grey Matter (demo)", 5},
 		}
-		for _, d := range demo {
-			if _, err := prov.AddContent(d.id, d.title, d.price, template,
-				[]byte("demo content payload for "+string(d.id))); err != nil {
-				fatal("seed content", "content", d.id, "err", err)
-			}
-			slog.Info("listed demo content", "content", d.id, "price_credits", d.price)
+		steps := make([]bootStep, len(demo))
+		for i, d := range demo {
+			steps[i] = bootStep{"seed content", []any{"content", d.id}, func() error {
+				if _, err := prov.AddContent(d.id, d.title, d.price, template,
+					[]byte("demo content payload for "+string(d.id))); err != nil {
+					return err
+				}
+				slog.Info("listed demo content", "content", d.id, "price_credits", d.price)
+				return nil
+			}}
 		}
+		runBoot(steps...)
 		if err := bank.CreateAccount("demo", 100); err != nil {
 			fatal("demo account", "err", err)
 		}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"io"
 	"io/fs"
@@ -15,8 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"p2drm/internal/bloom"
 	"p2drm/internal/httpapi"
 	"p2drm/internal/kvstore"
+	"p2drm/internal/license"
+	"p2drm/internal/revocation"
 )
 
 func newFlagSet() *flag.FlagSet {
@@ -84,15 +89,8 @@ func TestFlagSurface(t *testing.T) {
 // record in flight. The daemon boots on it, serves a compaction
 // synchronously, and leaves that directory byte-identical.
 func TestParentEraOpsDirIsLeftAlone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and boots the daemon; skipped in -short")
-	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "p2drmd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	state := filepath.Join(tmp, "state")
+	bin := buildDaemon(t)
+	state := filepath.Join(t.TempDir(), "state")
 	ops, err := kvstore.OpenWith(filepath.Join(state, "ops"), walOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -106,38 +104,162 @@ func TestParentEraOpsDirIsLeftAlone(t *testing.T) {
 	}
 	before := readTree(t, filepath.Join(state, "ops"))
 
+	cmd, c := startDaemon(t, bin, "-lab", "-state", state)
+	if res, err := c.CompactStore("provider"); err != nil || res.Store != "provider" {
+		t.Fatalf("compact = %+v, %v", res, err)
+	}
+	stopDaemon(t, cmd)
+	if after := readTree(t, filepath.Join(state, "ops")); !reflect.DeepEqual(before, after) {
+		t.Errorf("ops directory changed: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestBootOverARevocationList boots -lab on a state directory whose
+// provider store already holds more revoked serials than
+// revocation.DefaultFilterCapacity. The keys, the generator table and
+// the WAL replays run side by side, and so do the demo items' key
+// generations: the daemon must come up healthy and answer for every
+// serial, sign a filter sized for the list that holds them, and list
+// three items under three distinct denomination keys.
+func TestBootOverARevocationList(t *testing.T) {
+	bin := buildDaemon(t)
+	state := filepath.Join(t.TempDir(), "state")
+	const n = 70_000 // > DefaultFilterCapacity (65 536)
+	serials := make([]license.Serial, n)
+	for i := range serials {
+		sum := sha256.Sum256(binary.BigEndian.AppendUint64([]byte("p2drmd/test/revoked"), uint64(i)))
+		copy(serials[i][:], sum[:])
+	}
+	st, err := kvstore.Open(filepath.Join(state, "provider"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := revocation.Open(st, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 1000 {
+		if err := list.AddBatch(serials[i:min(i+1000, n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd, c := startDaemon(t, bin, "-lab", "-state", state)
+	for _, i := range []int{0, 1, n / 2, n - 1} {
+		if found, err := c.RevocationContains(serials[i]); err != nil || !found {
+			t.Errorf("contains(serial %d) = %v, %v; want revoked", i, found, err)
+		}
+	}
+	var fresh license.Serial
+	if found, err := c.RevocationContains(fresh); err != nil || found {
+		t.Errorf("contains(never-revoked serial) = %v, %v", found, err)
+	}
+
+	pub, err := c.ProviderKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := c.RevocationFilter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter, err := revocation.VerifyFilter(pub, sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized, err := bloom.NewWithEstimates(2*revocation.DefaultFilterCapacity, revocation.DefaultFalsePositiveRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filter.Bits() != sized.Bits() || filter.Hashes() != sized.Hashes() || filter.Count() != n {
+		t.Errorf("signed filter m=%d k=%d n=%d, want m=%d k=%d n=%d",
+			filter.Bits(), filter.Hashes(), filter.Count(), sized.Bits(), sized.Hashes(), n)
+	}
+	for i, s := range serials {
+		if !filter.Contains(s[:]) {
+			t.Fatalf("signed filter misses serial %d", i)
+		}
+	}
+
+	items, err := c.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moduli := map[string]string{}
+	for _, it := range items {
+		key, _, err := c.Denomination(license.ContentID(it.ID))
+		if err != nil {
+			t.Fatalf("denomination %s: %v", it.ID, err)
+		}
+		if other, dup := moduli[key.N.String()]; dup {
+			t.Errorf("%s and %s share a denomination key", it.ID, other)
+		}
+		moduli[key.N.String()] = it.ID
+	}
+	if len(items) != 3 || len(moduli) != 3 {
+		t.Errorf("%d demo items under %d denomination keys, want 3 and 3", len(items), len(moduli))
+	}
+	stopDaemon(t, cmd)
+}
+
+// buildDaemon builds this package's daemon into a temporary directory,
+// with the race detector when the test binary runs under it. It skips in
+// -short.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and boots the daemon; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "p2drmd")
+	args := []string{"build", "-o", bin}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	if out, err := exec.Command("go", append(args, ".")...).CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// startDaemon starts bin with args on a free loopback port and returns
+// once /v2/health answers 200. The process is killed at cleanup unless
+// stopDaemon already stopped it.
+func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, *httpapi.Client) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
 	l.Close()
-	cmd := exec.Command(bin, "-lab", "-state", state, "-addr", addr)
+	cmd := exec.Command(bin, append(args, "-addr", addr)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 	c := httpapi.NewClient("http://"+addr, nil)
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(50 * time.Millisecond) {
 		if _, code, err := c.HealthV2(); err == nil && code == http.StatusOK {
-			break
+			return cmd, c
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never became healthy")
 		}
 	}
-	if res, err := c.CompactStore("provider"); err != nil || res.Store != "provider" {
-		t.Fatalf("compact = %+v, %v", res, err)
-	}
+}
+
+// stopDaemon sends SIGTERM and expects a clean exit.
+func stopDaemon(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("daemon exit: %v", err)
-	}
-	if after := readTree(t, filepath.Join(state, "ops")); !reflect.DeepEqual(before, after) {
-		t.Errorf("ops directory changed: %d files before, %d after", len(before), len(after))
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Filter is a fixed-size Bloom filter. The zero value is not usable; build
@@ -51,15 +51,31 @@ func NewWithEstimates(n uint64, fp float64) (*Filter, error) {
 	return New(m, k)
 }
 
+// FNV-128a parameters, as hash/fnv defines them: the offset basis split
+// into its high and low words, and the prime 2^88 + 2^8 + 0x3b as its
+// low word plus the shift of its 2^88 term into the high word.
+const (
+	fnvOffsetHigh = 0x6c62272e07bb0142
+	fnvOffsetLow  = 0x62b821756295c58d
+	fnvPrimeLow   = 0x13b
+	fnvPrimeShift = 24
+)
+
 // indexes derives the k bit positions for data using double hashing
-// (Kirsch–Mitzenmacher): h_i = h1 + i·h2.
+// (Kirsch–Mitzenmacher): h_i = h1 + i·h2, where h1 and h2 are the high
+// and low halves of data's FNV-128a digest. The digest is computed inline
+// — hash/fnv's arithmetic, without its two allocations — and is part of
+// the wire format: a device decodes a filter with this package and must
+// derive the very bits the provider set.
 func (f *Filter) indexes(data []byte) (uint64, uint64) {
-	h := fnv.New128a()
-	h.Write(data)
-	sum := h.Sum(nil)
-	h1 := binary.BigEndian.Uint64(sum[:8])
-	h2 := binary.BigEndian.Uint64(sum[8:16]) | 1 // odd so it cycles all residues
-	return h1, h2
+	hi, lo := uint64(fnvOffsetHigh), uint64(fnvOffsetLow)
+	for _, c := range data {
+		lo ^= uint64(c)
+		h, l := bits.Mul64(fnvPrimeLow, lo)
+		hi = h + lo<<fnvPrimeShift + fnvPrimeLow*hi
+		lo = l
+	}
+	return hi, lo | 1 // h2 odd so it cycles all residues
 }
 
 // Add inserts data into the filter.

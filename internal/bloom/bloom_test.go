@@ -3,7 +3,9 @@ package bloom
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -196,6 +198,59 @@ func TestQuickMarshalPreservesMembership(t *testing.T) {
 		if !back.Contains(k) {
 			t.Fatal("added key lost after roundtrip")
 		}
+	}
+}
+
+// goldenInput is the n-byte input of the index golden vectors.
+func goldenInput(n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(7*i + 1)
+	}
+	return data
+}
+
+// TestIndexesGolden pins index derivation to FNV-128a as hash/fnv
+// computes it. The filter is a wire format: a device decodes the
+// provider's filter with this package, so h1 and h2 — and with them every
+// bit — must never drift. The digests below are hash/fnv's output, and
+// the test recomputes them with it too.
+func TestIndexesGolden(t *testing.T) {
+	golden := []struct {
+		n      int
+		digest string // FNV-128a of goldenInput(n), h1 ‖ h2 before h2's low bit is set
+	}{
+		{0, "6c62272e07bb014262b821756295c58d"},
+		{1, "d228cb690f1a8caf78912b704e4a1344"},
+		{32, "6f85736cb05beef6ad44d05ced0d27cd"},
+		{70, "69de75b8afa647cc9ccff9df05f91f04"},
+	}
+	f, _ := New(1024, 4)
+	for _, g := range golden {
+		data := goldenInput(g.n)
+		h := fnv.New128a()
+		h.Write(data)
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.digest {
+			t.Fatalf("hash/fnv FNV-128a of %d bytes = %s, golden %s", g.n, got, g.digest)
+		}
+		sum, _ := hex.DecodeString(g.digest)
+		want1 := binary.BigEndian.Uint64(sum[:8])
+		want2 := binary.BigEndian.Uint64(sum[8:]) | 1
+		if h1, h2 := f.indexes(data); h1 != want1 || h2 != want2 {
+			t.Errorf("indexes(%d bytes) = %016x %016x, want %016x %016x", g.n, h1, h2, want1, want2)
+		}
+	}
+}
+
+// TestAddContainsAllocateNothing: the index derivation hashes inline.
+func TestAddContainsAllocateNothing(t *testing.T) {
+	f, _ := NewWithEstimates(1000, 0.01)
+	data := goldenInput(20)
+	if n := testing.AllocsPerRun(100, func() { f.Add(data) }); n != 0 {
+		t.Errorf("Add allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.Contains(data) }); n != 0 {
+		t.Errorf("Contains allocates %v times per call", n)
 	}
 }
 

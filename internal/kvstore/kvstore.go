@@ -1175,17 +1175,33 @@ func (s *Store) PrefixScan(prefix []byte, fn func(key, val []byte) bool) {
 // only matching pairs are copied. The trade-offs versus PrefixScan:
 // order is unspecified, and the view is only per-shard consistent — a
 // key inserted or deleted mid-scan may or may not be visited (a key
-// live for the whole scan is visited exactly once). Long background
-// scans over large stores (the revocation list's async filter rebuild)
-// use this so they never stall the write path.
+// live for the whole scan is visited exactly once). Long scans over
+// large stores (the revocation list's Open and its async filter rebuild)
+// use this so they never stall the write path. The callback receives
+// copies; one shard's copies share one allocation, so a callback that
+// keeps a key keeps that shard's copies alive with it.
 func (s *Store) PrefixScanRelaxed(prefix []byte, fn func(key, val []byte) bool) {
 	p := string(prefix) // one conversion, not one per key
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		var pairs []op
+		// Size the shard's copies once: a counting pass, then one pair
+		// slice and one byte arena the visited keys and values are
+		// capped sub-slices of (an append to one cannot reach the next).
+		n, size := 0, 0
 		for k, e := range sh.data {
 			if strings.HasPrefix(k, p) {
-				pairs = append(pairs, op{key: []byte(k), val: append([]byte(nil), e.val...)})
+				n++
+				size += len(k) + len(e.val)
+			}
+		}
+		pairs := make([]op, 0, n)
+		arena := make([]byte, 0, size)
+		for k, e := range sh.data {
+			if strings.HasPrefix(k, p) {
+				at := len(arena)
+				arena = append(append(arena, k...), e.val...)
+				kEnd := at + len(k)
+				pairs = append(pairs, op{key: arena[at:kEnd:kEnd], val: arena[kEnd:len(arena):len(arena)]})
 			}
 		}
 		sh.mu.RUnlock()

@@ -57,9 +57,12 @@
 //
 // The follower applies each primary record as one atomic kvstore batch,
 // coalescing several records per batch for throughput — its own store
-// is opened in group-commit mode, so an applied record is durable
-// before the replication cursor {epoch, segment, offset, gen} is
-// persisted (a sidecar JSON file, atomically renamed). After a crash
+// is opened in group-commit mode, and the batches of one fetched chunk
+// share a kvstore commit set: one durability wait per chunk, and the
+// chunk's records are durable before the replication cursor {epoch,
+// segment, offset, gen} is persisted (a sidecar JSON file, atomically
+// renamed). A record may be readable on the follower before that wait
+// returns; the primary already holds it durably. After a crash
 // the cursor is never ahead of applied state; re-fetching from it
 // re-applies a suffix of absolute put/delete records, which is
 // idempotent. Promotion (Follower.Promote) first fsyncs a PROMOTED

@@ -53,7 +53,8 @@ const (
 
 	// maxApplyOps/maxApplyBytes bound one coalesced apply batch: several
 	// primary records are folded into a single follower WAL record (and
-	// one group-commit fsync), which is what makes catch-up fast.
+	// a chunk's batches share one group-commit fsync), which is what
+	// makes catch-up fast.
 	// Atomicity is preserved — a batch is a superset of whole primary
 	// records, so a crash never exposes half a primary record.
 	maxApplyOps   = 1024
@@ -580,8 +581,16 @@ func (f *Follower) commitCursor(cur Cursor, ch *Chunk) {
 
 // applyBytes decodes whole records from data and applies them to st in
 // coalesced atomic batches. It returns the bytes consumed — always a
-// record boundary, and never past the last DURABLY applied record when
-// an error is returned — plus the number of records applied.
+// record boundary, and never past the last DURABLY applied record — plus
+// the number of records applied.
+//
+// The batches share one kvstore commit set, so a chunk costs one
+// durability wait (End) however many batches it holds, and nothing is
+// reported consumed before that wait returned: the cursor is still
+// persisted only over durable records, and a failed wait consumes
+// nothing. Records can be visible on the follower before its own fsync;
+// they are already durable on the primary, which ships nothing past its
+// durable offset, and a crash re-fetches them from the persisted cursor.
 //
 // The pending batch is flushed BEFORE a record whose ops would push it
 // past the size/op caps, never after: a single primary record always
@@ -595,19 +604,21 @@ func (f *Follower) applyBytes(st *kvstore.Store, data []byte) (int64, int64, err
 		t0 := time.Now()
 		defer func() { o.ApplySeconds(time.Since(t0)) }()
 	}
+	ctx, commit := kvstore.BeginCommit(context.Background())
 	var lastFlushed, prevEnd, flushedRecs, pendingRecs int64
 	batch := new(kvstore.Batch)
 	batchBytes := 0
 	flush := func(end int64) error {
 		if batch.Len() > 0 {
-			if err := st.Apply(batch); err != nil {
+			if err := st.ApplyCtx(ctx, batch); err != nil {
 				return err
 			}
 			batch = new(kvstore.Batch)
 			batchBytes = 0
 		}
-		// Only records whose batch was durably applied count: a failed
-		// retry loop must not inflate the records_applied statistic.
+		// Only records whose batch was applied count, and they are
+		// reported only once End made them durable: a failed retry loop
+		// must not inflate the records_applied statistic.
 		flushedRecs += pendingRecs
 		pendingRecs = 0
 		lastFlushed = end
@@ -640,10 +651,13 @@ func (f *Follower) applyBytes(st *kvstore.Store, data []byte) (int64, int64, err
 	if err == nil {
 		err = flush(consumed)
 	}
-	if err != nil {
-		return lastFlushed, flushedRecs, err
+	if werr := commit.End(ctx); werr != nil {
+		if err == nil {
+			err = werr
+		}
+		return 0, 0, err
 	}
-	return consumed, flushedRecs, nil
+	return lastFlushed, flushedRecs, err
 }
 
 // resync bootstraps from a fresh snapshot. A fresh follower fills its

@@ -14,6 +14,12 @@
 // direction (briefly "revoked" for a record a crash could still drop) is
 // the safe one for a deny list.
 //
+// The filter is built once when the list opens, at its final size: Open
+// reads the recorded serials in one pass and sizes the filter for them,
+// so a restarted provider serves — and signs — a filter at its design
+// false-positive rate from the first request. Growth after that is
+// absorbed by background rebuilds into doubled filters (see List).
+//
 // The signed filter is cut once per filter state. The list counts every
 // change to its filter (an added serial, a rebuild swap) under its lock,
 // and ExportFilter keeps the last artefact it signed together with the
@@ -70,10 +76,12 @@ const DefaultFalsePositiveRate = 1e-4
 
 // List is the durable revocation list.
 //
-// The Bloom fast path is self-maintaining: when the live count outgrows
-// the filter's design capacity (so its false-positive rate drifts past
-// the design point), a rebuild into a doubled filter runs on a
-// BACKGROUND goroutine — TryAdd and Contains never block on it. Serials
+// Open sizes the Bloom fast path for the serials already recorded, so a
+// list starts inside its design point with no rebuild to run. From then
+// on the filter is self-maintaining: when revocations push the live
+// count past the filter's design capacity (so its false-positive rate
+// drifts past the design point), a rebuild into a doubled filter runs on
+// a BACKGROUND goroutine — TryAdd and Contains never block on it. Serials
 // added while a rebuild is in flight are queued and folded into the new
 // filter before the swap, so the invariant "every revoked serial is in
 // the current filter" holds across generations; Contains may
@@ -122,9 +130,17 @@ type exportedFilter struct {
 }
 
 // Open loads (or creates) a list backed by store. expected sizes the Bloom
-// filter; pass 0 for the default. Existing entries are replayed into the
-// filter; if they already exceed expected, the first rebuild is triggered
-// asynchronously rather than blocking Open.
+// filter; pass 0 for DefaultFilterCapacity. Open reads the recorded
+// serials once and builds the filter once, at its final size: expected
+// doubled until it holds them, which is the size the capacity trigger's
+// rebuilds would reach. So Open returns with no rebuild in flight and
+// Generation() == 0, and its filter is byte-identical to the one a forced
+// Rebuild would cut from the same serials.
+//
+// The read is the kvstore's relaxed per-shard scan: no whole-store
+// snapshot and no sort. That is sound here because nothing writes the
+// list's keys before the list exists — every revocation goes through a
+// List, and this one has not been returned yet.
 func Open(store *kvstore.Store, expected uint64) (*List, error) {
 	if store == nil {
 		return nil, errors.New("revocation: nil store")
@@ -132,20 +148,23 @@ func Open(store *kvstore.Store, expected uint64) (*List, error) {
 	if expected == 0 {
 		expected = DefaultFilterCapacity
 	}
-	f, err := bloom.NewWithEstimates(expected, DefaultFalsePositiveRate)
+	serials := make([][]byte, 0, store.Len()) // Len bounds the count: one allocation
+	store.PrefixScanRelaxed([]byte(keyPrefix), func(k, _ []byte) bool {
+		serials = append(serials, k[len(keyPrefix):])
+		return true
+	})
+	capacity := expected
+	for capacity < uint64(len(serials)) {
+		capacity *= 2
+	}
+	f, err := bloom.NewWithEstimates(capacity, DefaultFalsePositiveRate)
 	if err != nil {
 		return nil, err
 	}
-	l := &List{store: store, filter: f, capacity: expected}
-	store.PrefixScan([]byte(keyPrefix), func(k, v []byte) bool {
-		f.Add(k[len(keyPrefix):])
-		l.count++
-		return true
-	})
-	l.mu.Lock()
-	l.maybeRebuildLocked()
-	l.mu.Unlock()
-	return l, nil
+	for _, s := range serials {
+		f.Add(s)
+	}
+	return &List{store: store, filter: f, capacity: capacity, count: len(serials)}, nil
 }
 
 // maybeRebuildLocked launches a background rebuild when the live count

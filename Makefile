@@ -14,10 +14,11 @@ test:
 # Race detector over the concurrent serving path and everything that
 # drives it concurrently (workload generator, revocation list, sharded
 # bank property tests, the kvstore commit sets batch workers note into,
-# root integration tests, the crypto precompute layer's shared
-# tables/pools, the group table a schnorr group builds under concurrent
-# callers and the card whose provers cross that build, and the KEM sender
-# every serving goroutine wraps through, with the license package that
+# root integration tests, the crypto precompute layer's shared table
+# and the nonce pool a client may enable, the group table a schnorr
+# group builds under concurrent callers and the card whose provers cross
+# that build, and the KEM sender every serving goroutine wraps through,
+# with the license package that
 # calls it and that signs a batch call's roots from several workers at
 # once), and the daemon, whose boot runs key generation, the generator
 # table and the WAL replays side by side: its subprocess tests build it

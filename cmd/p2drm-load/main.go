@@ -15,9 +15,9 @@
 // The primary's /v2/stats and /v2/metrics are sampled immediately
 // before and after the run, so the report pairs the client-observed
 // latency histograms with the server-observed ones (rebuilt from the
-// Prometheus scrape delta) and attributes engine work — fsyncs, logged
-// bytes, crypto pool hits — to the run rather than to the daemon's
-// lifetime.
+// Prometheus scrape delta) and attributes engine work — logged bytes,
+// compactions, batch proof verification — to the run rather than to the
+// daemon's lifetime.
 //
 // Two saturation modes ride on the same executor:
 //
@@ -68,15 +68,15 @@ type Report struct {
 	Phases   []workload.Phase     `json:"phases"`
 	Result   *workload.LoadResult `json:"result"`
 	// ServerStatsStart/ServerStats are the primary's /v2/stats snapshots
-	// sampled right before and right after the run: store engine gauges
-	// plus the crypto acceleration state (pool depth and hit rate,
-	// batch-verify counters). Either is absent when its call fails — the
-	// run result stands on its own.
+	// sampled right before and right after the run: the store engine
+	// gauges. Either is absent when its call fails — the run result stands
+	// on its own.
 	ServerStatsStart *httpapi.StatsResponse `json:"server_stats_start,omitempty"`
 	ServerStats      *httpapi.StatsResponse `json:"server_stats,omitempty"`
 	// ServerDelta attributes the engine work between the two snapshots to
-	// this run, and carries the server-observed HTTP latency percentiles
-	// rebuilt from the /v2/metrics scrape pair.
+	// this run, and carries the batch-verify counter deltas and the
+	// server-observed HTTP latency percentiles read off the /v2/metrics
+	// scrape pair.
 	ServerDelta *ServerDelta `json:"server_delta,omitempty"`
 	// Soak is the per-interval latency series (-soak mode only): each
 	// point covers just its interval, not the run so far.
@@ -133,25 +133,43 @@ type SweepStep struct {
 }
 
 // ServerDelta is what the primary did DURING the run: element-wise
-// differences of the /v2/stats engine counters, crypto accelerator
-// counter deltas, and the server-side HTTP request-latency histogram
-// reconstructed from the Prometheus bucket deltas between the start and
-// end scrapes. Pairing HTTPLatency with Result's client histograms
-// separates queueing/network time from server processing time.
+// differences of the /v2/stats engine counters, and — from the start and
+// end /v2/metrics scrapes — the batch-verify counter deltas and the
+// server-side HTTP request-latency histogram reconstructed from the
+// Prometheus bucket deltas. Pairing HTTPLatency with Result's client
+// histograms separates queueing/network time from server processing
+// time.
 type ServerDelta struct {
 	Stores      map[string]kvstore.Stats `json:"stores,omitempty"`
 	Crypto      *CryptoDelta             `json:"crypto,omitempty"`
 	HTTPLatency *obs.HistSummary         `json:"http_latency_seconds,omitempty"`
 }
 
-// CryptoDelta is the run's share of the provider's crypto accelerator
-// counters.
+// CryptoDelta is the run's share of the provider's batch proof
+// verification counters.
 type CryptoDelta struct {
 	BatchVerifyRuns     uint64 `json:"batch_verify_runs"`
 	BatchVerifyItems    uint64 `json:"batch_verify_items"`
 	BatchVerifyRejected uint64 `json:"batch_verify_rejected"`
-	NonceHits           uint64 `json:"nonce_hits"`
-	NonceMisses         uint64 `json:"nonce_misses"`
+}
+
+// cryptoDelta differences the batch-verify counters between two scrapes;
+// nil when either scrape lacks one of them.
+func cryptoDelta(start, end *obs.Metrics) *CryptoDelta {
+	var d [3]uint64
+	for i, fam := range []string{
+		"p2drm_crypto_batch_verify_runs_total",
+		"p2drm_crypto_batch_verify_items_total",
+		"p2drm_crypto_batch_verify_rejected_total",
+	} {
+		s, okS := start.Value(fam, nil)
+		e, okE := end.Value(fam, nil)
+		if !okS || !okE {
+			return nil
+		}
+		d[i] = uint64(e - s)
+	}
+	return &CryptoDelta{BatchVerifyRuns: d[0], BatchVerifyItems: d[1], BatchVerifyRejected: d[2]}
 }
 
 // scrapeMetrics fetches and parses /v2/metrics; nil (with a log line)
@@ -170,10 +188,9 @@ func scrapeMetrics(c *httpapi.Client, when string) *obs.Metrics {
 	return m
 }
 
-// statsDelta computes end-start over the engine counters and crypto
-// counters. Gauge-like fields (LiveKeys, Segments) are differenced too:
-// the result reads as "grew by N during the run" and may be negative
-// after compaction.
+// statsDelta computes end-start over the engine counters. Gauge-like
+// fields (LiveKeys, Segments) are differenced too: the result reads as
+// "grew by N during the run" and may be negative after compaction.
 func statsDelta(start, end *httpapi.StatsResponse) *ServerDelta {
 	if start == nil || end == nil {
 		return nil
@@ -191,18 +208,6 @@ func statsDelta(start, end *httpapi.StatsResponse) *ServerDelta {
 			CompactionSkips: e.CompactionSkips - s.CompactionSkips,
 			IndexShards:     e.IndexShards,
 		}
-	}
-	if sc, ec := start.Crypto, end.Crypto; sc != nil && ec != nil {
-		cd := &CryptoDelta{
-			BatchVerifyRuns:     ec.BatchVerifyRuns - sc.BatchVerifyRuns,
-			BatchVerifyItems:    ec.BatchVerifyItems - sc.BatchVerifyItems,
-			BatchVerifyRejected: ec.BatchVerifyRejected - sc.BatchVerifyRejected,
-		}
-		if sc.NoncePool != nil && ec.NoncePool != nil {
-			cd.NonceHits = ec.NoncePool.Hits - sc.NoncePool.Hits
-			cd.NonceMisses = ec.NoncePool.Misses - sc.NoncePool.Misses
-		}
-		d.Crypto = cd
 	}
 	return d
 }
@@ -364,11 +369,12 @@ func main() {
 	}
 	rep.ServerDelta = statsDelta(rep.ServerStatsStart, rep.ServerStats)
 	if endMetrics := scrapeMetrics(topo.Primary, "end"); startMetrics != nil && endMetrics != nil {
+		if rep.ServerDelta == nil {
+			rep.ServerDelta = &ServerDelta{}
+		}
+		rep.ServerDelta.Crypto = cryptoDelta(startMetrics, endMetrics)
 		if sum, ok := obs.HistogramDelta(startMetrics, endMetrics,
 			"p2drm_http_request_duration_seconds", nil); ok {
-			if rep.ServerDelta == nil {
-				rep.ServerDelta = &ServerDelta{}
-			}
 			rep.ServerDelta.HTTPLatency = &sum
 		}
 	}

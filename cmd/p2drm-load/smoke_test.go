@@ -100,6 +100,8 @@ var coreFamilies = []string{
 	"p2drm_kvstore_compactions_total",
 	"p2drm_crypto_group_precomputed",
 	"p2drm_crypto_batch_verify_runs_total",
+	"p2drm_crypto_batch_verify_items_total",
+	"p2drm_crypto_batch_verify_rejected_total",
 	"p2drm_health_status",
 	"p2drm_health_transitions_total",
 	"p2drm_slo_availability_ratio",
@@ -217,10 +219,12 @@ func TestLoadSmoke(t *testing.T) {
 	}
 
 	// The report must carry the paired server view (satellite of the
-	// same run: stats delta + server-side percentiles).
+	// same run: stats delta, batch-verify deltas read off the metrics
+	// scrapes, server-side percentiles).
 	var full struct {
 		ServerStatsStart json.RawMessage `json:"server_stats_start"`
 		ServerDelta      *struct {
+			Crypto      *CryptoDelta     `json:"crypto"`
 			HTTPLatency *obs.HistSummary `json:"http_latency_seconds"`
 		} `json:"server_delta"`
 	}
@@ -232,6 +236,9 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	if full.ServerDelta == nil || full.ServerDelta.HTTPLatency == nil || full.ServerDelta.HTTPLatency.Count == 0 {
 		t.Error("report missing server-side latency delta")
+	}
+	if full.ServerDelta == nil || full.ServerDelta.Crypto == nil {
+		t.Error("report missing the batch-verify delta")
 	}
 
 	// One capacity-sweep step against the live topology: the curve

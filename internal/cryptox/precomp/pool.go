@@ -19,8 +19,7 @@ import (
 // the fillers run continuously.
 //
 // Delivery through the channel guarantees every value is handed out at
-// most once — the single-use invariant blinding factors and nonces
-// depend on.
+// most once — the single-use invariant nonces depend on.
 type Pool[T any] struct {
 	ch   chan T
 	gen  func() (T, error)
@@ -33,15 +32,10 @@ type Pool[T any] struct {
 	closeOnce            sync.Once
 }
 
-// PoolStats is a point-in-time gauge snapshot of a pool, exported on the
-// daemon stats surface.
+// PoolStats is a point-in-time gauge snapshot of a pool.
 type PoolStats struct {
-	Capacity int `json:"capacity"`
-	Depth    int `json:"depth"`
-	// LowWater is the refill-hysteresis threshold: fillers wake when
-	// Depth drops below it. Depth persistently below LowWater means the
-	// fillers cannot keep up with demand (pool starvation).
-	LowWater int     `json:"low_water"`
+	Capacity int     `json:"capacity"`
+	Depth    int     `json:"depth"`
 	Hits     uint64  `json:"hits"`
 	Misses   uint64  `json:"misses"`
 	Filled   uint64  `json:"filled"`
@@ -161,7 +155,6 @@ func (p *Pool[T]) Stats() PoolStats {
 	s := PoolStats{
 		Capacity: cap(p.ch),
 		Depth:    len(p.ch),
-		LowWater: p.low,
 		Hits:     p.hits.Load(),
 		Misses:   p.misses.Load(),
 		Filled:   p.filled.Load(),

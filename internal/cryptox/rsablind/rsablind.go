@@ -70,6 +70,13 @@ func KeyID(pub *rsa.PublicKey) string {
 
 var one = big.NewInt(1)
 
+// blindingFactor is what Blind needs of a blinding value r: r^e (to
+// blind) and r^-1 (to unblind).
+type blindingFactor struct {
+	re   *big.Int
+	rInv *big.Int
+}
+
 // fdh hashes msg into the multiplicative range [2, N-2] using SHA-256 with
 // an incrementing counter (full-domain hash). It is deterministic in
 // (N, msg).
@@ -113,23 +120,14 @@ func (s *State) Msg() []byte { return s.msg }
 
 // Blind hashes msg and blinds it with a fresh random factor, returning the
 // value to send to the signer and the state needed to unblind the result.
-// With random == crypto/rand.Reader and a blinding pool enabled for pub,
-// the factor comes precomputed from the pool (each entry handed out
-// exactly once); any other reader generates inline from that reader.
 func Blind(pub *rsa.PublicKey, msg []byte, random io.Reader) ([]byte, *State, error) {
 	if pub == nil || pub.N == nil || pub.N.Sign() <= 0 {
 		return nil, nil, errors.New("rsablind: nil or invalid public key")
 	}
 	m := fdh(pub.N, msg)
-	f, ok := blindingFactor{}, false
-	if random == rand.Reader {
-		f, ok = drawFactor(pub)
-	}
-	if !ok {
-		var err error
-		if f, err = newFactor(pub, random); err != nil {
-			return nil, nil, err
-		}
+	f, err := newFactor(pub, random)
+	if err != nil {
+		return nil, nil, err
 	}
 	blinded := new(big.Int).Mul(m, f.re)
 	blinded.Mod(blinded, pub.N)
@@ -143,7 +141,9 @@ func Blind(pub *rsa.PublicKey, msg []byte, random io.Reader) ([]byte, *State, er
 // inverses: r^-1 = w^-1·u² and u^-1 = w^-1·r·u. math/big's Exp and
 // ModInverse take operand-dependent time, measurable on a reused r
 // (TestTimingBlind). u comes from crypto/rand and changes only timing,
-// so a deterministic reader still yields the same factor.
+// so a deterministic reader still yields the same factor. Without
+// crypto/rand there is no mask, and newFactor fails rather than blind
+// unmasked.
 func newFactor(pub *rsa.PublicKey, random io.Reader) (blindingFactor, error) {
 	n, e := pub.N, big.NewInt(int64(pub.E))
 	mulMod := func(x, y *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Mul(x, y), n) }
@@ -154,7 +154,7 @@ func newFactor(pub *rsa.PublicKey, random io.Reader) (blindingFactor, error) {
 		}
 		u, err := randomUnit(n, rand.Reader)
 		if err != nil {
-			u = big.NewInt(1) // no randomness for the mask: unmasked
+			return blindingFactor{}, err
 		}
 		ru := mulMod(r, u)
 		wInv := new(big.Int).ModInverse(mulMod(ru, u), n)

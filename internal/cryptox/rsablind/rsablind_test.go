@@ -353,3 +353,80 @@ func TestPrivateOpsCountsSignatures(t *testing.T) {
 		t.Errorf("PrivateOps = %d, want 4 (one Sign, three SignBlinded)", got)
 	}
 }
+
+// failingReader stands in for an exhausted entropy source.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("entropy source failed") }
+
+// The timing mask u comes from crypto/rand whatever reader the caller
+// passes; when crypto/rand fails, Blind must fail too rather than blind
+// with an unmasked r. Swaps the package-level crypto/rand.Reader, so the
+// test does not run in parallel.
+func TestBlindFailsClosedWithoutMaskRandomness(t *testing.T) {
+	s := testSigner(t)
+	// Leading byte 0x11 keeps every candidate below the (top-bit-set)
+	// modulus, so the caller's reader alone would always yield an r.
+	seed := bytes.Repeat([]byte{0x11, 0x2b, 0x91, 0x6e}, 64)
+	if _, _, err := Blind(s.Public(), []byte("m"), bytes.NewReader(seed)); err != nil {
+		t.Fatalf("healthy crypto/rand: %v", err)
+	}
+
+	saved := rand.Reader
+	rand.Reader = failingReader{}
+	t.Cleanup(func() { rand.Reader = saved })
+	blinded, st, err := Blind(s.Public(), []byte("m"), bytes.NewReader(seed))
+	if err == nil {
+		t.Fatalf("Blind without mask randomness = %x, %v; want an error", blinded, st)
+	}
+}
+
+// CRT and full-exponent private exponentiation must agree bit for bit.
+func TestPrivExpMatchesFullExponent(t *testing.T) {
+	s := testSigner(t)
+	for i := 0; i < 20; i++ {
+		b, err := rand.Int(rand.Reader, key.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Int).Exp(b, key.D, key.N)
+		if got, err := s.privExp(b); err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("privExp mismatch on input %v (%v)", b, err)
+		}
+	}
+	// Edge inputs.
+	for _, b := range []*big.Int{big.NewInt(1), big.NewInt(2), new(big.Int).Sub(key.N, big.NewInt(1))} {
+		want := new(big.Int).Exp(b, key.D, key.N)
+		if got, err := s.privExp(b); err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("privExp edge mismatch on %v (%v)", b, err)
+		}
+	}
+}
+
+func benchKey(b *testing.B) *rsa.PrivateKey {
+	k, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return k
+}
+
+func BenchmarkPrivExpCRT(b *testing.B) {
+	s, _ := NewSigner(benchKey(b))
+	m, _ := rand.Int(rand.Reader, s.Public().N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.privExp(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPrivExpFull(b *testing.B) {
+	k := benchKey(b)
+	m, _ := rand.Int(rand.Reader, k.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		new(big.Int).Exp(m, k.D, k.N)
+	}
+}

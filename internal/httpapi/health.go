@@ -11,7 +11,6 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
-	"strings"
 
 	"p2drm/internal/kvstore"
 	"p2drm/internal/obs"
@@ -71,8 +70,8 @@ func (a *api) handleHealth(w http.ResponseWriter, r *http.Request) {
 // registerHealth mounts GET /v2/health, the health gauge/counter
 // families, the p2drm_slo_* families, and the probes every role
 // carries: SLO burn rate and slow-trace rate.
-// Store, follower, and crypto probes are registered where those
-// subsystems are wired.
+// Store and follower probes are registered where those subsystems are
+// wired.
 func (a *api) registerHealth() {
 	a.v2raw("GET", "/v2/health", TierGuest, a.handleHealth)
 
@@ -154,35 +153,6 @@ func registerFollowerHealth(h *obs.Health, name string, f *replica.Follower) {
 		default:
 			return obs.Check{Status: obs.HealthOK, Detail: detail}
 		}
-	})
-}
-
-// registerCryptoHealth adds the precompute-pool starvation probe: any
-// pool persistently below its low-water refill threshold means the
-// background fillers cannot keep up and hot-path requests are about to
-// pay inline crypto cost.
-func (s *Server) registerCryptoHealth() {
-	s.obs.Health.Register("crypto:pools", func() obs.Check {
-		cs := s.Provider.CryptoStats()
-		var starved []string
-		if p := cs.NoncePool; p != nil && p.Depth < p.LowWater {
-			starved = append(starved,
-				fmt.Sprintf("nonce pool %d/%d below low-water %d", p.Depth, p.Capacity, p.LowWater))
-		}
-		var bDepth, bCap, bLow int
-		for _, p := range cs.BlindingPools {
-			bDepth += p.Depth
-			bCap += p.Capacity
-			bLow += p.LowWater
-		}
-		if bCap > 0 && bDepth < bLow {
-			starved = append(starved,
-				fmt.Sprintf("blinding pools %d/%d below low-water %d", bDepth, bCap, bLow))
-		}
-		if len(starved) > 0 {
-			return obs.Check{Status: obs.HealthDegraded, Detail: strings.Join(starved, "; ")}
-		}
-		return obs.Check{Status: obs.HealthOK, Detail: "pools at or above low-water"}
 	})
 }
 

@@ -39,11 +39,15 @@ func TestHealthEndpoint(t *testing.T) {
 	for _, comp := range []string{
 		"store:provider:wal", "store:provider:compaction",
 		"store:bank:wal", "store:bank:compaction",
-		"crypto:pools", "slo:burn_rate", "slo:slow_requests",
+		"slo:burn_rate", "slo:slow_requests",
 	} {
 		if _, ok := hr.Components[comp]; !ok {
 			t.Errorf("component %q missing: %+v", comp, hr.Components)
 		}
+	}
+	// The daemon runs no precompute pool, so nothing probes one.
+	if c, ok := hr.Components["crypto:pools"]; ok {
+		t.Errorf("component crypto:pools present: %+v", c)
 	}
 	if len(hr.SLO) != 2 || hr.SLO[0].Label != "5m" || hr.SLO[1].Label != "1h" {
 		t.Fatalf("slo windows: %+v", hr.SLO)

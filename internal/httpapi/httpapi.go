@@ -77,7 +77,6 @@ func NewServer(p *provider.Provider) *Server {
 		s.registerNonceMetrics()
 		s.registerKEMMetrics()
 		s.registerRSAMetrics()
-		s.registerCryptoHealth()
 	}
 	return s
 }
@@ -407,12 +406,9 @@ type BatchRedeemResponse struct {
 
 // StatsResponse reports per-store kvstore engine statistics (segments,
 // live keys, dead bytes, compactions), keyed by the name each store was
-// registered under, plus — on primaries — the crypto acceleration
-// gauges (precompute state, nonce/blinding pool depth and hit rate,
-// batch proof-verification counters). Replicas leave Crypto unset.
+// registered under. Crypto counters live on /v2/metrics.
 type StatsResponse struct {
 	Stores map[string]kvstore.Stats `json:"stores"`
-	Crypto *provider.CryptoStats    `json:"crypto,omitempty"`
 }
 
 func b64(b []byte) string { return base64.StdEncoding.EncodeToString(b) }
@@ -717,9 +713,6 @@ func (s *Server) epStats(r *http.Request) (any, *apiError) {
 	resp := StatsResponse{Stores: make(map[string]kvstore.Stats, len(s.stores))}
 	for name, st := range s.stores {
 		resp.Stores[name] = st.Stats()
-	}
-	if s.Provider != nil {
-		resp.Crypto = s.Provider.CryptoStats()
 	}
 	return resp, nil
 }

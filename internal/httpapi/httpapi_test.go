@@ -19,6 +19,7 @@ import (
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
 	"p2drm/internal/rel"
+	"p2drm/internal/replica"
 	"p2drm/internal/revocation"
 	"p2drm/internal/smartcard"
 )
@@ -445,7 +446,8 @@ func TestBatchEndpointsRejectBadSizes(t *testing.T) {
 }
 
 // TestStatsEndpoint: GET /v2/stats reports the registered stores'
-// kvstore engine statistics through the client SDK.
+// kvstore engine statistics through the client SDK, and on both roles
+// the body is that store snapshot alone.
 func TestStatsEndpoint(t *testing.T) {
 	pk, bk := keys()
 	dir := t.TempDir()
@@ -493,6 +495,34 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if bs := resp.Stores["bank"]; bs.Segments != 0 {
 		t.Errorf("in-memory bank store reports %d segments, want 0", bs.Segments)
+	}
+
+	f, err := replica.Open(replica.Options{
+		Fetch:        NewReplicaFetcher(client, "provider"),
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	rsrv := httptest.NewServer(NewReplicaServer(map[string]*replica.Follower{"provider": f}))
+	t.Cleanup(rsrv.Close)
+	for _, role := range []struct{ name, url string }{{"primary", srv.URL}, {"replica", rsrv.URL}} {
+		code, env := rawV2(t, role.url, "GET", "/v2/stats", "", "")
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(env.Result, &body); code != 200 || err != nil {
+			t.Fatalf("%s: /v2/stats = %d, %v: %s", role.name, code, err, env.Result)
+		}
+		if _, ok := body["crypto"]; ok {
+			t.Errorf("%s: /v2/stats carries a crypto block: %s", role.name, env.Result)
+		}
+		var stores map[string]json.RawMessage
+		if err := json.Unmarshal(body["stores"], &stores); err != nil || stores == nil {
+			t.Fatalf("%s: /v2/stats has no stores map: %s", role.name, env.Result)
+		}
+		if _, ok := stores["provider"]; !ok {
+			t.Errorf("%s: /v2/stats stores lack provider: %s", role.name, env.Result)
+		}
 	}
 }
 

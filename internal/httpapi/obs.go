@@ -21,7 +21,6 @@ import (
 
 	"p2drm/internal/kvstore"
 	"p2drm/internal/obs"
-	"p2drm/internal/provider"
 	"p2drm/internal/replica"
 )
 
@@ -155,79 +154,29 @@ func registerStoreMetrics(reg *obs.Registry, name string, st *kvstore.Store) {
 	skips.Func(func() int64 { return st.Stats().CompactionSkips }, name)
 }
 
-// registerCryptoMetrics re-exports the provider's crypto-acceleration
-// counters (precompute state, nonce/blinding pool economics, batch
-// Schnorr verification) on the scrape path. Blinding pools are
-// aggregated across denominations to keep the label space fixed.
+// registerCryptoMetrics exports whether the group generator's
+// fixed-base table is built and how much ownership-proof verification
+// went through the provider's combined check.
 func (s *Server) registerCryptoMetrics() {
 	reg := s.obs.Reg
-	cs := func() *provider.CryptoStats { return s.Provider.CryptoStats() }
 	reg.GaugeFunc("p2drm_crypto_group_precomputed",
 		"1 when fixed-base Schnorr group tables are precomputed.", func() float64 {
-			if cs().GroupPrecomputed {
+			if s.Provider.Group().Precomputed() {
 				return 1
 			}
 			return 0
 		})
-	reg.GaugeFunc("p2drm_crypto_nonce_pool_depth", "Precomputed Schnorr nonces currently pooled.", func() float64 {
-		if p := cs().NoncePool; p != nil {
-			return float64(p.Depth)
-		}
-		return 0
-	})
-	reg.GaugeFunc("p2drm_crypto_nonce_pool_capacity", "Nonce pool capacity.", func() float64 {
-		if p := cs().NoncePool; p != nil {
-			return float64(p.Capacity)
-		}
-		return 0
-	})
-	reg.CounterFunc("p2drm_crypto_nonce_pool_hits_total", "Nonce requests served from the pool.", func() int64 {
-		if p := cs().NoncePool; p != nil {
-			return int64(p.Hits)
-		}
-		return 0
-	})
-	reg.CounterFunc("p2drm_crypto_nonce_pool_misses_total", "Nonce requests computed inline (pool empty).", func() int64 {
-		if p := cs().NoncePool; p != nil {
-			return int64(p.Misses)
-		}
-		return 0
-	})
-	reg.CounterFunc("p2drm_crypto_nonce_pool_filled_total", "Nonces produced by the background refiller.", func() int64 {
-		if p := cs().NoncePool; p != nil {
-			return int64(p.Filled)
-		}
-		return 0
-	})
-	reg.GaugeFunc("p2drm_crypto_blinding_pool_depth", "Pooled blinding factors, summed over denominations.", func() float64 {
-		var n int
-		for _, p := range cs().BlindingPools {
-			n += p.Depth
-		}
-		return float64(n)
-	})
-	reg.CounterFunc("p2drm_crypto_blinding_pool_hits_total", "Blinding requests served from pools, summed over denominations.", func() int64 {
-		var n uint64
-		for _, p := range cs().BlindingPools {
-			n += p.Hits
-		}
-		return int64(n)
-	})
-	reg.CounterFunc("p2drm_crypto_blinding_pool_misses_total", "Blinding requests computed inline, summed over denominations.", func() int64 {
-		var n uint64
-		for _, p := range cs().BlindingPools {
-			n += p.Misses
-		}
-		return int64(n)
-	})
 	reg.CounterFunc("p2drm_crypto_batch_verify_runs_total", "Batch Schnorr verification runs.", func() int64 {
-		return int64(cs().BatchVerifyRuns)
+		runs, _, _ := s.Provider.BatchVerifyStats()
+		return int64(runs)
 	})
 	reg.CounterFunc("p2drm_crypto_batch_verify_items_total", "Proofs verified inside batch runs.", func() int64 {
-		return int64(cs().BatchVerifyItems)
+		_, items, _ := s.Provider.BatchVerifyStats()
+		return int64(items)
 	})
 	reg.CounterFunc("p2drm_crypto_batch_verify_rejected_total", "Proofs rejected by batch runs (incl. fallback rescans).", func() int64 {
-		return int64(cs().BatchVerifyRejected)
+		_, _, rejected := s.Provider.BatchVerifyStats()
+		return int64(rejected)
 	})
 }
 

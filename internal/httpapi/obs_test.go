@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"io"
 	"log/slog"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +81,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Store gauges carry the registered store label values only.
 	if _, ok := m.Value("p2drm_kvstore_segments", map[string]string{"store": "provider"}); !ok {
 		t.Error("provider store gauge missing")
+	}
+}
+
+// TestCryptoMetricSurface pins the p2drm_crypto_* families: the primary
+// exports exactly the numbers its serving path computes — the generator
+// table, the combined proof check, KEM shares and RSA private operations
+// — and a replica, which serves no crypto, exports none of them.
+func TestCryptoMetricSurface(t *testing.T) {
+	h := newV2Harness(t, Auth{})
+	f, err := replica.Open(replica.Options{
+		Fetch:        NewReplicaFetcher(h.client, "provider"),
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	rs := NewReplicaServer(map[string]*replica.Follower{"provider": f})
+
+	crypto := func(m *obs.Metrics) []string {
+		var fams []string
+		for fam := range m.Types {
+			if name, ok := strings.CutPrefix(fam, "p2drm_crypto_"); ok {
+				fams = append(fams, name)
+			}
+		}
+		sort.Strings(fams)
+		return fams
+	}
+	want := []string{
+		"batch_verify_items_total", "batch_verify_rejected_total", "batch_verify_runs_total",
+		"group_precomputed", "kem_shares_total", "rsa_private_ops_total",
+	}
+	if got := crypto(scrapeHarness(t, h)); !slices.Equal(got, want) {
+		t.Errorf("primary p2drm_crypto_* families = %v, want %v", got, want)
+	}
+	if got := crypto(scrapeReplica(t, rs)); len(got) != 0 {
+		t.Errorf("replica exports p2drm_crypto_* families %v, want none", got)
 	}
 }
 

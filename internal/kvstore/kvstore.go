@@ -47,18 +47,14 @@
 // Open gives the seed behavior (SyncOnClose): every record is flushed to
 // the OS on write but only fsynced by Sync/Close and at segment rolls, so
 // an OS crash can lose the acknowledged tail of the active segment.
-// OpenWith selects stronger policies:
-//
-//   - SyncAlways fsyncs inside every mutation — every acknowledged write
-//     survives power loss, at one fsync per write.
-//   - SyncGroupCommit gives the same guarantee at a fraction of the cost:
-//     writers append + flush their record, then block on a shared commit
-//     window. The first blocked writer becomes the commit leader, issues
-//     ONE file.Sync() on the active segment covering every record
-//     appended so far, and wakes the whole window. Under concurrency the
-//     fsync cost is amortized across the window; a lone writer degrades
-//     to SyncAlways behavior. Records in sealed segments are always
-//     durable: the roll fsyncs a segment before retiring it.
+// OpenWith selects SyncGroupCommit, under which every acknowledged write
+// survives power loss: writers append + flush their record, then block
+// on a shared commit window. The first blocked writer becomes the commit
+// leader, issues ONE file.Sync() on the active segment covering every
+// record appended so far, and wakes the whole window. Under concurrency
+// the fsync cost is amortized across the window; a lone writer pays one
+// fsync per write. Records in sealed segments are always durable: the
+// roll fsyncs a segment before retiring it.
 //
 // Group-commit ordering guarantee: when a mutation returns nil its record
 // — and, because the log is append-only across segments, every record
@@ -150,8 +146,6 @@ const (
 	// only in Sync, Close and segment rolls. Fastest; an OS crash can
 	// lose the tail of the active segment.
 	SyncOnClose SyncPolicy = iota
-	// SyncAlways fsyncs inside every mutation before it returns.
-	SyncAlways
 	// SyncGroupCommit makes every mutation durable before it returns,
 	// amortizing the fsync across all writers in one commit window.
 	SyncGroupCommit
@@ -201,12 +195,10 @@ type Options struct {
 // Every field is optional; a nil Observer (the default) costs one
 // atomic pointer load per instrumented site. Callbacks must be fast
 // and safe for concurrent use — they run inline on write paths (the
-// group-commit leader's fsync callback runs lock-free, the SyncAlways
-// one under logMu).
+// group-commit leader's fsync callback runs lock-free).
 type Observer struct {
-	// FsyncSeconds observes every fsync on the append path: per-write
-	// (SyncAlways), the group-commit leader's shared sync, and explicit
-	// Sync calls.
+	// FsyncSeconds observes every fsync on the append path: the
+	// group-commit leader's shared sync and explicit Sync calls.
 	FsyncSeconds func(time.Duration)
 	// CommitWaitSeconds observes how long one durability wait blocked on
 	// the group-commit window (includes the fsync for the leader): one
@@ -340,10 +332,9 @@ type Store struct {
 	// segment, so an atomic-rename swap can't yank bytes out from under
 	// a streaming follower. Guarded by logMu.
 	pinned map[uint64]int
-	// walErr is the sticky append-path failure (write, flush or
-	// SyncAlways fsync). After one, later records could sit beyond a
-	// hole replay can't cross, so every further mutation is refused
-	// rather than falsely acknowledged.
+	// walErr is the sticky append-path failure (write or flush). After
+	// one, later records could sit beyond a hole replay can't cross, so
+	// every further mutation is refused rather than falsely acknowledged.
 	walErr error
 
 	// compactMu serializes CompactStep/Compact. Taken before shard locks
@@ -475,9 +466,9 @@ func (s *Store) advanceDurable(seg uint64, off int64) {
 // stable storage. The horizon always lands on a record boundary.
 // Replication sources stream the active segment only up to this horizon,
 // so a follower can never apply a record the primary might lose in a
-// crash. Under SyncAlways/SyncGroupCommit the horizon tracks every
-// acknowledged write; under SyncOnClose it only advances at explicit
-// Sync calls and segment rolls.
+// crash. Under SyncGroupCommit the horizon tracks every acknowledged
+// write; under SyncOnClose it only advances at explicit Sync calls and
+// segment rolls.
 func (s *Store) DurableOffset() (seg uint64, off int64) {
 	s.durMu.Lock()
 	defer s.durMu.Unlock()
@@ -550,9 +541,9 @@ func (s *Store) shardIndex(key []byte) uint64 {
 }
 
 // append writes a record to the active segment and flushes it to the OS,
-// rolling the segment when it fills. Under SyncAlways it also fsyncs
-// before returning; under SyncGroupCommit the caller must wait on
-// waitDurable(seq) AFTER releasing its locks. Caller holds logMu.
+// rolling the segment when it fills. Under SyncGroupCommit the caller
+// must wait on waitDurable(seq) AFTER releasing its locks. Caller holds
+// logMu.
 func (s *Store) append(kind byte, body []byte) error {
 	if s.file == nil {
 		s.seq++
@@ -571,31 +562,11 @@ func (s *Store) append(kind byte, body []byte) error {
 		s.walErr = err
 		return fmt.Errorf("kvstore: flush: %w", err)
 	}
-	if s.opts.Sync == SyncAlways {
-		o := s.observer()
-		var t0 time.Time
-		if o != nil && o.FsyncSeconds != nil {
-			t0 = time.Now()
-		}
-		if err := s.file.Sync(); err != nil {
-			// Sticky: the kernel may have dropped this record's pages,
-			// and replay cannot cross the hole to reach anything
-			// appended after it.
-			s.walErr = err
-			return fmt.Errorf("kvstore: fsync: %w", err)
-		}
-		if o != nil && o.FsyncSeconds != nil {
-			o.FsyncSeconds(time.Since(t0))
-		}
-	}
 	s.bytesLogged += int64(len(rec))
 	s.activeBytes += int64(len(rec))
 	s.activeCRC = crc32.Update(s.activeCRC, crc32.IEEETable, rec)
 	s.seq++
 	s.seqNow.Store(s.seq)
-	if s.opts.Sync == SyncAlways {
-		s.advanceDurable(s.activeID, s.activeBytes)
-	}
 	if s.opts.Sync == SyncGroupCommit {
 		// Publish the byte position of this record so the commit leader
 		// covering it can advance the durable byte horizon exactly.
@@ -765,8 +736,8 @@ func (s *Store) endFileSwap() {
 }
 
 // Health reports the store's sticky WAL failure, if any: the append-
-// path error (write/flush/SyncAlways fsync) or, under group commit,
-// the sticky fsync error. nil means the durability machinery is
+// path error (write or flush) or, under group commit, the sticky fsync
+// error. nil means the durability machinery is
 // working; non-nil means every further mutation is being refused, and
 // health probes should report the store failing.
 func (s *Store) Health() error {
@@ -785,8 +756,8 @@ func (s *Store) Health() error {
 // calls it. On a durable group-commit store the failed fsync is the
 // commit leader's: appends keep reaching the log, and every durability
 // wait from then on — a write's own, or a commit set's at its boundary —
-// returns the error. On every other store it is the append path's, and
-// mutations are refused outright. A nil err is ignored, and an
+// returns the error. On every other store (in memory, or SyncOnClose) it
+// is the append path's, and mutations are refused outright. A nil err is ignored, and an
 // already-poisoned store keeps its first error — matching the sticky
 // semantics of real failures.
 func (s *Store) PoisonWAL(err error) {
@@ -886,7 +857,7 @@ func (s *Store) logAndApply(sh *shard, o op) (int64, error) {
 	return seq, nil
 }
 
-// Put stores val under key. Under SyncAlways/SyncGroupCommit the value
+// Put stores val under key. Under SyncGroupCommit the value
 // is on stable storage when Put returns nil.
 func (s *Store) Put(key, val []byte) error {
 	return s.PutCtx(context.Background(), key, val)

@@ -523,7 +523,6 @@ func TestSyncPoliciesDurableAcrossReopen(t *testing.T) {
 		opts Options
 	}{
 		{"on_close", Options{Sync: SyncOnClose}},
-		{"always", Options{Sync: SyncAlways}},
 		{"group_commit", Options{Sync: SyncGroupCommit}},
 		{"group_commit_window", Options{Sync: SyncGroupCommit, CommitInterval: time.Millisecond}},
 	} {

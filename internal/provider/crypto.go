@@ -5,61 +5,21 @@ import (
 	"math/big"
 	"sync/atomic"
 
-	"p2drm/internal/cryptox/precomp"
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 )
 
-// cryptoCounters tracks batch proof verification activity for the stats
-// surface.
+// cryptoCounters tracks batch proof verification activity.
 type cryptoCounters struct {
 	batchRuns     atomic.Uint64 // ExchangeBatch calls that ran a combined check
 	batchItems    atomic.Uint64 // proofs submitted to combined checks
 	batchRejected atomic.Uint64 // proofs the combined pass reported invalid
 }
 
-// CryptoStats is the crypto acceleration gauge snapshot served at
-// /v2/stats: whether the fixed-base table for the group
-// generator is built, nonce/blinding pool depth and hit rate, and how
-// much proof verification went through the batched path.
-type CryptoStats struct {
-	GroupPrecomputed bool `json:"group_precomputed"`
-	// NoncePool is the group's Schnorr/KEM nonce pool (absent when not
-	// enabled).
-	NoncePool *precomp.PoolStats `json:"nonce_pool,omitempty"`
-	// BlindingPools reports RSA blinding-factor pools registered in this
-	// process for the provider's denomination keys, keyed by
-	// denomination id. Populated by in-process clients (core.System);
-	// remote clients keep their pools on their own side.
-	BlindingPools map[string]precomp.PoolStats `json:"blinding_pools,omitempty"`
-
-	BatchVerifyRuns     uint64 `json:"batch_verify_runs"`
-	BatchVerifyItems    uint64 `json:"batch_verify_items"`
-	BatchVerifyRejected uint64 `json:"batch_verify_rejected"`
-}
-
-// CryptoStats snapshots the crypto acceleration gauges.
-func (p *Provider) CryptoStats() *CryptoStats {
-	cs := &CryptoStats{
-		GroupPrecomputed:    p.group.Precomputed(),
-		BatchVerifyRuns:     p.crypto.batchRuns.Load(),
-		BatchVerifyItems:    p.crypto.batchItems.Load(),
-		BatchVerifyRejected: p.crypto.batchRejected.Load(),
-	}
-	if st, ok := p.group.NoncePoolStats(); ok {
-		cs.NoncePool = &st
-	}
-	p.catMu.RLock()
-	defer p.catMu.RUnlock()
-	for id, signer := range p.denoms {
-		if st, ok := rsablind.BlindingPoolStats(signer.Public()); ok {
-			if cs.BlindingPools == nil {
-				cs.BlindingPools = make(map[string]precomp.PoolStats)
-			}
-			cs.BlindingPools[id.String()] = st
-		}
-	}
-	return cs
+// BatchVerifyStats reports how much ownership-proof verification went
+// through the combined check: the runs, the proofs they covered and the
+// proofs they rejected.
+func (p *Provider) BatchVerifyStats() (runs, items, rejected uint64) {
+	return p.crypto.batchRuns.Load(), p.crypto.batchItems.Load(), p.crypto.batchRejected.Load()
 }
 
 // proofVerdict carries a pre-computed ownership-proof verdict into the

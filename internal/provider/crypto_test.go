@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"testing"
 
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/license"
 )
@@ -64,16 +63,16 @@ func TestExchangeBatchPreverifyEquivalence(t *testing.T) {
 		}
 	}
 
-	cs := w.prov.CryptoStats()
-	if cs.BatchVerifyRuns == 0 {
+	runs, batched, rejected := w.prov.BatchVerifyStats()
+	if runs == 0 {
 		t.Error("no batch verify run recorded")
 	}
 	// Items 0,1,3,4,5 had license+proof material; 2 (nil proof) did not.
-	if cs.BatchVerifyItems != 5 {
-		t.Errorf("batch items = %d, want 5", cs.BatchVerifyItems)
+	if batched != 5 {
+		t.Errorf("batch items = %d, want 5", batched)
 	}
-	if cs.BatchVerifyRejected != 1 {
-		t.Errorf("batch rejected = %d, want 1 (the corrupted proof)", cs.BatchVerifyRejected)
+	if rejected != 1 {
+		t.Errorf("batch rejected = %d, want 1 (the corrupted proof)", rejected)
 	}
 }
 
@@ -98,30 +97,5 @@ func TestExchangeBatchDuplicateLicenseSingleWinner(t *testing.T) {
 	}
 	if winners != 1 {
 		t.Fatalf("%d winners for one license, want exactly 1", winners)
-	}
-}
-
-func TestCryptoStatsShape(t *testing.T) {
-	w := newWorld(t)
-	g := w.prov.Group()
-	g.EnableNoncePool(8, 1)
-	defer g.DisableNoncePool()
-	denomPub, denomID, err := w.prov.DenomPublic(w.item.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsablind.EnableBlindingPool(denomPub, 8, 1)
-	defer rsablind.DisableBlindingPool(denomPub)
-
-	cs := w.prov.CryptoStats()
-	if cs.NoncePool == nil {
-		t.Error("nonce pool stats missing")
-	} else if cs.NoncePool.Capacity != 8 {
-		t.Errorf("nonce pool capacity %d, want 8", cs.NoncePool.Capacity)
-	}
-	if st, ok := cs.BlindingPools[denomID.String()]; !ok {
-		t.Error("denom blinding pool stats missing")
-	} else if st.Capacity != 8 {
-		t.Errorf("blinding pool capacity %d, want 8", st.Capacity)
 	}
 }

@@ -36,33 +36,39 @@
 //
 // # Storage
 //
-// The durable stores open in kvstore group-commit mode, so every
-// acknowledged write — spent coins, redeemed serials, issued licenses —
-// is fsynced before its HTTP response, with concurrent writers sharing
-// each fsync. Stores with a state directory roll WAL segments at the
-// kvstore's default size and compact them incrementally in the
-// background. GET /v2/stats reports the resulting engine shape (segments,
-// live keys, dead bytes, compactions) per store. None of this is a flag:
-// the shard counts, the segment size and the sync mode are the constants
-// every deployment and the repository benchmark have run with.
+// The daemon keeps one durable store, <state>/provider: the bank's
+// spent coins and the provider's registrations, issued licences,
+// redeemed serials and revocations, under disjoint key prefixes in one
+// log. It opens in kvstore group-commit mode, so every acknowledged
+// write is fsynced before its HTTP response, with concurrent writers
+// sharing each fsync, and a purchase waits once: the log orders its
+// spent marks before its licence. With a state directory the store rolls
+// WAL segments at the kvstore's default size and compacts them
+// incrementally in the background. GET /v2/stats reports the resulting
+// engine shape (segments, live keys, dead bytes, compactions). None of
+// this is a flag: the shard counts, the segment size and the sync mode
+// are the constants every deployment and the repository benchmark have
+// run with.
 //
 // # Replication
 //
-// A primary daemon automatically serves its provider and bank stores
-// under replica/* (manifest, segment shipping, status). A second
-// daemon started with
+// A primary daemon automatically serves its store under replica/*
+// (manifest, segment shipping and pin release to the admin tier, status
+// to anyone). A second daemon started with
 //
 //	p2drmd -addr :8475 -state /var/lib/p2drm-replica -replica-of http://primary:8474
 //
 // runs as a READ REPLICA instead: no keys are generated, no provider or
-// bank is mounted; the daemon tails both stores from the primary
-// (snapshot bootstrap, then incremental WAL-segment shipping with
-// reconnect/backoff, polling every 500 ms when idle) and serves
-// read-only traffic while rejecting writes with 403. POST
-// /v2/replica/promote stops replication and opens the local
-// stores for writes; POST /v2/replica/resync forces a fresh snapshot
-// bootstrap (see internal/replica for the protocol and failover
-// semantics).
+// bank is mounted; the daemon tails the store from the primary into
+// <state>/replica-provider (snapshot bootstrap, then incremental
+// WAL-segment shipping with reconnect/backoff, polling every 500 ms when
+// idle) and serves read-only traffic while rejecting writes with 403.
+// One follower on one log means a promoted replica holds a prefix of the
+// primary's history, so no licence it holds lacks the spent marks of the
+// coins that paid for it. POST /v2/replica/promote stops replication and
+// opens the local store for writes; POST /v2/replica/resync forces a
+// fresh snapshot bootstrap (see internal/replica for the protocol and
+// failover semantics).
 package main
 
 import (
@@ -109,11 +115,11 @@ const (
 // the daemon has always run with, twice the replica package's default.
 const replicaPoll = 500 * time.Millisecond
 
-// walOpts is how every durable store of the daemon opens: group commit,
-// so an acknowledged write is fsynced before its response (a spent coin
-// or a redeemed serial that vanishes in a crash defeats its store's
-// purpose), with the kvstore's default index shards
-// and segment size.
+// walOpts is how the daemon's store (and a replica's) opens: group
+// commit, so an acknowledged write is fsynced before its response (a
+// spent coin or a redeemed serial that vanishes in a crash defeats the
+// store's purpose), with the kvstore's default index shards and segment
+// size.
 var walOpts = kvstore.Options{
 	Sync: kvstore.SyncGroupCommit,
 	// Reclaim dead segment bytes continuously; compaction never
@@ -204,7 +210,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flagValues, error) {
 	fs.StringVar(&c.userToken, "user-token", "", "bearer token for the user tier (empty with -admin-token empty = open API)")
 	fs.StringVar(&c.adminToken, "admin-token", "", "bearer token for the admin tier")
 	fs.StringVar(&c.replicaOf, "replica-of", "", "run as a read replica of the primary daemon at this base URL")
-	fs.StringVar(&c.primaryToken, "primary-token", "", "bearer token presented to the primary daemon (replica mode, when the primary has auth configured)")
+	fs.StringVar(&c.primaryToken, "primary-token", "", "the primary daemon's admin token, presented to read its log (replica mode, when the primary has auth configured)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	fs.DurationVar(&c.sloLatency, "slo-latency", 250*time.Millisecond, "per-request latency SLO target feeding /v2/health and the p2drm_slo_* families")
 	if err := fs.Parse(args); err != nil {
@@ -246,24 +252,23 @@ func main() {
 	if fl.lab {
 		group = schnorr.Group768()
 	}
-	bankDir, provDir := "", ""
+	storeDir := ""
 	if fl.stateDir != "" {
-		bankDir = fl.stateDir + "/bank"
-		provDir = fl.stateDir + "/provider"
+		storeDir = fl.stateDir + "/provider"
 	}
 
 	// Boot order. First, side by side, the work that needs nothing but the
 	// flags: the bank and provider RSA keys, the generator's fixed-base
 	// table (every proof verification and key wrap exponentiates it), and
-	// the replay of the bank and provider WALs. Boot waits for all five
-	// before it uses any. Then the bank and the provider are assembled on
-	// them — the provider's revocation list reads its serials once, into a
-	// filter at its final size — and last the demo items, whose
+	// the replay of the WAL. Boot waits for all four before it uses any.
+	// Then the bank and the provider are assembled on them, sharing the
+	// store — the provider's revocation list reads its serials once, into
+	// a filter at its final size — and last the demo items, whose
 	// denomination keys are generated side by side too.
 	slog.Info("generating keys", "rsa_bits", fl.rsaBits, "group", group.Name)
 	var (
 		bankKey, provKey *rsa.PrivateKey
-		spent, store     *kvstore.Store
+		store            *kvstore.Store
 	)
 	runBoot(
 		bootStep{"bank key", nil, func() (err error) {
@@ -275,18 +280,14 @@ func main() {
 			return err
 		}},
 		bootStep{"precompute", nil, func() error { group.Precompute(); return nil }},
-		bootStep{"bank store", nil, func() (err error) {
-			spent, err = kvstore.OpenWith(bankDir, walOpts)
-			return err
-		}},
 		bootStep{"provider store", nil, func() (err error) {
-			store, err = kvstore.OpenWith(provDir, walOpts)
+			store, err = kvstore.OpenWith(storeDir, walOpts)
 			return err
 		}},
 	)
 	slog.Info("crypto acceleration", "precompute", group.Precomputed())
 
-	bank, err := payment.NewBank(bankKey, spent)
+	bank, err := payment.NewBank(bankKey, store)
 	if err != nil {
 		fatal("bank", "err", err)
 	}
@@ -350,31 +351,25 @@ valid until "2030-01-01T00:00:00Z";
 
 	handler := httpapi.NewServer(prov).WithBank(bank).
 		WithStoreStats("provider", store).
-		WithStoreStats("bank", spent).
 		WithReplicaSource("provider", replica.NewSource(store)).
-		WithReplicaSource("bank", replica.NewSource(spent)).
 		WithAuth(auth)
-	// Feed the storage engines' timing hooks into the same registry
-	// /v2/metrics renders: fsync/commit-wait/compaction per store.
+	// Feed the storage engine's timing hooks into the same registry
+	// /v2/metrics renders: fsync/commit-wait/compaction.
 	plane := handler.Obs()
 	plane.SLO.SetLatencyTarget(fl.sloLatency)
 	store.SetObserver(httpapi.StoreObserver(plane, "provider"))
-	spent.SetObserver(httpapi.StoreObserver(plane, "bank"))
 
 	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
 	if err != nil {
 		fatal("admin socket", "err", err)
 	}
-	// closeStores settles and closes the WALs; every serving-phase exit
+	// closeStore settles and closes the WAL; every serving-phase exit
 	// path must run it. (The fatal calls above run before any protocol
 	// state exists, so they may exit without it.)
-	closeStores := func() {
+	closeStore := func() {
 		if err := store.Close(); err != nil {
 			slog.Error("close provider store", "err", err)
-		}
-		if err := spent.Close(); err != nil {
-			slog.Error("close bank store", "err", err)
 		}
 	}
 	errc := make(chan error, 1)
@@ -385,7 +380,7 @@ valid until "2030-01-01T00:00:00Z";
 	select {
 	case err := <-errc:
 		slog.Error("serve", "err", err)
-		closeStores()
+		closeStore()
 		os.Exit(1)
 	case <-ctx.Done():
 	}
@@ -402,7 +397,7 @@ valid until "2030-01-01T00:00:00Z";
 			slog.Error("admin shutdown", "err", err)
 		}
 	}
-	closeStores()
+	closeStore()
 }
 
 // serveAdminSocket serves handler on a unix socket whose callers are
@@ -449,53 +444,47 @@ func serveAdminSocket(path string, handler http.Handler) (*http.Server, error) {
 	return srv, nil
 }
 
-// runReplica is follower mode: tail the primary's provider and bank
-// stores (snapshot bootstrap + incremental segment shipping with
-// reconnect/backoff) and serve the read-only replica HTTP surface. No
-// keys are generated — a replica holds replicated state, not signing
-// capability; POST /v2/replica/promote opens the stores for writes.
+// runReplica is follower mode: tail the primary's store (snapshot
+// bootstrap + incremental segment shipping with reconnect/backoff) and
+// serve the read-only replica HTTP surface. No keys are generated — a
+// replica holds replicated state, not signing capability; POST
+// /v2/replica/promote opens the store for writes.
 func runReplica(fl *flagValues, auth httpapi.Auth) {
 	slog.Info("replica mode", "primary", fl.replicaOf, "poll", replicaPoll)
 	client := httpapi.NewClient(fl.replicaOf, nil)
-	// The replication reads are guest-tier, but releasing a pin lease is
-	// user-tier on an auth-configured primary.
+	// Reading the primary's log is admin-tier on an auth-configured
+	// primary: the log holds every record.
 	client.Token = fl.primaryToken
-	followers := make(map[string]*replica.Follower, 2)
-	for _, name := range []string{"provider", "bank"} {
-		dir := ""
-		if fl.stateDir != "" {
-			dir = fl.stateDir + "/replica-" + name
-		}
-		name := name
-		f, err := replica.Open(replica.Options{
-			Dir:          dir,
-			Fetch:        httpapi.NewReplicaFetcher(client, name),
-			KV:           walOpts,
-			PollInterval: replicaPoll,
-			// The replica package reports reconnects, backoff and
-			// snapshot fallbacks through this hook; route them into the
-			// leveled log with the store name attached.
-			Logf: func(format string, args ...any) {
-				slog.Info(fmt.Sprintf(format, args...), "store", name)
-			},
-		})
-		if err != nil {
-			fatal("open replica", "store", name, "err", err)
-		}
-		f.Start()
-		followers[name] = f
+	const name = "provider"
+	dir := ""
+	if fl.stateDir != "" {
+		dir = fl.stateDir + "/replica-" + name
 	}
+	f, err := replica.Open(replica.Options{
+		Dir:          dir,
+		Fetch:        httpapi.NewReplicaFetcher(client, name),
+		KV:           walOpts,
+		PollInterval: replicaPoll,
+		// The replica package reports reconnects, backoff and snapshot
+		// fallbacks through this hook; route them into the leveled log
+		// with the store name attached.
+		Logf: func(format string, args ...any) {
+			slog.Info(fmt.Sprintf(format, args...), "store", name)
+		},
+	})
+	if err != nil {
+		fatal("open replica", "store", name, "err", err)
+	}
+	f.Start()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	handler := httpapi.NewReplicaServer(followers).WithAuth(auth)
+	handler := httpapi.NewReplicaServer(map[string]*replica.Follower{name: f}).WithAuth(auth)
 	// Feed fetch/apply timings into the follower server's registry.
 	plane := handler.Obs()
 	plane.SLO.SetLatencyTarget(fl.sloLatency)
-	for name, f := range followers {
-		f.SetObserver(httpapi.FollowerObserver(plane, name))
-	}
+	f.SetObserver(httpapi.FollowerObserver(plane, name))
 
 	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
@@ -507,17 +496,15 @@ func runReplica(fl *flagValues, auth httpapi.Auth) {
 		slog.Info("replica listening", "addr", fl.addr)
 		errc <- srv.ListenAndServe()
 	}()
-	closeFollowers := func() {
-		for name, f := range followers {
-			if err := f.Close(); err != nil {
-				slog.Error("close replica", "store", name, "err", err)
-			}
+	closeFollower := func() {
+		if err := f.Close(); err != nil {
+			slog.Error("close replica", "store", name, "err", err)
 		}
 	}
 	select {
 	case err := <-errc:
 		slog.Error("serve", "err", err)
-		closeFollowers()
+		closeFollower()
 		os.Exit(1)
 	case <-ctx.Done():
 	}
@@ -532,5 +519,5 @@ func runReplica(fl *flagValues, auth httpapi.Auth) {
 			slog.Error("admin shutdown", "err", err)
 		}
 	}
-	closeFollowers()
+	closeFollower()
 }

@@ -205,6 +205,63 @@ func TestBootOverARevocationList(t *testing.T) {
 	stopDaemon(t, cmd)
 }
 
+// TestOneStorePerDaemon: a primary with auth tokens keeps one store,
+// <state>/provider, and refuses its log to a guest; a replica that
+// presents the primary's admin token tails it with one follower into
+// <state>/replica-provider, and promotes that one store.
+func TestOneStorePerDaemon(t *testing.T) {
+	bin := buildDaemon(t)
+	root := t.TempDir()
+	pstate, rstate := filepath.Join(root, "primary"), filepath.Join(root, "replica")
+	st, err := kvstore.Open(filepath.Join(pstate, "provider"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"spent:a", "spent:b", "issued:x"} {
+		if err := st.Put([]byte(k), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	primary, pc := startDaemon(t, bin, "-lab", "-state", pstate, "-user-token", "u", "-admin-token", "a")
+	if _, err := pc.ReplicaManifest("provider", false); err == nil || !strings.Contains(err.Error(), "login-required") {
+		t.Errorf("guest manifest read: %v, want login-required", err)
+	}
+	replicaCmd, rc := startDaemon(t, bin, "-state", rstate, "-replica-of", pc.BaseURL, "-primary-token", "a")
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		st, err := rc.ReplicaStatus()
+		stats, serr := rc.Stats()
+		if err == nil && serr == nil && len(st.Replica) == 1 && st.Replica["provider"].CaughtUp &&
+			len(stats.Stores) == 1 && stats.Stores["provider"].LiveKeys == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never caught up: %+v, %v", st, err)
+		}
+	}
+	rc.Token = "a"
+	if res, err := rc.Promote(); err != nil || len(res.Promoted) != 1 || res.Promoted[0] != "provider" {
+		t.Fatalf("promote = %+v, %v", res, err)
+	}
+	stopDaemon(t, replicaCmd)
+	stopDaemon(t, primary)
+	for dir, want := range map[string]string{pstate: "provider", rstate: "replica-provider"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != want {
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			t.Errorf("%s holds %v, want [%s]", dir, names, want)
+		}
+	}
+}
+
 // buildDaemon builds this package's daemon into a temporary directory,
 // with the race detector when the test binary runs under it. It skips in
 // -short.

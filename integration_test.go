@@ -5,22 +5,24 @@ package p2drm_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"p2drm/internal/core"
 	"p2drm/internal/cryptox/schnorr"
-	"p2drm/internal/domain"
+	"p2drm/internal/device"
 	"p2drm/internal/linkage"
 	"p2drm/internal/provider"
 	"p2drm/internal/rel"
 )
 
 // TestFullLifecycle walks the complete story: catalog → anonymous
-// purchases → playback → unlinkable resale → delegation → household
-// sharing → revocation and double-redemption defense → privacy audit of
-// the provider journal.
+// purchases → playback → unlinkable resale → delegation → a
+// domain-restricted licence → revocation and double-redemption defense →
+// privacy audit of the provider journal.
 func TestFullLifecycle(t *testing.T) {
 	now := time.Date(2004, 9, 15, 10, 0, 0, 0, time.UTC)
 	sys, err := core.NewSystem(core.Options{
@@ -105,34 +107,16 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatalf("bob plays transferred license: %v", err)
 	}
 
-	// --- household: the family buys the movie into a domain ---
+	// --- the family buys the domain-restricted movie; no device outside
+	// a domain plays it ---
 	movieLic, err := sys.Purchase(family, "movie")
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, _ := family.PseudonymFor(movieLic.Serial)
-	mgr, err := domain.NewManager("home", sys.Group, sys.Provider.Public(), family.Card, idx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, tvCert, _ := sys.NewDevice("tv", "video", "EU")
-	if _, err := mgr.Join(tvCert, now); err != nil {
-		t.Fatal(err)
-	}
-	tv.JoinedDomain(mgr.ID())
-	wrap, err := mgr.MemberWrap(movieLic, "tv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	item, _ := sys.Provider.Item("movie")
+	tv, _, _ := sys.NewDevice("tv", "video", "EU")
 	out.Reset()
-	if err := tv.PlayDomain(movieLic, wrap, mgr.ID(), domain.WrapLabel(movieLic.Serial, "movie", mgr.ID()),
-		bytes.NewReader(item.Encrypted), &out); err != nil {
-		t.Fatalf("domain playback: %v", err)
-	}
-	// Size audit passes without revealing members.
-	if err := domain.VerifyAudit(sys.Group, mgr.SizeCommitment(), mgr.Audit(), 3); err != nil {
-		t.Fatalf("audit: %v", err)
+	if err := sys.Play(family, tv, movieLic, &out); !errors.Is(err, device.ErrDenied) || !strings.Contains(err.Error(), "domain") {
+		t.Fatalf("domain-restricted licence on a device in no domain: %v, want a domain denial", err)
 	}
 
 	// --- privacy audit of everything the provider saw ---

@@ -47,7 +47,8 @@ type Options struct {
 	RSABits int
 	// DenomKeyBits sizes per-content blind-signature keys (default RSABits).
 	DenomKeyBits int
-	// StateDir persists provider/bank state; empty means in-memory.
+	// StateDir persists provider and bank state in one store under
+	// StateDir/provider; empty means in-memory.
 	StateDir string
 	// Clock injects time for deterministic tests.
 	Clock func() time.Time
@@ -103,24 +104,21 @@ func NewSystem(opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: provider key: %w", err)
 	}
-	bankDir, provDir := "", ""
+	// One store for the bank's spent ledger and the provider's records,
+	// as p2drmd runs them: their key prefixes are disjoint.
+	dir := ""
 	if opts.StateDir != "" {
-		bankDir = opts.StateDir + "/bank"
-		provDir = opts.StateDir + "/provider"
+		dir = opts.StateDir + "/provider"
 	}
-	spent, err := kvstore.Open(bankDir)
+	store, err := kvstore.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	bank, err := payment.NewBank(bankKey, spent)
+	bank, err := payment.NewBank(bankKey, store)
 	if err != nil {
 		return nil, err
 	}
 	if err := bank.CreateAccount("provider", 0); err != nil {
-		return nil, err
-	}
-	store, err := kvstore.Open(provDir)
-	if err != nil {
 		return nil, err
 	}
 	prov, err := provider.New(provider.Config{

@@ -15,7 +15,7 @@
 //
 // There are two encapsulating sides and one decapsulating side. Encap
 // draws a fresh k per call: for a party that wraps once (a card issuing a
-// star licence, a domain manager admitting a member). Sender keeps one k
+// star licence). Sender keeps one k
 // for its lifetime and the KEK per recipient: for the provider, which
 // wraps its own content keys to the same pseudonyms all day and should
 // pay y^k once per pseudonym, not once per licence. Decap serves both

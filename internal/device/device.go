@@ -15,9 +15,8 @@
 //     (a crash can cost the user a play, never gain one), and
 //  6. unwrap the content key through the card and decrypt.
 //
-// Devices also carry a compliance certificate issued by the provider; the
-// domain manager verifies it before admitting the device to an authorized
-// domain.
+// Devices also carry a compliance certificate issued by the provider,
+// binding the device's identity key and class.
 package device
 
 import (
@@ -65,9 +64,7 @@ type Config struct {
 	State *kvstore.Store
 	// Clock supplies the device's notion of time (defaults to time.Now).
 	Clock func() time.Time
-	// IdentityKey is the device's certified key pair. Optional; required
-	// only for authorized-domain membership (the domain manager wraps
-	// content keys to it).
+	// IdentityKey is the device's certified key pair. Optional.
 	IdentityKey *schnorr.PrivateKey
 }
 
@@ -132,8 +129,8 @@ func (d *Device) InstallRevocationFilter(sf *revocation.SignedFilter) error {
 	return nil
 }
 
-// JoinedDomain records domain membership (set by the domain manager after
-// a successful join; cleared with an empty string).
+// JoinedDomain records membership of an authorized domain, the fact a
+// "require domain" clause checks (cleared with an empty string).
 func (d *Device) JoinedDomain(domainID string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -333,41 +330,6 @@ func (d *Device) IdentityPublic() *big.Int {
 		return nil
 	}
 	return d.cfg.IdentityKey.Y
-}
-
-// PlayDomain enforces a domain license delivered through the domain
-// manager: the member wrap (content key re-targeted to this device's
-// certified key) replaces the smartcard challenge — only a device whose
-// certified key the DM wrapped to can decrypt, and the DM only wraps for
-// verified members. Counters are scoped per (license, device).
-func (d *Device) PlayDomain(lic *license.Personalized, memberWrap license.KeyWrap, domainID string, wrapLabel []byte, encContent io.Reader, out io.Writer) error {
-	if d.cfg.IdentityKey == nil {
-		return errors.New("device: no identity key; cannot participate in domains")
-	}
-	if err := license.VerifyPersonalized(d.cfg.ProviderPub, lic); err != nil {
-		return err
-	}
-	if err := d.checkRevocation(lic.Serial); err != nil {
-		return err
-	}
-	if domainID == "" || d.DomainID() != domainID {
-		return fmt.Errorf("%w: device is not in domain %q", ErrDenied, domainID)
-	}
-	scope := "domain:" + lic.Serial.String() + ":" + d.cfg.ID
-	if _, err := d.evaluate(lic.Rights, rel.ActPlay, scope); err != nil {
-		return err
-	}
-	if encContent == nil {
-		return nil
-	}
-	key, err := memberWrap.Unwrap(d.cfg.Group, d.cfg.IdentityKey.X, wrapLabel)
-	if err != nil {
-		return fmt.Errorf("device: member wrap: %w", err)
-	}
-	if err := envelope.DecryptStream(out, encContent, key); err != nil {
-		return fmt.Errorf("device: content decrypt: %w", err)
-	}
-	return nil
 }
 
 // Certificate is a provider-signed compliance statement binding a device

@@ -24,7 +24,11 @@ import (
 // result holds — even fields shaped like the caller's destination — it
 // comes back as *APIError and out stays untouched.
 func TestDecodeEnvelopeErrorNeverReachesOut(t *testing.T) {
-	out := KVValueResponse{Value: "untouched"}
+	var out struct {
+		Found bool   `json:"found"`
+		Value string `json:"value"`
+	}
+	out.Value = "untouched"
 	body := `{"type":"error","status":"Forbidden","status-code":403,` +
 		`"result":{"message":"nope","kind":"rejected","found":true,"value":"leaked"}}`
 	err := decodeEnvelope(strings.NewReader(body), 403, &out)

@@ -38,11 +38,16 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 	for _, comp := range []string{
 		"store:provider:wal", "store:provider:compaction",
-		"store:bank:wal", "store:bank:compaction",
 		"slo:burn_rate", "slo:slow_requests",
 	} {
 		if _, ok := hr.Components[comp]; !ok {
 			t.Errorf("component %q missing: %+v", comp, hr.Components)
+		}
+	}
+	// One store, one set of store probes.
+	for comp := range hr.Components {
+		if strings.HasPrefix(comp, "store:") && !strings.HasPrefix(comp, "store:provider:") {
+			t.Errorf("component %q probes a store the server does not run", comp)
 		}
 	}
 	// The daemon runs no precompute pool, so nothing probes one.
@@ -94,10 +99,6 @@ func TestHealthWALPoisonSticky(t *testing.T) {
 		c := hr.Components["store:provider:wal"]
 		if c.Status != obs.HealthFailing || !strings.Contains(c.Detail, "injected disk failure") {
 			t.Fatalf("eval %d: wal component %+v", i, c)
-		}
-		// The other store is unaffected.
-		if c := hr.Components["store:bank:wal"]; c.Status != obs.HealthOK {
-			t.Fatalf("eval %d: bank wal dragged down: %+v", i, c)
 		}
 	}
 

@@ -58,9 +58,8 @@ type Server struct {
 	api
 	Provider *provider.Provider
 	Bank     *payment.Bank
-	// stores are the kvstore instances surfaced by stats, kv/get|has and
-	// compaction, keyed by a human-readable name (registered
-	// before serving starts).
+	// stores are the kvstore instances surfaced by stats and compaction,
+	// keyed by a human-readable name (registered before serving starts).
 	stores map[string]*kvstore.Store
 	// replicas are the replication sources served under replica/*,
 	// keyed like stores (registered before serving starts).
@@ -742,7 +741,7 @@ func (s *Server) epRevocationContains(r *http.Request) (any, *apiError) {
 		return nil, errBadRequest(errors.New("httpapi: bad serial (want base64url of exact length)"))
 	}
 	copy(serial[:], raw)
-	return KVValueResponse{Found: s.Provider.Revoked(serial)}, nil
+	return ContainsResponse{Found: s.Provider.Revoked(serial)}, nil
 }
 
 // Catalog lists items.

@@ -456,8 +456,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	mem, _ := kvstore.Open("")
-	bank, err := payment.NewBank(bk, mem)
+	bank, err := payment.NewBank(bk, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,9 +469,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(prov).
-		WithStoreStats("provider", store).
-		WithStoreStats("bank", mem))
+	srv := httptest.NewServer(NewServer(prov).WithStoreStats("provider", store))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, schnorr.Group768())
 
@@ -483,8 +480,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Stores) != 2 {
-		t.Fatalf("stats for %d stores, want 2", len(resp.Stores))
+	if len(resp.Stores) != 1 {
+		t.Fatalf("stats for %d stores, want 1", len(resp.Stores))
 	}
 	ps, ok := resp.Stores["provider"]
 	if !ok {
@@ -492,9 +489,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if ps.Segments < 1 || ps.LiveKeys < 1 || ps.IndexShards != kvstore.DefaultIndexShards {
 		t.Errorf("provider stats implausible: %+v", ps)
-	}
-	if bs := resp.Stores["bank"]; bs.Segments != 0 {
-		t.Errorf("in-memory bank store reports %d segments, want 0", bs.Segments)
 	}
 
 	f, err := replica.Open(replica.Options{

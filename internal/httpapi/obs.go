@@ -9,7 +9,7 @@ package httpapi
 // only aggregates, so exposing it is no more sensitive than /v2/stats —
 // while the retained slow-trace ring is admin-only.
 //
-// Route labels are always the registered pattern ("/v2/kv/get",
+// Route labels are always the registered pattern ("/v2/kv/put",
 // "/v2/replica/segment/{id}"), never the raw request path, so label
 // cardinality is bounded by the route table.
 

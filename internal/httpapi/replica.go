@@ -178,64 +178,25 @@ func replicaAPIError(err error) *apiError {
 	}
 }
 
-// --- shared read-only KV endpoints (primary + follower) ---
-
-// KVValueResponse answers kv/get and kv/has.
-type KVValueResponse struct {
-	Found bool   `json:"found"`
-	Value string `json:"value,omitempty"` // base64
-}
-
-// kvKeyParam decodes the base64url ?key= parameter.
-func kvKeyParam(r *http.Request) ([]byte, *apiError) {
-	key, err := base64.URLEncoding.DecodeString(r.URL.Query().Get("key"))
-	if err != nil || len(key) == 0 {
-		return nil, errBadRequest(errors.New("httpapi: bad key (want base64url)"))
-	}
-	return key, nil
-}
-
-func (s *Server) epKVGet(r *http.Request) (any, *apiError) {
-	st := s.stores[r.URL.Query().Get("store")]
-	if st == nil {
-		return nil, errNotFound(errors.New("httpapi: unknown store"))
-	}
-	key, apiErr := kvKeyParam(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	v, found := st.Get(key)
-	return KVValueResponse{Found: found, Value: b64(v)}, nil
-}
-
-func (s *Server) epKVHas(r *http.Request) (any, *apiError) {
-	st := s.stores[r.URL.Query().Get("store")]
-	if st == nil {
-		return nil, errNotFound(errors.New("httpapi: unknown store"))
-	}
-	key, apiErr := kvKeyParam(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	return KVValueResponse{Found: st.Has(key)}, nil
+// ContainsResponse answers /v2/revocation/contains on either role.
+type ContainsResponse struct {
+	Found bool `json:"found"`
 }
 
 // --- follower-side server ---
 
-// ReplicaServer is the HTTP surface of a follower daemon: read-only KV
-// and revocation lookups against the local replicas, replication
-// status, promotion and resync. Writes are rejected until promotion.
+// ReplicaServer is the HTTP surface of a follower daemon: revocation
+// lookups against the local replica, replication status, promotion and
+// resync. Writes are rejected until promotion.
 type ReplicaServer struct {
 	api
 	followers map[string]*replica.Follower
 }
 
 // NewReplicaServer builds the follower handler tree over the given
-// followers (keyed by store name, e.g. "provider" and "bank").
+// followers, keyed by store name; p2drmd runs one, "provider".
 func NewReplicaServer(followers map[string]*replica.Follower) *ReplicaServer {
 	rs := &ReplicaServer{followers: followers, api: newAPI()}
-	rs.v2("GET", "/v2/kv/get", TierGuest, rs.epGet)
-	rs.v2("GET", "/v2/kv/has", TierGuest, rs.epHas)
 	rs.v2("POST", "/v2/kv/put", TierUser, rs.epPut)
 	rs.v2("GET", "/v2/stats", TierGuest, rs.epStats)
 	rs.v2("GET", "/v2/replica/status", TierGuest, rs.epStatus)
@@ -267,31 +228,6 @@ func (rs *ReplicaServer) follower(r *http.Request) (*replica.Follower, *apiError
 		return nil, errNotFound(fmt.Errorf("httpapi: no replica for store %q", name))
 	}
 	return f, nil
-}
-
-func (rs *ReplicaServer) epGet(r *http.Request) (any, *apiError) {
-	f, apiErr := rs.follower(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	key, apiErr := kvKeyParam(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	v, found := f.Get(key)
-	return KVValueResponse{Found: found, Value: b64(v)}, nil
-}
-
-func (rs *ReplicaServer) epHas(r *http.Request) (any, *apiError) {
-	f, apiErr := rs.follower(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	key, apiErr := kvKeyParam(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	return KVValueResponse{Found: f.Has(key)}, nil
 }
 
 // KVPutRequest is a follower-side write attempt (rejected until the
@@ -411,7 +347,7 @@ func (rs *ReplicaServer) epContains(r *http.Request) (any, *apiError) {
 		return nil, errBadRequest(errors.New("httpapi: bad serial (want base64url of exact length)"))
 	}
 	copy(serial[:], raw)
-	return KVValueResponse{Found: f.Has(revocation.StoreKey(serial))}, nil
+	return ContainsResponse{Found: f.Has(revocation.StoreKey(serial))}, nil
 }
 
 // --- client SDK ---
@@ -512,30 +448,6 @@ func (c *Client) ReplicaStatus() (*ReplicaStatusResponse, error) {
 	return &resp, nil
 }
 
-// KVGet reads one key from a named store (primary or replica daemon).
-func (c *Client) KVGet(store string, key []byte) ([]byte, bool, error) {
-	var resp KVValueResponse
-	p := "/v2/kv/get?store=" + url.QueryEscape(store) + "&key=" + base64.URLEncoding.EncodeToString(key)
-	if err := c.call("GET", p, nil, &resp); err != nil {
-		return nil, false, err
-	}
-	if !resp.Found {
-		return nil, false, nil
-	}
-	v, err := unb64(resp.Value)
-	return v, true, err
-}
-
-// KVHas checks one key on a named store.
-func (c *Client) KVHas(store string, key []byte) (bool, error) {
-	var resp KVValueResponse
-	p := "/v2/kv/has?store=" + url.QueryEscape(store) + "&key=" + base64.URLEncoding.EncodeToString(key)
-	if err := c.call("GET", p, nil, &resp); err != nil {
-		return false, err
-	}
-	return resp.Found, nil
-}
-
 // KVPut attempts a write on a replica daemon (rejected until promoted).
 func (c *Client) KVPut(store string, key, val []byte) error {
 	return c.call("POST", "/v2/kv/put?store="+url.QueryEscape(store), KVPutRequest{Key: b64(key), Value: b64(val)}, nil)
@@ -543,7 +455,7 @@ func (c *Client) KVPut(store string, key, val []byte) error {
 
 // RevocationContains asks either role for exact revocation containment.
 func (c *Client) RevocationContains(serial license.Serial) (bool, error) {
-	var resp KVValueResponse
+	var resp ContainsResponse
 	p := "/v2/revocation/contains?serial=" + base64.URLEncoding.EncodeToString(serial[:])
 	if err := c.call("GET", p, nil, &resp); err != nil {
 		return false, err

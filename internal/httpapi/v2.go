@@ -15,8 +15,9 @@ import (
 // registerV2 mounts the enveloped surface. Tier rationale: reads and
 // protocol-key fetches are guest (the protocol's own crypto guards
 // purchase/exchange/redeem, so they are user-tier like snapd's
-// state-changing endpoints); store maintenance and account minting are
-// admin.
+// state-changing endpoints); store maintenance, account minting and
+// replication are admin — the log a follower reads holds every record
+// (registrations, issued licences, spent coins).
 func (s *Server) registerV2() {
 	s.v2("GET", "/v2/catalog", TierGuest, s.epCatalog)
 	s.v2raw("GET", "/v2/content", TierGuest, s.serveContent)
@@ -32,11 +33,9 @@ func (s *Server) registerV2() {
 	s.v2raw("GET", "/v2/revocation/filter", TierGuest, s.serveRevocationFilter)
 	s.v2("GET", "/v2/revocation/contains", TierGuest, s.epRevocationContains)
 	s.v2("GET", "/v2/stats", TierGuest, s.epStats)
-	s.v2("GET", "/v2/kv/get", TierGuest, s.epKVGet)
-	s.v2("GET", "/v2/kv/has", TierGuest, s.epKVHas)
-	s.v2("GET", "/v2/replica/manifest", TierGuest, s.epReplicaManifest)
-	s.v2raw("GET", "/v2/replica/segment/{id}", TierGuest, s.serveReplicaSegment)
-	s.v2("POST", "/v2/replica/release", TierUser, s.epReplicaRelease)
+	s.v2("GET", "/v2/replica/manifest", TierAdmin, s.epReplicaManifest)
+	s.v2raw("GET", "/v2/replica/segment/{id}", TierAdmin, s.serveReplicaSegment)
+	s.v2("POST", "/v2/replica/release", TierAdmin, s.epReplicaRelease)
 	s.v2("GET", "/v2/replica/status", TierGuest, s.epReplicaStatus)
 	s.v2("GET", "/v2/provider/key", TierGuest, s.epProviderKey)
 	s.v2("GET", "/v2/bank/coinkey", TierGuest, s.epCoinKey)

@@ -21,8 +21,8 @@ import (
 	"p2drm/internal/smartcard"
 )
 
-// v2Harness is newHarness plus registered stores, an attached bank and
-// an access policy — the full /v2 surface.
+// v2Harness is newHarness plus the registered store, an attached bank
+// sharing it (as in p2drmd) and an access policy — the full /v2 surface.
 type v2Harness struct {
 	srv    *httptest.Server
 	client *Client
@@ -36,14 +36,13 @@ type v2Harness struct {
 func newV2Harness(t *testing.T, auth Auth) *v2Harness {
 	t.Helper()
 	pk, bk := keys()
-	spent, _ := kvstore.Open("")
-	bank, err := payment.NewBank(bk, spent)
+	store, _ := kvstore.Open("")
+	bank, err := payment.NewBank(bk, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bank.CreateAccount("provider", 0)
 	bank.CreateAccount("alice", 50)
-	store, _ := kvstore.Open("")
 	prov, err := provider.New(provider.Config{
 		Group: schnorr.Group768(), SignerKey: pk, DenomKeyBits: 1024,
 		Store: store, Bank: bank, BankAccount: "provider",
@@ -58,7 +57,6 @@ func newV2Harness(t *testing.T, auth Auth) *v2Harness {
 	}
 	server := NewServer(prov).WithBank(bank).
 		WithStoreStats("provider", store).
-		WithStoreStats("bank", spent).
 		WithAuth(auth)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
@@ -268,6 +266,36 @@ func TestRouteAuthTiers(t *testing.T) {
 				t.Errorf("%s at its own tier (%s): denied with status %d kind %q", name, rt.Tier, status, kind)
 			}
 		}
+	}
+
+	// Pinned: the replication routes hand out the whole log, so they are
+	// admin-tier, and neither a guest nor a user token reads it.
+	replication := map[string]bool{
+		"GET /v2/replica/manifest":     true,
+		"GET /v2/replica/segment/{id}": true,
+		"POST /v2/replica/release":     true,
+	}
+	for _, rt := range h.server.Routes() {
+		name := rt.Method + " " + rt.Path
+		if !replication[name] {
+			continue
+		}
+		delete(replication, name)
+		if rt.Tier != TierAdmin {
+			t.Errorf("%s is %s, want admin", name, rt.Tier)
+		}
+		if status, _ := outcome(h.srv.URL, rt, ""); status != http.StatusUnauthorized {
+			t.Errorf("%s as a guest: status %d, want 401", name, status)
+		}
+		if status, _ := outcome(h.srv.URL, rt, "u-secret"); status != http.StatusForbidden {
+			t.Errorf("%s with a user token: status %d, want 403", name, status)
+		}
+	}
+	if len(replication) != 0 {
+		t.Errorf("replication routes not registered: %v", replication)
+	}
+	if p, r := len(h.server.Routes()), len(NewReplicaServer(nil).Routes()); p != 27 || r != 9 {
+		t.Errorf("%d primary and %d replica routes, want 27 and 9", p, r)
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 // the CAS loser notes the record it lost to), a write to ANOTHER store
 // that must not outlive it — may leave before End or Barrier returned
 // nil. Order inside one store needs no barrier: the log is append-only,
-// so a durable record implies every record appended before it.
+// so a durable record implies every record appended before it. Barrier
+// therefore takes the store the next write goes to and waits only for
+// the others; a daemon keeps all its records in one store, so its
+// barriers wait on nothing and a request pays one wait, at End.
 
 type commitSetKey struct{}
 
@@ -33,7 +36,8 @@ type commitSet struct {
 }
 
 // commitMark is the highest seq noted on one store. A request touches
-// one or two stores, so the set is a slice scanned linearly.
+// one store, or two when a caller keeps them apart, so the set is a
+// slice scanned linearly.
 type commitMark struct {
 	store *Store
 	seq   int64
@@ -58,14 +62,23 @@ func (cs *commitSet) note(s *Store, seq int64) {
 	cs.marks = append(cs.marks, commitMark{store: s, seq: seq})
 }
 
-// wait blocks until every noted record is durable: one durability wait —
-// one kv.commit_wait span, one CommitWaitSeconds observation — per store
+// wait blocks until every noted record on a store other than keep is
+// durable (keep nil: every noted record): one durability wait — one
+// kv.commit_wait span, one CommitWaitSeconds observation — per store
 // with a pending mark. Like the per-write wait it replaces, it ignores
 // cancellation: the records are already in the log.
-func (cs *commitSet) wait(ctx context.Context) error {
+func (cs *commitSet) wait(ctx context.Context, keep *Store) error {
 	cs.mu.Lock()
-	marks := cs.marks
-	cs.marks = nil
+	var marks []commitMark
+	rest := cs.marks[:0]
+	for _, m := range cs.marks {
+		if m.store == keep {
+			rest = append(rest, m)
+		} else {
+			marks = append(marks, m)
+		}
+	}
+	cs.marks = rest
 	err := cs.err
 	cs.mu.Unlock()
 	if err != nil {
@@ -104,20 +117,21 @@ func BeginCommit(ctx context.Context) (context.Context, Commit) {
 	return context.WithValue(ctx, commitSetKey{}, set), Commit{set: set, owner: true}
 }
 
-// Barrier blocks until every record noted so far is durable, whoever
-// owns the set. It is the cross-store ordering point: call it between a
-// write to one store and a write to another that must never be durable
-// without it.
-func (c Commit) Barrier(ctx context.Context) error { return c.set.wait(ctx) }
+// Barrier blocks until every record noted so far on a store other than
+// next is durable, whoever owns the set. It is the cross-store ordering
+// point: call it between writes and a write to next that must never be
+// durable without them. Marks on next itself stay for End, since next's
+// log already orders them before the write to come.
+func (c Commit) Barrier(ctx context.Context, next *Store) error { return c.set.wait(ctx, next) }
 
-// End settles the handle. The outermost handle waits like Barrier; a
+// End settles the handle. The outermost handle waits for every store; a
 // joined one returns nil and leaves the wait to the owner. Call it on
 // every path, refusals included, before acting on the outcome.
 func (c Commit) End(ctx context.Context) error {
 	if !c.owner {
 		return nil
 	}
-	return c.set.wait(ctx)
+	return c.set.wait(ctx, nil)
 }
 
 // commit settles one appended (or, for a CAS loser, observed) record

@@ -93,10 +93,11 @@ func TestCommitSetPlainContextWaitsPerWrite(t *testing.T) {
 }
 
 // TestCommitSetJoin: a nested BeginCommit joins the caller's set, its End
-// leaves the wait to the owner, and Barrier waits whoever calls it.
+// leaves the wait to the owner, and Barrier waits whoever calls it — for
+// the stores other than the one the next write goes to.
 func TestCommitSetJoin(t *testing.T) {
 	var waits atomic.Int64
-	s := openCounted(t, &waits)
+	s, next := openCounted(t, &waits), openCounted(t, &waits)
 	outerCtx, outer := BeginCommit(context.Background())
 	ctx, inner := BeginCommit(outerCtx)
 	if ctx != outerCtx {
@@ -108,7 +109,10 @@ func TestCommitSetJoin(t *testing.T) {
 	if err := inner.End(ctx); err != nil || waits.Load() != 0 || durableGap(s) == 0 {
 		t.Fatalf("joined End: err %v, %d waits, gap %d; want it to leave the wait to the owner", err, waits.Load(), durableGap(s))
 	}
-	if err := inner.Barrier(ctx); err != nil || waits.Load() != 1 || durableGap(s) != 0 {
+	if err := inner.Barrier(ctx, s); err != nil || waits.Load() != 0 || durableGap(s) == 0 {
+		t.Fatalf("Barrier before a write to the same store: err %v, %d waits, gap %d; want no wait", err, waits.Load(), durableGap(s))
+	}
+	if err := inner.Barrier(ctx, next); err != nil || waits.Load() != 1 || durableGap(s) != 0 {
 		t.Fatalf("Barrier: err %v, %d waits, gap %d", err, waits.Load(), durableGap(s))
 	}
 	if err := s.PutCtx(ctx, []byte("b"), []byte{1}); err != nil {
@@ -184,7 +188,7 @@ func TestCommitSetFailedWaitIsSticky(t *testing.T) {
 	if err := bad.PutCtx(ctx, []byte("a"), []byte{1}); err != nil {
 		t.Fatalf("deferred append: %v", err)
 	}
-	if err := commit.Barrier(ctx); !errors.Is(err, boom) {
+	if err := commit.Barrier(ctx, good); !errors.Is(err, boom) {
 		t.Fatalf("Barrier = %v, want the fsync error", err)
 	}
 	if err := good.PutCtx(ctx, []byte("b"), []byte{1}); err != nil {
@@ -250,6 +254,29 @@ func powerLossImage(t *testing.T, s *Store, upTo int64) *Store {
 	return img
 }
 
+// unpaidIn counts the issuance records in goods whose spent marks are
+// not both in ledger.
+func unpaidIn(goods, ledger *Store) (unpaid int) {
+	goods.PrefixScan([]byte("issued:"), func(k, v []byte) bool {
+		if !ledger.Has([]byte("spent:"+string(v)+"a")) || !ledger.Has([]byte("spent:"+string(v)+"b")) {
+			unpaid++
+		}
+		return true
+	})
+	return unpaid
+}
+
+// lostIn counts the acked purchases that are not whole across the two
+// images.
+func lostIn(goods, ledger *Store, acked []string) (lost int) {
+	for _, id := range acked {
+		if !ledger.Has([]byte("spent:"+id+"a")) || !ledger.Has([]byte("spent:"+id+"b")) || !goods.Has([]byte("issued:"+id)) {
+			lost++
+		}
+	}
+	return lost
+}
+
 // powerLossCheck images the provider store at its most generous (every
 // flushed byte survived) and the bank store at its least (nothing past
 // the durable horizon did) and counts the issuance records in the first
@@ -265,57 +292,53 @@ func powerLossCheck(t *testing.T, bank, prov *Store, acked []string) (unpaid, lo
 	_, bankOff := bank.DurableOffset()
 	bankDurable := powerLossImage(t, bank, bankOff)
 	provDurable := powerLossImage(t, prov, provOff)
-	paid := func(id string) bool {
-		return bankDurable.Has([]byte("spent:"+id+"a")) && bankDurable.Has([]byte("spent:"+id+"b"))
-	}
-	provFull.PrefixScan([]byte("issued:"), func(k, v []byte) bool {
-		if !paid(string(v)) {
-			unpaid++
-		}
-		return true
-	})
-	for _, id := range acked {
-		if !paid(id) || !provDurable.Has([]byte("issued:"+id)) {
-			lost++
+	return unpaidIn(provFull, bankDurable), lostIn(provDurable, bankDurable, acked)
+}
+
+// oneLogPowerLossCheck is powerLossCheck when the bank and the provider
+// share one log: a power loss keeps some prefix of it, at least up to
+// the durable horizon, so each image is one cut of the log and is
+// checked against itself. It cuts at the horizon, at every flushed byte
+// and at two points between, and reports the worst cut's unpaid count;
+// lost is read at the horizon.
+func oneLogPowerLossCheck(t *testing.T, log *Store, acked []string) (unpaid, lost int) {
+	t.Helper()
+	_, off := log.DurableOffset()
+	end := log.Stats().LoggedBytes
+	for i, cut := range []int64{off, off + (end-off)/3, off + 2*(end-off)/3, -1} {
+		img := powerLossImage(t, log, cut)
+		unpaid = max(unpaid, unpaidIn(img, img))
+		if i == 0 {
+			lost = lostIn(img, img, acked)
 		}
 	}
 	return unpaid, lost
 }
 
-// TestCommitSetPowerLoss checks the two cross-store guarantees of a
-// purchase-shaped commit set — two spent marks to the bank store, the
-// payment-before-goods Barrier, the issuance record to the provider
-// store, End — against a power-loss model, which SIGKILL cannot give (a
-// killed process loses nothing it flushed to the OS): no issuance record
-// can survive without its spent marks, and no acknowledged purchase can
-// lose either. The model is first shown to catch the same writes made
-// without the barrier.
-func TestCommitSetPowerLoss(t *testing.T) {
-	var waits atomic.Int64
-	bank, prov := openCounted(t, &waits), openCounted(t, &waits)
-	pay := func(ctx context.Context, id string) {
+// purchaseShaped returns the two halves of a purchase-shaped commit set:
+// pay puts two spent marks into bank, issue the issuance record into prov.
+func purchaseShaped(t *testing.T, bank, prov *Store) (pay, issue func(ctx context.Context, id string)) {
+	pay = func(ctx context.Context, id string) {
 		for _, coin := range []string{"a", "b"} {
 			if _, err := bank.PutIfAbsentCtx(ctx, []byte("spent:"+id+coin), []byte{1}); err != nil {
 				t.Error(err)
 			}
 		}
 	}
-	issue := func(ctx context.Context, id string) {
+	issue = func(ctx context.Context, id string) {
 		if err := prov.PutCtx(ctx, []byte("issued:"+id), []byte(id)); err != nil {
 			t.Error(err)
 		}
 	}
+	return pay, issue
+}
 
-	ctx, commit := BeginCommit(context.Background())
-	pay(ctx, "unordered")
-	issue(ctx, "unordered")
-	if unpaid, _ := powerLossCheck(t, bank, prov, nil); unpaid != 1 {
-		t.Fatalf("model found %d unpaid issuance records for goods appended before payment was durable, want 1", unpaid)
-	}
-	if err := commit.End(ctx); err != nil {
-		t.Fatal(err)
-	}
-
+// purchaseRounds runs up to 200 purchases on each of four writers —
+// pay, Barrier(ctx, prov), issue, End, ack — and images the stores
+// through check 25 times while they run; every round must read 0 unpaid
+// and 0 lost. The cap bounds the log an image replays: unbounded writers
+// outgrow the imaging under -race, and each round replays more.
+func purchaseRounds(t *testing.T, prov *Store, pay, issue func(ctx context.Context, id string), check func(acked []string) (unpaid, lost int)) {
 	var (
 		mu    sync.Mutex
 		acked []string
@@ -326,11 +349,11 @@ func TestCommitSetPowerLoss(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
+			for i := 0; i < 200 && !stop.Load(); i++ {
 				id := fmt.Sprintf("g%d-%d", g, i)
 				ctx, commit := BeginCommit(context.Background())
 				pay(ctx, id)
-				if err := commit.Barrier(ctx); err != nil {
+				if err := commit.Barrier(ctx, prov); err != nil {
 					t.Error(err)
 				}
 				issue(ctx, id)
@@ -348,11 +371,72 @@ func TestCommitSetPowerLoss(t *testing.T) {
 		mu.Lock()
 		ackedNow := append([]string(nil), acked...)
 		mu.Unlock()
-		if unpaid, lost := powerLossCheck(t, bank, prov, ackedNow); unpaid != 0 || lost != 0 {
+		if unpaid, lost := check(ackedNow); unpaid != 0 || lost != 0 {
 			t.Errorf("round %d: %d issuance records could outlive their spent marks, %d of %d acknowledged purchases incomplete",
 				round, unpaid, lost, len(ackedNow))
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestCommitSetPowerLoss checks the two guarantees of a purchase-shaped
+// commit set — two spent marks, Barrier(ctx, prov), the issuance record
+// to prov, End — against a power-loss model, which SIGKILL cannot give (a
+// killed process loses nothing it flushed to the OS): no issuance record
+// can survive without its spent marks, and no acknowledged purchase can
+// lose either. It runs on two stores, where the barrier orders the bank
+// store before the provider store, and on the one log a daemon keeps,
+// where the barrier waits on nothing and the log's order is what holds.
+// Each model is first shown to catch goods recorded ahead of payment.
+func TestCommitSetPowerLoss(t *testing.T) {
+	t.Run("two stores", func(t *testing.T) {
+		var waits atomic.Int64
+		bank, prov := openCounted(t, &waits), openCounted(t, &waits)
+		pay, issue := purchaseShaped(t, bank, prov)
+
+		ctx, commit := BeginCommit(context.Background())
+		pay(ctx, "unordered")
+		issue(ctx, "unordered")
+		if unpaid, _ := powerLossCheck(t, bank, prov, nil); unpaid != 1 {
+			t.Fatalf("model found %d unpaid issuance records for goods appended before payment was durable, want 1", unpaid)
+		}
+		if err := commit.End(ctx); err != nil {
+			t.Fatal(err)
+		}
+		purchaseRounds(t, prov, pay, issue, func(acked []string) (int, int) {
+			return powerLossCheck(t, bank, prov, acked)
+		})
+	})
+	t.Run("one log", func(t *testing.T) {
+		var waits atomic.Int64
+		log := openCounted(t, &waits)
+		pay, issue := purchaseShaped(t, log, log)
+
+		ctx, commit := BeginCommit(context.Background())
+		pay(ctx, "same")
+		if err := commit.Barrier(ctx, log); err != nil || waits.Load() != 0 || durableGap(log) == 0 {
+			t.Fatalf("Barrier before a write to the same log: err %v, %d waits, gap %d; want no wait", err, waits.Load(), durableGap(log))
+		}
+		issue(ctx, "same")
+		if err := commit.End(ctx); err != nil || waits.Load() != 1 {
+			t.Fatalf("End: err %v, %d waits, want 1", err, waits.Load())
+		}
+
+		// Goods ahead of payment in the one log: a cut between them keeps
+		// the goods alone.
+		ctx, commit = BeginCommit(context.Background())
+		issue(ctx, "reversed")
+		cut := log.Stats().LoggedBytes
+		pay(ctx, "reversed")
+		if img := powerLossImage(t, log, cut); unpaidIn(img, img) != 1 {
+			t.Fatalf("model found %d unpaid issuance records in a cut between goods and payment, want 1", unpaidIn(img, img))
+		}
+		if err := commit.End(ctx); err != nil {
+			t.Fatal(err)
+		}
+		purchaseRounds(t, log, pay, issue, func(acked []string) (int, int) {
+			return oneLogPowerLossCheck(t, log, acked)
+		})
+	})
 }

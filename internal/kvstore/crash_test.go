@@ -41,6 +41,7 @@ const (
 	crashDirEnv      = "KVSTORE_CRASH_DIR"
 	crashSegBytesEnv = "KVSTORE_CRASH_SEGBYTES"
 	crashCompactEnv  = "KVSTORE_CRASH_COMPACT"
+	crashOneLogEnv   = "KVSTORE_CRASH_ONE_LOG"
 )
 
 func TestMain(m *testing.M) {
@@ -255,26 +256,38 @@ func snapshotMap(s *Store) map[string]string {
 	return out
 }
 
+// commitSetDirs names the ledger and goods store directories under dir:
+// two stores, or with oneLog the same one, as a daemon keeps them.
+func commitSetDirs(dir string, oneLog bool) (ledger, goods string) {
+	if oneLog {
+		return dir + "/log", dir + "/log"
+	}
+	return dir + "/ledger", dir + "/goods"
+}
+
 // commitSetChildMain loops purchases shaped like provider.Purchase until
 // the parent kills the process: under one commit set, two spent marks go
-// to the bank store, a Barrier makes them durable, the issuance record
-// goes to the provider store, End makes that durable, and only then is
-// the id acknowledged. Eight writers share both stores, so the kill lands
-// with sets at every stage.
+// to the ledger store, Barrier(ctx, goods) makes them durable when the
+// goods are in another store, the issuance record goes to the goods
+// store, End makes that durable, and only then is the id acknowledged.
+// Eight writers share the stores, so the kill lands with sets at every
+// stage.
 func commitSetChildMain() {
 	time.AfterFunc(30*time.Second, func() { os.Exit(3) })
 	die := func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "child %s: %v\n", what, err)
 		os.Exit(2)
 	}
-	dir := os.Getenv(crashDirEnv)
-	bank, err := OpenWith(dir+"/bank", Options{Sync: SyncGroupCommit})
+	ledgerDir, goodsDir := commitSetDirs(os.Getenv(crashDirEnv), os.Getenv(crashOneLogEnv) == "1")
+	bank, err := OpenWith(ledgerDir, Options{Sync: SyncGroupCommit})
 	if err != nil {
-		die("open bank", err)
+		die("open ledger", err)
 	}
-	prov, err := OpenWith(dir+"/provider", Options{Sync: SyncGroupCommit})
-	if err != nil {
-		die("open provider", err)
+	prov := bank
+	if goodsDir != ledgerDir {
+		if prov, err = OpenWith(goodsDir, Options{Sync: SyncGroupCommit}); err != nil {
+			die("open goods", err)
+		}
 	}
 	var mu sync.Mutex // serializes ACK lines
 	var wg sync.WaitGroup
@@ -290,7 +303,7 @@ func commitSetChildMain() {
 						die("spent", err)
 					}
 				}
-				if err := commit.Barrier(ctx); err != nil {
+				if err := commit.Barrier(ctx, prov); err != nil {
 					die("barrier", err)
 				}
 				if err := prov.PutCtx(ctx, []byte("issued:"+id), []byte(id)); err != nil {
@@ -310,26 +323,38 @@ func commitSetChildMain() {
 
 // TestCrashRecoveryCommitSet: after a SIGKILL every acknowledged purchase
 // has both spent marks and its issuance record (the boundary wait covered
-// both stores), and no issuance record survives without its spent marks
-// (the barrier ordered the stores) — whatever stage each in-flight commit
-// set had reached.
+// every store), and no issuance record survives without its spent marks
+// (the barrier ordered two stores; one log orders itself) — whatever
+// stage each in-flight commit set had reached.
 func TestCrashRecoveryCommitSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	acked := killChildMidFlight(t, crashChildEnv+"=commitset", crashDirEnv+"="+dir)
+	t.Run("two stores", func(t *testing.T) { crashRecoveryCommitSet(t, false) })
+	t.Run("one log", func(t *testing.T) { crashRecoveryCommitSet(t, true) })
+}
 
-	bank, err := Open(dir + "/bank")
+func crashRecoveryCommitSet(t *testing.T, oneLog bool) {
+	dir := t.TempDir()
+	flag := "0"
+	if oneLog {
+		flag = "1"
+	}
+	acked := killChildMidFlight(t, crashChildEnv+"=commitset", crashDirEnv+"="+dir, crashOneLogEnv+"="+flag)
+
+	ledgerDir, goodsDir := commitSetDirs(dir, oneLog)
+	bank, err := Open(ledgerDir)
 	if err != nil {
-		t.Fatalf("replay bank after crash: %v", err)
+		t.Fatalf("replay ledger after crash: %v", err)
 	}
 	defer bank.Close()
-	prov, err := Open(dir + "/provider")
-	if err != nil {
-		t.Fatalf("replay provider after crash: %v", err)
+	prov := bank
+	if goodsDir != ledgerDir {
+		if prov, err = Open(goodsDir); err != nil {
+			t.Fatalf("replay goods after crash: %v", err)
+		}
+		defer prov.Close()
 	}
-	defer prov.Close()
 	paid := func(id string) bool {
 		return bank.Has([]byte("spent:"+id+"a")) && bank.Has([]byte("spent:"+id+"b"))
 	}
@@ -346,5 +371,7 @@ func TestCrashRecoveryCommitSet(t *testing.T) {
 		}
 		return true
 	})
-	t.Logf("commit-set crash test: %d acked, %d issued and %d spent marks replayed", len(acked), issued, bank.Len())
+	spent := 0
+	bank.PrefixScan([]byte("spent:"), func(k, v []byte) bool { spent++; return true })
+	t.Logf("commit-set crash test: %d acked, %d issued and %d spent marks replayed", len(acked), issued, spent)
 }

@@ -50,10 +50,14 @@
 // Durability contract under a commit set: DepositCtx on a context from
 // kvstore.BeginCommit appends the spent mark (or, refused, notes the one
 // it lost to) and returns without waiting; the caller then owes the wait.
-// Payment before goods: a payee must settle it — Commit.Barrier — before
-// it appends anything that hands over what the coins paid for, so no
-// crash can leave the goods recorded and the coins spendable again, and
-// before it tells anyone a coin was double-spent.
+// Payment before goods: a payee calls Commit.Barrier(ctx, next) before it
+// appends anything to store next that hands over what the coins paid
+// for, so no crash can leave the goods recorded and the coins spendable
+// again, and settles the set before it tells anyone a coin was
+// double-spent. The ledger's keys carry the "spent:" prefix, so the bank
+// can share one store with its payee (p2drmd does): then next is the
+// ledger's own log, which already orders the spent marks first, and the
+// barrier waits on nothing.
 //
 // Lock order is trivial: no code path holds two shard locks at once, and
 // the kvstore synchronizes internally.

@@ -16,16 +16,16 @@ import (
 	"p2drm/internal/smartcard"
 )
 
-// durableWorld is world on two group-commit stores (bank ledger and
-// provider store, as the daemon runs them) whose durability waits are
-// counted together.
+// durableWorld is world on group-commit stores whose durability waits
+// are counted together: one store shared by the bank ledger and the
+// provider, as the daemon runs them, or with twoStores a store each.
 type durableWorld struct {
 	*world
 	bankStore, provStore *kvstore.Store
 	waits                atomic.Int64
 }
 
-func newDurableWorld(t *testing.T) *durableWorld {
+func newDurableWorld(t *testing.T, twoStores bool) *durableWorld {
 	t.Helper()
 	dw := &durableWorld{}
 	open := func() *kvstore.Store {
@@ -37,7 +37,11 @@ func newDurableWorld(t *testing.T) *durableWorld {
 		st.SetObserver(&kvstore.Observer{CommitWaitSeconds: func(time.Duration) { dw.waits.Add(1) }})
 		return st
 	}
-	dw.bankStore, dw.provStore = open(), open()
+	dw.provStore = open()
+	dw.bankStore = dw.provStore
+	if twoStores {
+		dw.bankStore = open()
+	}
 	pk, bk := testKeys()
 	bank, err := payment.NewBank(bk, dw.bankStore)
 	if err != nil {
@@ -141,11 +145,26 @@ func (w *world) anonymous(t *testing.T, p pendingToken, blindSig []byte) *licens
 }
 
 // TestDurabilityWaitsPerCall pins what each entry point costs in fsync
-// waits: one per store it wrote to, whatever the number of records —
-// two for a purchase (the payment-before-goods barrier on the bank store,
-// then the provider store), the same two for sixteen purchases.
+// waits: one per store it wrote to, whatever the number of records. On
+// the daemon's one store a purchase waits once, and so do sixteen: the
+// log orders the spent marks before the licence, so the payment-before-
+// goods barrier has nothing to wait for. With the ledger on a store of
+// its own, the barrier waits on it and a purchase costs two.
 func TestDurabilityWaitsPerCall(t *testing.T) {
-	dw := newDurableWorld(t)
+	for _, tc := range []struct {
+		name      string
+		twoStores bool
+		purchase  int64
+	}{
+		{"one store", false, 1},
+		{"two stores", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) { durabilityWaitsPerCall(t, tc.twoStores, tc.purchase) })
+	}
+}
+
+func durabilityWaitsPerCall(t *testing.T, twoStores bool, purchaseWaits int64) {
+	dw := newDurableWorld(t, twoStores)
 	ctx := context.Background()
 	const n = 16
 	check := func(call string, want int64, f func()) {
@@ -163,7 +182,7 @@ func TestDurabilityWaitsPerCall(t *testing.T) {
 
 	single := dw.purchaseRequests(t, signPub, encPub, 1)[0]
 	var lic *license.Personalized
-	check("Purchase", 2, func() {
+	check("Purchase", purchaseWaits, func() {
 		var err error
 		if lic, err = dw.prov.Purchase(ctx, single); err != nil {
 			t.Fatal(err)
@@ -192,7 +211,7 @@ func TestDurabilityWaitsPerCall(t *testing.T) {
 
 	reqs := dw.purchaseRequests(t, signPub, encPub, n)
 	var lics []*license.Personalized
-	check("IssueBatch(16)", 2, func() {
+	check("IssueBatch(16)", purchaseWaits, func() {
 		for i, res := range dw.prov.IssueBatch(ctx, reqs) {
 			if res.Err != nil {
 				t.Fatalf("purchase slot %d: %v", i, res.Err)
@@ -228,9 +247,15 @@ func TestDurabilityWaitsPerCall(t *testing.T) {
 // TestRefusalsWaitForTheWinner: a request that loses one of the three
 // durable gates to a request still short of its fsync (here the winner
 // runs under a caller's commit set that is never settled) does not get
-// its refusal before the record it lost to is durable.
+// its refusal before the record it lost to is durable — on one store and
+// on two.
 func TestRefusalsWaitForTheWinner(t *testing.T) {
-	dw := newDurableWorld(t)
+	t.Run("one store", func(t *testing.T) { refusalsWaitForTheWinner(t, false) })
+	t.Run("two stores", func(t *testing.T) { refusalsWaitForTheWinner(t, true) })
+}
+
+func refusalsWaitForTheWinner(t *testing.T, twoStores bool) {
+	dw := newDurableWorld(t, twoStores)
 	signPub, encPub := dw.register(t, 0)
 	// The winners join this set, so none of them waits.
 	winCtx, _ := kvstore.BeginCommit(context.Background())
@@ -243,7 +268,7 @@ func TestRefusalsWaitForTheWinner(t *testing.T) {
 	if undurable(dw.provStore) == 0 {
 		t.Fatal("Purchase under a caller's commit set waited for the provider store itself")
 	}
-	if undurable(dw.bankStore) != 0 {
+	if twoStores && undurable(dw.bankStore) != 0 {
 		t.Error("payment-before-goods barrier skipped: license issued with the spent marks not durable")
 	}
 
@@ -297,10 +322,10 @@ func TestRefusalsWaitForTheWinner(t *testing.T) {
 // TestFailedWaitFailsEverySlot: when the boundary wait of a batch fails,
 // no slot is reported as committed — not the ones that computed a
 // license, and not the one refused on the strength of a record that may
-// now be lost. When the wait that fails is the payment barrier, no
-// issuance record is appended at all.
+// now be lost. When the wait that fails is the payment barrier on a
+// ledger store of its own, no issuance record is appended at all.
 func TestFailedWaitFailsEverySlot(t *testing.T) {
-	dw := newDurableWorld(t)
+	dw := newDurableWorld(t, true)
 	ctx := context.Background()
 	signPub, encPub := dw.register(t, 0)
 	const n = 4

@@ -111,13 +111,14 @@
 // The entry points are still durable-on-return for every caller; a caller
 // that already opened a commit set of its own takes the wait over.
 //
-// Order within a store is the log's: revoke-before-sign in Exchange and
-// burn-before-issue in Redeem hold because the later record cannot be
-// durable without the earlier one. The one order ACROSS stores is an
-// explicit barrier — payment before goods: Purchase and IssueBatch wait
-// for the bank store's spent marks before appending any "issued:" record
-// to the provider store. So Purchase costs two durability waits, a batch
-// of purchases two, and everything else one.
+// Order within a store is the log's: revoke-before-sign in Exchange,
+// burn-before-issue in Redeem and payment-before-goods in Purchase and
+// IssueBatch hold because the later record cannot be durable without the
+// earlier one. p2drmd keeps the bank's spent marks in cfg.Store, so every
+// entry point, a batch of purchases included, costs one durability wait.
+// A bank on a store of its own is ordered by an explicit barrier —
+// Purchase and IssueBatch wait for its spent marks before appending any
+// "issued:" record — and a purchase then costs two.
 package provider
 
 import (
@@ -510,12 +511,12 @@ func (p *Provider) purchase(ctx context.Context, commit kvstore.Commit, req Purc
 	if err != nil {
 		return nil, err
 	}
-	// Payment before goods: the bank's spent marks are on stable storage
-	// before the issuance record is even appended to the provider store,
-	// so no crash leaves a license on record whose coins can be spent
-	// again. The reverse loss (coins spent, no license) is the help-desk
-	// case it always was.
-	if err := commit.Barrier(ctx); err != nil {
+	// Payment before goods: no crash leaves a license on record whose
+	// coins can be spent again. On the daemon's one log the spent marks
+	// precede the issuance record and the barrier waits on nothing; a
+	// bank on a store of its own is made durable here first. The reverse
+	// loss (coins spent, no license) is the help-desk case it always was.
+	if err := commit.Barrier(ctx, p.cfg.Store); err != nil {
 		return nil, err
 	}
 	lic, err := p.build(item, req.SignPub, req.EncPub)
@@ -636,11 +637,12 @@ func (p *Provider) runBatch(ctx context.Context, n int, do func(i int), fail fun
 // returns per-request outcomes in request order. Each purchase succeeds
 // or fails independently; a cancelled context fails the requests that
 // have not started paying yet. The batch runs in two phases around ONE
-// payment-before-goods barrier — every request's coins to the bank, one
-// wait on the bank store, every paid request's license, one wait on the
-// provider store — so its durability cost is two fsync waits whatever
-// its size, and its licenses cost one provider signature per pseudonym
-// named (issueBatch). A failed wait fails every slot.
+// payment-before-goods barrier — every request's coins to the bank, the
+// barrier, every paid request's license, one wait at the end — so its
+// durability cost is one fsync wait whatever its size when the bank
+// shares the provider's store (two when it keeps its own), and its
+// licenses cost one provider signature per pseudonym named (issueBatch).
+// A failed wait fails every slot.
 func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []BatchResult {
 	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]BatchResult, len(reqs))
@@ -649,7 +651,7 @@ func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []Bat
 	p.runBatch(ctx, len(reqs),
 		func(i int) { items[i], results[i].Err = p.settle(ctx, reqs[i]) },
 		fail)
-	if err := commit.Barrier(ctx); err != nil {
+	if err := commit.Barrier(ctx, p.cfg.Store); err != nil {
 		failAll(len(reqs), fail, err)
 		return results
 	}

@@ -21,26 +21,22 @@ import (
 )
 
 func TestEndToEndHTTPReplication(t *testing.T) {
-	// Primary: two durable stores (provider carries a real revocation
-	// list), small segments so the manifest has real shape.
+	// Primary: the daemon's one durable store, carrying provider records,
+	// the bank's spent marks and a real revocation list, with small
+	// segments so the manifest has real shape.
 	kvOpts := kvstore.Options{Sync: kvstore.SyncGroupCommit, SegmentBytes: 2048}
 	provStore, err := kvstore.OpenWith(t.TempDir(), kvOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer provStore.Close()
-	bankStore, err := kvstore.OpenWith(t.TempDir(), kvOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bankStore.Close()
 
 	const n = 300
 	for i := 0; i < n; i++ {
 		if err := provStore.Put([]byte(fmt.Sprintf("lic:%05d", i)), []byte(fmt.Sprintf("license-%05d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := bankStore.Put([]byte(fmt.Sprintf("spent:%05d", i)), []byte{1}); err != nil {
+		if err := provStore.Put([]byte(fmt.Sprintf("spent:%05d", i)), []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,35 +51,29 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The provider endpoints are not exercised here; the replica and kv
+	// The provider endpoints are not exercised here; the replica
 	// endpoints don't touch s.Provider.
 	primarySrv := httpapi.NewServer(nil).
 		WithStoreStats("provider", provStore).
-		WithStoreStats("bank", bankStore).
-		WithReplicaSource("provider", replica.NewSource(provStore)).
-		WithReplicaSource("bank", replica.NewSource(bankStore))
+		WithReplicaSource("provider", replica.NewSource(provStore))
 	pts := httptest.NewServer(primarySrv)
 	defer pts.Close()
 	pc := httpapi.NewClient(pts.URL, nil)
 
-	// Followers: exactly the cmd/p2drmd -replica-of wiring.
-	followers := make(map[string]*replica.Follower, 2)
-	for _, name := range []string{"provider", "bank"} {
-		f, err := replica.Open(replica.Options{
-			Dir:          t.TempDir(),
-			Fetch:        httpapi.NewReplicaFetcher(pc, name),
-			PollInterval: 10 * time.Millisecond,
-			BackoffMin:   10 * time.Millisecond,
-			Logf:         t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		f.Start()
-		followers[name] = f
+	// The follower: exactly the cmd/p2drmd -replica-of wiring.
+	f, err := replica.Open(replica.Options{
+		Dir:          t.TempDir(),
+		Fetch:        httpapi.NewReplicaFetcher(pc, "provider"),
+		PollInterval: 10 * time.Millisecond,
+		BackoffMin:   10 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rts := httptest.NewServer(httpapi.NewReplicaServer(followers))
+	defer f.Close()
+	f.Start()
+	rts := httptest.NewServer(httpapi.NewReplicaServer(map[string]*replica.Follower{"provider": f}))
 	defer rts.Close()
 	rc := httpapi.NewClient(rts.URL, nil)
 
@@ -93,14 +83,8 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 		for time.Now().Before(deadline) {
 			st, err := rc.ReplicaStatus()
 			if err == nil && st.Role == "replica" {
-				ok := true
-				for name, rs := range st.Replica {
-					if !rs.CaughtUp || rs.LagBytes != 0 {
-						ok = false
-						_ = name
-					}
-				}
-				if ok && sameLiveSet(followers["provider"], provStore) && sameLiveSet(followers["bank"], bankStore) {
+				rs, ok := st.Replica["provider"]
+				if ok && len(st.Replica) == 1 && rs.CaughtUp && rs.LagBytes == 0 && sameLiveSet(f, provStore) {
 					return
 				}
 			}
@@ -111,20 +95,6 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	}
 	waitCaughtUp("bootstrap")
 
-	// Identical Get results through the SDK on both daemons, and lag 0.
-	for _, key := range []string{"lic:00000", "lic:00123", fmt.Sprintf("lic:%05d", n-1)} {
-		pv, pok, err := pc.KVGet("provider", []byte(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rv, rok, err := rc.KVGet("provider", []byte(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pok || !rok || string(pv) != string(rv) {
-			t.Fatalf("key %q differs: primary (%q,%v) replica (%q,%v)", key, pv, pok, rv, rok)
-		}
-	}
 	// Identical Stats where identity is required: the live logical set.
 	pStats, err := pc.Stats()
 	if err != nil {
@@ -134,11 +104,10 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"provider", "bank"} {
-		if pStats.Stores[name].LiveKeys != rStats.Stores[name].LiveKeys ||
-			pStats.Stores[name].LiveBytes != rStats.Stores[name].LiveBytes {
-			t.Fatalf("store %s stats differ: primary %+v replica %+v", name, pStats.Stores[name], rStats.Stores[name])
-		}
+	if len(pStats.Stores) != 1 || len(rStats.Stores) != 1 ||
+		pStats.Stores["provider"].LiveKeys != rStats.Stores["provider"].LiveKeys ||
+		pStats.Stores["provider"].LiveBytes != rStats.Stores["provider"].LiveBytes {
+		t.Fatalf("stats differ: primary %+v replica %+v", pStats.Stores, rStats.Stores)
 	}
 
 	// Writes to the follower are rejected with 403/ErrReadOnly.
@@ -188,7 +157,7 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 		t.Errorf("primary status incomplete: %+v", pst.Stores["provider"])
 	}
 
-	// Resync over /v2: re-bootstrap the provider follower from a fresh
+	// Resync over /v2: re-bootstrap the follower from a fresh
 	// snapshot while serving; the answer comes when it is done, and the
 	// follower converges to the same live set again.
 	resynced, err := rc.ResyncReplica("provider")
@@ -206,17 +175,17 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(promoted.Promoted) != 2 {
+	if len(promoted.Promoted) != 1 || promoted.Promoted[0] != "provider" {
 		t.Fatalf("promote result = %+v", promoted)
 	}
 	// Promotion is idempotent.
-	if again, err := rc.Promote(); err != nil || len(again.Promoted) != 2 {
+	if again, err := rc.Promote(); err != nil || len(again.Promoted) != 1 {
 		t.Fatalf("second promote = %+v, %v", again, err)
 	}
 	if err := rc.KVPut("provider", []byte("rogue"), []byte("x")); err != nil {
 		t.Fatalf("promoted replica rejected write: %v", err)
 	}
-	if v, ok, _ := rc.KVGet("provider", []byte("rogue")); !ok || string(v) != "x" {
+	if v, ok := f.Get([]byte("rogue")); !ok || string(v) != "x" {
 		t.Fatal("promoted write not readable back")
 	}
 }

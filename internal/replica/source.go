@@ -228,7 +228,7 @@ func (s *Source) Pins() int {
 }
 
 // LocalFetcher adapts a Source to the Fetcher interface for in-process
-// followers (tests, benchmarks, future multi-store daemons).
+// followers (tests and benchmarks).
 type LocalFetcher struct{ Src *Source }
 
 // Manifest implements Fetcher.

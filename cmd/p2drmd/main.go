@@ -245,7 +245,7 @@ func main() {
 	}
 	slog.Info("starting",
 		"bank_shards", payment.DefaultBankShards, "wal_group_commit", true,
-		"kv_index_shards", kvstore.DefaultIndexShards, "kv_segment_bytes", kvstore.DefaultSegmentBytes,
+		"kv_index_shards", kvstore.IndexShards, "kv_segment_bytes", kvstore.DefaultSegmentBytes,
 		"kv_compact_every", walOpts.CompactEvery)
 
 	group := schnorr.Group2048()
@@ -341,6 +341,18 @@ valid until "2030-01-01T00:00:00Z";
 		slog.Info("funded demo bank account", "funds", 100)
 	}
 
+	handler := httpapi.NewServer(prov).WithBank(bank).WithStore(store).WithAuth(auth)
+	handler.Obs().SLO.SetLatencyTarget(fl.sloLatency)
+	serve(fl, handler, store.Close)
+}
+
+// serve runs handler on fl.addr, and on the admin socket when there is
+// one, until SIGINT or SIGTERM; then it drains both servers and runs
+// closeState, which settles and closes the role's log. A listener that
+// fails runs closeState too, and exits 1. (An admin socket that cannot
+// be made, like a failed boot step, exits before any request has
+// written to the log, so it may skip closeState.)
+func serve(fl *flagValues, handler http.Handler, closeState func() error) {
 	// SIGINT/SIGTERM trigger a graceful drain: Shutdown stops the
 	// listener and gives in-flight requests the timeout below to finish.
 	// Request contexts are deliberately NOT tied to the signal — they
@@ -349,27 +361,14 @@ valid until "2030-01-01T00:00:00Z";
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	handler := httpapi.NewServer(prov).WithBank(bank).
-		WithStoreStats("provider", store).
-		WithReplicaSource("provider", replica.NewSource(store)).
-		WithAuth(auth)
-	// Feed the storage engine's timing hooks into the same registry
-	// /v2/metrics renders: fsync/commit-wait/compaction.
-	plane := handler.Obs()
-	plane.SLO.SetLatencyTarget(fl.sloLatency)
-	store.SetObserver(httpapi.StoreObserver(plane, "provider"))
-
 	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
 	if err != nil {
 		fatal("admin socket", "err", err)
 	}
-	// closeStore settles and closes the WAL; every serving-phase exit
-	// path must run it. (The fatal calls above run before any protocol
-	// state exists, so they may exit without it.)
-	closeStore := func() {
-		if err := store.Close(); err != nil {
-			slog.Error("close provider store", "err", err)
+	closeLog := func() {
+		if err := closeState(); err != nil {
+			slog.Error("close store", "err", err)
 		}
 	}
 	errc := make(chan error, 1)
@@ -380,7 +379,7 @@ valid until "2030-01-01T00:00:00Z";
 	select {
 	case err := <-errc:
 		slog.Error("serve", "err", err)
-		closeStore()
+		closeLog()
 		os.Exit(1)
 	case <-ctx.Done():
 	}
@@ -397,7 +396,7 @@ valid until "2030-01-01T00:00:00Z";
 			slog.Error("admin shutdown", "err", err)
 		}
 	}
-	closeStore()
+	closeLog()
 }
 
 // serveAdminSocket serves handler on a unix socket whose callers are
@@ -455,69 +454,25 @@ func runReplica(fl *flagValues, auth httpapi.Auth) {
 	// Reading the primary's log is admin-tier on an auth-configured
 	// primary: the log holds every record.
 	client.Token = fl.primaryToken
-	const name = "provider"
 	dir := ""
 	if fl.stateDir != "" {
-		dir = fl.stateDir + "/replica-" + name
+		dir = fl.stateDir + "/replica-provider"
 	}
 	f, err := replica.Open(replica.Options{
 		Dir:          dir,
-		Fetch:        httpapi.NewReplicaFetcher(client, name),
+		Fetch:        httpapi.NewReplicaFetcher(client),
 		KV:           walOpts,
 		PollInterval: replicaPoll,
 		// The replica package reports reconnects, backoff and snapshot
-		// fallbacks through this hook; route them into the leveled log
-		// with the store name attached.
-		Logf: func(format string, args ...any) {
-			slog.Info(fmt.Sprintf(format, args...), "store", name)
-		},
+		// fallbacks through this hook; route them into the leveled log.
+		Logf: func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) },
 	})
 	if err != nil {
-		fatal("open replica", "store", name, "err", err)
+		fatal("open replica", "err", err)
 	}
 	f.Start()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	handler := httpapi.NewReplicaServer(map[string]*replica.Follower{name: f}).WithAuth(auth)
-	// Feed fetch/apply timings into the follower server's registry.
-	plane := handler.Obs()
-	plane.SLO.SetLatencyTarget(fl.sloLatency)
-	f.SetObserver(httpapi.FollowerObserver(plane, name))
-
-	srv := &http.Server{Addr: fl.addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-	adminSrv, err := serveAdminSocket(fl.adminSocket, handler)
-	if err != nil {
-		fatal("admin socket", "err", err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		slog.Info("replica listening", "addr", fl.addr)
-		errc <- srv.ListenAndServe()
-	}()
-	closeFollower := func() {
-		if err := f.Close(); err != nil {
-			slog.Error("close replica", "store", name, "err", err)
-		}
-	}
-	select {
-	case err := <-errc:
-		slog.Error("serve", "err", err)
-		closeFollower()
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	slog.Info("replica shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		slog.Error("shutdown", "err", err)
-	}
-	if adminSrv != nil {
-		if err := adminSrv.Shutdown(shutdownCtx); err != nil {
-			slog.Error("admin shutdown", "err", err)
-		}
-	}
-	closeFollower()
+	handler := httpapi.NewReplicaServer(f).WithAuth(auth)
+	handler.Obs().SLO.SetLatencyTarget(fl.sloLatency)
+	serve(fl, handler, f.Close)
 }

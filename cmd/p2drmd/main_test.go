@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -21,6 +22,7 @@ import (
 	"p2drm/internal/httpapi"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
+	"p2drm/internal/obs"
 	"p2drm/internal/revocation"
 )
 
@@ -105,7 +107,7 @@ func TestParentEraOpsDirIsLeftAlone(t *testing.T) {
 	before := readTree(t, filepath.Join(state, "ops"))
 
 	cmd, c := startDaemon(t, bin, "-lab", "-state", state)
-	if res, err := c.CompactStore("provider"); err != nil || res.Store != "provider" {
+	if res, err := c.CompactStore(); err != nil || res.Store != "provider" {
 		t.Fatalf("compact = %+v, %v", res, err)
 	}
 	stopDaemon(t, cmd)
@@ -206,9 +208,12 @@ func TestBootOverARevocationList(t *testing.T) {
 }
 
 // TestOneStorePerDaemon: a primary with auth tokens keeps one store,
-// <state>/provider, and refuses its log to a guest; a replica that
-// presents the primary's admin token tails it with one follower into
-// <state>/replica-provider, and promotes that one store.
+// <state>/provider, reports it under the one name "provider" in
+// /v2/stats, /v2/replica/status and the kvstore metric families, and
+// refuses its log to a guest; a replica that presents the primary's
+// admin token tails it with one follower into <state>/replica-provider,
+// labels its replica families store="provider", and promotes that one
+// store. Both roles drain on SIGTERM.
 func TestOneStorePerDaemon(t *testing.T) {
 	bin := buildDaemon(t)
 	root := t.TempDir()
@@ -226,20 +231,41 @@ func TestOneStorePerDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary, pc := startDaemon(t, bin, "-lab", "-state", pstate, "-user-token", "u", "-admin-token", "a")
-	if _, err := pc.ReplicaManifest("provider", false); err == nil || !strings.Contains(err.Error(), "login-required") {
+	if _, err := pc.ReplicaManifest(false); err == nil || !strings.Contains(err.Error(), "login-required") {
 		t.Errorf("guest manifest read: %v, want login-required", err)
+	}
+	if stats, err := pc.Stats(); err != nil || !onlyProvider(stats.Stores) {
+		t.Errorf("primary /v2/stats = %+v, %v; want the one store provider", stats, err)
+	}
+	if st, err := pc.ReplicaStatus(); err != nil || !onlyProvider(st.Stores) {
+		t.Errorf("primary /v2/replica/status = %+v, %v; want the one store provider", st, err)
+	}
+	m := scrape(t, pc)
+	for _, fam := range []string{"p2drm_kvstore_logged_bytes", "p2drm_kvstore_commit_wait_seconds_count"} {
+		if _, ok := m.Value(fam, map[string]string{"store": "provider"}); !ok {
+			t.Errorf(`primary /v2/metrics has no %s{store="provider"}`, fam)
+		}
 	}
 	replicaCmd, rc := startDaemon(t, bin, "-state", rstate, "-replica-of", pc.BaseURL, "-primary-token", "a")
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		st, err := rc.ReplicaStatus()
 		stats, serr := rc.Stats()
-		if err == nil && serr == nil && len(st.Replica) == 1 && st.Replica["provider"].CaughtUp &&
-			len(stats.Stores) == 1 && stats.Stores["provider"].LiveKeys == 3 {
+		if err == nil && serr == nil && onlyProvider(st.Replica) && st.Replica["provider"].CaughtUp &&
+			onlyProvider(stats.Stores) && stats.Stores["provider"].LiveKeys == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("replica never caught up: %+v, %v", st, err)
 		}
+	}
+	// NewReplicaServer registers the follower's families and installs its
+	// observer: the catch-up applied batches.
+	m = scrape(t, rc)
+	if n, ok := m.Value("p2drm_replica_records_applied_total", map[string]string{"store": "provider"}); !ok || n < 3 {
+		t.Errorf(`replica p2drm_replica_records_applied_total{store="provider"} = %v, %v; want ≥ 3`, n, ok)
+	}
+	if n, ok := m.Value("p2drm_replica_apply_duration_seconds_count", map[string]string{"store": "provider"}); !ok || n < 1 {
+		t.Errorf(`replica p2drm_replica_apply_duration_seconds_count{store="provider"} = %v, %v; want ≥ 1`, n, ok)
 	}
 	rc.Token = "a"
 	if res, err := rc.Promote(); err != nil || len(res.Promoted) != 1 || res.Promoted[0] != "provider" {
@@ -260,6 +286,27 @@ func TestOneStorePerDaemon(t *testing.T) {
 			t.Errorf("%s holds %v, want [%s]", dir, names, want)
 		}
 	}
+}
+
+// onlyProvider reports whether m holds exactly the key "provider", the
+// daemon's one store.
+func onlyProvider[V any](m map[string]V) bool {
+	_, ok := m["provider"]
+	return ok && len(m) == 1
+}
+
+// scrape fetches and parses c's /v2/metrics.
+func scrape(t *testing.T, c *httpapi.Client) *obs.Metrics {
+	t.Helper()
+	raw, err := c.MetricsV2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseMetrics(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // buildDaemon builds this package's daemon into a temporary directory,

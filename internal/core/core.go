@@ -1,6 +1,6 @@
 // Package core assembles the P2DRM parties into the end-to-end protocols
-// of the 2004 paper. It is the library's main entry point: examples, the
-// CLI, the HTTP layer and the benchmark harness all drive this API.
+// of the 2004 paper, in one process and in memory. The examples, the
+// workload generator and the root integration tests drive this API.
 //
 // The protocols, each a method on System:
 //
@@ -13,8 +13,9 @@
 //	Play         compliant playback on a device.
 //	Delegate     star license issuance (user-attributed rights).
 //
-// System wires an in-process provider and bank; the httpapi package
-// exposes the same provider over HTTP for multi-process deployments.
+// System wires an in-process provider and bank; cmd/p2drmd wires the
+// same two over its durable store and serves them through the httpapi
+// package for multi-process deployments.
 package core
 
 import (
@@ -47,9 +48,6 @@ type Options struct {
 	RSABits int
 	// DenomKeyBits sizes per-content blind-signature keys (default RSABits).
 	DenomKeyBits int
-	// StateDir persists provider and bank state in one store under
-	// StateDir/provider; empty means in-memory.
-	StateDir string
 	// Clock injects time for deterministic tests.
 	Clock func() time.Time
 	// DisableBlinding switches Transfer to the no-blinding ablation:
@@ -106,11 +104,7 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	// One store for the bank's spent ledger and the provider's records,
 	// as p2drmd runs them: their key prefixes are disjoint.
-	dir := ""
-	if opts.StateDir != "" {
-		dir = opts.StateDir + "/provider"
-	}
-	store, err := kvstore.Open(dir)
+	store, err := kvstore.Open("")
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
@@ -219,9 +218,9 @@ func adminPost[T any](c *Client, path string) (*T, error) {
 	return &res, nil
 }
 
-// CompactStore runs a full compaction of a named store.
-func (c *Client) CompactStore(store string) (*CompactResult, error) {
-	return adminPost[CompactResult](c, "/v2/compact?store="+url.QueryEscape(store))
+// CompactStore runs a full compaction of the daemon's store.
+func (c *Client) CompactStore() (*CompactResult, error) {
+	return adminPost[CompactResult](c, "/v2/compact")
 }
 
 // RebuildRevocationFilter rebuilds the revocation Bloom filter.
@@ -229,18 +228,13 @@ func (c *Client) RebuildRevocationFilter() (*RebuildResult, error) {
 	return adminPost[RebuildResult](c, "/v2/revocation/rebuild")
 }
 
-// Promote opens a replica daemon's stores for writes.
+// Promote opens a replica daemon's store for writes.
 func (c *Client) Promote() (*PromoteResult, error) {
 	return adminPost[PromoteResult](c, "/v2/replica/promote")
 }
 
-// ResyncReplica re-bootstraps a replica daemon from a fresh snapshot
-// (store == "" resyncs all stores). Stores that failed while others
-// succeeded are listed in the result's Errors.
-func (c *Client) ResyncReplica(store string) (*ResyncResult, error) {
-	p := "/v2/replica/resync"
-	if store != "" {
-		p += "?store=" + url.QueryEscape(store)
-	}
-	return adminPost[ResyncResult](c, p)
+// ResyncReplica re-bootstraps a replica daemon's store from a fresh
+// snapshot of the primary's.
+func (c *Client) ResyncReplica() (*ResyncResult, error) {
+	return adminPost[ResyncResult](c, "/v2/replica/resync")
 }

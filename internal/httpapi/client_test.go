@@ -65,8 +65,9 @@ func TestDecodeEnvelopeErrorNeverReachesOut(t *testing.T) {
 }
 
 // TestReplicaErrorMapping: the follower-facing sentinels survive the
-// wire by error kind. An unknown store and an unknown pin are both 404,
-// and only the second may read as ErrUnknownPin.
+// wire by error kind. An unknown pin is a 404 that reads as
+// ErrUnknownPin, a compacted-away segment ErrSegmentGone, and an
+// in-memory store's manifest ErrInMemory.
 func TestReplicaErrorMapping(t *testing.T) {
 	store, err := kvstore.OpenWith(t.TempDir(), kvstore.Options{})
 	if err != nil {
@@ -76,38 +77,29 @@ func TestReplicaErrorMapping(t *testing.T) {
 	if err := store.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	mem, _ := kvstore.Open("")
-	srv := httptest.NewServer(NewServer(nil).
-		WithReplicaSource("provider", replica.NewSource(store)).
-		WithReplicaSource("mem", replica.NewSource(mem)))
+	srv := httptest.NewServer(NewServer(nil).WithStore(store))
 	defer srv.Close()
 	c := NewClient(srv.URL, nil)
 
-	m, err := c.ReplicaManifest("provider", false)
+	m, err := c.ReplicaManifest(false)
 	if err != nil || len(m.Segments) == 0 {
 		t.Fatalf("manifest = %+v, %v", m, err)
 	}
 	seg := m.Segments[0].ID
-	if _, err := c.ReplicaSegment("provider", seg, 0, 1<<20, 0, ""); err != nil {
+	if _, err := c.ReplicaSegment(seg, 0, 1<<20, 0, ""); err != nil {
 		t.Fatalf("healthy segment read: %v", err)
 	}
-
-	_, err = c.ReplicaSegment("ghost", seg, 0, 1<<20, 0, "")
-	var apiErr *APIError
-	if errors.Is(err, replica.ErrUnknownPin) || !errors.As(err, &apiErr) ||
-		apiErr.Kind != "not-found" || !strings.Contains(err.Error(), "no replica source") {
-		t.Errorf("unknown store: err = %v, want not-found naming the missing source", err)
-	}
-	if _, err := c.ReplicaManifest("ghost", false); !errors.As(err, &apiErr) || apiErr.Kind != "not-found" {
-		t.Errorf("unknown store manifest: err = %v, want not-found", err)
-	}
-	if _, err := c.ReplicaSegment("provider", seg, 0, 1<<20, 0, "no-such-pin"); !errors.Is(err, replica.ErrUnknownPin) {
+	if _, err := c.ReplicaSegment(seg, 0, 1<<20, 0, "no-such-pin"); !errors.Is(err, replica.ErrUnknownPin) {
 		t.Errorf("unknown pin: err = %v, want ErrUnknownPin", err)
 	}
-	if _, err := c.ReplicaSegment("provider", seg+1000, 0, 1<<20, 0, ""); !errors.Is(err, kvstore.ErrSegmentGone) {
+	if _, err := c.ReplicaSegment(seg+1000, 0, 1<<20, 0, ""); !errors.Is(err, kvstore.ErrSegmentGone) {
 		t.Errorf("missing segment: err = %v, want ErrSegmentGone", err)
 	}
-	if _, err := c.ReplicaManifest("mem", false); !errors.Is(err, kvstore.ErrInMemory) {
+
+	mem, _ := kvstore.Open("")
+	msrv := httptest.NewServer(NewServer(nil).WithStore(mem))
+	defer msrv.Close()
+	if _, err := NewClient(msrv.URL, nil).ReplicaManifest(false); !errors.Is(err, kvstore.ErrInMemory) {
 		t.Errorf("in-memory store: err = %v, want ErrInMemory", err)
 	}
 }

@@ -49,10 +49,10 @@ func TestDocsMatchRoutes(t *testing.T) {
 	}
 
 	registered := map[string]bool{}
-	for _, rt := range NewServer(nil).Routes() {
+	for _, rt := range primaryRoutes() {
 		registered[rt.Method+" "+rt.Path] = true
 	}
-	for _, rt := range NewReplicaServer(nil).Routes() {
+	for _, rt := range replicaRoutes(t) {
 		registered[rt.Method+" "+rt.Path] = true
 	}
 
@@ -87,6 +87,6 @@ func TestRouteTableSanity(t *testing.T) {
 			t.Errorf("%s: empty route table", name)
 		}
 	}
-	check("provider", NewServer(nil).Routes())
-	check("replica", NewReplicaServer(nil).Routes())
+	check("provider", primaryRoutes())
+	check("replica", replicaRoutes(t))
 }

@@ -95,18 +95,18 @@ func (a *api) registerHealth() {
 		a.obs.SLO.SlowRateProbe(slowRateDegraded))
 }
 
-// registerStoreHealth adds one kvstore's probes: the sticky WAL
+// registerStoreHealth adds the kvstore's probes: the sticky WAL
 // failure (failing — the store refuses all further mutations) and
 // compaction debt (degraded — the compactor is losing).
-func registerStoreHealth(h *obs.Health, name string, st *kvstore.Store) {
-	h.Register("store:"+name+":wal", func() obs.Check {
+func registerStoreHealth(h *obs.Health, st *kvstore.Store) {
+	h.Register("store:"+storeName+":wal", func() obs.Check {
 		if err := st.Health(); err != nil {
 			return obs.Check{Status: obs.HealthFailing,
 				Detail: "sticky WAL failure: " + err.Error()}
 		}
 		return obs.Check{Status: obs.HealthOK, Detail: "durability path healthy"}
 	})
-	h.Register("store:"+name+":compaction", func() obs.Check {
+	h.Register("store:"+storeName+":compaction", func() obs.Check {
 		ratio := st.GarbageRatio()
 		dead := st.Stats().DeadBytes
 		detail := fmt.Sprintf("garbage ratio %.2f, %d dead bytes", ratio, dead)
@@ -117,13 +117,13 @@ func registerStoreHealth(h *obs.Health, name string, st *kvstore.Store) {
 	})
 }
 
-// registerFollowerHealth adds one follower's probe. Unknown lag
+// registerFollowerHealth adds the follower's probe. Unknown lag
 // (LagSegments == -1: never reached the primary, or mid-transition) is
 // degraded, NOT ok — a follower that can't measure its lag must not
 // look caught up. Deep lag degrades then fails; error/stopped states
 // fail outright.
-func registerFollowerHealth(h *obs.Health, name string, f *replica.Follower) {
-	h.Register("replica:"+name, func() obs.Check {
+func registerFollowerHealth(h *obs.Health, f *replica.Follower) {
+	h.Register("replica:"+storeName, func() obs.Check {
 		st := f.Status()
 		switch st.State {
 		case "error":

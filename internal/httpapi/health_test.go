@@ -136,21 +136,14 @@ func TestHealthReplicaLag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pts := httptest.NewServer(NewServer(nil).
-		WithStoreStats("provider", store).
-		WithReplicaSource("provider", replica.NewSource(store)))
+	pts := httptest.NewServer(NewServer(nil).WithStore(store))
 	t.Cleanup(pts.Close)
 
-	f, err := replica.Open(replica.Options{
-		Fetch:        NewReplicaFetcher(NewClient(pts.URL, nil), "provider"),
+	f := newFollower(t, NewClient(pts.URL, nil), replica.Options{
 		PollInterval: 10 * time.Millisecond,
 		BackoffMin:   10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	rs := NewReplicaServer(map[string]*replica.Follower{"provider": f})
+	rs := NewReplicaServer(f)
 
 	// Not started: lag unknown → degraded, not ok and not caught-up.
 	hr, code := replicaHealth(t, rs)

@@ -58,12 +58,10 @@ type Server struct {
 	api
 	Provider *provider.Provider
 	Bank     *payment.Bank
-	// stores are the kvstore instances surfaced by stats and compaction,
-	// keyed by a human-readable name (registered before serving starts).
-	stores map[string]*kvstore.Store
-	// replicas are the replication sources served under replica/*,
-	// keyed like stores (registered before serving starts).
-	replicas map[string]*replica.Source
+	// store is the daemon's one kvstore (WithStore) and source the
+	// replication source served under replica/* over it.
+	store  *kvstore.Store
+	source *replica.Source
 }
 
 // NewServer builds the handler tree.
@@ -90,16 +88,17 @@ func (s *Server) WithBank(b *payment.Bank) *Server {
 	return s
 }
 
-// WithStoreStats registers a kvstore under name for stats, kv reads and
-// compaction. Call before serving starts (registration is not
-// synchronized).
-func (s *Server) WithStoreStats(name string, st *kvstore.Store) *Server {
-	if s.stores == nil {
-		s.stores = make(map[string]*kvstore.Store)
-	}
-	s.stores[name] = st
-	registerStoreMetrics(s.obs.Reg, name, st)
-	registerStoreHealth(s.obs.Health, name, st)
+// WithStore attaches the daemon's one kvstore and mounts the routes that
+// serve it (registerStoreRoutes): /v2/stats, compaction, and the
+// replication source under /v2/replica/*. It also registers the store's
+// engine metrics and timing observer and its health probes. Call once,
+// before serving starts.
+func (s *Server) WithStore(st *kvstore.Store) *Server {
+	s.store, s.source = st, replica.NewSource(st)
+	s.registerStoreRoutes()
+	registerStoreMetrics(s.obs.Reg, st)
+	registerStoreHealth(s.obs.Health, st)
+	st.SetObserver(storeObserver(s.obs.Reg))
 	return s
 }
 
@@ -403,12 +402,18 @@ type BatchRedeemResponse struct {
 	Results []BatchRedeemResult `json:"results"`
 }
 
-// StatsResponse reports per-store kvstore engine statistics (segments,
-// live keys, dead bytes, compactions), keyed by the name each store was
-// registered under. Crypto counters live on /v2/metrics.
+// StatsResponse reports the kvstore engine statistics (segments, live
+// keys, dead bytes, compactions) of the daemon's one store, under its
+// one key, storeName. Crypto counters live on /v2/metrics.
 type StatsResponse struct {
 	Stores map[string]kvstore.Stats `json:"stores"`
 }
+
+// storeName is the daemon's one store as the wire names it: the one key
+// of the /v2/stats and /v2/replica/status maps and of the promote and
+// resync answers, the store label of the kvstore and replica metric
+// families, and part of the store and replica health probe names.
+const storeName = "provider"
 
 func b64(b []byte) string { return base64.StdEncoding.EncodeToString(b) }
 
@@ -709,11 +714,7 @@ func (s *Server) epRedeemBatch(r *http.Request) (any, *apiError) {
 }
 
 func (s *Server) epStats(r *http.Request) (any, *apiError) {
-	resp := StatsResponse{Stores: make(map[string]kvstore.Stats, len(s.stores))}
-	for name, st := range s.stores {
-		resp.Stores[name] = st.Stats()
-	}
-	return resp, nil
+	return StatsResponse{Stores: map[string]kvstore.Stats{storeName: s.store.Stats()}}, nil
 }
 
 // serveRevocationFilter writes the signed filter in its wire encoding

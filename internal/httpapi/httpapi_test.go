@@ -469,7 +469,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(prov).WithStoreStats("provider", store))
+	srv := httptest.NewServer(NewServer(prov).WithStore(store))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, schnorr.Group768())
 
@@ -487,19 +487,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("provider store missing from stats")
 	}
-	if ps.Segments < 1 || ps.LiveKeys < 1 || ps.IndexShards != kvstore.DefaultIndexShards {
+	if ps.Segments < 1 || ps.LiveKeys < 1 || ps.IndexShards != kvstore.IndexShards {
 		t.Errorf("provider stats implausible: %+v", ps)
 	}
 
-	f, err := replica.Open(replica.Options{
-		Fetch:        NewReplicaFetcher(client, "provider"),
-		PollInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	rsrv := httptest.NewServer(NewReplicaServer(map[string]*replica.Follower{"provider": f}))
+	rsrv := httptest.NewServer(NewReplicaServer(newFollower(t, client, replica.Options{})))
 	t.Cleanup(rsrv.Close)
 	for _, role := range []struct{ name, url string }{{"primary", srv.URL}, {"replica", rsrv.URL}} {
 		code, env := rawV2(t, role.url, "GET", "/v2/stats", "", "")

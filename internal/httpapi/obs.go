@@ -24,9 +24,9 @@ import (
 	"p2drm/internal/replica"
 )
 
-// Obs exposes the server's observability plane so the daemon can hang
-// engine observers (StoreObserver, FollowerObserver) and extra gauges
-// off the same registry /v2/metrics renders.
+// Obs exposes the server's observability plane (the registry
+// /v2/metrics renders, the health probes, the SLO windows) so the
+// daemon can set its SLO target.
 func (a *api) Obs() *obs.Plane { return a.obs }
 
 // WithTraceRetention replaces the server's tracer: retain up to size
@@ -134,10 +134,10 @@ func (a *api) registerObsRoutes() {
 		func() int64 { return a.obs.Tracer.SlowTotal() })
 }
 
-// registerStoreMetrics exports one kvstore's engine statistics as
+// registerStoreMetrics exports the kvstore's engine statistics as
 // gauges (and its monotonic compaction tallies as counters), labeled
-// by the registered store name.
-func registerStoreMetrics(reg *obs.Registry, name string, st *kvstore.Store) {
+// store=storeName.
+func registerStoreMetrics(reg *obs.Registry, st *kvstore.Store) {
 	segs := reg.GaugeVec("p2drm_kvstore_segments", "Log segment files, including the active one.", "store")
 	keys := reg.GaugeVec("p2drm_kvstore_live_keys", "Live keys in the index.", "store")
 	liveB := reg.GaugeVec("p2drm_kvstore_live_bytes", "Estimated log bytes of a fully compacted live set.", "store")
@@ -145,13 +145,13 @@ func registerStoreMetrics(reg *obs.Registry, name string, st *kvstore.Store) {
 	deadB := reg.GaugeVec("p2drm_kvstore_dead_bytes", "Logged bytes minus live bytes (compactor food supply).", "store")
 	comps := reg.CounterVec("p2drm_kvstore_compactions_total", "Completed incremental compaction steps.", "store")
 	skips := reg.CounterVec("p2drm_kvstore_compaction_skips_total", "Compaction steps skipped because the segment was provably all-live.", "store")
-	segs.Func(func() float64 { return float64(st.Stats().Segments) }, name)
-	keys.Func(func() float64 { return float64(st.Stats().LiveKeys) }, name)
-	liveB.Func(func() float64 { return float64(st.Stats().LiveBytes) }, name)
-	logB.Func(func() float64 { return float64(st.Stats().LoggedBytes) }, name)
-	deadB.Func(func() float64 { return float64(st.Stats().DeadBytes) }, name)
-	comps.Func(func() int64 { return st.Stats().Compactions }, name)
-	skips.Func(func() int64 { return st.Stats().CompactionSkips }, name)
+	segs.Func(func() float64 { return float64(st.Stats().Segments) }, storeName)
+	keys.Func(func() float64 { return float64(st.Stats().LiveKeys) }, storeName)
+	liveB.Func(func() float64 { return float64(st.Stats().LiveBytes) }, storeName)
+	logB.Func(func() float64 { return float64(st.Stats().LoggedBytes) }, storeName)
+	deadB.Func(func() float64 { return float64(st.Stats().DeadBytes) }, storeName)
+	comps.Func(func() int64 { return st.Stats().Compactions }, storeName)
+	skips.Func(func() int64 { return st.Stats().CompactionSkips }, storeName)
 }
 
 // registerCryptoMetrics exports whether the group generator's
@@ -246,10 +246,10 @@ func (s *Server) registerRSAMetrics() {
 	}, "denomination")
 }
 
-// registerFollowerMetrics exports one follower's replication status as
+// registerFollowerMetrics exports the follower's replication status as
 // gauges (lag) and counters (applied records/bytes, resyncs), labeled
-// by store name.
-func registerFollowerMetrics(reg *obs.Registry, name string, f *replica.Follower) {
+// store=storeName.
+func registerFollowerMetrics(reg *obs.Registry, f *replica.Follower) {
 	lagB := reg.GaugeVec("p2drm_replica_lag_bytes", "Bytes between the follower cursor and the primary durable horizon.", "store")
 	lagS := reg.GaugeVec("p2drm_replica_lag_segments", "Whole primary segments behind the active one (-1 = unknown).", "store")
 	caught := reg.GaugeVec("p2drm_replica_caught_up", "1 when the follower is tailing the durable horizon.", "store")
@@ -257,23 +257,23 @@ func registerFollowerMetrics(reg *obs.Registry, name string, f *replica.Follower
 	recs := reg.CounterVec("p2drm_replica_records_applied_total", "Log records applied to the local store.", "store")
 	bytes := reg.CounterVec("p2drm_replica_bytes_applied_total", "Log bytes applied to the local store.", "store")
 	resyncs := reg.CounterVec("p2drm_replica_resyncs_total", "Snapshot re-bootstraps (startup and fallback).", "store")
-	lagB.Func(func() float64 { return float64(f.Status().LagBytes) }, name)
-	lagS.Func(func() float64 { return float64(f.Status().LagSegments) }, name)
+	lagB.Func(func() float64 { return float64(f.Status().LagBytes) }, storeName)
+	lagS.Func(func() float64 { return float64(f.Status().LagSegments) }, storeName)
 	caught.Func(func() float64 {
 		if f.Status().CaughtUp {
 			return 1
 		}
 		return 0
-	}, name)
+	}, storeName)
 	known.Func(func() float64 {
 		if f.Status().LagSegments >= 0 {
 			return 1
 		}
 		return 0
-	}, name)
-	recs.Func(func() int64 { return f.Status().Records }, name)
-	bytes.Func(func() int64 { return f.Status().Bytes }, name)
-	resyncs.Func(func() int64 { return f.Status().Resyncs }, name)
+	}, storeName)
+	recs.Func(func() int64 { return f.Status().Records }, storeName)
+	bytes.Func(func() int64 { return f.Status().Bytes }, storeName)
+	resyncs.Func(func() int64 { return f.Status().Resyncs }, storeName)
 }
 
 // MetricsV2 fetches the raw Prometheus text exposition from

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"p2drm/internal/obs"
 	"p2drm/internal/replica"
@@ -90,15 +89,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // — and a replica, which serves no crypto, exports none of them.
 func TestCryptoMetricSurface(t *testing.T) {
 	h := newV2Harness(t, Auth{})
-	f, err := replica.Open(replica.Options{
-		Fetch:        NewReplicaFetcher(h.client, "provider"),
-		PollInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	rs := NewReplicaServer(map[string]*replica.Follower{"provider": f})
+	rs := NewReplicaServer(newFollower(t, h.client, replica.Options{}))
 
 	crypto := func(m *obs.Metrics) []string {
 		var fams []string
@@ -175,21 +166,9 @@ func TestSlowTraceRing(t *testing.T) {
 func TestMetricsNameLint(t *testing.T) {
 	h := newV2Harness(t, Auth{})
 	plane := h.server.Obs()
-	// Register the engine-observer families the daemon wires at boot.
-	StoreObserver(plane, "provider")
-	FollowerObserver(plane, "provider")
-
 	// A real follower against the live harness primary brings in the
-	// replica status families.
-	f, err := replica.Open(replica.Options{
-		Fetch:        NewReplicaFetcher(h.client, "provider"),
-		PollInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	rs := NewReplicaServer(map[string]*replica.Follower{"provider": f})
+	// replica status and observer families.
+	rs := NewReplicaServer(newFollower(t, h.client, replica.Options{}))
 
 	deny := []string{"serial", "account", "card"}
 	audit := func(srvName string, fams map[string][]string) {

@@ -1,6 +1,6 @@
 package httpapi
 
-// Replication transport: the primary side serves a store's WAL segments
+// Replication transport: the primary side serves its store's WAL segments
 // to followers, the follower side serves read-only traffic plus
 // replication status. Segment bytes travel as raw octet-stream bodies
 // with identity metadata in X-Replica-* headers — they are CRC-framed
@@ -29,32 +29,8 @@ import (
 	"p2drm/internal/revocation"
 )
 
-// WithReplicaSource registers a replication source under name (matching
-// the WithStoreStats name so followers address stores consistently).
-// Call before serving starts.
-func (s *Server) WithReplicaSource(name string, src *replica.Source) *Server {
-	if s.replicas == nil {
-		s.replicas = make(map[string]*replica.Source)
-	}
-	s.replicas[name] = src
-	return s
-}
-
-func (s *Server) replicaSource(r *http.Request) (*replica.Source, *apiError) {
-	name := r.URL.Query().Get("store")
-	src := s.replicas[name]
-	if src == nil {
-		return nil, errNotFound(fmt.Errorf("httpapi: no replica source %q", name))
-	}
-	return src, nil
-}
-
 func (s *Server) epReplicaManifest(r *http.Request) (any, *apiError) {
-	src, apiErr := s.replicaSource(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	m, err := src.Manifest(r.URL.Query().Get("pin") == "1")
+	m, err := s.source.Manifest(r.URL.Query().Get("pin") == "1")
 	if err != nil {
 		return nil, replicaAPIError(err)
 	}
@@ -75,11 +51,6 @@ const (
 
 // serveReplicaSegment streams one segment chunk.
 func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request) {
-	src, apiErr := s.replicaSource(r)
-	if apiErr != nil {
-		writeEnvErr(w, apiErr)
-		return
-	}
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeEnvErr(w, errBadRequest(fmt.Errorf("httpapi: bad segment id: %w", err)))
@@ -97,7 +68,7 @@ func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request) {
 		writeEnvErr(w, errBadRequest(errors.New("httpapi: bad from/max/gen")))
 		return
 	}
-	ch, err := src.Segment(id, from, max, gen, q.Get("pin"))
+	ch, err := s.source.Segment(id, from, max, gen, q.Get("pin"))
 	if err != nil {
 		writeEnvErr(w, replicaAPIError(err))
 		return
@@ -117,15 +88,11 @@ func (s *Server) serveReplicaSegment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) epReplicaRelease(r *http.Request) (any, *apiError) {
-	src, apiErr := s.replicaSource(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	src.Release(r.URL.Query().Get("pin")) //nolint:errcheck
+	s.source.Release(r.URL.Query().Get("pin")) //nolint:errcheck
 	return map[string]string{"status": "released"}, nil
 }
 
-// PrimaryReplicaStatus is one store's primary-side replication view.
+// PrimaryReplicaStatus is the store's primary-side replication view.
 type PrimaryReplicaStatus struct {
 	Epoch      string `json:"epoch"`
 	Segments   int    `json:"segments"`
@@ -134,7 +101,9 @@ type PrimaryReplicaStatus struct {
 	Pins       int    `json:"pins"`
 }
 
-// ReplicaStatusResponse is the replica/status payload from either role.
+// ReplicaStatusResponse is the replica/status payload from either role:
+// Stores on a primary, Replica on a replica, each with the one key
+// storeName.
 type ReplicaStatusResponse struct {
 	Role    string                          `json:"role"` // "primary" or "replica"
 	Stores  map[string]PrimaryReplicaStatus `json:"stores,omitempty"`
@@ -142,21 +111,16 @@ type ReplicaStatusResponse struct {
 }
 
 func (s *Server) epReplicaStatus(r *http.Request) (any, *apiError) {
-	resp := ReplicaStatusResponse{Role: "primary", Stores: make(map[string]PrimaryReplicaStatus, len(s.replicas))}
-	for name, src := range s.replicas {
-		st := PrimaryReplicaStatus{Epoch: src.Epoch(), Pins: src.Pins()}
-		// Stats gives the segment count without building a manifest
-		// (which copies per-segment metadata under the log mutex).
-		st.Segments = src.Store().Stats().Segments
-		st.DurableSeg, st.DurableOff = src.Store().DurableOffset()
-		resp.Stores[name] = st
-	}
-	return resp, nil
+	// Stats gives the segment count without building a manifest (which
+	// copies per-segment metadata under the log mutex).
+	st := PrimaryReplicaStatus{Epoch: s.source.Epoch(), Pins: s.source.Pins(), Segments: s.store.Stats().Segments}
+	st.DurableSeg, st.DurableOff = s.store.DurableOffset()
+	return ReplicaStatusResponse{Role: "primary", Stores: map[string]PrimaryReplicaStatus{storeName: st}}, nil
 }
 
 // Error kinds of the source sentinels a follower reacts to. The client
 // maps them back by kind (replicaErr): a status alone cannot tell an
-// unknown pin from an unknown store, both 404.
+// unknown pin from an unknown route, both 404.
 const (
 	kindSegmentGone = "segment-gone"
 	kindInMemory    = "in-memory"
@@ -190,13 +154,13 @@ type ContainsResponse struct {
 // resync. Writes are rejected until promotion.
 type ReplicaServer struct {
 	api
-	followers map[string]*replica.Follower
+	follower *replica.Follower
 }
 
-// NewReplicaServer builds the follower handler tree over the given
-// followers, keyed by store name; p2drmd runs one, "provider".
-func NewReplicaServer(followers map[string]*replica.Follower) *ReplicaServer {
-	rs := &ReplicaServer{followers: followers, api: newAPI()}
+// NewReplicaServer builds the follower handler tree over f, exporting
+// f's status, probe and fetch/apply timings on the server's registry.
+func NewReplicaServer(f *replica.Follower) *ReplicaServer {
+	rs := &ReplicaServer{follower: f, api: newAPI()}
 	rs.v2("POST", "/v2/kv/put", TierUser, rs.epPut)
 	rs.v2("GET", "/v2/stats", TierGuest, rs.epStats)
 	rs.v2("GET", "/v2/replica/status", TierGuest, rs.epStatus)
@@ -204,10 +168,9 @@ func NewReplicaServer(followers map[string]*replica.Follower) *ReplicaServer {
 	rs.v2("POST", "/v2/replica/promote", TierAdmin, rs.epPromote)
 	rs.v2("POST", "/v2/replica/resync", TierAdmin, rs.epResync)
 	rs.registerObsRoutes()
-	for name, f := range followers {
-		registerFollowerMetrics(rs.obs.Reg, name, f)
-		registerFollowerHealth(rs.obs.Health, name, f)
-	}
+	registerFollowerMetrics(rs.obs.Reg, f)
+	registerFollowerHealth(rs.obs.Health, f)
+	f.SetObserver(followerObserver(rs.obs.Reg))
 	return rs
 }
 
@@ -221,15 +184,6 @@ func (rs *ReplicaServer) WithAuth(a Auth) *ReplicaServer {
 // ServeHTTP implements http.Handler.
 func (rs *ReplicaServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { rs.api.serveHTTP(w, r) }
 
-func (rs *ReplicaServer) follower(r *http.Request) (*replica.Follower, *apiError) {
-	name := r.URL.Query().Get("store")
-	f := rs.followers[name]
-	if f == nil {
-		return nil, errNotFound(fmt.Errorf("httpapi: no replica for store %q", name))
-	}
-	return f, nil
-}
-
 // KVPutRequest is a follower-side write attempt (rejected until the
 // follower is promoted).
 type KVPutRequest struct {
@@ -238,10 +192,6 @@ type KVPutRequest struct {
 }
 
 func (rs *ReplicaServer) epPut(r *http.Request) (any, *apiError) {
-	f, apiErr := rs.follower(r)
-	if apiErr != nil {
-		return nil, apiErr
-	}
 	var req KVPutRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return nil, errBadRequest(err)
@@ -251,7 +201,7 @@ func (rs *ReplicaServer) epPut(r *http.Request) (any, *apiError) {
 	if err1 != nil || err2 != nil {
 		return nil, errBadRequest(errors.New("httpapi: bad base64 field"))
 	}
-	if err := f.Put(key, val); err != nil {
+	if err := rs.follower.Put(key, val); err != nil {
 		if errors.Is(err, replica.ErrReadOnly) {
 			return nil, &apiError{status: http.StatusForbidden, kind: "read-only", msg: err.Error()}
 		}
@@ -261,93 +211,53 @@ func (rs *ReplicaServer) epPut(r *http.Request) (any, *apiError) {
 }
 
 func (rs *ReplicaServer) epStats(r *http.Request) (any, *apiError) {
-	resp := StatsResponse{Stores: make(map[string]kvstore.Stats, len(rs.followers))}
-	for name, f := range rs.followers {
-		resp.Stores[name] = f.Stats()
-	}
-	return resp, nil
+	return StatsResponse{Stores: map[string]kvstore.Stats{storeName: rs.follower.Stats()}}, nil
 }
 
 func (rs *ReplicaServer) epStatus(r *http.Request) (any, *apiError) {
-	resp := ReplicaStatusResponse{Role: "replica", Replica: make(map[string]replica.Status, len(rs.followers))}
-	for name, f := range rs.followers {
-		resp.Replica[name] = f.Status()
-	}
-	return resp, nil
+	return ReplicaStatusResponse{Role: "replica", Replica: map[string]replica.Status{storeName: rs.follower.Status()}}, nil
 }
 
-// PromoteResult reports the post-promotion role per store.
+// PromoteResult answers POST /v2/replica/promote: the store promoted.
 type PromoteResult struct {
 	Promoted []string `json:"promoted"`
 }
 
-// epPromote promotes every follower. Promotion is idempotent: a store
+// epPromote promotes the follower. Promotion is idempotent: a follower
 // already promoted promotes again as a no-op, so after a failure the
-// admin re-sends the request and the stores that are left follow.
+// admin re-sends the request.
 func (rs *ReplicaServer) epPromote(r *http.Request) (any, *apiError) {
-	var res PromoteResult
-	for name, f := range rs.followers {
-		if _, err := f.Promote(); err != nil {
-			return nil, errInternal(fmt.Errorf("httpapi: promote %s (promoted so far: %v): %w", name, res.Promoted, err))
-		}
-		res.Promoted = append(res.Promoted, name)
+	if _, err := rs.follower.Promote(); err != nil {
+		return nil, errInternal(fmt.Errorf("httpapi: promote: %w", err))
 	}
-	return res, nil
+	return PromoteResult{Promoted: []string{storeName}}, nil
 }
 
-// ResyncResult reports per-store resync outcomes.
+// ResyncResult answers POST /v2/replica/resync: the store resynced.
 type ResyncResult struct {
-	Resynced []string          `json:"resynced"`
-	Errors   map[string]string `json:"errors,omitempty"`
+	Resynced []string `json:"resynced"`
 }
 
-// epResync forces a full snapshot re-bootstrap of each follower
-// (?store=NAME limits it to one), waiting under the request context. A
-// partial failure answers with the per-store errors; a failure of every
-// store is an error envelope.
+// epResync forces a full snapshot re-bootstrap of the follower, waiting
+// under the request context; a failure is an error envelope.
 func (rs *ReplicaServer) epResync(r *http.Request) (any, *apiError) {
-	only := r.URL.Query().Get("store")
-	if only != "" && rs.followers[only] == nil {
-		return nil, errNotFound(fmt.Errorf("httpapi: no replica for store %q", only))
+	if err := rs.follower.Resync(r.Context()); err != nil {
+		return nil, errInternal(fmt.Errorf("httpapi: resync: %w", err))
 	}
-	res := ResyncResult{Errors: make(map[string]string)}
-	for name, f := range rs.followers {
-		if only != "" && name != only {
-			continue
-		}
-		if err := f.Resync(r.Context()); err != nil {
-			res.Errors[name] = err.Error()
-		} else {
-			res.Resynced = append(res.Resynced, name)
-		}
-	}
-	if len(res.Errors) == 0 {
-		res.Errors = nil
-	} else if len(res.Resynced) == 0 {
-		return nil, errInternal(fmt.Errorf("httpapi: resync failed for all %d stores: %v", len(res.Errors), res.Errors))
-	}
-	return res, nil
+	return ResyncResult{Resynced: []string{storeName}}, nil
 }
 
-// epContains answers revocation lookups from the replicated provider
-// store: exact (not Bloom) containment via the store key the revocation
-// list uses on the primary.
+// epContains answers revocation lookups from the replicated store:
+// exact (not Bloom) containment via the store key the revocation list
+// uses on the primary.
 func (rs *ReplicaServer) epContains(r *http.Request) (any, *apiError) {
-	name := r.URL.Query().Get("store")
-	if name == "" {
-		name = "provider"
-	}
-	f := rs.followers[name]
-	if f == nil {
-		return nil, errNotFound(fmt.Errorf("httpapi: no replica for store %q", name))
-	}
 	raw, err := base64.URLEncoding.DecodeString(r.URL.Query().Get("serial"))
 	var serial license.Serial
 	if err != nil || len(raw) != len(serial) {
 		return nil, errBadRequest(errors.New("httpapi: bad serial (want base64url of exact length)"))
 	}
 	copy(serial[:], raw)
-	return ContainsResponse{Found: f.Has(revocation.StoreKey(serial))}, nil
+	return ContainsResponse{Found: rs.follower.Has(revocation.StoreKey(serial))}, nil
 }
 
 // --- client SDK ---
@@ -369,12 +279,12 @@ func replicaErr(err error) error {
 	return err
 }
 
-// ReplicaManifest fetches a store's segment manifest; pin=true leases
+// ReplicaManifest fetches the store's segment manifest; pin=true leases
 // the sealed set against compaction until ReplicaRelease (or TTL).
-func (c *Client) ReplicaManifest(store string, pin bool) (*replica.Manifest, error) {
-	p := "/v2/replica/manifest?store=" + url.QueryEscape(store)
+func (c *Client) ReplicaManifest(pin bool) (*replica.Manifest, error) {
+	p := "/v2/replica/manifest"
 	if pin {
-		p += "&pin=1"
+		p += "?pin=1"
 	}
 	var m replica.Manifest
 	if err := c.call("GET", p, nil, &m); err != nil {
@@ -384,9 +294,8 @@ func (c *Client) ReplicaManifest(store string, pin bool) (*replica.Manifest, err
 }
 
 // ReplicaSegment fetches raw segment bytes; see replica.Fetcher.
-func (c *Client) ReplicaSegment(store string, id uint64, from, max int64, wantGen uint64, pinID string) (*replica.Chunk, error) {
-	p := fmt.Sprintf("/v2/replica/segment/%d?store=%s&from=%d&max=%d&gen=%d",
-		id, url.QueryEscape(store), from, max, wantGen)
+func (c *Client) ReplicaSegment(id uint64, from, max int64, wantGen uint64, pinID string) (*replica.Chunk, error) {
+	p := fmt.Sprintf("/v2/replica/segment/%d?from=%d&max=%d&gen=%d", id, from, max, wantGen)
 	if pinID != "" {
 		p += "&pin=" + url.QueryEscape(pinID)
 	}
@@ -435,8 +344,8 @@ func (c *Client) ReplicaSegment(store string, id uint64, from, max int64, wantGe
 }
 
 // ReplicaRelease ends a pin lease.
-func (c *Client) ReplicaRelease(store, pinID string) error {
-	return c.call("POST", "/v2/replica/release?store="+url.QueryEscape(store)+"&pin="+url.QueryEscape(pinID), nil, nil)
+func (c *Client) ReplicaRelease(pinID string) error {
+	return c.call("POST", "/v2/replica/release?pin="+url.QueryEscape(pinID), nil, nil)
 }
 
 // ReplicaStatus reads either role's replication status.
@@ -449,8 +358,8 @@ func (c *Client) ReplicaStatus() (*ReplicaStatusResponse, error) {
 }
 
 // KVPut attempts a write on a replica daemon (rejected until promoted).
-func (c *Client) KVPut(store string, key, val []byte) error {
-	return c.call("POST", "/v2/kv/put?store="+url.QueryEscape(store), KVPutRequest{Key: b64(key), Value: b64(val)}, nil)
+func (c *Client) KVPut(key, val []byte) error {
+	return c.call("POST", "/v2/kv/put", KVPutRequest{Key: b64(key), Value: b64(val)}, nil)
 }
 
 // RevocationContains asks either role for exact revocation containment.
@@ -463,26 +372,19 @@ func (c *Client) RevocationContains(serial license.Serial) (bool, error) {
 	return resp.Found, nil
 }
 
-// replicaFetcher adapts the client SDK to replica.Fetcher for one store.
-type replicaFetcher struct {
-	c     *Client
-	store string
-}
+// replicaFetcher adapts the client SDK to replica.Fetcher.
+type replicaFetcher struct{ c *Client }
 
 // NewReplicaFetcher returns the transport a replica.Follower uses to
-// tail `store` on the daemon at client's BaseURL.
-func NewReplicaFetcher(c *Client, store string) replica.Fetcher {
-	return replicaFetcher{c: c, store: store}
-}
+// tail the store of the daemon at client's BaseURL.
+func NewReplicaFetcher(c *Client) replica.Fetcher { return replicaFetcher{c} }
 
 func (rf replicaFetcher) Manifest(pin bool) (*replica.Manifest, error) {
-	return rf.c.ReplicaManifest(rf.store, pin)
+	return rf.c.ReplicaManifest(pin)
 }
 
 func (rf replicaFetcher) Segment(id uint64, from, max int64, wantGen uint64, pinID string) (*replica.Chunk, error) {
-	return rf.c.ReplicaSegment(rf.store, id, from, max, wantGen, pinID)
+	return rf.c.ReplicaSegment(id, from, max, wantGen, pinID)
 }
 
-func (rf replicaFetcher) Release(pinID string) error {
-	return rf.c.ReplicaRelease(rf.store, pinID)
-}
+func (rf replicaFetcher) Release(pinID string) error { return rf.c.ReplicaRelease(pinID) }

@@ -6,15 +6,15 @@ package httpapi
 // every other route.
 
 import (
-	"fmt"
 	"net/http"
 
 	"p2drm/internal/kvstore"
 )
 
-// registerV2 mounts the enveloped surface. Tier rationale: reads and
-// protocol-key fetches are guest (the protocol's own crypto guards
-// purchase/exchange/redeem, so they are user-tier like snapd's
+// registerV2 mounts the enveloped surface; registerStoreRoutes mounts
+// the store's part of it when WithStore attaches one. Tier rationale:
+// reads and protocol-key fetches are guest (the protocol's own crypto
+// guards purchase/exchange/redeem, so they are user-tier like snapd's
 // state-changing endpoints); store maintenance, account minting and
 // replication are admin — the log a follower reads holds every record
 // (registrations, issued licences, spent coins).
@@ -32,19 +32,24 @@ func (s *Server) registerV2() {
 	s.v2("POST", "/v2/redeem/batch", TierUser, s.epRedeemBatch)
 	s.v2raw("GET", "/v2/revocation/filter", TierGuest, s.serveRevocationFilter)
 	s.v2("GET", "/v2/revocation/contains", TierGuest, s.epRevocationContains)
-	s.v2("GET", "/v2/stats", TierGuest, s.epStats)
-	s.v2("GET", "/v2/replica/manifest", TierAdmin, s.epReplicaManifest)
-	s.v2raw("GET", "/v2/replica/segment/{id}", TierAdmin, s.serveReplicaSegment)
-	s.v2("POST", "/v2/replica/release", TierAdmin, s.epReplicaRelease)
-	s.v2("GET", "/v2/replica/status", TierGuest, s.epReplicaStatus)
 	s.v2("GET", "/v2/provider/key", TierGuest, s.epProviderKey)
 	s.v2("GET", "/v2/bank/coinkey", TierGuest, s.epCoinKey)
 	s.v2("POST", "/v2/bank/account", TierAdmin, s.epBankAccount)
 	s.v2("POST", "/v2/bank/withdraw", TierUser, s.epWithdraw)
-
-	s.v2("POST", "/v2/compact", TierAdmin, s.epCompact)
 	s.v2("POST", "/v2/revocation/rebuild", TierAdmin, s.epRevocationRebuild)
 	s.registerObsRoutes()
+}
+
+// registerStoreRoutes mounts the routes that serve the store: its
+// statistics, compaction, and the replication source. A server without
+// a store answers them 404 like any unknown path.
+func (s *Server) registerStoreRoutes() {
+	s.v2("GET", "/v2/stats", TierGuest, s.epStats)
+	s.v2("POST", "/v2/compact", TierAdmin, s.epCompact)
+	s.v2("GET", "/v2/replica/manifest", TierAdmin, s.epReplicaManifest)
+	s.v2raw("GET", "/v2/replica/segment/{id}", TierAdmin, s.serveReplicaSegment)
+	s.v2("POST", "/v2/replica/release", TierAdmin, s.epReplicaRelease)
+	s.v2("GET", "/v2/replica/status", TierGuest, s.epReplicaStatus)
 }
 
 // CompactResult answers POST /v2/compact: the store's engine statistics
@@ -59,18 +64,13 @@ type RebuildResult struct {
 	Generation uint64 `json:"generation"`
 }
 
-// epCompact runs a full compaction of one registered store. It is
-// idempotent, so a request cut off mid-way is simply sent again.
+// epCompact runs a full compaction of the store. It is idempotent, so a
+// request cut off mid-way is simply sent again.
 func (s *Server) epCompact(r *http.Request) (any, *apiError) {
-	name := r.URL.Query().Get("store")
-	st := s.stores[name]
-	if st == nil {
-		return nil, errNotFound(fmt.Errorf("httpapi: unknown store %q", name))
-	}
-	if err := st.Compact(); err != nil {
+	if err := s.store.Compact(); err != nil {
 		return nil, errInternal(err)
 	}
-	return CompactResult{Store: name, Stats: st.Stats()}, nil
+	return CompactResult{Store: storeName, Stats: s.store.Stats()}, nil
 }
 
 func (s *Server) epRevocationRebuild(r *http.Request) (any, *apiError) {

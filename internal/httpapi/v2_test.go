@@ -15,9 +15,11 @@ import (
 
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/kvstore"
+	"p2drm/internal/obs"
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
 	"p2drm/internal/rel"
+	"p2drm/internal/replica"
 	"p2drm/internal/smartcard"
 )
 
@@ -55,9 +57,7 @@ func newV2Harness(t *testing.T, auth Auth) *v2Harness {
 	if _, err := prov.AddContent("song-1", "Song", 1, template, []byte("audio-blob")); err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(prov).WithBank(bank).
-		WithStoreStats("provider", store).
-		WithAuth(auth)
+	server := NewServer(prov).WithBank(bank).WithStore(store).WithAuth(auth)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 	card, _ := smartcard.NewRandom(schnorr.Group768())
@@ -70,6 +70,32 @@ func newV2Harness(t *testing.T, auth Auth) *v2Harness {
 		card:   card,
 		store:  store,
 	}
+}
+
+// newFollower opens an in-memory follower of the primary c talks to. It
+// tails only once started, and closes at cleanup.
+func newFollower(t *testing.T, c *Client, opts replica.Options) *replica.Follower {
+	t.Helper()
+	opts.Fetch = NewReplicaFetcher(c)
+	f, err := replica.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// primaryRoutes is the primary server's route table, the store's routes
+// included.
+func primaryRoutes() []Route {
+	st, _ := kvstore.Open("")
+	return NewServer(nil).WithStore(st).Routes()
+}
+
+// replicaRoutes is the follower server's route table, over a follower
+// that never tails.
+func replicaRoutes(t *testing.T) []Route {
+	return NewReplicaServer(newFollower(t, NewClient("", nil), replica.Options{})).Routes()
 }
 
 // rawEnvelope is the response frame with the result left raw, for
@@ -143,15 +169,11 @@ func TestV2EnvelopeErrorPaths(t *testing.T) {
 	if status != http.StatusBadRequest || errKind(t, env) != "bad-request" {
 		t.Errorf("malformed batch JSON: status %d kind %q", status, errKind(t, env))
 	}
-	status, env = rawV2(t, h.srv.URL, "POST", "/v2/compact?store=ghost", "", "")
-	if status != http.StatusNotFound || errKind(t, env) != "not-found" {
-		t.Errorf("unknown compact store: status %d kind %q", status, errKind(t, env))
-	}
 	// The retired /v1 tree and the retired operations registry are
 	// unknown routes like any other, on both roles. (The registry's
 	// paths are spelled in pieces so that a search for live references
 	// to it comes back empty.)
-	rsrv := httptest.NewServer(NewReplicaServer(nil))
+	rsrv := httptest.NewServer(NewReplicaServer(newFollower(t, h.client, replica.Options{})))
 	defer rsrv.Close()
 	ops := "/v2/" + "operations"
 	for _, base := range []string{h.srv.URL, rsrv.URL} {
@@ -189,18 +211,18 @@ func TestV2AuthTiers(t *testing.T) {
 		t.Errorf("bad token on user route: status %d kind %q", status, errKind(t, env))
 	}
 	// Valid user token on an admin route: 403 forbidden.
-	status, env = rawV2(t, h.srv.URL, "POST", "/v2/compact?store=provider", "u-secret", "")
+	status, env = rawV2(t, h.srv.URL, "POST", "/v2/compact", "u-secret", "")
 	if status != http.StatusForbidden || errKind(t, env) != "forbidden" {
 		t.Errorf("user token on admin route: status %d kind %q", status, errKind(t, env))
 	}
 	// Admin token passes and the compaction answers in the same request.
-	status, env = rawV2(t, h.srv.URL, "POST", "/v2/compact?store=provider", "a-secret", "")
+	status, env = rawV2(t, h.srv.URL, "POST", "/v2/compact", "a-secret", "")
 	if status != http.StatusOK || env.Type != "sync" {
 		t.Errorf("admin compact: status %d envelope %+v", status, env)
 	}
 	// The SDK path: token on the client.
 	h.client.Token = "a-secret"
-	if _, err := h.client.CompactStore("provider"); err != nil {
+	if _, err := h.client.CompactStore(); err != nil {
 		t.Fatalf("admin compact through the SDK: %v", err)
 	}
 }
@@ -213,9 +235,13 @@ func TestV2AuthTiers(t *testing.T) {
 func TestRouteAuthTiers(t *testing.T) {
 	auth := Auth{UserToken: "u-secret", AdminToken: "a-secret"}
 	tokens := map[Tier]string{TierGuest: "", TierUser: "u-secret", TierAdmin: "a-secret"}
-	rsrv := httptest.NewServer(NewReplicaServer(nil).WithAuth(auth))
-	defer rsrv.Close()
 	h := newV2Harness(t, auth)
+	// The follower never tails: Routes() is sorted, so promote stops its
+	// tail loop before resync asks that loop for a snapshot, and resync
+	// answers at once.
+	rs := NewReplicaServer(newFollower(t, h.client, replica.Options{})).WithAuth(auth)
+	rsrv := httptest.NewServer(rs)
+	defer rsrv.Close()
 
 	// outcome returns the status and, for error envelopes, the kind;
 	// stream routes answer raw bytes on success, so only failures are
@@ -246,7 +272,7 @@ func TestRouteAuthTiers(t *testing.T) {
 	for _, srv := range []struct {
 		base   string
 		routes []Route
-	}{{h.srv.URL, h.server.Routes()}, {rsrv.URL, NewReplicaServer(nil).Routes()}} {
+	}{{h.srv.URL, h.server.Routes()}, {rsrv.URL, rs.Routes()}} {
 		if len(srv.routes) == 0 {
 			t.Fatal("empty route table")
 		}
@@ -294,13 +320,13 @@ func TestRouteAuthTiers(t *testing.T) {
 	if len(replication) != 0 {
 		t.Errorf("replication routes not registered: %v", replication)
 	}
-	if p, r := len(h.server.Routes()), len(NewReplicaServer(nil).Routes()); p != 27 || r != 9 {
+	if p, r := len(h.server.Routes()), len(rs.Routes()); p != 27 || r != 9 {
 		t.Errorf("%d primary and %d replica routes, want 27 and 9", p, r)
 	}
 }
 
 // TestV2Compact: the compaction has run by the time the 200 sync
-// envelope arrives, and its result shows it.
+// envelope arrives, and its result and the store's metrics show it.
 func TestV2Compact(t *testing.T) {
 	st, err := kvstore.Open(t.TempDir())
 	if err != nil {
@@ -312,11 +338,11 @@ func TestV2Compact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(NewServer(nil).WithStoreStats("provider", st))
+	srv := httptest.NewServer(NewServer(nil).WithStore(st))
 	defer srv.Close()
 	before := st.Stats().Compactions
 
-	status, env := rawV2(t, srv.URL, "POST", "/v2/compact?store=provider", "", "")
+	status, env := rawV2(t, srv.URL, "POST", "/v2/compact", "", "")
 	if status != http.StatusOK || env.Type != "sync" {
 		t.Fatalf("compact: status %d type %q, want a 200 sync envelope", status, env.Type)
 	}
@@ -326,6 +352,18 @@ func TestV2Compact(t *testing.T) {
 	}
 	if res.Store != "provider" || res.Stats.Compactions <= before {
 		t.Fatalf("compact result = %+v, want store provider with compactions > %d", res, before)
+	}
+	// WithStore installed the store's engine observer: the step is timed.
+	raw, err := NewClient(srv.URL, nil).MetricsV2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseMetrics(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := m.Value("p2drm_kvstore_compact_step_seconds_count", map[string]string{"store": "provider"}); !ok || n < 1 {
+		t.Errorf(`p2drm_kvstore_compact_step_seconds_count{store="provider"} = %v, %v; want ≥ 1`, n, ok)
 	}
 }
 

@@ -340,7 +340,7 @@ func (s *Store) compactLoop() {
 		case <-s.compactStop:
 			return
 		case <-t.C:
-			if s.GarbageRatio() >= s.opts.CompactMinGarbage {
+			if s.GarbageRatio() >= compactMinGarbage {
 				s.CompactStep() //nolint:errcheck
 			}
 		}

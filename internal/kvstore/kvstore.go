@@ -6,8 +6,8 @@
 // The design is a segmented write-ahead log under a sharded in-memory
 // index:
 //
-//   - The index is split into N lock-striped shards (Options.IndexShards,
-//     key-hash → shard), so Get/Has/Put/PutIfAbsent on different keys
+//   - The index is split into IndexShards lock-striped shards (key-hash
+//     → shard), so Get/Has/Put/PutIfAbsent on different keys
 //     never contend on one mutex. Per-key operations take exactly one
 //     shard lock; batches lock their shards in index order.
 //   - Every mutation is appended to the log as a CRC-framed record before
@@ -152,17 +152,15 @@ const (
 )
 
 const (
-	// DefaultIndexShards is the index shard count when Options.IndexShards
-	// is zero.
-	DefaultIndexShards = 16
+	// IndexShards is the lock-stripe count of the in-memory index (a
+	// power of two).
+	IndexShards = 16
 	// DefaultSegmentBytes is the segment size cap when
 	// Options.SegmentBytes is zero.
 	DefaultSegmentBytes = 64 << 20
-	// defaultCompactMinGarbage is the background compactor's trigger
-	// threshold when Options.CompactMinGarbage is zero.
-	defaultCompactMinGarbage = 0.5
-	// maxIndexShards caps Options.IndexShards.
-	maxIndexShards = 1 << 12
+	// compactMinGarbage is the GarbageRatio at which the background
+	// compactor runs a step.
+	compactMinGarbage = 0.5
 )
 
 // Options tune a store opened with OpenWith.
@@ -175,20 +173,14 @@ type Options struct {
 	// leader runs; natural batching still occurs because followers that
 	// arrive during an in-flight fsync join the next window.
 	CommitInterval time.Duration
-	// IndexShards is the lock-stripe count of the in-memory index,
-	// rounded up to a power of two (default DefaultIndexShards).
-	IndexShards int
 	// SegmentBytes caps one log segment; the active segment rolls after
 	// it grows past this (default DefaultSegmentBytes). A segment may
 	// exceed the cap by at most one record.
 	SegmentBytes int64
 	// CompactEvery, when positive, starts a background goroutine that
-	// runs one CompactStep per tick while GarbageRatio() ≥
-	// CompactMinGarbage. Zero disables background compaction.
+	// runs one CompactStep per tick while GarbageRatio() ≥ 0.5. Zero
+	// disables background compaction.
 	CompactEvery time.Duration
-	// CompactMinGarbage is the background compactor's trigger threshold
-	// (default 0.5).
-	CompactMinGarbage float64
 }
 
 // Observer receives engine timing events for the observability plane.
@@ -289,8 +281,7 @@ type segment struct {
 
 // Store is a durable (or, with Dir "", purely in-memory) key-value map.
 type Store struct {
-	shards    []*shard
-	shardMask uint64
+	shards []*shard
 
 	// liveBytes tracks key+value bytes of the live set (atomic because
 	// different shards mutate it concurrently).
@@ -487,24 +478,11 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	if opts.CommitInterval < 0 {
 		opts.CommitInterval = 0
 	}
-	if opts.IndexShards <= 0 {
-		opts.IndexShards = DefaultIndexShards
-	}
-	if opts.IndexShards > maxIndexShards {
-		opts.IndexShards = maxIndexShards
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.CompactMinGarbage <= 0 {
-		opts.CompactMinGarbage = defaultCompactMinGarbage
-	}
-	nShards := 1
-	for nShards < opts.IndexShards {
-		nShards <<= 1
-	}
-	s := &Store{dir: dir, opts: opts, shardMask: uint64(nShards - 1)}
-	s.shards = make([]*shard, nShards)
+	s := &Store{dir: dir, opts: opts}
+	s.shards = make([]*shard, IndexShards)
 	for i := range s.shards {
 		s.shards[i] = &shard{data: make(map[string]entry)}
 	}
@@ -537,7 +515,7 @@ func (s *Store) shardIndex(key []byte) uint64 {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	return h & s.shardMask
+	return h & (IndexShards - 1)
 }
 
 // append writes a record to the active segment and flushes it to the OS,
@@ -1260,7 +1238,8 @@ type Stats struct {
 	// segment because its per-segment metadata proved every record in it
 	// still matches the live index (a rewrite would be an identity).
 	CompactionSkips int64 `json:"compaction_skips"`
-	// IndexShards is the index lock-stripe count.
+	// IndexShards is the index lock-stripe count (the constant
+	// IndexShards).
 	IndexShards int `json:"index_shards"`
 }
 

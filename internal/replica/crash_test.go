@@ -99,13 +99,12 @@ func crashPrimaryMain() {
 		fmt.Fprintf(os.Stderr, "child open: %v\n", err)
 		os.Exit(2)
 	}
-	src := replica.NewSource(s)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "child listen: %v\n", err)
 		os.Exit(2)
 	}
-	srv := httpapi.NewServer(nil).WithReplicaSource("store", src)
+	srv := httpapi.NewServer(nil).WithStore(s)
 	go http.Serve(ln, srv) //nolint:errcheck
 	fmt.Fprintf(os.Stdout, "addr http://%s\n", ln.Addr())
 	// Compaction races the segment streams (pins + gen guards at work).
@@ -126,7 +125,7 @@ func crashFollowerMain() {
 	client := httpapi.NewClient(os.Getenv(crashURLEnv), nil)
 	f, err := replica.Open(replica.Options{
 		Dir:          os.Getenv(crashDirEnv),
-		Fetch:        httpapi.NewReplicaFetcher(client, "store"),
+		Fetch:        httpapi.NewReplicaFetcher(client),
 		PollInterval: 2 * time.Millisecond,
 		BackoffMin:   5 * time.Millisecond,
 	})
@@ -197,7 +196,6 @@ func TestReplicaCrashFollowerKilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	src := replica.NewSource(primary)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -226,7 +224,7 @@ func TestReplicaCrashFollowerKilled(t *testing.T) {
 			}
 		}(g)
 	}
-	srv := httpapi.NewServer(nil).WithReplicaSource("store", src)
+	srv := httpapi.NewServer(nil).WithStore(primary)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -290,10 +288,10 @@ func TestReplicaCrashFollowerKilled(t *testing.T) {
 
 	// A restarted follower converges from its durable cursor to the
 	// primary's durable prefix (the primary is idle now, so to its
-	// exact live set).
+	// exact live set), fetching from the source the child tailed.
 	f, err := replica.Open(replica.Options{
 		Dir:          fdir,
-		Fetch:        replica.LocalFetcher{Src: src},
+		Fetch:        httpapi.NewReplicaFetcher(httpapi.NewClient("http://"+ln.Addr().String(), nil)),
 		PollInterval: 5 * time.Millisecond,
 		Logf:         t.Logf,
 	})
@@ -349,7 +347,7 @@ func TestReplicaCrashPrimaryKilled(t *testing.T) {
 	client := httpapi.NewClient(primaryURL, nil)
 	f, err := replica.Open(replica.Options{
 		Dir:          fdir,
-		Fetch:        httpapi.NewReplicaFetcher(client, "store"),
+		Fetch:        httpapi.NewReplicaFetcher(client),
 		PollInterval: 2 * time.Millisecond,
 		BackoffMin:   5 * time.Millisecond,
 		Logf:         t.Logf,

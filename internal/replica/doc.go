@@ -11,8 +11,8 @@
 // segments are immutable files, the active segment grows at the tail.
 // Three HTTP endpoints (internal/httpapi) expose a Source:
 //
-//	GET /v2/replica/manifest?store=NAME[&pin=1]
-//	GET /v2/replica/segment/{id}?store=NAME&from=OFF&max=N&gen=G[&pin=ID]
+//	GET /v2/replica/manifest[?pin=1]
+//	GET /v2/replica/segment/{id}?from=OFF&max=N&gen=G[&pin=ID]
 //	GET /v2/replica/status
 //
 // The manifest lists every segment as {id, bytes, crc32, gen, sealed,
@@ -71,9 +71,10 @@
 // ErrReadOnly, and a promotion whose marker could not be made durable
 // changes nothing.
 //
-// cmd/p2drmd runs the follower side with -replica-of=<primary-url>,
-// replicating both the provider and bank stores and serving the
-// read-only HTTP surface (kv reads, stats, revocation contains,
-// replication status) plus POST /v2/replica/promote and
-// POST /v2/replica/resync, each answered when its work is done.
+// cmd/p2drmd runs the follower side with -replica-of=<primary-url>:
+// one follower of the primary's one store, which holds the bank's spent
+// ledger beside the provider's records, serving the read-only HTTP
+// surface (stats, revocation contains, replication status) plus
+// POST /v2/replica/promote and POST /v2/replica/resync, each answered
+// when its work is done.
 package replica

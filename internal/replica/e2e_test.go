@@ -53,9 +53,7 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 
 	// The provider endpoints are not exercised here; the replica
 	// endpoints don't touch s.Provider.
-	primarySrv := httpapi.NewServer(nil).
-		WithStoreStats("provider", provStore).
-		WithReplicaSource("provider", replica.NewSource(provStore))
+	primarySrv := httpapi.NewServer(nil).WithStore(provStore)
 	pts := httptest.NewServer(primarySrv)
 	defer pts.Close()
 	pc := httpapi.NewClient(pts.URL, nil)
@@ -63,7 +61,7 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	// The follower: exactly the cmd/p2drmd -replica-of wiring.
 	f, err := replica.Open(replica.Options{
 		Dir:          t.TempDir(),
-		Fetch:        httpapi.NewReplicaFetcher(pc, "provider"),
+		Fetch:        httpapi.NewReplicaFetcher(pc),
 		PollInterval: 10 * time.Millisecond,
 		BackoffMin:   10 * time.Millisecond,
 		Logf:         t.Logf,
@@ -73,7 +71,7 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	}
 	defer f.Close()
 	f.Start()
-	rts := httptest.NewServer(httpapi.NewReplicaServer(map[string]*replica.Follower{"provider": f}))
+	rts := httptest.NewServer(httpapi.NewReplicaServer(f))
 	defer rts.Close()
 	rc := httpapi.NewClient(rts.URL, nil)
 
@@ -111,7 +109,7 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	}
 
 	// Writes to the follower are rejected with 403/ErrReadOnly.
-	err = rc.KVPut("provider", []byte("rogue"), []byte("x"))
+	err = rc.KVPut([]byte("rogue"), []byte("x"))
 	if err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("follower accepted a write (err=%v)", err)
 	}
@@ -160,11 +158,11 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	// Resync over /v2: re-bootstrap the follower from a fresh
 	// snapshot while serving; the answer comes when it is done, and the
 	// follower converges to the same live set again.
-	resynced, err := rc.ResyncReplica("provider")
+	resynced, err := rc.ResyncReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resynced.Resynced) != 1 || resynced.Resynced[0] != "provider" || resynced.Errors != nil {
+	if len(resynced.Resynced) != 1 || resynced.Resynced[0] != "provider" {
 		t.Fatalf("resync result = %+v", resynced)
 	}
 	waitCaughtUp("after resync")
@@ -182,7 +180,7 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	if again, err := rc.Promote(); err != nil || len(again.Promoted) != 1 {
 		t.Fatalf("second promote = %+v, %v", again, err)
 	}
-	if err := rc.KVPut("provider", []byte("rogue"), []byte("x")); err != nil {
+	if err := rc.KVPut([]byte("rogue"), []byte("x")); err != nil {
 		t.Fatalf("promoted replica rejected write: %v", err)
 	}
 	if v, ok := f.Get([]byte("rogue")); !ok || string(v) != "x" {

@@ -101,9 +101,6 @@ func (s *Source) SetPinTTL(d time.Duration) {
 // Epoch identifies this primary incarnation.
 func (s *Source) Epoch() string { return s.epoch }
 
-// Store exposes the underlying store (status/stats handlers).
-func (s *Source) Store() *kvstore.Store { return s.store }
-
 // Manifest lists the store's segments. With pin=true the sealed set is
 // pinned under a new leased session whose id is returned in the
 // manifest; the caller streams the segments (passing the pin id to keep

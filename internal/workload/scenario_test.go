@@ -120,20 +120,20 @@ func TestScenarioShapes(t *testing.T) {
 	}
 }
 
-// newLoadHarness boots an in-process provider + bank behind httptest.
+// newLoadHarness boots an in-process provider + bank behind httptest,
+// sharing one store as in p2drmd.
 // The topology lists a second client to the same server as a "replica"
 // so the read-routing path is exercised without a full follower (the
 // primary serves the same read surface).
 func newLoadHarness(t *testing.T, contents int) (Topology, *provider.Provider) {
 	t.Helper()
 	pk, bk := loadKeys(t)
-	spent, _ := kvstore.Open("")
-	bank, err := payment.NewBank(bk, spent)
+	store, _ := kvstore.Open("")
+	bank, err := payment.NewBank(bk, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bank.CreateAccount("provider", 0)
-	store, _ := kvstore.Open("")
 	prov, err := provider.New(provider.Config{
 		Group: schnorr.Group768(), SignerKey: pk, DenomKeyBits: 1024,
 		Store: store, Bank: bank, BankAccount: "provider",
@@ -153,7 +153,7 @@ func newLoadHarness(t *testing.T, contents int) (Topology, *provider.Provider) {
 	// tests can inspect exactly what an operator's trace endpoint would
 	// retain under the least favourable (retain-everything) setting.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv := httptest.NewServer(httpapi.NewServer(prov).WithBank(bank).
+	srv := httptest.NewServer(httpapi.NewServer(prov).WithBank(bank).WithStore(store).
 		WithTraceRetention(256, 0, quiet))
 	t.Cleanup(srv.Close)
 	primary := httpapi.NewClient(srv.URL, schnorr.Group768())

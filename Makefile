@@ -12,20 +12,21 @@ test:
 	$(GO) test ./...
 
 # Race detector over the concurrent serving path and everything that
-# drives it concurrently (workload generator, revocation list, sharded
-# bank property tests, the kvstore commit sets batch workers note into,
-# root integration tests, the crypto precompute layer's shared table
-# and the nonce pool a client may enable, the group table a schnorr
-# group builds under concurrent callers and the card whose provers cross
-# that build, and the KEM sender every serving goroutine wraps through,
-# with the license package that
-# calls it and that signs a batch call's roots from several workers at
-# once), and the daemon, whose boot runs key generation, the generator
-# table and the WAL replays side by side: its subprocess tests build it
-# with -race when they run under it. CI's race job runs this target: the
-# list lives here.
+# drives it concurrently (workload generator, whose workers share one
+# wallet per user, so the wallet's purse and pseudonym ledger are hit
+# concurrently; revocation list, sharded bank property tests, the
+# kvstore commit sets batch workers note into, root integration tests,
+# the crypto precompute layer's shared table and the nonce pool a client
+# may enable, the group table a schnorr group builds under concurrent
+# callers and the card whose provers cross that build, and the KEM
+# sender every serving goroutine wraps through, with the license package
+# that calls it and that signs a batch call's roots from several workers
+# at once), and the daemon, whose boot runs key generation, the
+# generator table and the WAL replays side by side: its subprocess
+# tests, and the wallet CLI's, build it with -race when they run under
+# it. CI's race job runs this target: the list lives here.
 race:
-	$(GO) test -race ./cmd/p2drmd ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license ./internal/smartcard .
+	$(GO) test -race ./cmd/p2drmd ./cmd/p2drm ./internal/provider ./internal/httpapi ./internal/kvstore ./internal/payment ./internal/replica ./internal/revocation ./internal/workload ./internal/wallet ./internal/obs ./internal/cryptox/precomp ./internal/cryptox/schnorr ./internal/cryptox/rsablind ./internal/cryptox/dlkem ./internal/license ./internal/smartcard .
 
 # One iteration per benchmark: proves they compile and run. The T1_
 # pattern reaches the per-package micro-benchmarks docs/crypto.md quotes

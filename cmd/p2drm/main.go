@@ -1,324 +1,209 @@
-// Command p2drm is the user-side CLI: a smartcard wallet plus the client
-// half of every P2DRM protocol, speaking to a p2drmd daemon.
-//
-// Local state (card seed, wallet, pseudonym bookkeeping) lives in -home.
+// Command p2drm is the user-side CLI: a wallet (internal/wallet) kept in
+// a directory — smartcard seed, pseudonym ledger, licences, and a purse
+// of unspent coins — speaking to a p2drmd daemon. A buy that fails after
+// its coins were withdrawn leaves them in the purse, and the next buy
+// spends them before it withdraws anything.
 //
 //	p2drm -home ~/.p2drm init alice            create card + bank account
 //	p2drm catalog                              list items
 //	p2drm buy song-blue                        anonymous purchase
-//	p2drm wallet                               list held licenses
-//	p2drm play <serial-prefix> -o out.bin      compliant playback
-//	p2drm exchange <serial-prefix> -o tok.anon retire license → bearer token
+//	p2drm wallet                               list held licenses (and the purse)
+//	p2drm -o out.bin play <serial-prefix>      compliant playback
+//	p2drm -o tok.anon exchange <serial-prefix> retire license → bearer token
 //	p2drm redeem tok.anon                      bearer token → new license
 package main
 
 import (
-	"crypto/rand"
+	"bytes"
 	"crypto/rsa"
-	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
-	"p2drm/internal/cryptox/kdf"
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/device"
 	"p2drm/internal/httpapi"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
-	"p2drm/internal/provider"
-	"p2drm/internal/smartcard"
+	"p2drm/internal/wallet"
 )
 
 func main() {
 	log.SetFlags(0)
-	var (
-		server = flag.String("server", "http://127.0.0.1:8474", "p2drmd base URL")
-		home   = flag.String("home", ".p2drm", "local wallet directory")
-		out    = flag.String("o", "", "output file (play/exchange)")
-		lab    = flag.Bool("lab", false, "laboratory group parameters (must match the daemon)")
-		token  = flag.String("token", "", "bearer token for a daemon with auth configured (user tier for buy/exchange/redeem, admin tier for init)")
-	)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		log.Fatal("usage: p2drm [flags] init|catalog|buy|wallet|play|exchange|redeem ...")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("p2drm: %v", err)
 	}
+}
 
+// run parses args, runs one command and closes the wallet it opened.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("p2drm", flag.ContinueOnError)
+	var (
+		server = fs.String("server", "http://127.0.0.1:8474", "p2drmd base URL")
+		home   = fs.String("home", ".p2drm", "local wallet directory")
+		out    = fs.String("o", "", "output file (play/exchange)")
+		lab    = fs.Bool("lab", false, "laboratory group parameters (must match the daemon)")
+		token  = fs.String("token", "", "bearer token for a daemon with auth configured (user tier for buy/exchange/redeem, admin tier for init)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() < 1 {
+		return errors.New("usage: p2drm [flags] init|catalog|buy|wallet|play|exchange|redeem ...")
+	}
 	group := schnorr.Group2048()
 	if *lab {
 		group = schnorr.Group768()
 	}
 	client := httpapi.NewClient(*server, group)
 	client.Token = *token
-	w := &wallet{
-		home:   *home,
-		client: client,
-		group:  group,
-	}
+	cfg := wallet.Config{Group: group, Party: client, Dir: *home}
 
-	cmd, args := flag.Arg(0), flag.Args()[1:]
-	var err error
+	cmd, rest := fs.Arg(0), fs.Args()[1:]
+	param, ok := params[cmd]
+	if !ok {
+		return fmt.Errorf("unknown command %q", cmd)
+	}
+	if len(rest) != len(strings.Fields(param)) {
+		return fmt.Errorf("usage: p2drm [flags] %s %s", cmd, param)
+	}
+	var arg string
+	if len(rest) == 1 {
+		arg = rest[0]
+	}
 	switch cmd {
 	case "init":
-		err = w.cmdInit(args)
+		return cmdInit(cfg, client, arg)
 	case "catalog":
-		err = w.cmdCatalog()
+		return cmdCatalog(client, stdout)
+	}
+	w, err := wallet.Open(cfg)
+	if err != nil {
+		return fmt.Errorf("%w; run: p2drm init <account>", err)
+	}
+	defer func() { err = errors.Join(err, w.Close()) }()
+	switch cmd {
 	case "buy":
-		err = w.cmdBuy(args)
+		return cmdBuy(w, client, arg)
 	case "wallet":
-		err = w.cmdWallet()
+		return cmdWallet(w, stdout)
 	case "play":
-		err = w.cmdPlay(args, *out)
+		return cmdPlay(w, client, *home, arg, *out, stdout)
 	case "exchange":
-		err = w.cmdExchange(args, *out)
-	case "redeem":
-		err = w.cmdRedeem(args)
+		return cmdExchange(w, arg, *out)
 	default:
-		err = fmt.Errorf("unknown command %q", cmd)
-	}
-	if err != nil {
-		log.Fatalf("p2drm: %v", err)
+		return cmdRedeem(w, arg)
 	}
 }
 
-// wallet is the CLI's local state.
-type wallet struct {
-	home   string
-	client *httpapi.Client
-	group  *schnorr.Group
-
-	store *kvstore.Store
-	card  *smartcard.Card
+// params names each command's one argument ("" for none).
+var params = map[string]string{
+	"init": "<bank-account-name>", "catalog": "", "buy": "<content-id>", "wallet": "",
+	"play": "<serial-prefix>", "exchange": "<serial-prefix>", "redeem": "<token-file>",
 }
 
-func (w *wallet) open() error {
-	if w.store != nil {
-		return nil
-	}
-	st, err := kvstore.Open(w.home)
+func cmdInit(cfg wallet.Config, client *httpapi.Client, account string) error {
+	w, err := wallet.Create(cfg, account, nil)
 	if err != nil {
 		return err
 	}
-	w.store = st
-	seed, ok := st.Get([]byte("card-seed"))
-	if !ok {
-		return fmt.Errorf("wallet not initialised; run: p2drm init <account>")
-	}
-	var s [kdf.SeedLen]byte
-	copy(s[:], seed)
-	w.card = smartcard.New(w.group, s)
-	return nil
-}
-
-func (w *wallet) account() (string, error) {
-	acct, ok := w.store.Get([]byte("bank-account"))
-	if !ok {
-		return "", fmt.Errorf("no bank account recorded; re-run init")
-	}
-	return string(acct), nil
-}
-
-// nextPseudonym allocates a fresh pseudonym index, persisted.
-func (w *wallet) nextPseudonym() (uint32, error) {
-	var idx uint32
-	if raw, ok := w.store.Get([]byte("next-pseudonym")); ok && len(raw) == 4 {
-		idx = binary.BigEndian.Uint32(raw)
-	}
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], idx+1)
-	if err := w.store.Put([]byte("next-pseudonym"), buf[:]); err != nil {
-		return 0, err
-	}
-	return idx, nil
-}
-
-func (w *wallet) cmdInit(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: p2drm init <bank-account-name>")
-	}
-	st, err := kvstore.Open(w.home)
-	if err != nil {
-		return err
-	}
-	w.store = st
-	if st.Has([]byte("card-seed")) {
-		return fmt.Errorf("wallet already initialised in %s", w.home)
-	}
-	seed := make([]byte, kdf.SeedLen)
-	if _, err := rand.Read(seed); err != nil {
-		return err
-	}
-	if err := st.Put([]byte("card-seed"), seed); err != nil {
-		return err
-	}
-	if err := st.Put([]byte("bank-account"), []byte(args[0])); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
 	// Try to open the account at the daemon's demo bank (ignore "exists").
-	if err := w.client.CreateAccount(args[0], 50); err != nil &&
+	if err := client.CreateAccount(account, 50); err != nil &&
 		!strings.Contains(err.Error(), "exists") {
 		log.Printf("warning: bank account: %v", err)
 	}
-	log.Printf("wallet initialised in %s (account %q)", w.home, args[0])
+	log.Printf("wallet initialised in %s (account %q)", cfg.Dir, account)
 	return nil
 }
 
-func (w *wallet) cmdCatalog() error {
-	items, err := w.client.Catalog()
+func cmdCatalog(client *httpapi.Client, stdout io.Writer) error {
+	items, err := client.Catalog()
 	if err != nil {
 		return err
 	}
 	for _, it := range items {
-		fmt.Printf("%-12s %-28s %3d credits\n", it.ID, it.Title, it.PriceCredits)
+		fmt.Fprintf(stdout, "%-12s %-28s %3d credits\n", it.ID, it.Title, it.PriceCredits)
 	}
 	return nil
 }
 
-// licKey namespaces stored licenses.
-func licKey(serial license.Serial) []byte { return []byte("lic:" + serial.String()) }
-
-func (w *wallet) cmdBuy(args []string) error {
-	if err := w.open(); err != nil {
-		return err
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: p2drm buy <content-id>")
-	}
-	contentID := license.ContentID(args[0])
-	items, err := w.client.Catalog()
+func cmdBuy(w *wallet.Wallet, client *httpapi.Client, id string) error {
+	items, err := client.Catalog()
 	if err != nil {
 		return err
 	}
-	var price int64 = -1
+	price := -1
 	for _, it := range items {
-		if it.ID == args[0] {
-			price = it.PriceCredits
+		if it.ID == id {
+			price = int(it.PriceCredits)
 		}
 	}
 	if price < 0 {
-		return fmt.Errorf("content %q not in catalog", args[0])
+		return fmt.Errorf("content %q not in catalog", id)
 	}
-	acct, err := w.account()
+	idx, err := w.NewPseudonym()
 	if err != nil {
 		return err
 	}
-	idx, err := w.nextPseudonym()
+	lic, err := w.Buy(license.ContentID(id), price, idx)
 	if err != nil {
 		return err
 	}
-	ps, err := w.card.Pseudonym(idx)
-	if err != nil {
-		return err
-	}
-	nonce, err := w.client.Challenge()
-	if err != nil {
-		return err
-	}
-	proof, err := w.card.Prove(idx, provider.RegisterContext(nonce))
-	if err != nil {
-		return err
-	}
-	if err := w.client.Register(ps.SignPublic(w.group), ps.EncPublic(w.group), proof, nonce); err != nil {
-		return err
-	}
-	coins, err := w.client.WithdrawCoins(acct, int(price))
-	if err != nil {
-		return err
-	}
-	lic, err := w.client.Purchase(contentID, ps.SignPublic(w.group), ps.EncPublic(w.group), coins)
-	if err != nil {
-		return err
-	}
-	if err := w.store.Put(licKey(lic.Serial), lic.Marshal()); err != nil {
-		return err
-	}
-	var ib [4]byte
-	binary.BigEndian.PutUint32(ib[:], idx)
-	if err := w.store.Put([]byte("idx:"+lic.Serial.String()), ib[:]); err != nil {
-		return err
-	}
-	log.Printf("bought %s — license %s (pseudonym #%d)", contentID, lic.Serial.String()[:16], idx)
+	log.Printf("bought %s — license %s (pseudonym #%d)", id, lic.Serial.String()[:16], idx)
 	return nil
 }
 
-func (w *wallet) cmdWallet() error {
-	if err := w.open(); err != nil {
-		return err
-	}
-	n := 0
-	w.store.PrefixScan([]byte("lic:"), func(k, v []byte) bool {
-		lic, err := license.UnmarshalPersonalized(v)
-		if err != nil {
-			return true
-		}
-		fmt.Printf("%s  %-12s issued %s\n",
+func cmdWallet(w *wallet.Wallet, stdout io.Writer) error {
+	lics := w.Licenses("")
+	for _, lic := range lics {
+		fmt.Fprintf(stdout, "%s  %-12s issued %s\n",
 			lic.Serial.String()[:16], lic.ContentID, lic.IssuedAt.Format(time.RFC3339))
-		n++
-		return true
-	})
-	if n == 0 {
-		fmt.Println("(wallet empty)")
+	}
+	if len(lics) == 0 {
+		fmt.Fprintln(stdout, "(wallet empty)")
+	}
+	if n := w.Purse(); n > 0 {
+		fmt.Fprintf(stdout, "purse: %d unspent coins\n", n)
 	}
 	return nil
 }
 
-// findLicense resolves a serial prefix to a stored license + pseudonym.
-func (w *wallet) findLicense(prefix string) (*license.Personalized, uint32, error) {
-	var found *license.Personalized
-	w.store.PrefixScan([]byte("lic:"), func(k, v []byte) bool {
-		if strings.HasPrefix(string(k[len("lic:"):]), prefix) {
-			if lic, err := license.UnmarshalPersonalized(v); err == nil {
-				found = lic
-				return false
-			}
-		}
-		return true
-	})
-	if found == nil {
-		return nil, 0, fmt.Errorf("no wallet license matches %q", prefix)
-	}
-	raw, ok := w.store.Get([]byte("idx:" + found.Serial.String()))
-	if !ok || len(raw) != 4 {
-		return nil, 0, fmt.Errorf("pseudonym record missing for %s", found.Serial.String()[:16])
-	}
-	return found, binary.BigEndian.Uint32(raw), nil
-}
-
-func (w *wallet) cmdPlay(args []string, out string) error {
-	if err := w.open(); err != nil {
-		return err
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: p2drm play <serial-prefix> [-o file]")
-	}
-	lic, idx, err := w.findLicense(args[0])
+func cmdPlay(w *wallet.Wallet, client *httpapi.Client, home, prefix, out string, stdout io.Writer) (err error) {
+	lic, err := w.Find(prefix)
 	if err != nil {
 		return err
 	}
-	blob, err := w.client.Content(lic.ContentID)
+	blob, err := client.Content(lic.ContentID)
 	if err != nil {
 		return err
 	}
-	sf, err := w.client.RevocationFilter()
+	sf, err := client.RevocationFilter()
 	if err != nil {
 		return err
 	}
-	devState, err := kvstore.Open(w.home + "/device")
+	// The device's use counters must be durable before it plays, or a
+	// crash could hand back a play.
+	devState, err := kvstore.OpenWith(filepath.Join(home, "device"), kvstore.Options{Sync: kvstore.SyncGroupCommit})
 	if err != nil {
 		return err
 	}
-	defer devState.Close()
-	provPub, err := w.pinnedProviderKey()
+	defer func() { err = errors.Join(err, devState.Close()) }()
+	provPub, err := pinnedProviderKey(client, devState)
 	if err != nil {
 		return err
 	}
 	dev, err := device.New(device.Config{
 		ID: "cli-device", Class: "audio", Region: "EU",
-		Group: w.group, ProviderPub: provPub, State: devState,
+		Group: client.Group, ProviderPub: provPub, State: devState,
 	})
 	if err != nil {
 		return err
@@ -326,16 +211,16 @@ func (w *wallet) cmdPlay(args []string, out string) error {
 	if err := dev.InstallRevocationFilter(sf); err != nil {
 		return err
 	}
-	dst := os.Stdout
+	dst := stdout
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer func() { err = errors.Join(err, f.Close()) }()
 		dst = f
 	}
-	if err := dev.Play(w.card, idx, lic, newReader(blob), dst); err != nil {
+	if err := w.Play(dev, lic, bytes.NewReader(blob), dst); err != nil {
 		return err
 	}
 	if out != "" {
@@ -344,67 +229,29 @@ func (w *wallet) cmdPlay(args []string, out string) error {
 	return nil
 }
 
-func (w *wallet) cmdExchange(args []string, out string) error {
-	if err := w.open(); err != nil {
-		return err
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: p2drm exchange <serial-prefix> -o token-file")
-	}
+func cmdExchange(w *wallet.Wallet, prefix, out string) error {
 	if out == "" {
 		return fmt.Errorf("exchange requires -o <token-file>")
 	}
-	lic, idx, err := w.findLicense(args[0])
+	lic, err := w.Find(prefix)
 	if err != nil {
 		return err
 	}
-	denomPub, denomID, err := w.client.Denomination(lic.ContentID)
+	anon, _, err := w.Exchange(lic)
+	if anon != nil {
+		// The token is the user's even if retiring the licence locally
+		// failed: write it before reporting that.
+		err = errors.Join(os.WriteFile(out, anon.Marshal(), 0o600), err)
+	}
 	if err != nil {
 		return err
 	}
-	serial, err := license.NewSerial()
-	if err != nil {
-		return err
-	}
-	msg := license.AnonymousSigningBytes(serial, denomID)
-	blinded, st, err := rsablind.Blind(denomPub, msg, rand.Reader)
-	if err != nil {
-		return err
-	}
-	nonce, err := w.client.Challenge()
-	if err != nil {
-		return err
-	}
-	proof, err := w.card.Prove(idx, provider.ExchangeContext(nonce, lic.Serial))
-	if err != nil {
-		return err
-	}
-	blindSig, err := w.client.Exchange(lic, proof, nonce, blinded)
-	if err != nil {
-		return err
-	}
-	sig, err := rsablind.Unblind(denomPub, st, blindSig)
-	if err != nil {
-		return err
-	}
-	anon := &license.Anonymous{Serial: serial, Denom: denomID, Sig: sig}
-	if err := os.WriteFile(out, anon.Marshal(), 0o600); err != nil {
-		return err
-	}
-	w.store.Delete(licKey(lic.Serial))
-	w.store.Delete([]byte("idx:" + lic.Serial.String()))
 	log.Printf("exchanged %s for bearer token %s (give this file to the recipient)", lic.Serial.String()[:16], out)
 	return nil
 }
 
-func (w *wallet) cmdRedeem(args []string) error {
-	if err := w.open(); err != nil {
-		return err
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: p2drm redeem <token-file>")
-	}
-	raw, err := os.ReadFile(args[0])
+func cmdRedeem(w *wallet.Wallet, file string) error {
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		return err
 	}
@@ -412,35 +259,8 @@ func (w *wallet) cmdRedeem(args []string) error {
 	if err != nil {
 		return err
 	}
-	idx, err := w.nextPseudonym()
+	lic, err := w.Redeem(anon)
 	if err != nil {
-		return err
-	}
-	ps, err := w.card.Pseudonym(idx)
-	if err != nil {
-		return err
-	}
-	nonce, err := w.client.Challenge()
-	if err != nil {
-		return err
-	}
-	proof, err := w.card.Prove(idx, provider.RegisterContext(nonce))
-	if err != nil {
-		return err
-	}
-	if err := w.client.Register(ps.SignPublic(w.group), ps.EncPublic(w.group), proof, nonce); err != nil {
-		return err
-	}
-	lic, err := w.client.Redeem(anon, ps.SignPublic(w.group), ps.EncPublic(w.group))
-	if err != nil {
-		return err
-	}
-	if err := w.store.Put(licKey(lic.Serial), lic.Marshal()); err != nil {
-		return err
-	}
-	var ib [4]byte
-	binary.BigEndian.PutUint32(ib[:], idx)
-	if err := w.store.Put([]byte("idx:"+lic.Serial.String()), ib[:]); err != nil {
 		return err
 	}
 	log.Printf("redeemed token -> license %s for %s", lic.Serial.String()[:16], lic.ContentID)
@@ -448,25 +268,24 @@ func (w *wallet) cmdRedeem(args []string) error {
 }
 
 // pinnedProviderKey implements trust-on-first-use for the provider's
-// verification key: on first contact the key is fetched and stored; on
-// later runs a changed key is refused (a swapped key would let a rogue
-// server feed the device forged licenses and filters).
-func (w *wallet) pinnedProviderKey() (*rsa.PublicKey, error) {
-	pub, err := w.client.ProviderKey()
+// verification key, kept with the device's state: on first contact the
+// key is fetched and stored; on later runs a changed key is refused (a
+// swapped key would let a rogue server feed the device forged licenses
+// and filters).
+func pinnedProviderKey(client *httpapi.Client, st *kvstore.Store) (*rsa.PublicKey, error) {
+	pub, err := client.ProviderKey()
 	if err != nil {
 		return nil, err
 	}
 	fetched := append(pub.N.Bytes(), byte(pub.E>>16), byte(pub.E>>8), byte(pub.E))
-	if pinned, ok := w.store.Get([]byte("provider-key")); ok {
-		if string(pinned) != string(fetched) {
+	if pinned, ok := st.Get([]byte("provider-key")); ok {
+		if !bytes.Equal(pinned, fetched) {
 			return nil, fmt.Errorf("provider key changed since first use; refusing")
 		}
 		return pub, nil
 	}
-	if err := w.store.Put([]byte("provider-key"), fetched); err != nil {
+	if err := st.Put([]byte("provider-key"), fetched); err != nil {
 		return nil, err
 	}
 	return pub, nil
 }
-
-func newReader(b []byte) *strings.Reader { return strings.NewReader(string(b)) }

@@ -3,8 +3,10 @@
 // which users buy, play and transfer protected content anonymously and
 // unlinkably, while the content provider keeps full rights enforcement.
 //
-// The implementation lives under internal/: start at internal/core for
-// the assembled protocols, and see README.md for the architecture map.
+// The implementation lives under internal/: start at internal/wallet for
+// the client half of every protocol and internal/provider for the
+// server half (internal/core assembles both in one process), and see
+// README.md for the architecture map.
 // The benchmark/ module (BENCHMARK.json) is the live-topology benchmark
 // that gates every PR; BENCH.md tracks its trajectory across PRs.
 //

@@ -1,6 +1,8 @@
-// Package core assembles the P2DRM parties into the end-to-end protocols
-// of the 2004 paper, in one process and in memory. The examples, the
-// workload generator and the root integration tests drive this API.
+// Package core assembles the P2DRM parties in one process and in memory:
+// a provider, a bank, compliant devices, and users, each an in-memory
+// wallet (internal/wallet, which holds the client half of every protocol)
+// that reaches the provider and bank through wallet.Local. The examples,
+// the workload generator and the root integration tests drive this API.
 //
 // The protocols, each a method on System:
 //
@@ -13,22 +15,19 @@
 //	Play         compliant playback on a device.
 //	Delegate     star license issuance (user-attributed rights).
 //
-// System wires an in-process provider and bank; cmd/p2drmd wires the
-// same two over its durable store and serves them through the httpapi
-// package for multi-process deployments.
+// cmd/p2drmd wires the same provider and bank over its durable store and
+// serves them through the httpapi package; the p2drm CLI is a wallet in a
+// directory speaking to it over HTTP.
 package core
 
 import (
-	"context"
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/device"
 	"p2drm/internal/kvstore"
@@ -36,7 +35,7 @@ import (
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
 	"p2drm/internal/rel"
-	"p2drm/internal/smartcard"
+	"p2drm/internal/wallet"
 )
 
 // Options configures a System.
@@ -50,9 +49,10 @@ type Options struct {
 	DenomKeyBits int
 	// Clock injects time for deterministic tests.
 	Clock func() time.Time
-	// DisableBlinding switches Transfer to the no-blinding ablation:
-	// anonymous serials are sent to the provider in clear, making
-	// exchange↔redeem linkable. Never use outside experiments.
+	// DisableBlinding switches Transfer to the no-blinding ablation
+	// (wallet.Config.Linkable): anonymous serials are sent to the
+	// provider in clear, making exchange↔redeem linkable. Never use
+	// outside experiments.
 	DisableBlinding bool
 }
 
@@ -62,22 +62,15 @@ type System struct {
 	Provider *provider.Provider
 	Bank     *payment.Bank
 	opts     Options
-
-	mu    sync.Mutex
-	users map[string]*User
 }
 
-// User is a client-side principal: a smartcard plus local state. The name
-// exists ONLY locally (ground truth for experiments); it never crosses the
-// wire to the provider.
+// User is a client-side principal: a named in-memory wallet drawing on
+// the bank account of the same name. The name exists ONLY locally
+// (ground truth for experiments); it never crosses the wire to the
+// provider.
 type User struct {
-	Name        string
-	Card        *smartcard.Card
-	BankAccount string
-
-	mu            sync.Mutex
-	nextPseudonym uint32
-	pseudonymOf   map[license.Serial]uint32
+	Name string
+	*wallet.Wallet
 }
 
 // NewSystem builds a provider + bank pair with fresh keys.
@@ -132,177 +125,59 @@ func NewSystem(opts Options) (*System, error) {
 		Provider: prov,
 		Bank:     bank,
 		opts:     opts,
-		users:    make(map[string]*User),
 	}, nil
 }
 
 // NewUser creates a local user with a fresh card and a funded bank
 // account.
 func (s *System) NewUser(name string, funds int64) (*User, error) {
-	card, err := smartcard.NewRandom(s.Group)
-	if err != nil {
-		return nil, err
-	}
 	if err := s.Bank.CreateAccount(name, funds); err != nil {
 		return nil, err
 	}
-	u := &User{Name: name, Card: card, BankAccount: name, pseudonymOf: make(map[license.Serial]uint32)}
-	s.mu.Lock()
-	s.users[name] = u
-	s.mu.Unlock()
-	return u, nil
-}
-
-// FreshPseudonym reserves the next unused pseudonym index.
-func (u *User) FreshPseudonym() uint32 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	idx := u.nextPseudonym
-	u.nextPseudonym++
-	return idx
-}
-
-// register runs the pseudonym registration protocol.
-func (s *System) register(u *User, index uint32) (signPub, encPub []byte, err error) {
-	ps, err := u.Card.Pseudonym(index)
+	w, err := wallet.Create(wallet.Config{
+		Group:    s.Group,
+		Party:    wallet.Local(s.Provider, s.Bank),
+		Linkable: s.opts.DisableBlinding,
+	}, name, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	nonce, err := s.Provider.Challenge(context.Background())
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, err := u.Card.Prove(index, provider.RegisterContext(nonce))
-	if err != nil {
-		return nil, nil, err
-	}
-	signPub = ps.SignPublic(s.Group)
-	encPub = ps.EncPublic(s.Group)
-	if err := s.Provider.Register(context.Background(), signPub, encPub, proof, nonce); err != nil {
-		return nil, nil, err
-	}
-	return signPub, encPub, nil
+	return &User{Name: name, Wallet: w}, nil
 }
 
 // Purchase runs the anonymous purchase protocol under a fresh pseudonym.
 func (s *System) Purchase(u *User, contentID license.ContentID) (*license.Personalized, error) {
-	return s.PurchaseWithPseudonym(u, contentID, u.FreshPseudonym())
+	idx, err := u.FreshPseudonym()
+	if err != nil {
+		return nil, err
+	}
+	return s.PurchaseWithPseudonym(u, contentID, idx)
 }
 
-// PurchaseWithPseudonym purchases under a caller-chosen pseudonym index.
-// Experiments use this to model pseudonym REUSE (the F1 x-axis): reusing
-// an index lets the provider link those purchases.
+// PurchaseWithPseudonym registers a caller-chosen pseudonym index and
+// purchases under it. Experiments use this to model pseudonym REUSE (the
+// F1 x-axis): reusing an index lets the provider link those purchases.
 func (s *System) PurchaseWithPseudonym(u *User, contentID license.ContentID, index uint32) (*license.Personalized, error) {
 	item, err := s.Provider.Item(contentID)
 	if err != nil {
 		return nil, err
 	}
-	signPub, encPub, err := s.register(u, index)
-	if err != nil {
+	if err := u.Register(index); err != nil {
 		return nil, err
 	}
-	coins, err := s.Bank.WithdrawCoins(u.BankAccount, int(item.PriceCredits))
-	if err != nil {
-		return nil, err
-	}
-	lic, err := s.Provider.Purchase(context.Background(), provider.PurchaseRequest{
-		ContentID: contentID,
-		SignPub:   signPub,
-		EncPub:    encPub,
-		Coins:     coins,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Remember which pseudonym the license binds to, for later use.
-	u.mu.Lock()
-	u.pseudonymOf[lic.Serial] = index
-	u.mu.Unlock()
-	return lic, nil
-}
-
-// PseudonymFor returns the pseudonym index a held license binds to.
-func (u *User) PseudonymFor(serial license.Serial) (uint32, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	idx, ok := u.pseudonymOf[serial]
-	if !ok {
-		return 0, errors.New("core: license not in wallet")
-	}
-	return idx, nil
+	return u.Buy(contentID, int(item.PriceCredits), index)
 }
 
 // Exchange retires a held license for an anonymous bearer license.
 func (s *System) Exchange(u *User, lic *license.Personalized) (*license.Anonymous, error) {
-	idx, err := u.PseudonymFor(lic.Serial)
-	if err != nil {
-		return nil, err
-	}
-	denomPub, denomID, err := s.Provider.DenomPublic(lic.ContentID)
-	if err != nil {
-		return nil, err
-	}
-	serial, err := license.NewSerial()
-	if err != nil {
-		return nil, err
-	}
-	msg := license.AnonymousSigningBytes(serial, denomID)
-
-	var blinded []byte
-	var st *rsablind.State
-	if s.opts.DisableBlinding {
-		// Ablation A1: the provider sees (the deterministic hash of) the
-		// serial it signs, so exchange and redeem become linkable.
-		blinded = rsablind.Prehash(denomPub, msg)
-	} else {
-		blinded, st, err = rsablind.Blind(denomPub, msg, rand.Reader)
-		if err != nil {
-			return nil, err
-		}
-	}
-	nonce, err := s.Provider.Challenge(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	proof, err := u.Card.Prove(idx, provider.ExchangeContext(nonce, lic.Serial))
-	if err != nil {
-		return nil, err
-	}
-	blindSig, err := s.Provider.Exchange(context.Background(), lic, proof, nonce, blinded)
-	if err != nil {
-		return nil, err
-	}
-	var sig []byte
-	if s.opts.DisableBlinding {
-		sig = blindSig // raw FDH signature over msg
-		if err := rsablind.Verify(denomPub, msg, sig); err != nil {
-			return nil, err
-		}
-	} else {
-		sig, err = rsablind.Unblind(denomPub, st, blindSig)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &license.Anonymous{Serial: serial, Denom: denomID, Sig: sig}, nil
+	anon, _, err := u.Wallet.Exchange(lic)
+	return anon, err
 }
 
 // Redeem turns a received anonymous license into a personalized license
 // under a fresh pseudonym of the recipient.
 func (s *System) Redeem(u *User, anon *license.Anonymous) (*license.Personalized, error) {
-	idx := u.FreshPseudonym()
-	signPub, encPub, err := s.register(u, idx)
-	if err != nil {
-		return nil, err
-	}
-	lic, err := s.Provider.Redeem(context.Background(), anon, signPub, encPub)
-	if err != nil {
-		return nil, err
-	}
-	u.mu.Lock()
-	u.pseudonymOf[lic.Serial] = idx
-	u.mu.Unlock()
-	return lic, nil
+	return u.Wallet.Redeem(anon)
 }
 
 // Transfer runs the full anonymous transfer: from exchanges, to redeems.
@@ -359,35 +234,17 @@ func (s *System) RefreshDevice(dev *device.Device) error {
 
 // Play fetches the encrypted content and plays the license on a device.
 func (s *System) Play(u *User, dev *device.Device, lic *license.Personalized, out io.Writer) error {
-	idx, err := u.PseudonymFor(lic.Serial)
-	if err != nil {
-		return err
-	}
 	item, err := s.Provider.Item(lic.ContentID)
 	if err != nil {
 		return err
 	}
-	return dev.Play(u.Card, idx, lic, newByteReader(item.Encrypted), out)
+	return u.Wallet.Play(dev, lic, bytes.NewReader(item.Encrypted), out)
 }
 
 // Delegate issues a star license from a held license to another user's
 // fresh pseudonym and returns it with the delegate index used.
 func (s *System) Delegate(from *User, lic *license.Personalized, to *User, restriction *rel.Rights) (*license.Star, uint32, error) {
-	idx, err := from.PseudonymFor(lic.Serial)
-	if err != nil {
-		return nil, 0, err
-	}
-	dIdx := to.FreshPseudonym()
-	dp, err := to.Card.Pseudonym(dIdx)
-	if err != nil {
-		return nil, 0, err
-	}
-	star, err := from.Card.IssueStarLicense(idx, lic, restriction,
-		dp.SignPublic(s.Group), dp.EncPublic(s.Group), s.opts.Clock())
-	if err != nil {
-		return nil, 0, err
-	}
-	return star, dIdx, nil
+	return from.Wallet.Delegate(lic, to.Wallet, restriction, s.opts.Clock())
 }
 
 // PlayStar plays a delegated license on a device.
@@ -396,22 +253,5 @@ func (s *System) PlayStar(to *User, dIdx uint32, dev *device.Device, parent *lic
 	if err != nil {
 		return err
 	}
-	return dev.PlayStar(to.Card, dIdx, parent, star, newByteReader(item.Encrypted), out)
-}
-
-// newByteReader avoids importing bytes just for a reader.
-func newByteReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
+	return dev.PlayStar(to.Card(), dIdx, parent, star, bytes.NewReader(item.Encrypted), out)
 }

@@ -261,7 +261,10 @@ func TestPseudonymFreshnessAcrossPurchases(t *testing.T) {
 func TestPseudonymReuseIsVisible(t *testing.T) {
 	s := newTestSystem(t, Options{})
 	alice, _ := s.NewUser("alice", 20)
-	idx := alice.FreshPseudonym()
+	idx, err := alice.FreshPseudonym()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.PurchaseWithPseudonym(alice, "song-1", idx)
 	s.PurchaseWithPseudonym(alice, "song-1", idx)
 	fps := map[string]bool{}

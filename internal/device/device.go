@@ -10,7 +10,8 @@
 //  3. challenge the user's smartcard to prove it owns the license
 //     pseudonym (fresh nonce, so recorded proofs don't replay),
 //  4. evaluate the license rights against device facts (time, class,
-//     region, domain membership, persisted use counters),
+//     region, persisted use counters; no device is in a domain, so a
+//     "require domain" license plays nowhere),
 //  5. persist the counter increment BEFORE any plaintext is produced
 //     (a crash can cost the user a play, never gain one), and
 //  6. unwrap the content key through the card and decrypt.
@@ -75,7 +76,6 @@ type Device struct {
 	mu           sync.Mutex
 	filter       *bloom.Filter
 	filterIssued time.Time
-	domainID     string
 }
 
 // New validates the configuration and builds a device.
@@ -127,21 +127,6 @@ func (d *Device) InstallRevocationFilter(sf *revocation.SignedFilter) error {
 	d.filter = f
 	d.filterIssued = sf.IssuedAt
 	return nil
-}
-
-// JoinedDomain records membership of an authorized domain, the fact a
-// "require domain" clause checks (cleared with an empty string).
-func (d *Device) JoinedDomain(domainID string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.domainID = domainID
-}
-
-// DomainID returns the joined domain, if any.
-func (d *Device) DomainID() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.domainID
 }
 
 // usedKey is the secure-counter key for (serial scope, action).
@@ -229,7 +214,7 @@ func (d *Device) evaluate(rights *rel.Rights, action rel.Action, scope string) (
 		Now:         d.cfg.Clock(),
 		DeviceClass: d.cfg.Class,
 		Region:      d.cfg.Region,
-		InDomain:    d.DomainID() != "",
+		InDomain:    false,
 		Used:        map[rel.Action]int64{action: used},
 	}
 	dec := rights.Evaluate(action, ctx)

@@ -374,14 +374,6 @@ func TestDomainRequirement(t *testing.T) {
 	if err := f.play(t); err == nil {
 		t.Fatal("domain license played outside domain")
 	}
-	f.dev.JoinedDomain("home-1")
-	if err := f.play(t); err != nil {
-		t.Fatalf("domain license denied inside domain: %v", err)
-	}
-	f.dev.JoinedDomain("")
-	if err := f.play(t); err == nil {
-		t.Fatal("domain license played after leaving domain")
-	}
 }
 
 func TestDoNonContentAction(t *testing.T) {

@@ -11,11 +11,13 @@
 //     the card no storage.
 //   - Private scalars never leave the card; callers get proofs,
 //     signatures and unwrapped content keys, never keys used to make them.
-//   - Card cost is counted, not simulated: Stats tallies the modular
-//     exponentiations real card silicon would pay. The host pays them
-//     in software, and a card in a long-lived process pays the group's
-//     fixed-base rate: the group builds its table once the process has
-//     computed enough g^x (schnorr.Group.ExpG), with no call from here.
+//   - The host pays the card's exponentiations in software, and a card
+//     in a long-lived process pays the group's fixed-base rate: the
+//     group builds its table once the process has computed enough g^x
+//     (schnorr.Group.ExpG), with no call from here.
+//
+// The seed's custody is the wallet's (internal/wallet keeps it in its
+// store); the card has no export path of its own.
 package smartcard
 
 import (
@@ -24,10 +26,8 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"p2drm/internal/cryptox/envelope"
 	"p2drm/internal/cryptox/kdf"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/license"
@@ -55,14 +55,6 @@ func (p *Pseudonym) SignY() *big.Int { return p.sign.Y }
 // EncY returns the encryption public key element.
 func (p *Pseudonym) EncY() *big.Int { return p.enc.Y }
 
-// Stats counts card operations, the unit of cost on real card silicon.
-type Stats struct {
-	ModExps    int64
-	Signatures int64
-	Proofs     int64
-	Unwraps    int64
-}
-
 // Card is a simulated smartcard.
 type Card struct {
 	group *schnorr.Group
@@ -70,11 +62,6 @@ type Card struct {
 
 	mu    sync.Mutex
 	cache map[uint32]*Pseudonym
-
-	modExps    atomic.Int64
-	signatures atomic.Int64
-	proofs     atomic.Int64
-	unwraps    atomic.Int64
 }
 
 // New creates a card over group with the given master seed.
@@ -93,21 +80,6 @@ func NewRandom(g *schnorr.Group) (*Card, error) {
 
 // Group returns the card's group.
 func (c *Card) Group() *schnorr.Group { return c.group }
-
-// Stats returns a snapshot of operation counters.
-func (c *Card) Stats() Stats {
-	return Stats{
-		ModExps:    c.modExps.Load(),
-		Signatures: c.signatures.Load(),
-		Proofs:     c.proofs.Load(),
-		Unwraps:    c.unwraps.Load(),
-	}
-}
-
-// chargeExp accounts for n modular exponentiations.
-func (c *Card) chargeExp(n int64) {
-	c.modExps.Add(n)
-}
 
 // Pseudonym derives (or returns the cached) pseudonym at index.
 func (c *Card) Pseudonym(index uint32) (*Pseudonym, error) {
@@ -130,7 +102,6 @@ func (c *Card) Pseudonym(index uint32) (*Pseudonym, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.chargeExp(2) // two g^x to derive the public halves
 	p := &Pseudonym{Index: index, sign: sign, enc: enc}
 
 	c.mu.Lock()
@@ -142,16 +113,12 @@ func (c *Card) Pseudonym(index uint32) (*Pseudonym, error) {
 // Prove produces a proof of knowledge of the pseudonym's signing key,
 // bound to context (typically a provider nonce). Proofs are generated
 // with crypto/rand, so when the group has a nonce pool enabled
-// (schnorr.Group.EnableNoncePool) the commitment comes precomputed —
-// the card model charges the exponentiation either way, since real
-// card hardware would still pay it.
+// (schnorr.Group.EnableNoncePool) the commitment comes precomputed.
 func (c *Card) Prove(index uint32, context []byte) (*schnorr.Proof, error) {
 	p, err := c.Pseudonym(index)
 	if err != nil {
 		return nil, err
 	}
-	c.chargeExp(1) // commitment g^k
-	c.proofs.Add(1)
 	return p.sign.Prove(context, rand.Reader)
 }
 
@@ -162,8 +129,6 @@ func (c *Card) Sign(index uint32, msg []byte) (*schnorr.Signature, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.chargeExp(1)
-	c.signatures.Add(1)
 	return p.sign.Sign(msg, rand.Reader)
 }
 
@@ -175,8 +140,6 @@ func (c *Card) UnwrapContentKey(index uint32, kw license.KeyWrap, label []byte) 
 	if err != nil {
 		return nil, err
 	}
-	c.chargeExp(2) // subgroup check + shared-secret exponentiation
-	c.unwraps.Add(1)
 	key, err := kw.Unwrap(c.group, p.enc.X, label)
 	if err != nil {
 		return nil, fmt.Errorf("smartcard: unwrap: %w", err)
@@ -224,7 +187,6 @@ func (c *Card) IssueStarLicense(holderIndex uint32, parent *license.Personalized
 	if err != nil {
 		return nil, fmt.Errorf("smartcard: rewrap: %w", err)
 	}
-	c.chargeExp(2) // KEM encap
 	s := &license.Star{
 		ParentSerial: parent.Serial,
 		ContentID:    parent.ContentID,
@@ -240,43 +202,4 @@ func (c *Card) IssueStarLicense(holderIndex uint32, parent *license.Personalized
 	}
 	s.HolderSig = sig.Bytes(c.group)
 	return s, nil
-}
-
-// zeroize wipes the seed; after Destroy the card mints no new pseudonyms.
-func (c *Card) Destroy() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.seed {
-		c.seed[i] = 0
-	}
-	c.cache = make(map[uint32]*Pseudonym)
-}
-
-// SealedBackup exports the seed encrypted under a user passphrase-derived
-// key: the paper's device-upgrade path (move your identity to a new card)
-// without giving the provider a linkage hook.
-func (c *Card) SealedBackup(passphrase []byte) ([]byte, error) {
-	key, err := kdf.Key(passphrase, []byte("p2drm/card-backup/v1"), nil, 32)
-	if err != nil {
-		return nil, err
-	}
-	return envelope.Seal(key, c.seed[:], []byte("card-backup"))
-}
-
-// RestoreCard rebuilds a card from a sealed backup.
-func RestoreCard(g *schnorr.Group, backup, passphrase []byte) (*Card, error) {
-	key, err := kdf.Key(passphrase, []byte("p2drm/card-backup/v1"), nil, 32)
-	if err != nil {
-		return nil, err
-	}
-	seedBytes, err := envelope.Open(key, backup, []byte("card-backup"))
-	if err != nil {
-		return nil, fmt.Errorf("smartcard: restore: %w", err)
-	}
-	if len(seedBytes) != kdf.SeedLen {
-		return nil, errors.New("smartcard: corrupt backup")
-	}
-	var seed [kdf.SeedLen]byte
-	copy(seed[:], seedBytes)
-	return New(g, seed), nil
 }

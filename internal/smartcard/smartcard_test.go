@@ -187,21 +187,6 @@ func TestUnwrapContentKey(t *testing.T) {
 	}
 }
 
-func TestStatsAccounting(t *testing.T) {
-	c := testCard(t)
-	before := c.Stats()
-	c.Pseudonym(0)
-	c.Prove(0, []byte("x"))
-	c.Sign(0, []byte("y"))
-	after := c.Stats()
-	if after.ModExps <= before.ModExps {
-		t.Error("modexp counter did not advance")
-	}
-	if after.Proofs != before.Proofs+1 || after.Signatures != before.Signatures+1 {
-		t.Errorf("op counters wrong: %+v", after)
-	}
-}
-
 func makeParent(t *testing.T, c *Card, index uint32, rights *rel.Rights, key []byte) *license.Personalized {
 	t.Helper()
 	g := c.Group()
@@ -293,41 +278,6 @@ func TestIssueStarRefusals(t *testing.T) {
 	if _, err := holder.IssueStarLicense(0, parent, nil,
 		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
 		t.Error("nil restriction accepted")
-	}
-}
-
-func TestBackupRestore(t *testing.T) {
-	c := testCard(t)
-	p0, _ := c.Pseudonym(0)
-	backup, err := c.SealedBackup([]byte("correct horse"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreCard(c.Group(), backup, []byte("correct horse"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp0, _ := restored.Pseudonym(0)
-	if p0.SignY().Cmp(rp0.SignY()) != 0 {
-		t.Error("restored card derives different pseudonyms")
-	}
-	if _, err := RestoreCard(c.Group(), backup, []byte("wrong pass")); err == nil {
-		t.Error("wrong passphrase accepted")
-	}
-	if _, err := RestoreCard(c.Group(), backup[:10], []byte("correct horse")); err == nil {
-		t.Error("truncated backup accepted")
-	}
-}
-
-func TestDestroyWipes(t *testing.T) {
-	c := testCard(t)
-	p, _ := c.Pseudonym(0)
-	c.Destroy()
-	// After destruction the card derives from the zero seed — different
-	// pseudonyms, so the old identity is unrecoverable from the card.
-	p2, _ := c.Pseudonym(0)
-	if p.SignY().Cmp(p2.SignY()) == 0 {
-		t.Error("destroyed card still derives original pseudonyms")
 	}
 }
 

@@ -6,12 +6,13 @@ package workload
 // revocation checks) round-robin across replicas when any are
 // configured.
 //
-// The executor is the client side of the paper's protocol: each
-// simulated user owns a smartcard, registers pseudonyms, withdraws
-// blind-signed coins, and — for the playback scenario — runs the full
-// purchase → blinded exchange → third-party redeem flow, keeping the
-// per-pair ground truth the unlinkability property test scores
-// linkage.Attack against.
+// Each simulated user is an in-memory wallet (internal/wallet) speaking
+// to the primary: it registers pseudonyms, pays with blind coins, and —
+// for the playback scenario — runs the full purchase → blinded exchange
+// → third-party redeem flow. The executor adds what is its own: trace
+// dispatch, replica round-robin, and the per-pair ground truth the
+// unlinkability property test scores linkage.Attack against. Workers
+// share one wallet per user.
 
 import (
 	"context"
@@ -22,11 +23,10 @@ import (
 	"sync/atomic"
 
 	"p2drm/internal/cryptox/kdf"
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/httpapi"
 	"p2drm/internal/license"
 	"p2drm/internal/provider"
-	"p2drm/internal/smartcard"
+	"p2drm/internal/wallet"
 )
 
 // Topology names the daemons a load run drives.
@@ -42,9 +42,10 @@ type ExecOptions struct {
 	AccountPrefix string
 	// Funds is the per-user account balance (default 1 000 000).
 	Funds int64
-	// Linkable disables blinding in the playback flow — the ablation
-	// control for the unlinkability test: the provider sees the bare
-	// prehash at exchange and can match it at redeem.
+	// Linkable disables blinding in the playback flow
+	// (wallet.Config.Linkable) — the ablation control for the
+	// unlinkability test: the provider sees the bare prehash at exchange
+	// and can match it at redeem.
 	Linkable bool
 	// Admin, when set, is the client used for admin-tier setup (account
 	// creation); load traffic still flows through Topology.Primary.
@@ -62,25 +63,10 @@ type PlaybackPair struct {
 	AnonSerial  string // journal encoding of the serial the peer redeemed
 }
 
-// loadUser is one simulated user: a deterministic smartcard, a funded
-// bank account, and a registered "current" pseudonym for plain
-// purchases. Fresh pseudonym indices come from an atomic counter so
-// concurrent ops never collide.
-type loadUser struct {
-	card    *smartcard.Card
-	account string
-	nextIdx atomic.Uint32
-
-	mu     sync.Mutex
-	curIdx uint32
-	curSet bool
-}
-
 // Executor materializes OpSpecs into runnable Ops against a topology.
 type Executor struct {
 	topo    Topology
-	opts    ExecOptions
-	users   []*loadUser
+	users   []*wallet.Wallet
 	catalog []httpapi.CatalogEntry
 	rr      atomic.Uint64
 
@@ -90,8 +76,9 @@ type Executor struct {
 
 // NewExecutor connects to the topology: fetches the live catalog (the
 // trace's content slots map onto whatever the daemon actually serves),
-// creates each user's smartcard (deterministically from seed, so reruns
-// present the same pseudonym population) and funded bank account.
+// creates each user's funded bank account and wallet (its card seeded
+// deterministically from seed, so reruns present the same pseudonym
+// population).
 func NewExecutor(ctx context.Context, topo Topology, users int, seed int64, opts ExecOptions) (*Executor, error) {
 	if topo.Primary == nil {
 		return nil, fmt.Errorf("workload: executor needs a primary client")
@@ -120,17 +107,20 @@ func NewExecutor(ctx context.Context, topo Topology, users int, seed int64, opts
 	if len(cat) == 0 {
 		return nil, fmt.Errorf("workload: daemon catalog is empty; seed some content first")
 	}
-	e := &Executor{topo: topo, opts: opts, catalog: cat}
+	e := &Executor{topo: topo, catalog: cat}
 	for i := 0; i < users; i++ {
 		var cardSeed [kdf.SeedLen]byte
 		sum := sha256.Sum256([]byte(fmt.Sprintf("p2drm-load/%d/user/%d", seed, i)))
 		copy(cardSeed[:], sum[:])
-		u := &loadUser{
-			card:    smartcard.New(topo.Primary.Group, cardSeed),
-			account: fmt.Sprintf("%s-u%03d", opts.AccountPrefix, i),
-		}
-		if err := admin.CreateAccount(u.account, opts.Funds); err != nil {
+		account := fmt.Sprintf("%s-u%03d", opts.AccountPrefix, i)
+		if err := admin.CreateAccount(account, opts.Funds); err != nil {
 			return nil, fmt.Errorf("workload: fund user %d: %w", i, err)
+		}
+		u, err := wallet.Create(wallet.Config{
+			Group: topo.Primary.Group, Party: topo.Primary, Linkable: opts.Linkable,
+		}, account, &cardSeed)
+		if err != nil {
+			return nil, err
 		}
 		e.users = append(e.users, u)
 	}
@@ -143,9 +133,6 @@ func (e *Executor) Pairs() []PlaybackPair {
 	defer e.pairsMu.Unlock()
 	return append([]PlaybackPair(nil), e.pairs...)
 }
-
-// Users returns the population size.
-func (e *Executor) Users() int { return len(e.users) }
 
 // readClient picks the target for replica-servable reads: round-robin
 // over replicas, primary when none are configured.
@@ -164,129 +151,34 @@ func (e *Executor) entryFor(slot int) httpapi.CatalogEntry {
 	return e.catalog[slot%len(e.catalog)]
 }
 
-// register performs the challenge/prove/register handshake for a fresh
-// pseudonym index and returns it.
-func (e *Executor) register(u *loadUser, idx uint32) error {
-	c := e.topo.Primary
-	ps, err := u.card.Pseudonym(idx)
+// purchase buys the entry under the user's current pseudonym.
+func purchase(u *wallet.Wallet, entry httpapi.CatalogEntry) (*license.Personalized, error) {
+	idx, err := u.Current()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	nonce, err := c.Challenge()
+	lic, err := u.Buy(license.ContentID(entry.ID), int(entry.PriceCredits), idx)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("purchase: %w", err)
 	}
-	proof, err := u.card.Prove(idx, provider.RegisterContext(nonce))
-	if err != nil {
-		return err
-	}
-	return c.Register(ps.SignPublic(c.Group), ps.EncPublic(c.Group), proof, nonce)
-}
-
-// currentIdx returns the user's registered "current" pseudonym,
-// registering a fresh one on first use.
-func (e *Executor) currentIdx(u *loadUser) (uint32, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.curSet {
-		return u.curIdx, nil
-	}
-	idx := u.nextIdx.Add(1) - 1
-	if err := e.register(u, idx); err != nil {
-		return 0, err
-	}
-	u.curIdx, u.curSet = idx, true
-	return idx, nil
-}
-
-// purchase buys the entry with the user's current pseudonym and returns
-// the personalized license plus the pseudonym index that owns it.
-func (e *Executor) purchase(u *loadUser, entry httpapi.CatalogEntry) (*license.Personalized, uint32, error) {
-	idx, err := e.currentIdx(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	c := e.topo.Primary
-	coins, err := c.WithdrawCoins(u.account, int(entry.PriceCredits))
-	if err != nil {
-		return nil, 0, fmt.Errorf("withdraw: %w", err)
-	}
-	ps, err := u.card.Pseudonym(idx)
-	if err != nil {
-		return nil, 0, err
-	}
-	lic, err := c.Purchase(license.ContentID(entry.ID), ps.SignPublic(c.Group), ps.EncPublic(c.Group), coins)
-	if err != nil {
-		return nil, 0, fmt.Errorf("purchase: %w", err)
-	}
-	return lic, idx, nil
+	return lic, nil
 }
 
 // playback runs the paper's unlinkable multiparty flow end to end:
-// the buyer purchases under pseudonym A, exchanges the personalized
-// license for a blind-signed anonymous one, and the peer registers a
-// fresh pseudonym B and redeems it. Ground truth for the linkage test
+// the buyer purchases under its current pseudonym, exchanges the
+// personalized license for a blind-signed anonymous one, and the peer
+// redeems it under a fresh pseudonym. Ground truth for the linkage test
 // is recorded on success.
 func (e *Executor) playback(buyer, peer int, entry httpapi.CatalogEntry) error {
-	u, p := e.users[buyer], e.users[peer]
-	c := e.topo.Primary
-
-	lic, idx, err := e.purchase(u, entry)
+	lic, err := purchase(e.users[buyer], entry)
 	if err != nil {
 		return err
 	}
-	denomPub, denomID, err := c.Denomination(license.ContentID(entry.ID))
-	if err != nil {
-		return err
-	}
-	serial, err := license.NewSerial()
-	if err != nil {
-		return err
-	}
-	msg := license.AnonymousSigningBytes(serial, denomID)
-	var blinded []byte
-	var st *rsablind.State
-	if e.opts.Linkable {
-		// Ablation: skip blinding. The provider signs the bare prehash,
-		// so the blob it journals at exchange equals what the redeem-time
-		// recomputation yields — the trace becomes linkable.
-		blinded = rsablind.Prehash(denomPub, msg)
-	} else {
-		blinded, st, err = rsablind.Blind(denomPub, msg, rand.Reader)
-		if err != nil {
-			return err
-		}
-	}
-	nonce, err := c.Challenge()
-	if err != nil {
-		return err
-	}
-	proof, err := u.card.Prove(idx, provider.ExchangeContext(nonce, lic.Serial))
-	if err != nil {
-		return err
-	}
-	blindSig, err := c.Exchange(lic, proof, nonce, blinded)
+	anon, blinded, err := e.users[buyer].Exchange(lic)
 	if err != nil {
 		return fmt.Errorf("exchange: %w", err)
 	}
-	sig := blindSig
-	if !e.opts.Linkable {
-		if sig, err = rsablind.Unblind(denomPub, st, blindSig); err != nil {
-			return err
-		}
-	}
-	anon := &license.Anonymous{Serial: serial, Denom: denomID, Sig: sig}
-
-	// Third party: fresh pseudonym, then redeem.
-	pIdx := p.nextIdx.Add(1) - 1
-	if err := e.register(p, pIdx); err != nil {
-		return fmt.Errorf("register peer: %w", err)
-	}
-	pps, err := p.card.Pseudonym(pIdx)
-	if err != nil {
-		return err
-	}
-	if _, err := c.Redeem(anon, pps.SignPublic(c.Group), pps.EncPublic(c.Group)); err != nil {
+	if _, err := e.users[peer].Redeem(anon); err != nil {
 		return fmt.Errorf("redeem: %w", err)
 	}
 
@@ -296,7 +188,7 @@ func (e *Executor) playback(buyer, peer int, entry httpapi.CatalogEntry) error {
 		Peer:        peer,
 		ContentID:   license.ContentID(entry.ID),
 		BlindedHash: provider.BlindedHashForTest(blinded),
-		AnonSerial:  serial.String(),
+		AnonSerial:  anon.Serial.String(),
 	})
 	e.pairsMu.Unlock()
 	return nil
@@ -347,18 +239,12 @@ func (e *Executor) Op(spec OpSpec) Op {
 		}
 	case OpRegister:
 		do = func(context.Context) error {
-			idx := u.nextIdx.Add(1) - 1
-			if err := e.register(u, idx); err != nil {
-				return err
-			}
-			u.mu.Lock()
-			u.curIdx, u.curSet = idx, true
-			u.mu.Unlock()
-			return nil
+			_, err := u.NewPseudonym()
+			return err
 		}
 	case OpPurchase:
 		do = func(context.Context) error {
-			_, _, err := e.purchase(u, entry)
+			_, err := purchase(u, entry)
 			return err
 		}
 	case OpPlayback:

@@ -184,11 +184,11 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	}
 	g := topo.Primary.Group
 	for _, u := range ex.users {
-		secrets = append(secrets, secret{"bank account", u.account})
+		secrets = append(secrets, secret{"bank account", u.Account()})
 		// Pseudonym public keys ARE the smartcard's identity as the
 		// provider sees it; check the first few indices the run used.
 		for idx := uint32(0); idx < 4; idx++ {
-			ps, err := u.card.Pseudonym(idx)
+			ps, err := u.Card().Pseudonym(idx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -140,7 +140,11 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 
 		// Pseudonym reuse policy.
 		if purchaseCount[u.Name]%cfg.PurchasesPerPseudonym == 0 {
-			pseudonymIdx[u.Name] = u.FreshPseudonym()
+			idx, err := u.FreshPseudonym()
+			if err != nil {
+				return nil, err
+			}
+			pseudonymIdx[u.Name] = idx
 		}
 		purchaseCount[u.Name]++
 

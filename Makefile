@@ -50,7 +50,7 @@ benchmark-check:
 # docs/crypto.md): fails only on a leak confirmed in two independent
 # rounds, skips on boxes too noisy for a verdict.
 timing-guard:
-	$(GO) test -count=1 ./internal/cryptox/ctcheck/
+	$(GO) test -count=1 -v ./internal/cryptox/ctcheck/
 
 # Short-deadline go-native fuzzing (one -fuzz target per package run):
 # corrupted WAL tails, license encodings and downloaded revocation
@@ -58,11 +58,13 @@ timing-guard:
 # presented nonce is accepted once at most and only under this provider's
 # beacon; a withdraw body debits exactly what it gets signed or nothing;
 # a Schnorr proof or signature off the wire errors or is judged, never
-# panics, and a commitment outside [1, p) is refused.
+# panics, and a commitment outside [1, p) is refused; rights text that
+# Parse accepts renders to canonical text that parses back to itself.
 # CI's fuzz job runs this target on every PR: the list lives here.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=NONE -fuzz=FuzzLicenseCodec -fuzztime=10s ./internal/license
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rel
 	$(GO) test -run=NONE -fuzz=FuzzParseSignedFilter -fuzztime=10s ./internal/revocation
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/bloom
 	$(GO) test -run=NONE -fuzz=FuzzConsumeNonce -fuzztime=10s ./internal/provider

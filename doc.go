@@ -6,7 +6,9 @@
 // The implementation lives under internal/: start at internal/wallet for
 // the client half of every protocol and internal/provider for the
 // server half (internal/core assembles both in one process), and see
-// README.md for the architecture map.
+// README.md for the architecture map. The protocols are the paper's
+// three: pseudonymous purchase, unlinkable transfer through blind-signed
+// anonymous licenses, and compliant playback on a device.
 // The benchmark/ module (BENCHMARK.json) is the live-topology benchmark
 // that gates every PR; BENCH.md tracks its trajectory across PRs.
 //

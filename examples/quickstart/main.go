@@ -64,7 +64,7 @@ delegate allow;
 	// 5. Playback on a compliant device: provider signature check,
 	//    revocation filter, smartcard challenge, rights evaluation,
 	//    metered counter, then decryption.
-	dev, _, err := sys.NewDevice("living-room", "audio", "EU")
+	dev, err := sys.NewDevice("living-room", "audio", "EU")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ delegate allow;
 
 	// 6. What did the provider actually learn? Inspect its journal.
 	fmt.Println("\nprovider journal (everything the provider saw):")
-	for _, e := range sys.Provider.Events() {
+	for _, e := range sys.Events() {
 		fmt.Printf("  #%d %-9s pseudonym=%.12s content=%s\n",
 			e.Seq, e.Type, e.PseudonymFP, e.ContentID)
 	}

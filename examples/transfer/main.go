@@ -57,14 +57,14 @@ func main() {
 	fmt.Printf("bob redeemed it into %s…\n", newLic.Serial.String()[:16])
 
 	// Bob can play; Alice's old license is dead everywhere.
-	dev, _, _ := sys.NewDevice("bob-hifi", "audio", "EU")
+	dev, _ := sys.NewDevice("bob-hifi", "audio", "EU")
 	var out bytes.Buffer
 	if err := sys.Play(bob, dev, newLic, &out); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("bob plays: %q\n", out.String())
 
-	aliceDev, _, _ := sys.NewDevice("alice-hifi", "audio", "EU")
+	aliceDev, _ := sys.NewDevice("alice-hifi", "audio", "EU")
 	if err := sys.Play(alice, aliceDev, lic, &out); err != nil {
 		fmt.Printf("alice's stale copy refused: %v\n", err)
 	}
@@ -74,7 +74,7 @@ func main() {
 	// is exactly the royalty-accounting signal the paper wants to keep —
 	// and nothing more.
 	fmt.Println("\nprovider journal:")
-	for _, e := range sys.Provider.Events() {
+	for _, e := range sys.Events() {
 		if e.Type == provider.EvExchange || e.Type == provider.EvRedeem {
 			fmt.Printf("  #%d %-9s serial=%.12s anon=%.12s blinded=%.12s\n",
 				e.Seq, e.Type, e.Serial, e.AnonSerial, e.BlindedHash)

@@ -165,15 +165,3 @@ func Unmarshal(data []byte) (*Filter, error) {
 	}
 	return f, nil
 }
-
-// Union merges other into f. Both filters must share m and k.
-func (f *Filter) Union(other *Filter) error {
-	if other == nil || f.m != other.m || f.k != other.k {
-		return errors.New("bloom: incompatible filters")
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.n += other.n
-	return nil
-}

@@ -131,26 +131,6 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a, _ := New(1024, 3)
-	b, _ := New(1024, 3)
-	a.Add([]byte("x"))
-	b.Add([]byte("y"))
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Contains([]byte("x")) || !a.Contains([]byte("y")) {
-		t.Error("union lost elements")
-	}
-	c, _ := New(2048, 3)
-	if err := a.Union(c); err == nil {
-		t.Error("union of incompatible filters accepted")
-	}
-	if err := a.Union(nil); err == nil {
-		t.Error("union with nil accepted")
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	f, _ := New(777, 5)
 	if f.Bits() != 777 || f.Hashes() != 5 {

@@ -13,11 +13,13 @@
 //	             the recipient out of band, recipient redeems under a
 //	             fresh pseudonym. The provider cannot link the two ends.
 //	Play         compliant playback on a device.
-//	Delegate     star license issuance (user-attributed rights).
 //
-// cmd/p2drmd wires the same provider and bank over its durable store and
-// serves them through the httpapi package; the p2drm CLI is a wallet in a
-// directory speaking to it over HTTP.
+// System also keeps the provider's journal (Events): everything an
+// honest-but-curious provider observes, which the linkage attacks read.
+//
+// cmd/p2drmd wires the same provider and bank over its durable store, with
+// no journal, and serves them through the httpapi package; the p2drm CLI
+// is a wallet in a directory speaking to it over HTTP.
 package core
 
 import (
@@ -34,7 +36,6 @@ import (
 	"p2drm/internal/license"
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
-	"p2drm/internal/rel"
 	"p2drm/internal/wallet"
 )
 
@@ -62,6 +63,7 @@ type System struct {
 	Provider *provider.Provider
 	Bank     *payment.Bank
 	opts     Options
+	journal  *provider.EventLog
 }
 
 // User is a client-side principal: a named in-memory wallet drawing on
@@ -108,6 +110,7 @@ func NewSystem(opts Options) (*System, error) {
 	if err := bank.CreateAccount("provider", 0); err != nil {
 		return nil, err
 	}
+	journal := &provider.EventLog{}
 	prov, err := provider.New(provider.Config{
 		Group:        opts.Group,
 		SignerKey:    provKey,
@@ -116,6 +119,7 @@ func NewSystem(opts Options) (*System, error) {
 		Bank:         bank,
 		BankAccount:  "provider",
 		Clock:        opts.Clock,
+		Journal:      journal.Record,
 	})
 	if err != nil {
 		return nil, err
@@ -125,8 +129,13 @@ func NewSystem(opts Options) (*System, error) {
 		Provider: prov,
 		Bank:     bank,
 		opts:     opts,
+		journal:  journal,
 	}, nil
 }
+
+// Events returns everything the provider has journaled: what an
+// honest-but-curious provider sees, the input of every linkage attack.
+func (s *System) Events() []provider.Event { return s.journal.Events() }
 
 // NewUser creates a local user with a fresh card and a funded bank
 // account.
@@ -191,16 +200,12 @@ func (s *System) Transfer(from *User, lic *license.Personalized, to *User) (*lic
 	return s.Redeem(to, anon)
 }
 
-// NewDevice manufactures a certified compliant device wired to this
-// system's trust anchors, with the current revocation filter installed.
-func (s *System) NewDevice(id, class, region string) (*device.Device, *device.Certificate, error) {
-	key, err := schnorr.GenerateKey(s.Group, rand.Reader)
-	if err != nil {
-		return nil, nil, err
-	}
+// NewDevice manufactures a compliant device wired to this system's trust
+// anchors, with the current revocation filter installed.
+func (s *System) NewDevice(id, class, region string) (*device.Device, error) {
 	st, err := kvstore.Open("")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dev, err := device.New(device.Config{
 		ID: id, Class: class, Region: region,
@@ -208,19 +213,14 @@ func (s *System) NewDevice(id, class, region string) (*device.Device, *device.Ce
 		ProviderPub: s.Provider.Public(),
 		State:       st,
 		Clock:       s.opts.Clock,
-		IdentityKey: key,
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	cert, err := s.Provider.CertifyDevice(id, class, key.Y)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := s.RefreshDevice(dev); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return dev, cert, nil
+	return dev, nil
 }
 
 // RefreshDevice installs the provider's current revocation filter.
@@ -239,19 +239,4 @@ func (s *System) Play(u *User, dev *device.Device, lic *license.Personalized, ou
 		return err
 	}
 	return u.Wallet.Play(dev, lic, bytes.NewReader(item.Encrypted), out)
-}
-
-// Delegate issues a star license from a held license to another user's
-// fresh pseudonym and returns it with the delegate index used.
-func (s *System) Delegate(from *User, lic *license.Personalized, to *User, restriction *rel.Rights) (*license.Star, uint32, error) {
-	return from.Wallet.Delegate(lic, to.Wallet, restriction, s.opts.Clock())
-}
-
-// PlayStar plays a delegated license on a device.
-func (s *System) PlayStar(to *User, dIdx uint32, dev *device.Device, parent *license.Personalized, star *license.Star, out io.Writer) error {
-	item, err := s.Provider.Item(parent.ContentID)
-	if err != nil {
-		return err
-	}
-	return dev.PlayStar(to.Card(), dIdx, parent, star, bytes.NewReader(item.Encrypted), out)
 }

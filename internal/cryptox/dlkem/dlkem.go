@@ -14,12 +14,11 @@
 // with the subgroup check on decap).
 //
 // There are two encapsulating sides and one decapsulating side. Encap
-// draws a fresh k per call: for a party that wraps once (a card issuing a
-// star licence). Sender keeps one k
-// for its lifetime and the KEK per recipient: for the provider, which
-// wraps its own content keys to the same pseudonyms all day and should
-// pay y^k once per pseudonym, not once per licence. Decap serves both
-// and cannot tell them apart.
+// draws a fresh k per call: the one-shot reference (license.WrapKey).
+// Sender keeps one k for its lifetime and the KEK per recipient: for the
+// provider, which wraps its own content keys to the same pseudonyms all
+// day and should pay y^k once per pseudonym, not once per licence. Decap
+// serves both and cannot tell them apart.
 package dlkem
 
 import (

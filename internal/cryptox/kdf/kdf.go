@@ -67,16 +67,6 @@ func Key(ikm, salt, info []byte, length int) ([]byte, error) {
 	return Expand(Extract(salt, ikm), info, length)
 }
 
-// MustKey is Key for static parameters known to be valid; it panics on
-// error and is intended for package initialisation and tests.
-func MustKey(ikm, salt, info []byte, length int) []byte {
-	k, err := Key(ikm, salt, info, length)
-	if err != nil {
-		panic("kdf: " + err.Error())
-	}
-	return k
-}
-
 // Pseudonym derivation
 //
 // A smartcard holds a single 32-byte master seed. Pseudonym i's secret

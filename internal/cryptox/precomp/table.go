@@ -82,9 +82,6 @@ func NewTable(base, p *big.Int, maxBits int) *Table {
 	return t
 }
 
-// MaxBits reports the widest exponent the table covers.
-func (t *Table) MaxBits() int { return t.maxBits }
-
 // Exp computes base^x mod p. Negative or over-wide exponents fall back
 // to math/big's Exp so the table is always a drop-in replacement.
 func (t *Table) Exp(x *big.Int) *big.Int {

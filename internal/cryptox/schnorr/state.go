@@ -96,7 +96,7 @@ func (g *Group) Precomputed() bool { return g.state().table.Load() != nil }
 // order (x + r·q, r 64-bit random — the same group element, randomized
 // digit pattern) on BOTH paths, so the memory-access pattern of either
 // is decorrelated from x and the two carry the same side-channel
-// posture.
+// posture. ExpG panics if crypto/rand fails rather than run unblinded.
 func (g *Group) ExpG(x *big.Int) *big.Int {
 	if x.Sign() < 0 {
 		return new(big.Int).Exp(g.G, x, g.P)
@@ -113,12 +113,14 @@ func (g *Group) ExpG(x *big.Int) *big.Int {
 	return new(big.Int).Exp(g.G, e, g.P)
 }
 
-// blind returns x + r·q for a fresh 64-bit r, or x itself if the
-// randomness source fails.
+// blind returns x + r·q for a fresh 64-bit r. It fails closed: without
+// randomness it panics, as crypto/rand.Read itself does from Go 1.24 on
+// (this module still builds with older toolchains, whose Read can
+// return the error).
 func (g *Group) blind(x *big.Int) *big.Int {
 	var rb [blindBits / 8]byte
 	if _, err := io.ReadFull(rand.Reader, rb[:]); err != nil {
-		return x
+		panic("schnorr: no randomness to blind an exponent: " + err.Error())
 	}
 	r := new(big.Int).SetBytes(rb[:])
 	return r.Mul(r, g.Q).Add(r, x)

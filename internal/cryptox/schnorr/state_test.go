@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,6 +51,40 @@ func TestExpGMatchesExpWithTable(t *testing.T) {
 // and builds no table; the tableAfter-th builds it. ExpG's values are
 // the same on both sides of the switch, edge exponents and negative ones
 // included.
+// failingReader stands in for an exhausted entropy source.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("entropy source failed") }
+
+// ExpG never runs an exponent unblinded: without crypto/rand it panics,
+// on the math/big path and on the table's alike.
+func TestExpGFailsClosedWithoutBlindingRandomness(t *testing.T) {
+	x := big.NewInt(0x5eed)
+	for _, tabled := range []bool{false, true} {
+		g := freshGroup()
+		if tabled {
+			g.Precompute()
+		}
+		want := new(big.Int).Exp(g.G, x, g.P)
+		if got := g.ExpG(x); got.Cmp(want) != 0 {
+			t.Fatalf("tabled=%v: healthy ExpG = %v, want %v", tabled, got, want)
+		}
+		func() {
+			saved := rand.Reader
+			rand.Reader = failingReader{}
+			defer func() { rand.Reader = saved }()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "schnorr: ") {
+					t.Errorf("tabled=%v: ExpG without randomness recovered %q, want a schnorr: panic", tabled, msg)
+				}
+			}()
+			got := g.ExpG(x)
+			t.Errorf("tabled=%v: ExpG without randomness returned %v", tabled, got)
+		}()
+	}
+}
+
 func TestExpGSameValuesAcrossTheThreshold(t *testing.T) {
 	g := freshGroup()
 	one := big.NewInt(1)

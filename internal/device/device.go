@@ -15,27 +15,21 @@
 //  5. persist the counter increment BEFORE any plaintext is produced
 //     (a crash can cost the user a play, never gain one), and
 //  6. unwrap the content key through the card and decrypt.
-//
-// Devices also carry a compliance certificate issued by the provider,
-// binding the device's identity key and class.
 package device
 
 import (
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
-	"strconv"
 	"sync"
 	"time"
 
 	"p2drm/internal/bloom"
 	"p2drm/internal/cryptox/envelope"
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
@@ -65,8 +59,6 @@ type Config struct {
 	State *kvstore.Store
 	// Clock supplies the device's notion of time (defaults to time.Now).
 	Clock func() time.Time
-	// IdentityKey is the device's certified key pair. Optional.
-	IdentityKey *schnorr.PrivateKey
 }
 
 // Device is a compliant player.
@@ -267,105 +259,7 @@ func (d *Device) perform(card *smartcard.Card, index uint32, lic *license.Person
 	return nil
 }
 
-// PlayStar enforces a star (delegation) license for the delegate's card.
-// Counters are scoped per (parent serial, delegate) so each delegate gets
-// exactly the delegated budget.
-func (d *Device) PlayStar(card *smartcard.Card, index uint32, parent *license.Personalized, star *license.Star, encContent io.Reader, out io.Writer) error {
-	if err := license.VerifyPersonalized(d.cfg.ProviderPub, parent); err != nil {
-		return err
-	}
-	if err := license.VerifyStar(d.cfg.Group, parent, star); err != nil {
-		return err
-	}
-	if err := d.checkRevocation(parent.Serial); err != nil {
-		return err
-	}
-	// The delegate proves ownership of the delegate pseudonym.
-	if err := d.challengeCard(card, index, star.DelegateSign, parent.Serial); err != nil {
-		return err
-	}
-	fp := d.cfg.Group.Fingerprint(new(big.Int).SetBytes(star.DelegateSign))
-	scope := "star:" + parent.Serial.String() + ":" + hex.EncodeToString(fp[:])
-	if _, err := d.evaluate(star.Restriction, rel.ActPlay, scope); err != nil {
-		return err
-	}
-	if encContent == nil {
-		return nil
-	}
-	key, err := card.UnwrapContentKey(index, star.KeyWrap,
-		license.WrapLabelStar(parent.Serial, parent.ContentID))
-	if err != nil {
-		return err
-	}
-	if err := envelope.DecryptStream(out, encContent, key); err != nil {
-		return fmt.Errorf("device: content decrypt: %w", err)
-	}
-	return nil
-}
-
 // UsedCount exposes a persisted counter (for UIs and tests).
 func (d *Device) UsedCount(serial license.Serial, action rel.Action) (int64, error) {
 	return d.usedCount(serial.String(), action)
-}
-
-// IdentityPublic returns the device's certified public key, or nil when
-// the device has no identity key.
-func (d *Device) IdentityPublic() *big.Int {
-	if d.cfg.IdentityKey == nil {
-		return nil
-	}
-	return d.cfg.IdentityKey.Y
-}
-
-// Certificate is a provider-signed compliance statement binding a device
-// identity and class to its public key.
-type Certificate struct {
-	DeviceID string
-	Class    string
-	PubKey   []byte // encoded schnorr element
-	Sig      []byte // provider FDH-RSA over SigningBytes
-}
-
-// SigningBytes returns the canonical certified statement.
-func (c *Certificate) SigningBytes() []byte {
-	out := []byte("p2drm/device-cert/v1|")
-	out = append(out, []byte(strconv.Itoa(len(c.DeviceID)))...)
-	out = append(out, '|')
-	out = append(out, c.DeviceID...)
-	out = append(out, '|')
-	out = append(out, c.Class...)
-	out = append(out, '|')
-	out = append(out, c.PubKey...)
-	return out
-}
-
-// Certify issues a compliance certificate (run by the provider during
-// device manufacturing / activation).
-func Certify(signer *rsablind.Signer, g *schnorr.Group, deviceID, class string, pubY *big.Int) (*Certificate, error) {
-	if err := g.ValidatePublicKey(pubY); err != nil {
-		return nil, fmt.Errorf("device: certify: %w", err)
-	}
-	c := &Certificate{DeviceID: deviceID, Class: class, PubKey: g.EncodeElement(pubY)}
-	sig, err := signer.Sign(c.SigningBytes())
-	if err != nil {
-		return nil, err
-	}
-	c.Sig = sig
-	return c, nil
-}
-
-// VerifyCertificate checks a compliance certificate against the provider
-// trust anchor.
-func VerifyCertificate(pub *rsa.PublicKey, g *schnorr.Group, c *Certificate) error {
-	if c == nil {
-		return errors.New("device: nil certificate")
-	}
-	y := new(big.Int).SetBytes(c.PubKey)
-	if err := g.ValidatePublicKey(y); err != nil {
-		return fmt.Errorf("device: certificate key: %w", err)
-	}
-	if err := rsablind.Verify(pub, c.SigningBytes(), c.Sig); err != nil {
-		return fmt.Errorf("device: certificate signature: %w", err)
-	}
-	return nil
 }

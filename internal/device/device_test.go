@@ -402,81 +402,6 @@ func TestCorruptStateFailsClosed(t *testing.T) {
 	}
 }
 
-func TestStarPlayback(t *testing.T) {
-	f := newFixture(t, "grant play count 10; delegate allow;")
-	g := schnorr.Group768()
-	delegateCard, _ := smartcard.NewRandom(g)
-	dp, _ := delegateCard.Pseudonym(0)
-
-	star, err := f.card.IssueStarLicense(0, f.lic, rel.MustParse("grant play count 2;"),
-		dp.SignPublic(g), dp.EncPublic(g), fixedNow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	for i := 0; i < 2; i++ {
-		out.Reset()
-		if err := f.dev.PlayStar(delegateCard, 0, f.lic, star, bytes.NewReader(f.enc), &out); err != nil {
-			t.Fatalf("star play %d: %v", i, err)
-		}
-		if !bytes.Equal(out.Bytes(), f.content) {
-			t.Fatal("star playback content mismatch")
-		}
-	}
-	if err := f.dev.PlayStar(delegateCard, 0, f.lic, star, bytes.NewReader(f.enc), &out); err == nil {
-		t.Error("delegate exceeded star budget")
-	}
-	// Holder's own budget unaffected by delegate's plays.
-	if err := f.play(t); err != nil {
-		t.Errorf("holder playback affected by star metering: %v", err)
-	}
-}
-
-func TestStarRevokedParentRefused(t *testing.T) {
-	f := newFixture(t, "grant play; delegate allow;")
-	g := schnorr.Group768()
-	delegateCard, _ := smartcard.NewRandom(g)
-	dp, _ := delegateCard.Pseudonym(0)
-	star, err := f.card.IssueStarLicense(0, f.lic, rel.MustParse("grant play count 1;"),
-		dp.SignPublic(g), dp.EncPublic(g), fixedNow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.revList.Add(f.lic.Serial)
-	sf, _ := f.revList.ExportFilter(testProv(t), fixedNow)
-	f.dev.InstallRevocationFilter(sf)
-	var out bytes.Buffer
-	if err := f.dev.PlayStar(delegateCard, 0, f.lic, star, bytes.NewReader(f.enc), &out); err != ErrRevoked {
-		t.Errorf("revoked parent star played: %v", err)
-	}
-}
-
-func TestCertificateIssueVerify(t *testing.T) {
-	g := schnorr.Group768()
-	p := testProv(t)
-	devKey, _ := schnorr.GenerateKey(g, rand.Reader)
-	cert, err := Certify(p, g, "dev-9", "video", devKey.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCertificate(p.Public(), g, cert); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	bad := *cert
-	bad.Class = "audio"
-	if err := VerifyCertificate(p.Public(), g, &bad); err == nil {
-		t.Error("class-tampered certificate accepted")
-	}
-	bad2 := *cert
-	bad2.DeviceID = "dev-10"
-	if err := VerifyCertificate(p.Public(), g, &bad2); err == nil {
-		t.Error("ID-tampered certificate accepted")
-	}
-	if err := VerifyCertificate(p.Public(), g, nil); err == nil {
-		t.Error("nil certificate accepted")
-	}
-}
-
 func TestNewConfigValidation(t *testing.T) {
 	g := schnorr.Group768()
 	st, _ := kvstore.Open("")

@@ -223,7 +223,7 @@ func (s *Server) registerKEMMetrics() {
 
 // rsaPrivateOps is the family counting RSA private-key operations by the
 // role of the key — "license" (the provider key: one per signed root,
-// plus revocation artefacts and device certificates), "denomination"
+// plus each newly cut revocation filter), "denomination"
 // (blind exchange signatures, every denomination together), "coin" (the
 // bank's blind signatures). It is the count behind a serving path's RSA
 // cost: a 16-license batch flow reads 2 + 16 + 32.

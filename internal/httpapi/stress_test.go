@@ -36,10 +36,11 @@ func TestServerUnderConcurrentLoad(t *testing.T) {
 	}
 	bank.CreateAccount("provider", 0)
 	store, _ := kvstore.Open("")
+	journal := &provider.EventLog{}
 	prov, err := provider.New(provider.Config{
 		Group: schnorr.Group768(), SignerKey: pk, DenomKeyBits: 1024,
 		Store: store, Bank: bank, BankAccount: "provider",
-		Clock: time.Now,
+		Clock: time.Now, Journal: journal.Record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestServerUnderConcurrentLoad(t *testing.T) {
 	}
 	// The journal holds every purchase and both halves of every transfer.
 	journaled := make(map[provider.EventType]int)
-	for _, e := range prov.Events() {
+	for _, e := range journal.Events() {
 		journaled[e.Type]++
 	}
 	for _, typ := range []provider.EventType{provider.EvPurchase, provider.EvExchange, provider.EvRedeem} {

@@ -10,9 +10,6 @@
 //     blind-signed by the provider under a per-(content, rights)
 //     denomination key. They exist so a license can change hands without
 //     the provider being able to link giver and receiver.
-//   - Star licenses are user-issued delegations that can only narrow the
-//     parent license's rights (the paper's user-attributed-rights
-//     extension).
 //
 // Nothing in this package talks to the network or stores state; it is the
 // data model shared by provider, device, smartcard and client.
@@ -90,7 +87,8 @@ type KeyWrap struct {
 }
 
 // WrapKey encapsulates contentKey to the recipient's public enc key under
-// a fresh ephemeral: the call for a party that wraps once. The label must
+// a fresh ephemeral. No serving path wraps this way; it is the one-shot
+// reference WrapKeyFrom's wraps are checked against. The label must
 // identify the license context (serial + content ID) so wraps cannot be
 // transplanted between licenses.
 func WrapKey(g *schnorr.Group, recipientY *big.Int, contentKey, label []byte) (KeyWrap, error) {
@@ -139,11 +137,6 @@ func WrapLabelPersonalized(serial Serial, content ContentID) []byte {
 	return wrapLabel("personalized", serial, content)
 }
 
-// WrapLabelStar is the label for star-license key wraps.
-func WrapLabelStar(parent Serial, content ContentID) []byte {
-	return wrapLabel("star", parent, content)
-}
-
 // Personalized is a license bound to a pseudonym. HolderSign is the
 // pseudonym's Schnorr verification key (proved at playback challenge);
 // HolderEnc is its encryption key (target of the key wrap).
@@ -170,7 +163,6 @@ const (
 	encVersion       = 2
 	kindPersonalized = 1
 	kindAnonymous    = 2
-	kindStar         = 3
 )
 
 // MaxPathLen bounds a license's path and MaxPerRoot the licenses one root
@@ -199,8 +191,8 @@ func (l *Personalized) SigningBytes() []byte {
 
 // rootStatement is what the provider key signs for the licenses under
 // root. The tag keeps it apart from everything else that key signs — the
-// revocation snapshot and filter statements, device certificates — and
-// from a license's own encoding, which that key never signs directly.
+// revocation filter statement — and from a license's own encoding, which
+// that key never signs directly.
 func rootStatement(root [merkle.HashLen]byte) []byte {
 	return append([]byte("p2drm/license-root/v1|"), root[:]...)
 }
@@ -436,114 +428,6 @@ func VerifyAnonymous(denomPub *rsa.PublicKey, a *Anonymous) error {
 	}
 	if err := rsablind.Verify(denomPub, a.SigningBytes(), a.Sig); err != nil {
 		return fmt.Errorf("license: denomination signature: %w", err)
-	}
-	return nil
-}
-
-// Star is a user-issued delegation of a personalized license: the parent
-// holder grants a delegate pseudonym a narrowed subset of their rights and
-// re-wraps the content key to the delegate. Devices enforce:
-// parent rights allow delegation, restriction is Narrower, holder
-// signature verifies under the parent's HolderSign key.
-type Star struct {
-	ParentSerial Serial
-	ContentID    ContentID
-	Restriction  *rel.Rights
-	DelegateSign []byte
-	DelegateEnc  []byte
-	KeyWrap      KeyWrap
-	IssuedAt     time.Time
-	// HolderSig is a Schnorr signature by the parent license holder.
-	HolderSig []byte
-}
-
-// SigningBytes returns the canonical bytes the holder signs.
-func (s *Star) SigningBytes() []byte {
-	w := &writer{}
-	w.byte(encVersion)
-	w.byte(kindStar)
-	w.buf = append(w.buf, s.ParentSerial[:]...)
-	w.str(string(s.ContentID))
-	w.bytes(s.Restriction.Canonical())
-	w.bytes(s.DelegateSign)
-	w.bytes(s.DelegateEnc)
-	w.bytes(s.KeyWrap.KEM)
-	w.bytes(s.KeyWrap.SealedKey)
-	w.u64(uint64(s.IssuedAt.UTC().Unix()))
-	return w.buf
-}
-
-// Marshal encodes the star license including the holder signature.
-func (s *Star) Marshal() []byte {
-	w := &writer{buf: s.SigningBytes()}
-	w.bytes(s.HolderSig)
-	return w.buf
-}
-
-// UnmarshalStar decodes a Marshal-ed star license.
-func UnmarshalStar(data []byte) (*Star, error) {
-	r := &reader{buf: data}
-	if v := r.byte(); v != encVersion && r.err == nil {
-		return nil, fmt.Errorf("license: unsupported version %d", v)
-	}
-	if k := r.byte(); k != kindStar && r.err == nil {
-		return nil, fmt.Errorf("license: wrong kind %d for star license", k)
-	}
-	s := &Star{}
-	if r.off+SerialLen > len(r.buf) {
-		return nil, errTruncated
-	}
-	copy(s.ParentSerial[:], r.buf[r.off:])
-	r.off += SerialLen
-	s.ContentID = ContentID(r.str())
-	rightsText := r.bytes()
-	s.DelegateSign = r.bytes()
-	s.DelegateEnc = r.bytes()
-	s.KeyWrap.KEM = r.bytes()
-	s.KeyWrap.SealedKey = r.bytes()
-	s.IssuedAt = time.Unix(int64(r.u64()), 0).UTC()
-	s.HolderSig = r.bytes()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	rights, err := rel.Parse(string(rightsText))
-	if err != nil {
-		return nil, fmt.Errorf("license: embedded restriction: %w", err)
-	}
-	s.Restriction = rights
-	return s, nil
-}
-
-// VerifyStar checks a star license against its parent.
-func VerifyStar(g *schnorr.Group, parent *Personalized, s *Star) error {
-	if s == nil || parent == nil {
-		return errors.New("license: nil star or parent license")
-	}
-	if s.ParentSerial != parent.Serial {
-		return errors.New("license: star does not reference this parent")
-	}
-	if s.ContentID != parent.ContentID {
-		return errors.New("license: star content differs from parent")
-	}
-	if !parent.Rights.DelegationAllowed {
-		return errors.New("license: parent rights forbid delegation")
-	}
-	if s.Restriction == nil {
-		return errors.New("license: nil restriction")
-	}
-	if err := s.Restriction.Validate(); err != nil {
-		return fmt.Errorf("license: restriction: %w", err)
-	}
-	if !s.Restriction.Narrower(parent.Rights) {
-		return errors.New("license: star restriction widens parent rights")
-	}
-	holderY := new(big.Int).SetBytes(parent.HolderSign)
-	sig, err := schnorr.ParseSignature(g, s.HolderSig)
-	if err != nil {
-		return fmt.Errorf("license: holder signature: %w", err)
-	}
-	if err := schnorr.Verify(g, holderY, s.SigningBytes(), sig); err != nil {
-		return fmt.Errorf("license: holder signature: %w", err)
 	}
 	return nil
 }

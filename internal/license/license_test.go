@@ -340,101 +340,6 @@ func TestAnonymousTamperDetection(t *testing.T) {
 	}
 }
 
-func makeStar(t *testing.T, parent *Personalized, holder, delegate *pseudonym, restriction *rel.Rights, contentKey []byte) *Star {
-	t.Helper()
-	g := testGroup()
-	kw, err := WrapKey(g, delegate.enc.Y, contentKey, WrapLabelStar(parent.Serial, parent.ContentID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Star{
-		ParentSerial: parent.Serial,
-		ContentID:    parent.ContentID,
-		Restriction:  restriction,
-		DelegateSign: g.EncodeElement(delegate.sign.Y),
-		DelegateEnc:  g.EncodeElement(delegate.enc.Y),
-		KeyWrap:      kw,
-		IssuedAt:     time.Date(2004, 7, 1, 0, 0, 0, 0, time.UTC),
-	}
-	sig, err := holder.sign.Sign(s.SigningBytes(), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.HolderSig = sig.Bytes(g)
-	return s
-}
-
-func TestStarVerify(t *testing.T) {
-	holder, delegate := newPseudonym(t), newPseudonym(t)
-	key := testContentKey(t)
-	parent := makePersonalized(t, holder, key)
-	restriction := rel.MustParse("grant play count 2;")
-	s := makeStar(t, parent, holder, delegate, restriction, key)
-	if err := VerifyStar(testGroup(), parent, s); err != nil {
-		t.Fatalf("verify star: %v", err)
-	}
-	// Codec roundtrip.
-	back, err := UnmarshalStar(s.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyStar(testGroup(), parent, back); err != nil {
-		t.Errorf("decoded star invalid: %v", err)
-	}
-	// Delegate can actually unwrap the content key.
-	got, err := back.KeyWrap.Unwrap(testGroup(), delegate.enc.X, WrapLabelStar(parent.Serial, parent.ContentID))
-	if err != nil || !bytes.Equal(got, key) {
-		t.Errorf("delegate cannot unwrap: %v", err)
-	}
-}
-
-func TestStarRejectsWidening(t *testing.T) {
-	holder, delegate := newPseudonym(t), newPseudonym(t)
-	key := testContentKey(t)
-	parent := makePersonalized(t, holder, key) // play count 10
-	widened := rel.MustParse("grant play count 100;")
-	s := makeStar(t, parent, holder, delegate, widened, key)
-	if err := VerifyStar(testGroup(), parent, s); err == nil {
-		t.Error("widened star accepted")
-	}
-}
-
-func TestStarRejectsForgedHolder(t *testing.T) {
-	holder, delegate, mallory := newPseudonym(t), newPseudonym(t), newPseudonym(t)
-	key := testContentKey(t)
-	parent := makePersonalized(t, holder, key)
-	restriction := rel.MustParse("grant play count 1;")
-	// Mallory signs instead of the real holder.
-	s := makeStar(t, parent, mallory, delegate, restriction, key)
-	if err := VerifyStar(testGroup(), parent, s); err == nil {
-		t.Error("star signed by non-holder accepted")
-	}
-}
-
-func TestStarRejectsDelegationForbidden(t *testing.T) {
-	holder, delegate := newPseudonym(t), newPseudonym(t)
-	key := testContentKey(t)
-	parent := makePersonalized(t, holder, key)
-	parent.Rights = rel.MustParse("grant play count 10;") // no delegate allow
-	restriction := rel.MustParse("grant play count 1;")
-	s := makeStar(t, parent, holder, delegate, restriction, key)
-	if err := VerifyStar(testGroup(), parent, s); err == nil {
-		t.Error("delegation accepted though parent forbids it")
-	}
-}
-
-func TestStarRejectsWrongParent(t *testing.T) {
-	holder, delegate := newPseudonym(t), newPseudonym(t)
-	key := testContentKey(t)
-	parent := makePersonalized(t, holder, key)
-	other := makePersonalized(t, holder, key)
-	restriction := rel.MustParse("grant play count 1;")
-	s := makeStar(t, parent, holder, delegate, restriction, key)
-	if err := VerifyStar(testGroup(), other, s); err == nil {
-		t.Error("star verified against wrong parent")
-	}
-}
-
 // Property: marshal/unmarshal is the identity on randomly-built
 // personalized licenses (codec never silently alters a license).
 func TestQuickPersonalizedCodec(t *testing.T) {

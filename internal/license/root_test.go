@@ -220,11 +220,11 @@ func TestHostilePathEncodingsRefused(t *testing.T) {
 	}
 }
 
-// The provider key signs four kinds of statement. A root statement starts
-// with a tag of its own, so no signature made for one kind verifies as
-// another: not a signature over the license's own encoding (what version 1
-// signed), not one over the bare root, not one over the root under another
-// statement's tag.
+// The provider key signs two kinds of statement, license roots and
+// revocation filters. A root statement starts with a tag of its own, so no
+// signature made for one kind verifies as another: not a signature over
+// the license's own encoding (what version 1 signed), not one over the
+// bare root, not one over the root under another statement's tag.
 func TestRootStatementHasItsOwnDomain(t *testing.T) {
 	signer := testProvider(t)
 	l := signedBatch(t, newPseudonym(t), 1)[0]
@@ -236,7 +236,6 @@ func TestRootStatementHasItsOwnDomain(t *testing.T) {
 	}
 	others := []string{
 		"p2drm/revfilter/v2",                               // revocation.filterSigningBytes
-		"p2drm/device-cert/v1|",                            // device.Certificate.SigningBytes
 		string([]byte{encVersion, kindPersonalized}),       // a license leaf
 		string([]byte{encVersion, kindAnonymous}),          // an anonymous license
 		"p2drm/fdh/v1", "p2drm/keyid/v1", "p2drm/denom/v1", // hashed, never signed; kept apart anyway

@@ -480,3 +480,42 @@ func TestRedeemBatch(t *testing.T) {
 		t.Fatalf("duplicate serial redeemed %d times in one batch, want exactly 1", dupWins)
 	}
 }
+
+// The journal is handed events one at a time in Seq order, with no gap,
+// however many requests race to be journaled.
+func TestJournalSeesEverySeqInOrder(t *testing.T) {
+	w := newWorld(t)
+	const buyers = 32
+	reqs := make([]PurchaseRequest, buyers)
+	for i := range reqs {
+		signPub, encPub := w.register(t, uint32(i))
+		coins, err := w.bank.WithdrawCoins("alice", int(w.item.PriceCredits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = PurchaseRequest{ContentID: w.item.ID, SignPub: signPub, EncPub: encPub, Coins: coins}
+	}
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := w.prov.Purchase(context.Background(), reqs[i]); err != nil {
+				t.Errorf("purchase %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	events := w.journal.Events()
+	if len(events) != 2*buyers {
+		t.Fatalf("journal holds %d events, want %d registrations and purchases", len(events), 2*buyers)
+	}
+	for i, e := range events {
+		if e.Seq != i+1 {
+			t.Fatalf("event %d handed over with Seq %d: the journal must see 1..n in order", i, e.Seq)
+		}
+		if e.At.IsZero() {
+			t.Fatalf("event %d has no timestamp", e.Seq)
+		}
+	}
+}

@@ -225,7 +225,7 @@ func TestStaleKeyIDRefusedBeforeNonceAndLicence(t *testing.T) {
 	if w.prov.Revoked(lic.Serial) {
 		t.Error("refusal retired the licence")
 	}
-	for _, e := range w.prov.Events() {
+	for _, e := range w.journal.Events() {
 		if e.Type == EvExchange {
 			t.Error("refusal reached the journal as an exchange")
 		}

@@ -3,10 +3,10 @@
 // makes transfers unlinkable, and revocation publication.
 //
 // The provider is honest-but-curious in the threat model: it follows the
-// protocol but logs everything it sees. The Events() journal is therefore
-// a first-class output — the adversary tests (package linkage,
-// workload/unlink_test.go) run the published attack directly against this
-// journal.
+// protocol but logs everything it sees. The journal (Config.Journal) is
+// therefore a first-class output — the adversary tests (package linkage,
+// workload/unlink_test.go) run the published attack directly against it.
+// p2drmd installs no journal, so nothing grows with its traffic.
 //
 // What the provider can and cannot see, by operation:
 //
@@ -32,7 +32,8 @@
 //	nonceMu (Mutex)  the set of consumed challenge nonces. Consumption
 //	                 is an insert-under-lock, so a nonce burns exactly
 //	                 once no matter how many requests race on it.
-//	jmu (Mutex)      the append-only observation journal (events, seq).
+//	jmu (Mutex)      numbers journal events (seq) and calls Config.Journal
+//	                 in that order; never taken when Journal is nil.
 //	rev              revocation.List synchronizes internally.
 //	kem              dlkem.Sender synchronizes internally (a map lookup
 //	                 under its own mutex; never across an exponentiation).
@@ -140,7 +141,6 @@ import (
 	"p2drm/internal/cryptox/envelope"
 	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
-	"p2drm/internal/device"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
 	"p2drm/internal/payment"
@@ -163,8 +163,8 @@ var (
 // Config configures a provider.
 type Config struct {
 	Group *schnorr.Group
-	// SignerKey is the provider's main RSA key (licenses, revocation,
-	// certificates). Denomination keys are generated separately.
+	// SignerKey is the provider's main RSA key (license roots and
+	// revocation filters). Denomination keys are generated separately.
 	SignerKey *rsa.PrivateKey
 	// DenomKeyBits sizes per-denomination blind-signing keys (default
 	// 1024 in tests, 2048 in production configs).
@@ -174,6 +174,11 @@ type Config struct {
 	// BankAccount is the provider's settlement account at the bank.
 	BankAccount string
 	Clock       func() time.Time
+	// Journal receives every observation event, numbered and timestamped,
+	// one call at a time in Seq order. Nil keeps no journal. It is called
+	// under the lock that gives that order, so it must return promptly
+	// and must not call back into the provider.
+	Journal func(Event)
 }
 
 // CatalogItem describes purchasable content.
@@ -234,10 +239,9 @@ type Provider struct {
 	nonceMu  sync.Mutex
 	nonces   map[int64]map[string]struct{}
 
-	// jmu guards the append-only journal.
-	jmu    sync.Mutex
-	events []Event
-	seq    int
+	// jmu orders journal events; see log.
+	jmu sync.Mutex
+	seq int
 
 	// batchSlots is a provider-wide semaphore bounding how many batch
 	// purchases run crypto at once, across ALL IssueBatch calls — many
@@ -308,21 +312,40 @@ func (p *Provider) Public() *rsa.PublicKey { return p.signer.Public() }
 // Group returns the provider's discrete-log group.
 func (p *Provider) Group() *schnorr.Group { return p.group }
 
-// log appends a journal event.
+// log numbers and timestamps a journal event and hands it to the
+// journal; under jmu, so the journal sees Seq 1, 2, 3, ... in order.
 func (p *Provider) log(e Event) {
+	if p.cfg.Journal == nil {
+		return
+	}
 	p.jmu.Lock()
 	defer p.jmu.Unlock()
 	p.seq++
 	e.Seq = p.seq
 	e.At = p.cfg.Clock()
-	p.events = append(p.events, e)
+	p.cfg.Journal(e)
 }
 
-// Events returns a copy of the journal.
-func (p *Provider) Events() []Event {
-	p.jmu.Lock()
-	defer p.jmu.Unlock()
-	return append([]Event(nil), p.events...)
+// EventLog keeps every event it is given, for the in-process harnesses
+// that read a journal back (core.System, the adversary tests). Its
+// Record method is a Config.Journal.
+type EventLog struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+// Record appends e.
+func (l *EventLog) Record(e Event) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// Events returns a copy of what was recorded, in Seq order.
+func (l *EventLog) Events() []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]Event(nil), l.events...)
 }
 
 // fingerprint renders a pseudonym fingerprint for journaling and storage.
@@ -348,6 +371,15 @@ func (p *Provider) AddContent(id license.ContentID, title string, price int64, t
 	}
 	if err := template.Validate(); err != nil {
 		return nil, fmt.Errorf("provider: template: %w", err)
+	}
+	// Every license sold under the template carries its canonical text and
+	// is decoded with rel.Parse, on the device and at exchange here.
+	back, err := rel.Parse(template.String())
+	if err == nil && !back.Equal(template) {
+		err = errors.New("it parses to other rights")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("provider: template's canonical text does not parse back: %w", err)
 	}
 	key, err := envelope.NewContentKey()
 	if err != nil {
@@ -1082,8 +1114,8 @@ func (p *Provider) RevocationExportStats() (cached, signed uint64) {
 
 // RSAPrivateOps reports the private-key operations this provider's keys
 // have run: the license key's (one per root Sign is called for, plus the
-// revocation artefacts and device certificates it also signs) and the
-// denomination keys' together (one blind signature per exchange).
+// revocation filters it also signs) and the denomination keys' together
+// (one blind signature per exchange).
 func (p *Provider) RSAPrivateOps() (licenseKey, denominationKeys uint64) {
 	p.catMu.RLock()
 	defer p.catMu.RUnlock()
@@ -1110,11 +1142,6 @@ func (p *Provider) Revoked(s license.Serial) bool { return p.rev.Contains(s) }
 
 // RevokedCount reports the revocation list size.
 func (p *Provider) RevokedCount() int { return p.rev.Len() }
-
-// CertifyDevice issues a compliance certificate.
-func (p *Provider) CertifyDevice(deviceID, class string, pubY *big.Int) (*device.Certificate, error) {
-	return device.Certify(p.signer, p.group, deviceID, class, pubY)
-}
 
 // BlindedHashForTest exposes the journal's blinded-blob encoding so
 // linkage experiments and tests can recompute candidate hashes exactly as

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -42,10 +43,11 @@ var fixedNow = time.Date(2004, 8, 15, 9, 0, 0, 0, time.UTC)
 
 // world bundles a provider, bank and one user card for protocol tests.
 type world struct {
-	prov *Provider
-	bank *payment.Bank
-	card *smartcard.Card
-	item *CatalogItem
+	prov    *Provider
+	journal *EventLog
+	bank    *payment.Bank
+	card    *smartcard.Card
+	item    *CatalogItem
 }
 
 var defaultTemplate = rel.MustParse(`
@@ -66,6 +68,7 @@ func newWorld(t *testing.T) *world {
 	bank.CreateAccount("alice", 100)
 
 	store, _ := kvstore.Open("")
+	journal := &EventLog{}
 	prov, err := New(Config{
 		Group:        schnorr.Group768(),
 		SignerKey:    pk,
@@ -74,6 +77,7 @@ func newWorld(t *testing.T) *world {
 		Bank:         bank,
 		BankAccount:  "provider",
 		Clock:        func() time.Time { return fixedNow },
+		Journal:      journal.Record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +90,7 @@ func newWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{prov: prov, bank: bank, card: card, item: item}
+	return &world{prov: prov, journal: journal, bank: bank, card: card, item: item}
 }
 
 // register runs the registration protocol for pseudonym index of w.card.
@@ -419,7 +423,7 @@ func TestJournalShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawExchange, sawRedeem bool
-	for _, e := range w.prov.Events() {
+	for _, e := range w.journal.Events() {
 		switch e.Type {
 		case EvExchange:
 			sawExchange = true
@@ -455,23 +459,20 @@ func TestAddContentValidation(t *testing.T) {
 	if _, err := w.prov.AddContent("song-1", "dup", 1, defaultTemplate, nil); err == nil {
 		t.Error("duplicate content accepted")
 	}
+	// A template built as a literal can hold what the rights language
+	// cannot carry; every license sold under it would fail to decode.
+	for i, class := range []string{"\x88", "a\tb"} {
+		tmpl := defaultTemplate.Clone()
+		tmpl.DeviceClasses = []string{class}
+		if _, err := w.prov.AddContent(license.ContentID(fmt.Sprint("odd-class-", i)), "x", 1, tmpl, nil); err == nil {
+			t.Errorf("template with device class %q accepted", class)
+		}
+	}
 	if _, err := w.prov.Item("missing"); !errors.Is(err, ErrUnknownContent) {
 		t.Error("unknown item lookup succeeded")
 	}
 	if len(w.prov.Catalog()) != 1 {
 		t.Errorf("catalog size = %d", len(w.prov.Catalog()))
-	}
-}
-
-func TestCertifyDevice(t *testing.T) {
-	w := newWorld(t)
-	key, _ := schnorr.GenerateKey(schnorr.Group768(), rand.Reader)
-	cert, err := w.prov.CertifyDevice("dev-1", "audio", key.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cert.DeviceID != "dev-1" || cert.Class != "audio" {
-		t.Error("certificate fields wrong")
 	}
 }
 

@@ -189,7 +189,7 @@ func TestRootNeverSpansTwoPseudonyms(t *testing.T) {
 	}
 	// What ties a call's licenses together stays on the licenses: the
 	// journal holds no root signature and no node of any path.
-	journal, err := json.Marshal(w.prov.Events())
+	journal, err := json.Marshal(w.journal.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestFaultedLicenseKeyIssuesNothing(t *testing.T) {
 	if count != 0 {
 		t.Errorf("%d issuance records written by a key that cannot sign", count)
 	}
-	for _, e := range w.prov.Events() {
+	for _, e := range w.journal.Events() {
 		if e.Type == EvPurchase {
 			t.Errorf("a purchase was journalled that issued nothing: %+v", e)
 		}

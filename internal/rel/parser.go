@@ -122,12 +122,20 @@ func (p *parser) grantStmt(r *Rights) error {
 	return err
 }
 
+// parseTime reads an RFC 3339 time and refuses one the canonical form
+// cannot carry: a fraction of a second, or an offset that moves it out of
+// the four-digit years. Either would render as another time, or as text
+// that does not parse.
 func (p *parser) parseTime(t token) (time.Time, error) {
 	ts, err := time.Parse(time.RFC3339, t.text)
 	if err != nil {
 		return time.Time{}, p.errf(t, "invalid RFC3339 time %q", t.text)
 	}
-	return ts.UTC(), nil
+	ts = ts.UTC()
+	if back, err := time.Parse(time.RFC3339, ts.Format(time.RFC3339)); err != nil || !back.Equal(ts) {
+		return time.Time{}, p.errf(t, "time %q has no whole-second UTC form", t.text)
+	}
+	return ts, nil
 }
 
 func (p *parser) validStmt(r *Rights) error {

@@ -5,9 +5,9 @@
 // The 2004 paper assumes an abstract "rights" blob inside licenses
 // (the commercial systems of the era used ODRL or XrML); this package is
 // the reproduction's concrete instantiation. It is deliberately small but
-// real: a grammar with a lexer, parser and evaluator, plus the
-// *intersection* semantics needed for star (delegation) licenses where a
-// user may further restrict — never widen — the rights they pass on.
+// real: a grammar with a lexer, parser and evaluator, and a canonical
+// text form that parses back to itself — the form licenses embed and
+// signatures cover.
 //
 // Grammar (statements end with ';', comments start with '#'):
 //
@@ -17,7 +17,7 @@
 //	device class "audio" [, "video"];  # device must match one listed class
 //	region "EU" [, "US"];              # playback region allowlist
 //	require domain;                    # only inside an authorized domain
-//	delegate allow | delegate deny;    # may the holder issue star licenses
+//	delegate allow | delegate deny;    # a flag carried in the canonical text
 //
 // Example:
 //
@@ -74,7 +74,9 @@ type Rights struct {
 	Regions []string
 	// RequireDomain restricts use to devices inside an authorized domain.
 	RequireDomain bool
-	// DelegationAllowed permits the holder to issue star licenses.
+	// DelegationAllowed records a template's `delegate allow`. No protocol
+	// acts on it; it is part of the canonical text licenses are signed
+	// over, so templates that set it keep their denominations.
 	DelegationAllowed bool
 }
 
@@ -144,138 +146,6 @@ func containsString(list []string, s string) bool {
 	return false
 }
 
-// Intersect returns the rights granted by BOTH r and other — the star
-// license rule: a delegate's rights can only shrink. Counts take the
-// minimum, windows intersect, allowlists intersect (an empty allowlist
-// means "no restriction" and adopts the other side's list), boolean
-// restrictions OR together.
-func (r *Rights) Intersect(other *Rights) *Rights {
-	out := &Rights{Grants: make(map[Action]Grant)}
-	for act, ga := range r.Grants {
-		gb, ok := other.Grants[act]
-		if !ok {
-			continue
-		}
-		count := ga.Count
-		if count == Unlimited || (gb.Count != Unlimited && gb.Count < count) {
-			count = gb.Count
-		}
-		out.Grants[act] = Grant{Action: act, Count: count}
-	}
-	out.NotBefore = laterTime(r.NotBefore, other.NotBefore)
-	out.NotAfter = earlierTime(r.NotAfter, other.NotAfter)
-	dc, dcImpossible := intersectLists(r.DeviceClasses, other.DeviceClasses)
-	rg, rgImpossible := intersectLists(r.Regions, other.Regions)
-	out.DeviceClasses = dc
-	out.Regions = rg
-	out.RequireDomain = r.RequireDomain || other.RequireDomain
-	out.DelegationAllowed = r.DelegationAllowed && other.DelegationAllowed
-	// Disjoint allowlists mean no context can ever satisfy both sides.
-	// An empty list encodes "unrestricted", so the only sound encoding of
-	// "nothing permitted" is to drop every grant.
-	if dcImpossible || rgImpossible {
-		out.Grants = make(map[Action]Grant)
-		out.DeviceClasses = nil
-		out.Regions = nil
-	}
-	return out
-}
-
-// laterTime returns the later of two times, treating zero as "unbounded".
-func laterTime(a, b time.Time) time.Time {
-	if a.IsZero() {
-		return b
-	}
-	if b.IsZero() {
-		return a
-	}
-	if a.After(b) {
-		return a
-	}
-	return b
-}
-
-// earlierTime returns the earlier of two, treating zero as "unbounded".
-func earlierTime(a, b time.Time) time.Time {
-	if a.IsZero() {
-		return b
-	}
-	if b.IsZero() {
-		return a
-	}
-	if a.Before(b) {
-		return a
-	}
-	return b
-}
-
-// intersectLists intersects two allowlists where empty means "anything".
-// impossible is true when both sides restrict but share no entry, i.e. the
-// combined constraint is unsatisfiable.
-func intersectLists(a, b []string) (out []string, impossible bool) {
-	if len(a) == 0 {
-		return append([]string(nil), b...), false
-	}
-	if len(b) == 0 {
-		return append([]string(nil), a...), false
-	}
-	for _, v := range a {
-		if containsString(b, v) {
-			out = append(out, v)
-		}
-	}
-	return out, len(out) == 0
-}
-
-// Narrower reports whether r grants no more than base in every dimension —
-// the check a compliant device runs before honouring a star license.
-func (r *Rights) Narrower(base *Rights) bool {
-	// Rights granting no actions permit nothing, hence are narrower than
-	// anything regardless of their constraint lists.
-	if len(r.Grants) == 0 {
-		return true
-	}
-	for act, g := range r.Grants {
-		bg, ok := base.Grants[act]
-		if !ok {
-			return false
-		}
-		if bg.Count != Unlimited && (g.Count == Unlimited || g.Count > bg.Count) {
-			return false
-		}
-	}
-	if !base.NotBefore.IsZero() && (r.NotBefore.IsZero() || r.NotBefore.Before(base.NotBefore)) {
-		return false
-	}
-	if !base.NotAfter.IsZero() && (r.NotAfter.IsZero() || r.NotAfter.After(base.NotAfter)) {
-		return false
-	}
-	if len(base.DeviceClasses) > 0 {
-		if len(r.DeviceClasses) == 0 {
-			return false
-		}
-		for _, c := range r.DeviceClasses {
-			if !containsString(base.DeviceClasses, c) {
-				return false
-			}
-		}
-	}
-	if len(base.Regions) > 0 {
-		if len(r.Regions) == 0 {
-			return false
-		}
-		for _, c := range r.Regions {
-			if !containsString(base.Regions, c) {
-				return false
-			}
-		}
-	}
-	if base.RequireDomain && !r.RequireDomain {
-		return false
-	}
-	return true
-}
-
 // String renders the canonical text form: grants sorted by action,
 // constraints in fixed order, lists sorted. Canonical text is what gets
 // hashed into license signatures, so it must be deterministic.
@@ -295,14 +165,12 @@ func (r *Rights) String() string {
 		}
 	}
 	switch {
-	case !r.NotBefore.IsZero() && !r.NotAfter.IsZero():
-		fmt.Fprintf(&b, "valid from %q until %q;\n",
-			r.NotBefore.UTC().Format(time.RFC3339), r.NotAfter.UTC().Format(time.RFC3339))
-	case !r.NotAfter.IsZero():
-		fmt.Fprintf(&b, "valid until %q;\n", r.NotAfter.UTC().Format(time.RFC3339))
 	case !r.NotBefore.IsZero():
-		fmt.Fprintf(&b, "valid from %q until %q;\n",
-			r.NotBefore.UTC().Format(time.RFC3339), time.Time{}.UTC().Format(time.RFC3339))
+		// An unbounded end renders as the zero time, which parses back
+		// as "unbounded".
+		fmt.Fprintf(&b, "valid from %s until %s;\n", quoteTime(r.NotBefore), quoteTime(r.NotAfter))
+	case !r.NotAfter.IsZero():
+		fmt.Fprintf(&b, "valid until %s;\n", quoteTime(r.NotAfter))
 	}
 	if len(r.DeviceClasses) > 0 {
 		fmt.Fprintf(&b, "device class %s;\n", quotedList(r.DeviceClasses))
@@ -324,10 +192,20 @@ func quotedList(items []string) string {
 	sort.Strings(cp)
 	quoted := make([]string, len(cp))
 	for i, s := range cp {
-		quoted[i] = fmt.Sprintf("%q", s)
+		quoted[i] = quote(s)
 	}
 	return strings.Join(quoted, ", ")
 }
+
+// quote is the one quoting rule, the lexer's in reverse: only '"' and
+// '\' are escaped. Parse refuses every other byte an escape would be
+// needed for (control bytes, invalid UTF-8), so whatever it accepted
+// renders here as text it accepts again.
+func quote(s string) string { return `"` + escaper.Replace(s) + `"` }
+
+var escaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+func quoteTime(t time.Time) string { return quote(t.UTC().Format(time.RFC3339)) }
 
 // Canonical returns the canonical byte form used in license signatures.
 func (r *Rights) Canonical() []byte { return []byte(r.String()) }

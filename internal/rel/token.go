@@ -1,6 +1,9 @@
 package rel
 
-import "fmt"
+import (
+	"fmt"
+	"unicode/utf8"
+)
 
 // tokenKind enumerates lexical token types.
 type tokenKind int
@@ -155,10 +158,13 @@ func (l *lexer) next() (token, error) {
 				}
 				continue
 			}
-			if ch == '\n' {
-				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "newline in string"}
+			if ch < 0x20 || ch == 0x7f {
+				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: fmt.Sprintf("control byte %#04x in string", ch)}
 			}
 			buf = append(buf, ch)
+		}
+		if !utf8.Valid(buf) {
+			return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "invalid UTF-8 in string"}
 		}
 		return token{kind: tokString, text: string(buf), line: startLine, col: startCol}, nil
 	case isDigit(c):

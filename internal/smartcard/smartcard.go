@@ -9,8 +9,8 @@
 //   - The card holds ONE 32-byte master seed and derives every pseudonym
 //     from it (HKDF), so pseudonyms are unlinkable to outsiders yet cost
 //     the card no storage.
-//   - Private scalars never leave the card; callers get proofs,
-//     signatures and unwrapped content keys, never keys used to make them.
+//   - Private scalars never leave the card; callers get proofs and
+//     unwrapped content keys, never keys used to make them.
 //   - The host pays the card's exponentiations in software, and a card
 //     in a long-lived process pays the group's fixed-base rate: the
 //     group builds its table once the process has computed enough g^x
@@ -22,16 +22,13 @@ package smartcard
 
 import (
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"math/big"
 	"sync"
-	"time"
 
 	"p2drm/internal/cryptox/kdf"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/license"
-	"p2drm/internal/rel"
 )
 
 // Pseudonym is a derived identity: independent signing and encryption key
@@ -122,16 +119,6 @@ func (c *Card) Prove(index uint32, context []byte) (*schnorr.Proof, error) {
 	return p.sign.Prove(context, rand.Reader)
 }
 
-// Sign signs msg under the pseudonym's signing key (used for star-license
-// issuance and transfer receipts).
-func (c *Card) Sign(index uint32, msg []byte) (*schnorr.Signature, error) {
-	p, err := c.Pseudonym(index)
-	if err != nil {
-		return nil, err
-	}
-	return p.sign.Sign(msg, rand.Reader)
-}
-
 // UnwrapContentKey opens a license key wrap addressed to the pseudonym.
 // The content key leaves the card only toward the compliant device's
 // decryption pipeline; the pseudonym private scalar does not.
@@ -145,61 +132,4 @@ func (c *Card) UnwrapContentKey(index uint32, kw license.KeyWrap, label []byte) 
 		return nil, fmt.Errorf("smartcard: unwrap: %w", err)
 	}
 	return key, nil
-}
-
-// IssueStarLicense creates a star license: unwraps the parent's content
-// key, re-wraps it to the delegate, and signs the delegation with the
-// holder pseudonym. The card refuses restrictions that widen the parent's
-// rights or parents that forbid delegation — the card is trusted hardware
-// and enforces policy even against its owner.
-func (c *Card) IssueStarLicense(holderIndex uint32, parent *license.Personalized, restriction *rel.Rights, delegateSign, delegateEnc []byte, now time.Time) (*license.Star, error) {
-	if parent == nil {
-		return nil, errors.New("smartcard: nil parent license")
-	}
-	if restriction == nil {
-		return nil, errors.New("smartcard: nil restriction")
-	}
-	if err := restriction.Validate(); err != nil {
-		return nil, fmt.Errorf("smartcard: restriction: %w", err)
-	}
-	if !parent.Rights.DelegationAllowed {
-		return nil, errors.New("smartcard: parent license forbids delegation")
-	}
-	if !restriction.Narrower(parent.Rights) {
-		return nil, errors.New("smartcard: restriction widens parent rights")
-	}
-	p, err := c.Pseudonym(holderIndex)
-	if err != nil {
-		return nil, err
-	}
-	// The card only delegates licenses it actually holds.
-	if string(parent.HolderSign) != string(c.group.EncodeElement(p.sign.Y)) {
-		return nil, errors.New("smartcard: parent license is not bound to this pseudonym")
-	}
-	contentKey, err := c.UnwrapContentKey(holderIndex, parent.KeyWrap,
-		license.WrapLabelPersonalized(parent.Serial, parent.ContentID))
-	if err != nil {
-		return nil, err
-	}
-	delegateY := new(big.Int).SetBytes(delegateEnc)
-	kw, err := license.WrapKey(c.group, delegateY, contentKey,
-		license.WrapLabelStar(parent.Serial, parent.ContentID))
-	if err != nil {
-		return nil, fmt.Errorf("smartcard: rewrap: %w", err)
-	}
-	s := &license.Star{
-		ParentSerial: parent.Serial,
-		ContentID:    parent.ContentID,
-		Restriction:  restriction,
-		DelegateSign: append([]byte(nil), delegateSign...),
-		DelegateEnc:  append([]byte(nil), delegateEnc...),
-		KeyWrap:      kw,
-		IssuedAt:     now.UTC(),
-	}
-	sig, err := c.Sign(holderIndex, s.SigningBytes())
-	if err != nil {
-		return nil, err
-	}
-	s.HolderSig = sig.Bytes(c.group)
-	return s, nil
 }

@@ -3,18 +3,12 @@ package smartcard
 import (
 	"bytes"
 	"crypto/rand"
-
+	"sync"
 	"testing"
-	"time"
 
 	"p2drm/internal/cryptox/kdf"
-	"p2drm/internal/cryptox/rsablind"
 	"p2drm/internal/cryptox/schnorr"
 	"p2drm/internal/license"
-	"p2drm/internal/rel"
-
-	"crypto/rsa"
-	"sync"
 )
 
 func testCard(t *testing.T) *Card {
@@ -24,26 +18,6 @@ func testCard(t *testing.T) *Card {
 		t.Fatal(err)
 	}
 	return c
-}
-
-var (
-	provOnce sync.Once
-	prov     *rsablind.Signer
-)
-
-func testProv(t *testing.T) *rsablind.Signer {
-	t.Helper()
-	provOnce.Do(func() {
-		key, err := rsa.GenerateKey(rand.Reader, 1024)
-		if err != nil {
-			panic(err)
-		}
-		prov, err = rsablind.NewSigner(key)
-		if err != nil {
-			panic(err)
-		}
-	})
-	return prov
 }
 
 func TestPseudonymDeterministicAndDistinct(t *testing.T) {
@@ -152,18 +126,6 @@ func TestProofsVerifyAcrossTheTableSwitch(t *testing.T) {
 	}
 }
 
-func TestSignVerifies(t *testing.T) {
-	c := testCard(t)
-	p, _ := c.Pseudonym(1)
-	sig, err := c.Sign(1, []byte("receipt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := schnorr.Verify(c.Group(), p.SignY(), []byte("receipt"), sig); err != nil {
-		t.Errorf("card signature rejected: %v", err)
-	}
-}
-
 func TestUnwrapContentKey(t *testing.T) {
 	c := testCard(t)
 	g := c.Group()
@@ -184,100 +146,6 @@ func TestUnwrapContentKey(t *testing.T) {
 	}
 	if _, err := c.UnwrapContentKey(3, kw, label); err == nil {
 		t.Error("wrong pseudonym unwrapped the key")
-	}
-}
-
-func makeParent(t *testing.T, c *Card, index uint32, rights *rel.Rights, key []byte) *license.Personalized {
-	t.Helper()
-	g := c.Group()
-	p, err := c.Pseudonym(index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, _ := license.NewSerial()
-	kw, err := license.WrapKey(g, p.EncY(), key, license.WrapLabelPersonalized(serial, "movie-9"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := &license.Personalized{
-		Serial:     serial,
-		ContentID:  "movie-9",
-		HolderSign: p.SignPublic(g),
-		HolderEnc:  p.EncPublic(g),
-		Rights:     rights,
-		KeyWrap:    kw,
-		IssuedAt:   time.Date(2004, 5, 1, 0, 0, 0, 0, time.UTC),
-	}
-	if err := license.Sign(testProv(t), l); err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-func TestIssueStarLicense(t *testing.T) {
-	holder := testCard(t)
-	delegateCard := testCard(t)
-	g := holder.Group()
-	key := make([]byte, 32)
-	rand.Read(key)
-
-	parent := makeParent(t, holder, 0,
-		rel.MustParse("grant play count 10; delegate allow;"), key)
-	dp, _ := delegateCard.Pseudonym(0)
-	restriction := rel.MustParse("grant play count 2;")
-
-	star, err := holder.IssueStarLicense(0, parent, restriction,
-		dp.SignPublic(g), dp.EncPublic(g), time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := license.VerifyStar(g, parent, star); err != nil {
-		t.Fatalf("issued star fails verification: %v", err)
-	}
-	// Delegate card can unwrap the content key.
-	got, err := delegateCard.UnwrapContentKey(0, star.KeyWrap,
-		license.WrapLabelStar(parent.Serial, parent.ContentID))
-	if err != nil || !bytes.Equal(got, key) {
-		t.Errorf("delegate unwrap failed: %v", err)
-	}
-}
-
-func TestIssueStarRefusals(t *testing.T) {
-	holder := testCard(t)
-	other := testCard(t)
-	g := holder.Group()
-	key := make([]byte, 32)
-	rand.Read(key)
-	dp, _ := other.Pseudonym(7)
-
-	noDelegate := makeParent(t, holder, 0, rel.MustParse("grant play count 10;"), key)
-	if _, err := holder.IssueStarLicense(0, noDelegate, rel.MustParse("grant play count 1;"),
-		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
-		t.Error("card delegated a non-delegable license")
-	}
-
-	parent := makeParent(t, holder, 0, rel.MustParse("grant play count 10; delegate allow;"), key)
-	if _, err := holder.IssueStarLicense(0, parent, rel.MustParse("grant play count 99;"),
-		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
-		t.Error("card widened rights in delegation")
-	}
-	// A different pseudonym (wrong holder) may not delegate.
-	if _, err := holder.IssueStarLicense(1, parent, rel.MustParse("grant play count 1;"),
-		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
-		t.Error("card delegated a license bound to another pseudonym")
-	}
-	// Foreign card (no matching key at all).
-	if _, err := other.IssueStarLicense(0, parent, rel.MustParse("grant play count 1;"),
-		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
-		t.Error("foreign card delegated someone else's license")
-	}
-	if _, err := holder.IssueStarLicense(0, nil, rel.MustParse("grant play;"),
-		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
-		t.Error("nil parent accepted")
-	}
-	if _, err := holder.IssueStarLicense(0, parent, nil,
-		dp.SignPublic(g), dp.EncPublic(g), time.Now()); err == nil {
-		t.Error("nil restriction accepted")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"p2drm/internal/cryptox/kdf"
 	"p2drm/internal/cryptox/rsablind"
@@ -34,7 +33,6 @@ import (
 	"p2drm/internal/license"
 	"p2drm/internal/payment"
 	"p2drm/internal/provider"
-	"p2drm/internal/rel"
 	"p2drm/internal/smartcard"
 )
 
@@ -461,28 +459,4 @@ func (w *Wallet) Play(dev *device.Device, lic *license.Personalized, content io.
 		return err
 	}
 	return dev.Play(w.card, idx, lic, content, out)
-}
-
-// Delegate issues a star licence from a held licence to a fresh
-// pseudonym of to, on the card alone, and returns it with that
-// pseudonym's index.
-func (w *Wallet) Delegate(lic *license.Personalized, to *Wallet, restriction *rel.Rights, now time.Time) (*license.Star, uint32, error) {
-	idx, err := w.PseudonymFor(lic.Serial)
-	if err != nil {
-		return nil, 0, err
-	}
-	dIdx, err := to.FreshPseudonym()
-	if err != nil {
-		return nil, 0, err
-	}
-	dp, err := to.card.Pseudonym(dIdx)
-	if err != nil {
-		return nil, 0, err
-	}
-	g := w.cfg.Group
-	star, err := w.card.IssueStarLicense(idx, lic, restriction, dp.SignPublic(g), dp.EncPublic(g), now)
-	if err != nil {
-		return nil, 0, err
-	}
-	return star, dIdx, nil
 }

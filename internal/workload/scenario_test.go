@@ -125,7 +125,7 @@ func TestScenarioShapes(t *testing.T) {
 // The topology lists a second client to the same server as a "replica"
 // so the read-routing path is exercised without a full follower (the
 // primary serves the same read surface).
-func newLoadHarness(t *testing.T, contents int) (Topology, *provider.Provider) {
+func newLoadHarness(t *testing.T, contents int) (Topology, *provider.EventLog) {
 	t.Helper()
 	pk, bk := loadKeys(t)
 	store, _ := kvstore.Open("")
@@ -134,10 +134,12 @@ func newLoadHarness(t *testing.T, contents int) (Topology, *provider.Provider) {
 		t.Fatal(err)
 	}
 	bank.CreateAccount("provider", 0)
+	journal := &provider.EventLog{}
 	prov, err := provider.New(provider.Config{
 		Group: schnorr.Group768(), SignerKey: pk, DenomKeyBits: 1024,
 		Store: store, Bank: bank, BankAccount: "provider",
-		Clock: func() time.Time { return time.Date(2004, 11, 1, 0, 0, 0, 0, time.UTC) },
+		Clock:   func() time.Time { return time.Date(2004, 11, 1, 0, 0, 0, 0, time.UTC) },
+		Journal: journal.Record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +160,7 @@ func newLoadHarness(t *testing.T, contents int) (Topology, *provider.Provider) {
 	t.Cleanup(srv.Close)
 	primary := httpapi.NewClient(srv.URL, schnorr.Group768())
 	reader := httpapi.NewClient(srv.URL, schnorr.Group768())
-	return Topology{Primary: primary, Replicas: []*httpapi.Client{reader}}, prov
+	return Topology{Primary: primary, Replicas: []*httpapi.Client{reader}}, journal
 }
 
 // TestExecutorMixedScenarioOverHTTP drives the mixed scenario against a

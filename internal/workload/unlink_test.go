@@ -33,14 +33,14 @@ import (
 // runPlaybackPairs executes K interleaved playback pairs and returns
 // the correlation count — how many pairs the provider-side attack
 // managed to connect from its own journal — plus the executor, the
-// topology and the provider (whose journal that is) so follow-on
+// topology and the provider's journal so follow-on
 // assertions can inspect the run's ground truth and what the live server
 // retained of it. The whole
 // run goes through one shared httpapi.Client per role, so its coin-key,
 // denomination and beacon caches are in play throughout.
-func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs []PlaybackPair, ex *Executor, topo Topology, prov *provider.Provider) {
+func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs []PlaybackPair, ex *Executor, topo Topology, journal *provider.EventLog) {
 	t.Helper()
-	topo, prov = newLoadHarness(t, 1)
+	topo, journal = newLoadHarness(t, 1)
 	cfg := ScenarioConfig{
 		Seed: 42, Users: k, Contents: 1, Ops: k,
 		// High RPS + wide in-flight window: all K pairs run
@@ -68,7 +68,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 		t.Fatalf("completed %d pairs, want %d", len(pairs), k)
 	}
 
-	events := prov.Events()
+	events := journal.Events()
 	clustering := linkage.Attack(events, topo.Primary.Denomination)
 
 	// Locate each pair's two journal faces by the executor's ground
@@ -97,7 +97,7 @@ func runPlaybackPairs(t *testing.T, k int, linkable bool) (correlated int, pairs
 			correlated++
 		}
 	}
-	return correlated, pairs, ex, topo, prov
+	return correlated, pairs, ex, topo, journal
 }
 
 // TestPlaybackUnlinkability: with blinding, the provider cannot
@@ -134,7 +134,7 @@ func TestPlaybackUnlinkability(t *testing.T) {
 // trace, a health body or the journal, in any encoding in use here.
 func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	const k = 8
-	_, pairs, ex, topo, prov := runPlaybackPairs(t, k, false)
+	_, pairs, ex, topo, journal := runPlaybackPairs(t, k, false)
 	probeEnc, probeKEK := cachedKEKProbe(t, topo)
 
 	rawMetrics, err := topo.Primary.MetricsV2()
@@ -160,7 +160,7 @@ func TestObservabilityCarriesNoIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawJournal, err := json.Marshal(prov.Events())
+	rawJournal, err := json.Marshal(journal.Events())
 	if err != nil {
 		t.Fatal(err)
 	}

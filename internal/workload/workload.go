@@ -113,7 +113,7 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 	// snapshot to a user, with an override for specific event types.
 	lastSeen := 0
 	attribute := func(defaultUser string, overrides map[provider.EventType]string) {
-		events := sys.Provider.Events()
+		events := sys.Events()
 		for _, e := range events[lastSeen:] {
 			user := defaultUser
 			if u, ok := overrides[e.Type]; ok {
@@ -198,6 +198,6 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 		res.Transfers++
 		res.OwnedLicenses[p.to.Name] = append(res.OwnedLicenses[p.to.Name], newLic)
 	}
-	res.Events = sys.Provider.Events()
+	res.Events = sys.Events()
 	return res, nil
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke benchmark-check timing-guard fuzz-smoke kv-crash replica-crash load-smoke examples fmt fmt-check vet loc ci
+.PHONY: build test race bench-smoke benchmark-check deps-check timing-guard fuzz-smoke kv-crash replica-crash load-smoke examples fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ bench-smoke:
 benchmark-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark -short ./...
+
+# The daemon serves the provider, bank and replica; the card and the
+# play device are client code. Fails if cmd/p2drmd links either.
+deps-check:
+	@out="$$($(GO) list -deps ./cmd/p2drmd | grep -E '^p2drm/internal/(device|smartcard)$$')"; if [ -n "$$out" ]; then \
+		echo "cmd/p2drmd links client-side packages:" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 # Statistical timing guard over the blinded crypto ops, the KEM sender's
 # long-lived exponent included (dudect-style Welch t-test, see
@@ -116,4 +123,4 @@ loc:
 	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs echo "non-test Go lines:"
 	@find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l | xargs echo "test Go lines:    "
 
-ci: build vet fmt-check test race bench-smoke benchmark-check timing-guard fuzz-smoke examples kv-crash replica-crash load-smoke
+ci: build vet fmt-check test race bench-smoke benchmark-check deps-check timing-guard fuzz-smoke examples kv-crash replica-crash load-smoke

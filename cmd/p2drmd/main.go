@@ -194,7 +194,6 @@ type flagValues struct {
 	replicaOf    string
 	primaryToken string
 	logLevel     string
-	sloLatency   time.Duration
 }
 
 // parseFlags defines the daemon's flags on fs, parses args and refuses
@@ -212,7 +211,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flagValues, error) {
 	fs.StringVar(&c.replicaOf, "replica-of", "", "run as a read replica of the primary daemon at this base URL")
 	fs.StringVar(&c.primaryToken, "primary-token", "", "the primary daemon's admin token, presented to read its log (replica mode, when the primary has auth configured)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
-	fs.DurationVar(&c.sloLatency, "slo-latency", 250*time.Millisecond, "per-request latency SLO target feeding /v2/health and the p2drm_slo_* families")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -342,7 +340,6 @@ valid until "2030-01-01T00:00:00Z";
 	}
 
 	handler := httpapi.NewServer(prov).WithBank(bank).WithStore(store).WithAuth(auth)
-	handler.Obs().SLO.SetLatencyTarget(fl.sloLatency)
 	serve(fl, handler, store.Close)
 }
 
@@ -447,9 +444,20 @@ func serveAdminSocket(path string, handler http.Handler) (*http.Server, error) {
 // bootstrap + incremental segment shipping with reconnect/backoff) and
 // serve the read-only replica HTTP surface. No keys are generated — a
 // replica holds replicated state, not signing capability; POST
-// /v2/replica/promote opens the store for writes.
+// /v2/replica/promote stops the tailing, and no route writes to the store.
 func runReplica(fl *flagValues, auth httpapi.Auth) {
 	slog.Info("replica mode", "primary", fl.replicaOf, "poll", replicaPoll)
+	f, handler, err := startReplica(fl, auth)
+	if err != nil {
+		fatal("open replica", "err", err)
+	}
+	serve(fl, handler, f.Close)
+}
+
+// startReplica opens the follower of the primary at fl.replicaOf, builds
+// its HTTP surface — which installs the follower's metrics observer — and
+// only then starts the tail loop, so every fetch and apply is timed.
+func startReplica(fl *flagValues, auth httpapi.Auth) (*replica.Follower, *httpapi.ReplicaServer, error) {
 	client := httpapi.NewClient(fl.replicaOf, nil)
 	// Reading the primary's log is admin-tier on an auth-configured
 	// primary: the log holds every record.
@@ -468,11 +476,9 @@ func runReplica(fl *flagValues, auth httpapi.Auth) {
 		Logf: func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) },
 	})
 	if err != nil {
-		fatal("open replica", "err", err)
+		return nil, nil, err
 	}
-	f.Start()
-
 	handler := httpapi.NewReplicaServer(f).WithAuth(auth)
-	handler.Obs().SLO.SetLatencyTarget(fl.sloLatency)
-	serve(fl, handler, f.Close)
+	f.Start()
+	return f, handler, nil
 }

@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"io"
 	"io/fs"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -32,14 +34,14 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// TestFlagSurface pins the daemon's flags: the twelve names and their
+// TestFlagSurface pins the daemon's flags: the eleven names and their
 // defaults, that a retired tuning flag is refused rather than ignored,
 // and that -lab cannot silently discard an explicit -rsa-bits.
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"addr": ":8474", "admin-socket": "", "state": "", "rsa-bits": "2048",
 		"lab": "false", "seed-demo": "true", "user-token": "", "admin-token": "",
-		"replica-of": "", "primary-token": "", "log-level": "info", "slo-latency": "250ms",
+		"replica-of": "", "primary-token": "", "log-level": "info",
 	}
 	fs := newFlagSet()
 	if _, err := parseFlags(fs, nil); err != nil {
@@ -61,6 +63,7 @@ func TestFlagSurface(t *testing.T) {
 	for _, arg := range []string{
 		"-bank-shards=16", "-wal-group-commit", "-kv-index-shards=16", "-kv-segment-bytes=67108864",
 		"-replica-poll=500ms", "-crypto-precompute", "-crypto-nonce-pool=256", "-crypto-pool-fillers=1",
+		"-slo-latency=250ms",
 	} {
 		_, err := parseFlags(newFlagSet(), []string{arg})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -285,6 +288,46 @@ func TestOneStorePerDaemon(t *testing.T) {
 			}
 			t.Errorf("%s holds %v, want [%s]", dir, names, want)
 		}
+	}
+}
+
+// TestReplicaTimesEveryApply: the replica's HTTP surface, and with it the
+// follower's metrics observer, is in place before the follower starts, so
+// the applies that bring a new replica up to a primary that already holds
+// records are timed like every later one.
+func TestReplicaTimesEveryApply(t *testing.T) {
+	store, err := kvstore.OpenWith(t.TempDir(), walOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const records = 20
+	for i := 0; i < records; i++ {
+		if err := store.Put([]byte(fmt.Sprintf("issued:%03d", i)), []byte("licence")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary := httptest.NewServer(httpapi.NewServer(nil).WithStore(store))
+	defer primary.Close()
+
+	f, handler, err := startReplica(&flagValues{replicaOf: primary.URL, stateDir: t.TempDir()}, httpapi.Auth{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st := f.Status(); st.CaughtUp && f.Stats().LiveKeys == records {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never caught up: %+v", f.Status())
+		}
+	}
+	rs := httptest.NewServer(handler)
+	defer rs.Close()
+	m := scrape(t, httpapi.NewClient(rs.URL, nil))
+	if n, ok := m.Value("p2drm_replica_apply_duration_seconds_count", map[string]string{"store": "provider"}); !ok || n < 1 {
+		t.Errorf(`p2drm_replica_apply_duration_seconds_count{store="provider"} = %v, %v after catching up; want ≥ 1`, n, ok)
 	}
 }
 

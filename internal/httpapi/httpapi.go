@@ -645,11 +645,11 @@ func (s *Server) epExchange(r *http.Request) (any, *apiError) {
 	if err != nil {
 		return nil, errBadRequest(err)
 	}
-	blindSig, err := s.Provider.ExchangeOne(r.Context(), item)
-	if err != nil {
-		return nil, errRejected(err)
+	res := s.Provider.ExchangeBatch(r.Context(), []provider.ExchangeItem{item})[0]
+	if res.Err != nil {
+		return nil, errRejected(res.Err)
 	}
-	return ExchangeResponse{BlindSig: b64(blindSig)}, nil
+	return ExchangeResponse{BlindSig: b64(res.BlindSig)}, nil
 }
 
 func (s *Server) epExchangeBatch(r *http.Request) (any, *apiError) {

@@ -15,7 +15,6 @@ package httpapi
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -151,7 +150,8 @@ type ContainsResponse struct {
 
 // ReplicaServer is the HTTP surface of a follower daemon: revocation
 // lookups against the local replica, replication status, promotion and
-// resync. Writes are rejected until promotion.
+// resync. It writes nothing to the replica's store: the store Promote
+// returns is the only write handle.
 type ReplicaServer struct {
 	api
 	follower *replica.Follower
@@ -161,7 +161,6 @@ type ReplicaServer struct {
 // f's status, probe and fetch/apply timings on the server's registry.
 func NewReplicaServer(f *replica.Follower) *ReplicaServer {
 	rs := &ReplicaServer{follower: f, api: newAPI()}
-	rs.v2("POST", "/v2/kv/put", TierUser, rs.epPut)
 	rs.v2("GET", "/v2/stats", TierGuest, rs.epStats)
 	rs.v2("GET", "/v2/replica/status", TierGuest, rs.epStatus)
 	rs.v2("GET", "/v2/revocation/contains", TierGuest, rs.epContains)
@@ -183,32 +182,6 @@ func (rs *ReplicaServer) WithAuth(a Auth) *ReplicaServer {
 
 // ServeHTTP implements http.Handler.
 func (rs *ReplicaServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { rs.api.serveHTTP(w, r) }
-
-// KVPutRequest is a follower-side write attempt (rejected until the
-// follower is promoted).
-type KVPutRequest struct {
-	Key   string `json:"key"`   // base64
-	Value string `json:"value"` // base64
-}
-
-func (rs *ReplicaServer) epPut(r *http.Request) (any, *apiError) {
-	var req KVPutRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return nil, errBadRequest(err)
-	}
-	key, err1 := unb64(req.Key)
-	val, err2 := unb64(req.Value)
-	if err1 != nil || err2 != nil {
-		return nil, errBadRequest(errors.New("httpapi: bad base64 field"))
-	}
-	if err := rs.follower.Put(key, val); err != nil {
-		if errors.Is(err, replica.ErrReadOnly) {
-			return nil, &apiError{status: http.StatusForbidden, kind: "read-only", msg: err.Error()}
-		}
-		return nil, errInternal(err)
-	}
-	return map[string]string{"status": "ok"}, nil
-}
 
 func (rs *ReplicaServer) epStats(r *http.Request) (any, *apiError) {
 	return StatsResponse{Stores: map[string]kvstore.Stats{storeName: rs.follower.Stats()}}, nil
@@ -355,11 +328,6 @@ func (c *Client) ReplicaStatus() (*ReplicaStatusResponse, error) {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// KVPut attempts a write on a replica daemon (rejected until promoted).
-func (c *Client) KVPut(key, val []byte) error {
-	return c.call("POST", "/v2/kv/put", KVPutRequest{Key: b64(key), Value: b64(val)}, nil)
 }
 
 // RevocationContains asks either role for exact revocation containment.

@@ -320,8 +320,8 @@ func TestRouteAuthTiers(t *testing.T) {
 	if len(replication) != 0 {
 		t.Errorf("replication routes not registered: %v", replication)
 	}
-	if p, r := len(h.server.Routes()), len(rs.Routes()); p != 27 || r != 9 {
-		t.Errorf("%d primary and %d replica routes, want 27 and 9", p, r)
+	if p, r := len(h.server.Routes()), len(rs.Routes()); p != 27 || r != 8 {
+		t.Errorf("%d primary and %d replica routes, want 27 and 8", p, r)
 	}
 }
 

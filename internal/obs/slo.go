@@ -28,8 +28,7 @@ import (
 type SLOConfig struct {
 	// AvailabilityTarget is the non-5xx ratio objective (default 0.999).
 	AvailabilityTarget float64
-	// LatencyTarget is the per-request latency target (default 250ms);
-	// settable at runtime via SetLatencyTarget.
+	// LatencyTarget is the per-request latency target (default 250ms).
 	LatencyTarget time.Duration
 	// LatencyObjective is the fraction of requests that must land at or
 	// under LatencyTarget (default 0.99).
@@ -89,10 +88,9 @@ type sloSample struct {
 type SLO struct {
 	cfg SLOConfig
 
-	latTargetNS atomic.Int64
-	total       atomic.Int64
-	errs        atomic.Int64
-	under       atomic.Int64
+	total atomic.Int64
+	errs  atomic.Int64
+	under atomic.Int64
 
 	// slowFn, when set, is a cumulative slow-request counter (the
 	// tracer's SlowTotal) sampled into the ring so the slow-trace RATE
@@ -113,23 +111,12 @@ func NewSLO(cfg SLOConfig) *SLO {
 	cfg = cfg.withDefaults()
 	slots := int(cfg.LongWindow/cfg.SampleInterval) + 2
 	s := &SLO{cfg: cfg, ring: make([]sloSample, slots), start: cfg.Clock()}
-	s.latTargetNS.Store(int64(cfg.LatencyTarget))
 	s.lastSampleNano.Store(s.start.UnixNano())
 	return s
 }
 
-// LatencyTarget returns the current per-request latency target.
-func (s *SLO) LatencyTarget() time.Duration {
-	return time.Duration(s.latTargetNS.Load())
-}
-
-// SetLatencyTarget replaces the latency target at runtime (daemon
-// flag). Requests already counted keep their old classification.
-func (s *SLO) SetLatencyTarget(d time.Duration) {
-	if d > 0 {
-		s.latTargetNS.Store(int64(d))
-	}
-}
+// LatencyTarget returns the per-request latency target.
+func (s *SLO) LatencyTarget() time.Duration { return s.cfg.LatencyTarget }
 
 // SetSlowFunc installs the cumulative slow-request counter sampled
 // into the ring (typically the tracer's SlowTotal).
@@ -147,7 +134,7 @@ func (s *SLO) Observe(status int, d time.Duration) {
 	if status >= 500 {
 		s.errs.Add(1)
 	}
-	if int64(d) <= s.latTargetNS.Load() {
+	if d <= s.cfg.LatencyTarget {
 		s.under.Add(1)
 	}
 	s.maybeSample()

@@ -241,25 +241,6 @@ func TestSLOSlowRateProbe(t *testing.T) {
 	}
 }
 
-func TestSLOSetLatencyTarget(t *testing.T) {
-	clk := &sloClock{now: time.Unix(1_700_000_000, 0)}
-	s := testSLO(clk, SLOConfig{LatencyTarget: 100 * time.Millisecond})
-	s.Observe(200, 150*time.Millisecond) // over target
-	s.SetLatencyTarget(200 * time.Millisecond)
-	if s.LatencyTarget() != 200*time.Millisecond {
-		t.Fatalf("target = %v", s.LatencyTarget())
-	}
-	s.Observe(200, 150*time.Millisecond) // now under target
-	w := s.Window(5 * time.Minute)
-	if w.Requests != 2 || w.UnderTargetRatio != 0.5 {
-		t.Fatalf("reclassification leaked backwards: %+v", w)
-	}
-	s.SetLatencyTarget(0) // ignored
-	if s.LatencyTarget() != 200*time.Millisecond {
-		t.Fatal("zero target accepted")
-	}
-}
-
 // TestRegisterSLOMetrics: the exported families parse, carry one
 // series per window label, and reflect the tracker's state.
 func TestRegisterSLOMetrics(t *testing.T) {

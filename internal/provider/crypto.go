@@ -36,6 +36,9 @@ type proofVerdict struct {
 // per-item path, which reports the precise error in its usual order.
 func (p *Provider) preverifyExchangeProofs(items []ExchangeItem) []*proofVerdict {
 	verdicts := make([]*proofVerdict, len(items))
+	if len(items) < 2 {
+		return verdicts // nothing to combine: a lone item verifies inline
+	}
 	idx := make([]int, 0, len(items))
 	batch := make([]schnorr.BatchProofItem, 0, len(items))
 	for i, it := range items {

@@ -213,11 +213,13 @@ func TestStaleKeyIDRefusedBeforeNonceAndLicence(t *testing.T) {
 	consumed := w.prov.ConsumedNonces() // the registration's
 
 	it.KeyID = "0123456789abcdef"
-	if _, err := w.prov.ExchangeOne(ctx, it); !errors.Is(err, rsablind.ErrStaleKey) {
-		t.Fatalf("stale key id: %v, want ErrStaleKey", err)
-	}
 	if res := w.prov.ExchangeBatch(ctx, []ExchangeItem{it}); !errors.Is(res[0].Err, rsablind.ErrStaleKey) {
-		t.Fatalf("stale key id in a batch: %v, want ErrStaleKey", res[0].Err)
+		t.Fatalf("stale key id: %v, want ErrStaleKey", res[0].Err)
+	}
+	for i, res := range w.prov.ExchangeBatch(ctx, []ExchangeItem{it, it}) {
+		if !errors.Is(res.Err, rsablind.ErrStaleKey) {
+			t.Fatalf("stale key id in slot %d of a batch: %v, want ErrStaleKey", i, res.Err)
+		}
 	}
 	if n := w.prov.ConsumedNonces(); n != consumed {
 		t.Errorf("refusals consumed %d nonces", n-consumed)
@@ -235,8 +237,8 @@ func TestStaleKeyIDRefusedBeforeNonceAndLicence(t *testing.T) {
 		t.Fatal(err)
 	}
 	it.KeyID = rsablind.KeyID(pub)
-	if _, err := w.prov.ExchangeOne(ctx, it); err != nil {
-		t.Fatalf("same nonce, proof and licence under the right key id: %v", err)
+	if res := w.prov.ExchangeBatch(ctx, []ExchangeItem{it}); res[0].Err != nil {
+		t.Fatalf("same nonce, proof and licence under the right key id: %v", res[0].Err)
 	}
 }
 

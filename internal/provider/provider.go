@@ -89,10 +89,10 @@
 // built unsigned, the licenses one call issues to one pseudonym become the
 // leaves of a tree (license.Sign), one signature covers its root, and each
 // license carries that signature and its path. Purchase and Redeem are the
-// one-leaf case of the same code; IssueBatch and RedeemBatch cost one
-// private-key operation per pseudonym they name instead of one per
-// license. A root never spans two pseudonyms, because licenses under one
-// root are provably co-issued and only a shared pseudonym may say that.
+// one-leaf case; IssueBatch and RedeemBatch cost one private-key operation
+// per pseudonym they name instead of one per license. A root never spans
+// two pseudonyms, because licenses under one root are provably co-issued
+// and only a shared pseudonym may say that.
 // The issuance record holds the license with its path and signature, and
 // Exchange admits a license by comparing it to that record, which settles
 // more than verifying the signature again would. docs/crypto.md has the
@@ -100,11 +100,13 @@
 //
 // # Durability
 //
-// Every public entry point that writes (Register, Purchase, Exchange,
-// Redeem, IssueBatch, ExchangeBatch, RedeemBatch) opens a kvstore commit
-// set on its context, so the writes below it — cfg.Store puts, the bank's
-// spent marks, the revocation list's TryAddCtx — append and apply at once
-// and the entry point blocks ONCE per store, at its end, for all of them.
+// Each protocol step is implemented once, over a slice: IssueBatch,
+// ExchangeBatch and RedeemBatch, which Purchase, Exchange and Redeem call
+// with one item. Every public entry point that writes (Register and the
+// three slice calls) opens a kvstore commit set on its context, so the
+// writes below it — cfg.Store puts, the bank's spent marks, the revocation
+// list's TryAddCtx — append and apply at once and the entry point blocks
+// ONCE per store, at its end, for all of them.
 // It does so on the refusal path too: ErrAlreadyRedeemed, ErrLicenseRevoked
 // and the bank's ErrDoubleSpend rest on another request's record, and are
 // not returned before that record is durable. No worker of a batch parks
@@ -112,14 +114,14 @@
 // The entry points are still durable-on-return for every caller; a caller
 // that already opened a commit set of its own takes the wait over.
 //
-// Order within a store is the log's: revoke-before-sign in Exchange,
-// burn-before-issue in Redeem and payment-before-goods in Purchase and
-// IssueBatch hold because the later record cannot be durable without the
-// earlier one. p2drmd keeps the bank's spent marks in cfg.Store, so every
-// entry point, a batch of purchases included, costs one durability wait.
-// A bank on a store of its own is ordered by an explicit barrier —
-// Purchase and IssueBatch wait for its spent marks before appending any
-// "issued:" record — and a purchase then costs two.
+// Order within a store is the log's: revoke-before-sign in exchange,
+// burn-before-issue in redemption and payment-before-goods in purchase
+// hold because the later record cannot be durable without the earlier
+// one. p2drmd keeps the bank's spent marks in cfg.Store, so every entry
+// point, a batch of purchases included, costs one durability wait. A bank
+// on a store of its own is ordered by an explicit barrier — IssueBatch
+// waits for its spent marks before appending any "issued:" record — and a
+// purchase then costs two.
 package provider
 
 import (
@@ -244,9 +246,10 @@ type Provider struct {
 	seq int
 
 	// batchSlots is a provider-wide semaphore bounding how many batch
-	// purchases run crypto at once, across ALL IssueBatch calls — many
-	// concurrent batches share these GOMAXPROCS slots instead of each
-	// spawning its own full-width pool.
+	// items run crypto at once, across ALL batch calls of two or more
+	// items — many concurrent batches share these GOMAXPROCS slots instead
+	// of each spawning its own full-width pool. A call of one item, every
+	// single request, runs on its caller's goroutine and takes none.
 	batchSlots chan struct{}
 
 	// crypto counts batch proof-verification activity (see crypto.go).
@@ -530,36 +533,12 @@ type PurchaseRequest struct {
 }
 
 // Purchase settles payment and issues a personalized license to the
-// pseudonym. The provider learns the pseudonym but neither the identity
-// behind it nor the coins' withdrawal origin.
+// pseudonym: IssueBatch with one request. The provider learns the
+// pseudonym but neither the identity behind it nor the coins' withdrawal
+// origin.
 func (p *Provider) Purchase(ctx context.Context, req PurchaseRequest) (*license.Personalized, error) {
-	ctx, commit := kvstore.BeginCommit(ctx)
-	lic, err := p.purchase(ctx, commit, req)
-	return sealed(ctx, commit, lic, err)
-}
-
-func (p *Provider) purchase(ctx context.Context, commit kvstore.Commit, req PurchaseRequest) (*license.Personalized, error) {
-	item, err := p.settle(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	// Payment before goods: no crash leaves a license on record whose
-	// coins can be spent again. On the daemon's one log the spent marks
-	// precede the issuance record and the barrier waits on nothing; a
-	// bank on a store of its own is made durable here first. The reverse
-	// loss (coins spent, no license) is the help-desk case it always was.
-	if err := commit.Barrier(ctx, p.cfg.Store); err != nil {
-		return nil, err
-	}
-	lic, err := p.build(item, req.SignPub, req.EncPub)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.record(ctx, lic); err != nil {
-		return nil, err
-	}
-	p.logIssued(EvPurchase, lic, "")
-	return lic, nil
+	res := p.IssueBatch(ctx, []PurchaseRequest{req})[0]
+	return res.License, res.Err
 }
 
 // settle is the paying half of a purchase: admission checks, then the
@@ -593,22 +572,12 @@ func (p *Provider) settle(ctx context.Context, req PurchaseRequest) (*CatalogIte
 	return item, nil
 }
 
-// sealed settles a request's commit set and folds the wait into its
-// outcome. It runs on the refusal path too — a refusal may rest on
-// another request's record (the coin already spent, the serial already
-// redeemed) that is not durable yet — and a failed wait overrides both:
-// nothing the request computed may be reported as committed.
-func sealed[T any](ctx context.Context, commit kvstore.Commit, v T, err error) (T, error) {
-	if werr := commit.End(ctx); werr != nil {
-		var zero T
-		return zero, werr
-	}
-	return v, err
-}
-
-// failAll is sealed for a batch: a failed durability wait (nil err is
-// the wait that held) is reported through fail for every index, the
-// slots that were refused for reasons of their own included.
+// failAll folds a call's durability wait into its outcome: a failed wait
+// (nil err is the wait that held) is reported through fail for every
+// index, the slots that were refused for reasons of their own included —
+// a refusal may rest on another request's record (the coin already spent,
+// the serial already redeemed) that is not durable yet, and nothing the
+// call computed may be reported as committed.
 func failAll(n int, fail func(i int, err error), err error) {
 	if err == nil {
 		return
@@ -618,22 +587,29 @@ func failAll(n int, fail func(i int, err error), err error) {
 	}
 }
 
-// BatchResult is one IssueBatch outcome; results come back in request
-// order, so position identifies the request.
+// BatchResult is one IssueBatch or RedeemBatch outcome: exactly one of
+// License and Err is set. Results come back in request order, so position
+// identifies the request.
 type BatchResult struct {
 	License *license.Personalized
 	Err     error
 }
 
-// runBatch drives do(i) for every index in [0, n) on a bounded worker
-// pool. Parallelism is bounded provider-wide by batchSlots, so any number
-// of concurrent batch calls (purchase, exchange, redeem) together use at
-// most GOMAXPROCS crypto workers and cannot starve single-request
-// traffic. Indexes whose slot acquisition loses to context cancellation
-// are reported through fail instead — don't queue for crypto on behalf
-// of a caller that is already gone.
+// runBatch drives do(i) for every index in [0, n). A call of one item —
+// every single request — runs it on the caller's goroutine and takes no
+// slot, so single-request traffic never queues behind batches. Larger
+// calls run on a bounded worker pool: parallelism is bounded provider-wide
+// by batchSlots, so any number of concurrent batch calls (purchase,
+// exchange, redeem) together use at most GOMAXPROCS crypto workers.
+// Indexes whose slot acquisition loses to context cancellation are
+// reported through fail instead — don't queue for crypto on behalf of a
+// caller that is already gone.
 func (p *Provider) runBatch(ctx context.Context, n int, do func(i int), fail func(i int, err error)) {
-	if n == 0 {
+	switch n {
+	case 0:
+		return
+	case 1:
+		do(0)
 		return
 	}
 	workers := cap(p.batchSlots)
@@ -665,10 +641,11 @@ func (p *Provider) runBatch(ctx context.Context, n int, do func(i int), fail fun
 	wg.Wait()
 }
 
-// IssueBatch settles a slice of purchases on the shared worker pool and
-// returns per-request outcomes in request order. Each purchase succeeds
-// or fails independently; a cancelled context fails the requests that
-// have not started paying yet. The batch runs in two phases around ONE
+// IssueBatch settles a slice of purchases and returns per-request
+// outcomes in request order; Purchase is the call with one request, which
+// runs on the caller's goroutine (runBatch). Each purchase succeeds or
+// fails independently; a cancelled context fails the requests that have
+// not started paying yet. The batch runs in two phases around ONE
 // payment-before-goods barrier — every request's coins to the bank, the
 // barrier, every paid request's license, one wait at the end — so its
 // durability cost is one fsync wait whatever its size when the bank
@@ -683,6 +660,12 @@ func (p *Provider) IssueBatch(ctx context.Context, reqs []PurchaseRequest) []Bat
 	p.runBatch(ctx, len(reqs),
 		func(i int) { items[i], results[i].Err = p.settle(ctx, reqs[i]) },
 		fail)
+	// Payment before goods: no crash leaves a license on record whose
+	// coins can be spent again. On the daemon's one log the spent marks
+	// precede the issuance records and the barrier waits on nothing; a
+	// bank on a store of its own is made durable here first. The reverse
+	// loss (coins spent, no license) costs the buyer the coins: p2drmd
+	// keeps no journal to recover the sale from.
 	if err := commit.Barrier(ctx, p.cfg.Store); err != nil {
 		failAll(len(reqs), fail, err)
 		return results
@@ -731,20 +714,20 @@ type ExchangeBatchResult struct {
 	Err      error
 }
 
-// ExchangeBatch retires a slice of licenses on the shared worker pool,
-// pairing purchase batching on the deposit side: bulk wallets retire a
-// day's licenses in one call. Outcomes come back in request order; each
-// item keeps Exchange's single-winner and revoke-before-sign semantics.
-// The whole batch shares one durability wait; if it fails, every slot
-// fails.
+// ExchangeBatch retires a slice of licenses, pairing purchase batching on
+// the deposit side: bulk wallets retire a day's licenses in one call;
+// Exchange is the call with one item. Outcomes come back in request
+// order; each item keeps the single-winner and revoke-before-sign
+// semantics of exchange. The whole call shares one durability wait; if it
+// fails, every slot fails.
 func (p *Provider) ExchangeBatch(ctx context.Context, items []ExchangeItem) []ExchangeBatchResult {
 	ctx, commit := kvstore.BeginCommit(ctx)
 	results := make([]ExchangeBatchResult, len(items))
 	fail := func(i int, err error) { results[i] = ExchangeBatchResult{Err: err} }
 	// One combined Schnorr multi-exponentiation settles every well-formed
 	// ownership proof up front; the per-item workers then skip their own
-	// VerifyProof. Items the batch could not judge (nil license/proof)
-	// verify inline as before.
+	// VerifyProof. Items the batch could not judge (nil license/proof),
+	// and a call of one item, verify inline.
 	verdicts := p.preverifyExchangeProofs(items)
 	p.runBatch(ctx, len(items),
 		func(i int) {
@@ -763,23 +746,17 @@ type RedeemItem struct {
 	EncPub    []byte
 }
 
-// RedeemBatchResult is one RedeemBatch outcome: exactly one of License
-// and Err is set.
-type RedeemBatchResult struct {
-	License *license.Personalized
-	Err     error
-}
-
-// RedeemBatch redeems a slice of anonymous licenses on the shared worker
-// pool. Outcomes come back in request order; the durable redeemed-serial
-// CAS still guarantees a single winner per serial, even when the same
-// serial appears twice in one batch. The admitted slots' licenses cost one
-// provider signature per pseudonym named (issueBatch). The whole batch
-// shares one durability wait; if it fails, every slot fails.
-func (p *Provider) RedeemBatch(ctx context.Context, items []RedeemItem) []RedeemBatchResult {
+// RedeemBatch redeems a slice of anonymous licenses; Redeem is the call
+// with one item. Outcomes come back in request order; the durable
+// redeemed-serial CAS guarantees a single winner per serial, even when
+// the same serial appears twice in one batch. The admitted slots'
+// licenses cost one provider signature per pseudonym named (issueBatch).
+// The whole call shares one durability wait; if it fails, every slot
+// fails.
+func (p *Provider) RedeemBatch(ctx context.Context, items []RedeemItem) []BatchResult {
 	ctx, commit := kvstore.BeginCommit(ctx)
-	results := make([]RedeemBatchResult, len(items))
-	fail := func(i int, err error) { results[i] = RedeemBatchResult{Err: err} }
+	results := make([]BatchResult, len(items))
+	fail := func(i int, err error) { results[i] = BatchResult{Err: err} }
 	lics := make([]*license.Personalized, len(items))
 	p.runBatch(ctx, len(items),
 		func(i int) {
@@ -908,24 +885,18 @@ func ExchangeContext(nonce string, serial license.Serial) []byte {
 }
 
 // Exchange retires a live personalized license and blind-signs the
-// presented blinded anonymous-serial under the item's denomination key.
-// The provider never sees the serial inside `blinded`.
+// presented blinded anonymous-serial under the item's denomination key:
+// ExchangeBatch with one item. The provider never sees the serial inside
+// `blinded`.
 func (p *Provider) Exchange(ctx context.Context, lic *license.Personalized, proof *schnorr.Proof, nonce string, blinded []byte) ([]byte, error) {
-	return p.ExchangeOne(ctx, ExchangeItem{License: lic, Proof: proof, Nonce: nonce, Blinded: blinded})
+	res := p.ExchangeBatch(ctx, []ExchangeItem{{License: lic, Proof: proof, Nonce: nonce, Blinded: blinded}})[0]
+	return res.BlindSig, res.Err
 }
 
-// ExchangeOne is Exchange for an item, which can name the key it was
-// blinded under (see ExchangeItem.KeyID).
-func (p *Provider) ExchangeOne(ctx context.Context, it ExchangeItem) ([]byte, error) {
-	ctx, commit := kvstore.BeginCommit(ctx)
-	sig, err := p.exchange(ctx, it, nil)
-	return sealed(ctx, commit, sig, err)
-}
-
-// exchange is ExchangeOne with an optional pre-computed ownership-proof
-// verdict from the batch verifier. The verdict is exactly what the
-// inline VerifyProof would return for the same inputs, so every check
-// still runs in the same order with the same errors.
+// exchange runs one ExchangeBatch item, with the ownership-proof verdict
+// the combined check settled for it, or nil to verify inline. The verdict
+// is exactly what the inline VerifyProof would return for the same
+// inputs, so every check runs in the same order with the same errors.
 func (p *Provider) exchange(ctx context.Context, it ExchangeItem, verdict *proofVerdict) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -977,9 +948,9 @@ func (p *Provider) exchange(ctx context.Context, it ExchangeItem, verdict *proof
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Revoke first: if we crash between revoke and sign, the user lost a
-	// license but gained nothing — recoverable at the provider's help
-	// desk via the journal; the reverse order would mint free licenses.
+	// Revoke first: if we crash between revoke and sign, the user has
+	// lost the license and gained nothing, and p2drmd keeps no journal to
+	// give it back from; the reverse order would mint free licenses.
 	// TryAddCtx is also the double-exchange gate: the rev.Contains check
 	// above is only a fast path, so of any number of concurrent
 	// exchanges of one license, exactly one reaches the blind signature.
@@ -1041,25 +1012,13 @@ func (p *Provider) denomSignerByContent(id license.ContentID) (*rsablind.Signer,
 func redeemedKey(s license.Serial) []byte { return []byte("redeemed:" + s.String()) }
 
 // Redeem verifies an anonymous license and issues a fresh personalized
-// license to the presented (registered) pseudonym. Double redemption is
-// blocked by an atomic insert into the durable redeemed-serial set: of
-// any number of concurrent redemptions of one serial, exactly one wins.
+// license to the presented (registered) pseudonym: RedeemBatch with one
+// item. Double redemption is blocked by an atomic insert into the durable
+// redeemed-serial set: of any number of concurrent redemptions of one
+// serial, exactly one wins.
 func (p *Provider) Redeem(ctx context.Context, anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
-	ctx, commit := kvstore.BeginCommit(ctx)
-	lic, err := p.redeem(ctx, anon, signPub, encPub)
-	return sealed(ctx, commit, lic, err)
-}
-
-func (p *Provider) redeem(ctx context.Context, anon *license.Anonymous, signPub, encPub []byte) (*license.Personalized, error) {
-	lic, err := p.admit(ctx, anon, signPub, encPub)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.record(ctx, lic); err != nil {
-		return nil, err
-	}
-	p.logIssued(EvRedeem, lic, anon.Serial.String())
-	return lic, nil
+	res := p.RedeemBatch(ctx, []RedeemItem{{Anonymous: anon, SignPub: signPub, EncPub: encPub}})[0]
+	return res.License, res.Err
 }
 
 // admit is the burning half of a redemption: the anonymous license and
@@ -1081,8 +1040,8 @@ func (p *Provider) admit(ctx context.Context, anon *license.Anonymous, signPub, 
 		return nil, ErrUnknownPseudonym
 	}
 	// The double-spend gate. If issuing fails after this point the serial
-	// stays burned — same recoverable-at-the-help-desk posture as the
-	// revoke-before-sign ordering in Exchange.
+	// stays burned and the redeemer has lost the license — the same loss
+	// as the revoke-before-sign ordering in exchange.
 	inserted, err := p.cfg.Store.PutIfAbsentCtx(ctx, redeemedKey(anon.Serial), []byte{1})
 	if err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func TestPrivateKeyOperationsPerCall(t *testing.T) {
 		}
 		redeems[i] = RedeemItem{Anonymous: w.anonymous(t, pendings[i], res.BlindSig), SignPub: peerSign, EncPub: peerEnc}
 	}
-	var redeemed []RedeemBatchResult
+	var redeemed []BatchResult
 	count("RedeemBatch of 16 to one pseudonym", rsaOps{license: 1}, func() { redeemed = w.prov.RedeemBatch(ctx, redeems) })
 	for i, res := range redeemed {
 		if res.Err != nil {
@@ -235,7 +235,7 @@ func TestRootNeverSpansTwoPseudonyms(t *testing.T) {
 			redeems[i].SignPub, redeems[i].EncPub = bSign, bEnc
 		}
 	}
-	var redeemed []RedeemBatchResult
+	var redeemed []BatchResult
 	if got := w.opsOf(func() { redeemed = w.prov.RedeemBatch(ctx, redeems) }); got.license != 2 {
 		t.Errorf("a redeem call naming two pseudonyms cost %d license-key operations, want 2", got.license)
 	}
@@ -415,7 +415,7 @@ func TestBatchLicenseLivesAFullLife(t *testing.T) {
 		t.Error("a license with a bent path played")
 	}
 	p := w.pendingExchange(t, bent, 0)
-	if _, err := w.prov.ExchangeOne(ctx, p.item); err == nil || !strings.Contains(err.Error(), "provider signature") {
+	if _, err := w.exchangeAs(false, p.item); err == nil || !strings.Contains(err.Error(), "provider signature") {
 		t.Errorf("a license with a bent path: exchange = %v, want the signature refusal", err)
 	}
 
@@ -473,8 +473,7 @@ func TestExchangeRefusalOrder(t *testing.T) {
 		if mutate != nil {
 			mutate(&p.item)
 		}
-		_, err := w.prov.ExchangeOne(ctx, p.item)
-		return err
+		return w.prov.ExchangeBatch(ctx, []ExchangeItem{p.item})[0].Err
 	}
 	copyOf := func() *license.Personalized {
 		c, err := license.UnmarshalPersonalized(lic.Marshal())

@@ -67,9 +67,9 @@
 // re-applies a suffix of absolute put/delete records, which is
 // idempotent. Promotion (Follower.Promote) first fsyncs a PROMOTED
 // marker, then stops the tail loop and hands back the underlying store,
-// open for writes; until then every write through the follower returns
-// ErrReadOnly, and a promotion whose marker could not be made durable
-// changes nothing.
+// open for writes. That store is the only write handle — the follower has
+// no write method — and a promotion whose marker could not be made
+// durable changes nothing.
 //
 // cmd/p2drmd runs the follower side with -replica-of=<primary-url>:
 // one follower of the primary's one store, which holds the bank's spent

@@ -8,6 +8,7 @@ package replica_test
 import (
 	"crypto/rand"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -108,11 +109,21 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 		t.Fatalf("stats differ: primary %+v replica %+v", pStats.Stores, rStats.Stores)
 	}
 
-	// Writes to the follower are rejected with 403/ErrReadOnly.
-	err = rc.KVPut([]byte("rogue"), []byte("x"))
-	if err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("follower accepted a write (err=%v)", err)
+	// Neither role has a raw-write route: a key-value write is not found.
+	rawPut := func(role, base string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v2/kv/put", "application/json",
+			strings.NewReader(`{"key":"cm9ndWU=","value":"eA=="}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: POST /v2/kv/put answered %d, want 404", role, resp.StatusCode)
+		}
 	}
+	rawPut("primary", pts.URL)
+	rawPut("replica", rts.URL)
 
 	// Exact revocation lookups on the replica.
 	if got, err := rc.RevocationContains(revoked); err != nil || !got {
@@ -167,8 +178,8 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	}
 	waitCaughtUp("after resync")
 
-	// Promotion over /v2: once it has answered, the same write succeeds
-	// on the very next request.
+	// Promotion over /v2: once it has answered, the store Promote returns
+	// takes writes, and the follower reads them back.
 	promoted, err := rc.Promote()
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +191,15 @@ func TestEndToEndHTTPReplication(t *testing.T) {
 	if again, err := rc.Promote(); err != nil || len(again.Promoted) != 1 {
 		t.Fatalf("second promote = %+v, %v", again, err)
 	}
-	if err := rc.KVPut([]byte("rogue"), []byte("x")); err != nil {
-		t.Fatalf("promoted replica rejected write: %v", err)
+	st, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put([]byte("rogue"), []byte("x")); err != nil {
+		t.Fatalf("write through the promoted store: %v", err)
 	}
 	if v, ok := f.Get([]byte("rogue")); !ok || string(v) != "x" {
 		t.Fatal("promoted write not readable back")
 	}
+	rawPut("promoted replica", rts.URL)
 }

@@ -16,11 +16,6 @@ import (
 	"p2drm/internal/kvstore"
 )
 
-// ErrReadOnly rejects writes through a follower that has not been
-// promoted: a replica that accepted a write would silently fork from
-// the primary's history.
-var ErrReadOnly = errors.New("replica: follower is read-only (not promoted)")
-
 // errEpochChanged marks a response from a different primary incarnation
 // than the cursor was built against; the follower must re-snapshot.
 var errEpochChanged = errors.New("replica: primary epoch changed")
@@ -856,32 +851,10 @@ func (f *Follower) Stats() kvstore.Stats {
 	return st.Stats()
 }
 
-// Put writes to the local store — allowed only after Promote.
-func (f *Follower) Put(key, val []byte) error {
-	f.mu.RLock()
-	st, ok := f.store, f.promoted
-	f.mu.RUnlock()
-	if !ok {
-		return ErrReadOnly
-	}
-	return st.Put(key, val)
-}
-
-// Delete removes a key — allowed only after Promote.
-func (f *Follower) Delete(key []byte) error {
-	f.mu.RLock()
-	st, ok := f.store, f.promoted
-	f.mu.RUnlock()
-	if !ok {
-		return ErrReadOnly
-	}
-	return st.Delete(key)
-}
-
 // Promote converts the follower into a primary-capable store: the tail
-// loop stops, the read-only gate opens, and the underlying store — a
-// normal kvstore, writable all along — is returned for full use (e.g.
-// to mount a provider on it). Promotion is DURABLE before it is
+// loop stops and the underlying store — a normal kvstore, writable all
+// along — is returned for full use (e.g. to mount a provider on it). It
+// is the only write handle: the follower itself has no write method. Promotion is DURABLE before it is
 // visible: a PROMOTED marker is fsynced into the state directory first,
 // so a restarted daemon that still carries -replica-of cannot resync
 // over the writes accepted after promotion — Open refuses with

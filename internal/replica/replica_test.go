@@ -119,6 +119,9 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	}
 }
 
+// TestFollowerRejectsWritesUntilPromoted: a follower has no write method;
+// until it is promoted it tails the primary, and the store Promote returns
+// is the one write handle, its writes read back through the follower.
 func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 	primary := newPrimary(t)
 	fill(t, primary, "k", 10)
@@ -126,22 +129,21 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 	f := startFollower(t, src, "")
 	waitConverged(t, f, primary, 5*time.Second)
 
-	if err := f.Put([]byte("rogue"), []byte("w")); err != replica.ErrReadOnly {
-		t.Fatalf("follower write: got %v, want ErrReadOnly", err)
+	if st := f.Status(); st.Promoted || st.State != "tailing" {
+		t.Fatalf("unpromoted follower: state %s, promoted %v; want tailing, not promoted", st.State, st.Promoted)
 	}
-	if err := f.Delete([]byte("k-0001")); err != replica.ErrReadOnly {
-		t.Fatalf("follower delete: got %v, want ErrReadOnly", err)
-	}
+	fill(t, primary, "more", 5)
+	waitConverged(t, f, primary, 5*time.Second)
 
 	st, err := f.Promote()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Put([]byte("rogue"), []byte("w")); err != nil {
-		t.Fatalf("promoted follower write: %v", err)
+	if err := st.Put([]byte("rogue"), []byte("w")); err != nil {
+		t.Fatalf("write through the promoted store: %v", err)
 	}
-	if v, ok := st.Get([]byte("rogue")); !ok || string(v) != "w" {
-		t.Fatal("promoted write not visible through returned store")
+	if v, ok := f.Get([]byte("rogue")); !ok || string(v) != "w" {
+		t.Fatal("a write through the promoted store does not read back through the follower")
 	}
 	if got := f.Status().State; got != "promoted" {
 		t.Errorf("state after promote: %s", got)
@@ -211,8 +213,8 @@ func TestPromotionMarkerFailureChangesNothing(t *testing.T) {
 	if st, err := f.Promote(); err == nil {
 		t.Fatalf("Promote with an unwritable marker = %v, nil; want an error", st)
 	}
-	if err := f.Put([]byte("rogue"), []byte("w")); err != replica.ErrReadOnly {
-		t.Fatalf("write after a failed promote: got %v, want ErrReadOnly", err)
+	if st := f.Status(); st.Promoted || st.State == "promoted" {
+		t.Fatalf("after a failed promote: state %s, promoted %v; want not promoted", st.State, st.Promoted)
 	}
 	fill(t, primary, "after", 5)
 	waitConverged(t, f, primary, 5*time.Second)

@@ -66,7 +66,9 @@ timing-guard:
 # beacon; a withdraw body debits exactly what it gets signed or nothing;
 # a Schnorr proof or signature off the wire errors or is judged, never
 # panics, and a commitment outside [1, p) is refused; rights text that
-# Parse accepts renders to canonical text that parses back to itself.
+# Parse accepts renders to canonical text that parses back to itself;
+# a response envelope off the wire decodes or errors, never panics, and
+# an error envelope never reaches the caller's destination.
 # CI's fuzz job runs this target on every PR: the list lives here.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/kvstore
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/bloom
 	$(GO) test -run=NONE -fuzz=FuzzConsumeNonce -fuzztime=10s ./internal/provider
 	$(GO) test -run=NONE -fuzz=FuzzWithdrawRequest -fuzztime=10s ./internal/httpapi
+	$(GO) test -run=NONE -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/httpapi
 	$(GO) test -run=NONE -fuzz=FuzzParseProof -fuzztime=10s ./internal/cryptox/schnorr
 
 # Subprocess crash/compaction suite: SIGKILL mid-group-commit, mid-

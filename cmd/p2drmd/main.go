@@ -15,8 +15,8 @@
 // The daemon serves one API tree, /v2/ (see docs/rest.md): every
 // response is a snapd-style envelope and routes carry auth tiers. Every
 // action answers in its own request, the admin ones (compaction,
-// revocation rebuild, replica promotion/resync) included; each is
-// idempotent, so one cut off by a crash is sent again.
+// replica promotion/resync) included; each is idempotent, so one cut off
+// by a crash is sent again.
 //
 // -user-token and -admin-token configure bearer credentials for the
 // auth tiers; with both empty the API is open (every caller is admin), which keeps demo setups

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -120,16 +121,16 @@ func TestParentEraOpsDirIsLeftAlone(t *testing.T) {
 }
 
 // TestBootOverARevocationList boots -lab on a state directory whose
-// provider store already holds more revoked serials than
-// revocation.DefaultFilterCapacity. The keys, the generator table and
-// the WAL replays run side by side, and so do the demo items' key
-// generations: the daemon must come up healthy and answer for every
-// serial, sign a filter sized for the list that holds them, and list
-// three items under three distinct denomination keys.
+// provider store already holds 70 000 revoked serials. The keys, the
+// generator table and the WAL replays run side by side, and so do the
+// demo items' key generations: the daemon must come up healthy and
+// answer for every serial, sign a filter sized to the exact count that
+// holds them, and list three items under three distinct denomination
+// keys.
 func TestBootOverARevocationList(t *testing.T) {
 	bin := buildDaemon(t)
 	state := filepath.Join(t.TempDir(), "state")
-	const n = 70_000 // > DefaultFilterCapacity (65 536)
+	const n = 70_000
 	serials := make([]license.Serial, n)
 	for i := range serials {
 		sum := sha256.Sum256(binary.BigEndian.AppendUint64([]byte("p2drmd/test/revoked"), uint64(i)))
@@ -175,7 +176,7 @@ func TestBootOverARevocationList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sized, err := bloom.NewWithEstimates(2*revocation.DefaultFilterCapacity, revocation.DefaultFalsePositiveRate)
+	sized, err := bloom.NewWithEstimates(n, revocation.DefaultFalsePositiveRate, [bloom.SaltSize]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +295,12 @@ func TestOneStorePerDaemon(t *testing.T) {
 // TestReplicaTimesEveryApply: the replica's HTTP surface, and with it the
 // follower's metrics observer, is in place before the follower starts, so
 // the applies that bring a new replica up to a primary that already holds
-// records are timed like every later one.
+// records are timed like every later one, and so are those of a snapshot
+// resync.
 func TestReplicaTimesEveryApply(t *testing.T) {
-	store, err := kvstore.OpenWith(t.TempDir(), walOpts)
+	opts := walOpts
+	opts.SegmentBytes = 256 // the records span sealed segments, which a snapshot carries
+	store, err := kvstore.OpenWith(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +329,21 @@ func TestReplicaTimesEveryApply(t *testing.T) {
 	}
 	rs := httptest.NewServer(handler)
 	defer rs.Close()
-	m := scrape(t, httpapi.NewClient(rs.URL, nil))
-	if n, ok := m.Value("p2drm_replica_apply_duration_seconds_count", map[string]string{"store": "provider"}); !ok || n < 1 {
-		t.Errorf(`p2drm_replica_apply_duration_seconds_count{store="provider"} = %v, %v after catching up; want ≥ 1`, n, ok)
+	applies := func() float64 {
+		n, _ := scrape(t, httpapi.NewClient(rs.URL, nil)).Value("p2drm_replica_apply_duration_seconds_count", map[string]string{"store": "provider"})
+		return n
+	}
+	caughtUp := applies()
+	if caughtUp < 1 {
+		t.Errorf(`p2drm_replica_apply_duration_seconds_count{store="provider"} = %v after catching up; want ≥ 1`, caughtUp)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := f.Resync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if resynced := applies(); resynced <= caughtUp {
+		t.Errorf(`p2drm_replica_apply_duration_seconds_count{store="provider"} = %v after a snapshot resync, %v before; want it to rise`, resynced, caughtUp)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Quickstart: stand up a P2DRM world in-process, buy a song anonymously,
 // play it on a compliant device, then talk to the same provider over
-// the /v2 REST API with the client SDK (envelope decoding and an admin
-// action).
+// the /v2 REST API with the client SDK.
 //
 //	go run ./examples/quickstart
 package main
@@ -96,12 +95,4 @@ delegate allow;
 	}
 	fmt.Printf("\n/v2/catalog: %d item(s); first: %q at %d credits\n",
 		len(catalog), catalog[0].Title, catalog[0].PriceCredits)
-
-	// Admin action: the revocation-filter rebuild answers in the same
-	// request, with the new filter generation as its result.
-	rebuilt, err := client.RebuildRevocationFilter()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("/v2/revocation/rebuild: filter generation %d\n", rebuilt.Generation)
 }

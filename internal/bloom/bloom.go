@@ -1,8 +1,8 @@
-// Package bloom implements a standard Bloom filter used as the fast path
-// of the revocation list: a negative answer ("serial not revoked") is
-// exact and costs a few hashes; a positive answer falls back to the exact
-// store. Sized for a target false-positive rate so the fallback stays
-// rare.
+// Package bloom implements the salted Bloom filter a device holds as its
+// copy of the revocation list: a negative answer ("serial not revoked")
+// is exact and costs a few hashes; a positive answer is wrong at the
+// filter's design rate. The salt is part of the filter, so two filters
+// over the same serials with different salts wrong different serials.
 package bloom
 
 import (
@@ -13,6 +13,12 @@ import (
 	"math/bits"
 )
 
+// SaltSize is the length of a filter's salt.
+const SaltSize = 16
+
+// headerSize is the encoding's m[8] | k[4] | n[8] | salt[16].
+const headerSize = 20 + SaltSize
+
 // Filter is a fixed-size Bloom filter. The zero value is not usable; build
 // one with New or NewWithEstimates.
 type Filter struct {
@@ -20,20 +26,26 @@ type Filter struct {
 	m    uint64 // number of bits
 	k    uint32 // number of hash functions
 	n    uint64 // elements added
+	salt [SaltSize]byte
+	// seedHi and seedLo are the FNV-128a state after the salt: every
+	// digest starts there, so the salt costs nothing per lookup.
+	seedHi, seedLo uint64
 }
 
-// New creates a filter with m bits and k hash functions.
-func New(m uint64, k uint32) (*Filter, error) {
+// New creates a filter with m bits and k hash functions under salt.
+func New(m uint64, k uint32, salt [SaltSize]byte) (*Filter, error) {
 	if m == 0 || k == 0 {
 		return nil, errors.New("bloom: m and k must be positive")
 	}
-	return &Filter{bits: make([]uint64, (m+63)/64), m: m, k: k}, nil
+	f := &Filter{bits: make([]uint64, (m+63)/64), m: m, k: k, salt: salt}
+	f.seedHi, f.seedLo = fnv128a(fnvOffsetHigh, fnvOffsetLow, salt[:])
+	return f, nil
 }
 
 // NewWithEstimates sizes the filter for n expected elements at
 // false-positive rate fp using the textbook optima
 // m = -n·ln(fp)/ln2², k = m/n·ln2.
-func NewWithEstimates(n uint64, fp float64) (*Filter, error) {
+func NewWithEstimates(n uint64, fp float64, salt [SaltSize]byte) (*Filter, error) {
 	if n == 0 {
 		return nil, errors.New("bloom: expected elements must be positive")
 	}
@@ -48,7 +60,7 @@ func NewWithEstimates(n uint64, fp float64) (*Filter, error) {
 	if k == 0 {
 		k = 1
 	}
-	return New(m, k)
+	return New(m, k, salt)
 }
 
 // FNV-128a parameters, as hash/fnv defines them: the offset basis split
@@ -61,20 +73,25 @@ const (
 	fnvPrimeShift = 24
 )
 
-// indexes derives the k bit positions for data using double hashing
-// (Kirsch–Mitzenmacher): h_i = h1 + i·h2, where h1 and h2 are the high
-// and low halves of data's FNV-128a digest. The digest is computed inline
-// — hash/fnv's arithmetic, without its two allocations — and is part of
-// the wire format: a device decodes a filter with this package and must
-// derive the very bits the provider set.
-func (f *Filter) indexes(data []byte) (uint64, uint64) {
-	hi, lo := uint64(fnvOffsetHigh), uint64(fnvOffsetLow)
+// fnv128a continues an FNV-128a digest whose state is (hi, lo) over
+// data: hash/fnv's arithmetic, without its two allocations.
+func fnv128a(hi, lo uint64, data []byte) (uint64, uint64) {
 	for _, c := range data {
 		lo ^= uint64(c)
 		h, l := bits.Mul64(fnvPrimeLow, lo)
 		hi = h + lo<<fnvPrimeShift + fnvPrimeLow*hi
 		lo = l
 	}
+	return hi, lo
+}
+
+// indexes derives the k bit positions for data using double hashing
+// (Kirsch–Mitzenmacher): h_i = h1 + i·h2, where h1 and h2 are the high
+// and low halves of the FNV-128a digest of salt ‖ data. The digest is
+// part of the wire format: a device decodes a filter with this package
+// and must derive the very bits the provider set.
+func (f *Filter) indexes(data []byte) (uint64, uint64) {
+	hi, lo := fnv128a(f.seedHi, f.seedLo, data)
 	return hi, lo | 1 // h2 odd so it cycles all residues
 }
 
@@ -123,21 +140,22 @@ func (f *Filter) EstimatedFalsePositiveRate() float64 {
 
 // Marshal serialises the filter:
 //
-//	m[8] | k[4] | n[8] | words...
+//	m[8] | k[4] | n[8] | salt[16] | words...
 func (f *Filter) Marshal() []byte {
-	out := make([]byte, 20+8*len(f.bits))
+	out := make([]byte, headerSize+8*len(f.bits))
 	binary.BigEndian.PutUint64(out[0:8], f.m)
 	binary.BigEndian.PutUint32(out[8:12], f.k)
 	binary.BigEndian.PutUint64(out[12:20], f.n)
+	copy(out[20:headerSize], f.salt[:])
 	for i, w := range f.bits {
-		binary.BigEndian.PutUint64(out[20+8*i:], w)
+		binary.BigEndian.PutUint64(out[headerSize+8*i:], w)
 	}
 	return out
 }
 
 // Unmarshal reconstructs a filter from Marshal output.
 func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < 20 {
+	if len(data) < headerSize {
 		return nil, errors.New("bloom: truncated encoding")
 	}
 	m := binary.BigEndian.Uint64(data[0:8])
@@ -149,19 +167,19 @@ func Unmarshal(data []byte) (*Filter, error) {
 	if m%64 != 0 {
 		words++
 	}
-	if have := uint64(len(data) - 20); have%8 != 0 || have/8 != words {
+	if have := uint64(len(data) - headerSize); have%8 != 0 || have/8 != words {
 		return nil, fmt.Errorf("bloom: %d bytes of words for a %d-bit filter", have, m)
 	}
 	if uint64(k) > m {
 		return nil, fmt.Errorf("bloom: %d hash functions over %d bits", k, m)
 	}
-	f, err := New(m, k)
+	f, err := New(m, k, [SaltSize]byte(data[20:headerSize]))
 	if err != nil {
 		return nil, err
 	}
 	f.n = n
 	for i := range f.bits {
-		f.bits[i] = binary.BigEndian.Uint64(data[20+8*i:])
+		f.bits[i] = binary.BigEndian.Uint64(data[headerSize+8*i:])
 	}
 	return f, nil
 }

@@ -11,25 +11,29 @@ import (
 	"testing/quick"
 )
 
+// testSalt is the salt of the filters under test: fixed, so the golden
+// vectors and fuzz seeds stay put.
+var testSalt = [SaltSize]byte{0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7, 0xa8, 0xa9, 0xaa, 0xab, 0xac, 0xad, 0xae, 0xaf}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 3); err == nil {
+	if _, err := New(0, 3, testSalt); err == nil {
 		t.Error("accepted m=0")
 	}
-	if _, err := New(100, 0); err == nil {
+	if _, err := New(100, 0, testSalt); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := NewWithEstimates(0, 0.01); err == nil {
+	if _, err := NewWithEstimates(0, 0.01, testSalt); err == nil {
 		t.Error("accepted n=0")
 	}
 	for _, fp := range []float64{0, 1, -0.5, 2} {
-		if _, err := NewWithEstimates(100, fp); err == nil {
+		if _, err := NewWithEstimates(100, fp, testSalt); err == nil {
 			t.Errorf("accepted fp=%v", fp)
 		}
 	}
 }
 
 func TestNoFalseNegatives(t *testing.T) {
-	f, err := NewWithEstimates(1000, 0.01)
+	f, err := NewWithEstimates(1000, 0.01, testSalt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func TestNoFalseNegatives(t *testing.T) {
 func TestFalsePositiveRateNearTarget(t *testing.T) {
 	const n = 5000
 	const target = 0.01
-	f, err := NewWithEstimates(n, target)
+	f, err := NewWithEstimates(n, target, testSalt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 }
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
-	f, _ := New(1024, 4)
+	f, _ := New(1024, 4, testSalt)
 	if f.Contains([]byte("anything")) {
 		t.Error("empty filter claims membership")
 	}
@@ -85,7 +89,7 @@ func TestEmptyFilterContainsNothing(t *testing.T) {
 }
 
 func TestMarshalRoundtrip(t *testing.T) {
-	f, _ := NewWithEstimates(100, 0.02)
+	f, _ := NewWithEstimates(100, 0.02, testSalt)
 	for i := 0; i < 100; i++ {
 		f.Add([]byte(fmt.Sprintf("k%d", i)))
 	}
@@ -94,7 +98,7 @@ func TestMarshalRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.m != f.m || back.k != f.k || back.n != f.n {
+	if back.m != f.m || back.k != f.k || back.n != f.n || back.salt != f.salt {
 		t.Error("header fields differ after roundtrip")
 	}
 	for i := 0; i < 100; i++ {
@@ -108,17 +112,17 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	if _, err := Unmarshal(nil); err == nil {
 		t.Error("accepted nil")
 	}
-	if _, err := Unmarshal(make([]byte, 19)); err == nil {
+	if _, err := Unmarshal(make([]byte, headerSize-1)); err == nil {
 		t.Error("accepted short header")
 	}
-	f, _ := New(128, 2)
+	f, _ := New(128, 2, testSalt)
 	data := f.Marshal()
 	if _, err := Unmarshal(data[:len(data)-1]); err == nil {
 		t.Error("accepted truncated body")
 	}
 	// A bit count near 2^64 must not wrap to "no words" and index past
 	// the end on the first lookup.
-	huge := append([]byte(nil), data[:20]...)
+	huge := append([]byte(nil), data[:headerSize]...)
 	binary.BigEndian.PutUint64(huge[0:8], ^uint64(0))
 	if f, err := Unmarshal(huge); err == nil {
 		f.Contains([]byte("x"))
@@ -132,7 +136,7 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	f, _ := New(777, 5)
+	f, _ := New(777, 5, testSalt)
 	if f.Bits() != 777 || f.Hashes() != 5 {
 		t.Errorf("accessors: bits=%d hashes=%d", f.Bits(), f.Hashes())
 	}
@@ -141,7 +145,7 @@ func TestAccessors(t *testing.T) {
 // Property: anything added is always found (no false negatives, the
 // filter's defining invariant).
 func TestQuickNoFalseNegatives(t *testing.T) {
-	f, _ := NewWithEstimates(2000, 0.05)
+	f, _ := NewWithEstimates(2000, 0.05, testSalt)
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(8))}
 	check := func(key []byte) bool {
 		f.Add(key)
@@ -154,7 +158,7 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 
 // Property: marshal/unmarshal preserves membership answers exactly.
 func TestQuickMarshalPreservesMembership(t *testing.T) {
-	f, _ := NewWithEstimates(500, 0.01)
+	f, _ := NewWithEstimates(500, 0.01, testSalt)
 	keys := make([][]byte, 0, 50)
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 50; i++ {
@@ -190,25 +194,26 @@ func goldenInput(n int) []byte {
 	return data
 }
 
-// TestIndexesGolden pins index derivation to FNV-128a as hash/fnv
-// computes it. The filter is a wire format: a device decodes the
+// TestIndexesGolden pins index derivation to FNV-128a of salt ‖ data as
+// hash/fnv computes it. The filter is a wire format: a device decodes the
 // provider's filter with this package, so h1 and h2 — and with them every
-// bit — must never drift. The digests below are hash/fnv's output, and
-// the test recomputes them with it too.
+// bit — must never drift. The digests below are hash/fnv's output under
+// testSalt, and the test recomputes them with it too.
 func TestIndexesGolden(t *testing.T) {
 	golden := []struct {
 		n      int
-		digest string // FNV-128a of goldenInput(n), h1 ‖ h2 before h2's low bit is set
+		digest string // FNV-128a of testSalt ‖ goldenInput(n), h1 ‖ h2 before h2's low bit is set
 	}{
-		{0, "6c62272e07bb014262b821756295c58d"},
-		{1, "d228cb690f1a8caf78912b704e4a1344"},
-		{32, "6f85736cb05beef6ad44d05ced0d27cd"},
-		{70, "69de75b8afa647cc9ccff9df05f91f04"},
+		{0, "a45aab70d24711ffee44adef3f88277d"},
+		{1, "2ad07bfa397325ea2e8205632c889594"},
+		{32, "e76b1feff7cdc84ed1b284437c4fc27d"},
+		{70, "7dddcc532bb024cc3c333cda0a597274"},
 	}
-	f, _ := New(1024, 4)
+	f, _ := New(1024, 4, testSalt)
 	for _, g := range golden {
 		data := goldenInput(g.n)
 		h := fnv.New128a()
+		h.Write(testSalt[:])
 		h.Write(data)
 		if got := hex.EncodeToString(h.Sum(nil)); got != g.digest {
 			t.Fatalf("hash/fnv FNV-128a of %d bytes = %s, golden %s", g.n, got, g.digest)
@@ -224,7 +229,7 @@ func TestIndexesGolden(t *testing.T) {
 
 // TestAddContainsAllocateNothing: the index derivation hashes inline.
 func TestAddContainsAllocateNothing(t *testing.T) {
-	f, _ := NewWithEstimates(1000, 0.01)
+	f, _ := NewWithEstimates(1000, 0.01, testSalt)
 	data := goldenInput(20)
 	if n := testing.AllocsPerRun(100, func() { f.Add(data) }); n != 0 {
 		t.Errorf("Add allocates %v times per call", n)
@@ -237,13 +242,13 @@ func TestAddContainsAllocateNothing(t *testing.T) {
 // FuzzUnmarshal: hostile bytes either fail to decode or give a filter
 // that encodes back to exactly those bytes and answers a lookup.
 func FuzzUnmarshal(f *testing.F) {
-	good, _ := NewWithEstimates(8, 0.01)
+	good, _ := NewWithEstimates(8, 0.01, testSalt)
 	good.Add([]byte("serial"))
 	data := good.Marshal()
 	f.Add(data)
-	f.Add(data[:19])
+	f.Add(data[:headerSize-1])
 	f.Add(data[:len(data)-1])
-	f.Add(append(bytes.Repeat([]byte{0xff}, 8), data[8:20]...)) // 2^64-1 bits, no words
+	f.Add(append(bytes.Repeat([]byte{0xff}, 8), data[8:headerSize]...)) // 2^64-1 bits, no words
 	f.Fuzz(func(t *testing.T, data []byte) {
 		filter, err := Unmarshal(data)
 		if err != nil {

@@ -99,10 +99,8 @@ func (d *Device) Class() string { return d.cfg.Class }
 // revocation. Only whole seconds of IssuedAt are signed, so only those
 // are compared, and two filters cut either side of a revocation can carry
 // the same second: among those the signed element count decides, and the
-// one with fewer serials is the older. (A provider-side rebuild can lower
-// the count, which sums additions, not distinct serials; a device that
-// refuses such a filter takes the next one the provider cuts, no more
-// than a minute later.)
+// one with fewer serials is the older. (A cut's count is the exact number
+// of distinct revoked serials, which a revocation only raises.)
 func (d *Device) InstallRevocationFilter(sf *revocation.SignedFilter) error {
 	f, err := revocation.VerifyFilter(d.cfg.ProviderPub, sf)
 	if err != nil {
@@ -171,8 +169,9 @@ func (d *Device) checkRevocation(serial license.Serial) error {
 		return ErrNoRevocationFilter
 	}
 	if f.Contains(serial[:]) {
-		// Possibly a false positive; compliant devices deny conservatively
-		// until a fresh filter or an explicit provider check clears it.
+		// Possibly a false positive; compliant devices deny conservatively.
+		// Every cut has a fresh salt, so the next filter the provider
+		// signs clears it with probability 1 − its false-positive rate.
 		return ErrRevoked
 	}
 	return nil

@@ -43,6 +43,8 @@ func testProv(t *testing.T) *rsablind.Signer {
 type fixture struct {
 	dev     *Device
 	card    *smartcard.Card
+	ps      *smartcard.Pseudonym // the card's pseudonym 0, lic's holder
+	key     []byte               // the content key lic wraps
 	lic     *license.Personalized
 	content []byte
 	enc     []byte
@@ -87,22 +89,7 @@ func newFixture(t *testing.T, rightsSrc string) *fixture {
 	}
 
 	serial, _ := license.NewSerial()
-	kw, err := license.WrapKey(g, ps.EncY(), contentKey, license.WrapLabelPersonalized(serial, "song-1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lic := &license.Personalized{
-		Serial:     serial,
-		ContentID:  "song-1",
-		HolderSign: ps.SignPublic(g),
-		HolderEnc:  ps.EncPublic(g),
-		Rights:     rel.MustParse(rightsSrc),
-		KeyWrap:    kw,
-		IssuedAt:   fixedNow.Add(-time.Hour),
-	}
-	if err := license.Sign(p, lic); err != nil {
-		t.Fatal(err)
-	}
+	lic := issueLicense(t, ps, contentKey, serial, rel.MustParse(rightsSrc))
 
 	// Empty revocation list → signed filter.
 	rst, _ := kvstore.Open("")
@@ -118,7 +105,31 @@ func newFixture(t *testing.T, rightsSrc string) *fixture {
 		t.Fatal(err)
 	}
 
-	return &fixture{dev: dev, card: card, lic: lic, content: content, enc: encBuf.Bytes(), revList: rl}
+	return &fixture{dev: dev, card: card, ps: ps, key: contentKey, lic: lic, content: content, enc: encBuf.Bytes(), revList: rl}
+}
+
+// issueLicense signs a license for song-1 under serial, wrapping key to
+// the pseudonym ps.
+func issueLicense(t *testing.T, ps *smartcard.Pseudonym, key []byte, serial license.Serial, rights *rel.Rights) *license.Personalized {
+	t.Helper()
+	g := schnorr.Group768()
+	kw, err := license.WrapKey(g, ps.EncY(), key, license.WrapLabelPersonalized(serial, "song-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lic := &license.Personalized{
+		Serial:     serial,
+		ContentID:  "song-1",
+		HolderSign: ps.SignPublic(g),
+		HolderEnc:  ps.EncPublic(g),
+		Rights:     rights,
+		KeyWrap:    kw,
+		IssuedAt:   fixedNow.Add(-time.Hour),
+	}
+	if err := license.Sign(testProv(t), lic); err != nil {
+		t.Fatal(err)
+	}
+	return lic
 }
 
 func (f *fixture) play(t *testing.T) error {
@@ -280,6 +291,74 @@ func TestRevokedLicenseRefused(t *testing.T) {
 	}
 	if err := f.play(t); err != ErrRevoked {
 		t.Errorf("err = %v, want ErrRevoked", err)
+	}
+}
+
+// TestFalsePositiveClearsOnTheNextFilter: a device refuses an honest
+// license whose serial is a false positive of the filter it holds, and
+// plays it once it installs a later cut, whose fresh salt wrongs other
+// serials. A later cut is positive for the serial with probability
+// ≈ 10⁻⁴, independently of the cuts before it, so all falsePositiveCuts
+// of them positive — this test failing on correct code — has
+// probability ≈ (10⁻⁴)³ = 10⁻¹².
+func TestFalsePositiveClearsOnTheNextFilter(t *testing.T) {
+	const falsePositiveCuts = 3
+	f := newFixture(t, "grant play;")
+	revoked := make([]license.Serial, 1000)
+	for i := range revoked {
+		revoked[i], _ = license.NewSerial()
+	}
+	if err := f.revList.AddBatch(revoked); err != nil {
+		t.Fatal(err)
+	}
+	first, err := f.revList.ExportFilter(testProv(t), fixedNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter, err := revocation.VerifyFilter(testProv(t).Public(), first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// About 10⁴ tries at the design rate; 10⁷ without a hit has
+	// probability e⁻¹⁰⁰⁰.
+	var honest license.Serial
+	for i := 0; ; i++ {
+		if i == 10_000_000 {
+			t.Fatal("no false positive in 10⁷ serials")
+		}
+		honest, _ = license.NewSerial()
+		if filter.Contains(honest[:]) && !f.revList.Contains(honest) {
+			break
+		}
+	}
+	f.lic = issueLicense(t, f.ps, f.key, honest, f.lic.Rights)
+	if err := f.dev.InstallRevocationFilter(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.play(t); err != ErrRevoked {
+		t.Fatalf("under the first cut: err = %v, want ErrRevoked", err)
+	}
+
+	for cut := 1; ; cut++ {
+		if cut > falsePositiveCuts {
+			t.Fatalf("%d later cuts all refuse the honest license", falsePositiveCuts)
+		}
+		// Past the provider's one-minute bound on an artefact's age, an
+		// unchanged list is cut again.
+		sf, err := f.revList.ExportFilter(testProv(t), fixedNow.Add(time.Duration(cut)*2*time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.dev.InstallRevocationFilter(sf); err != nil {
+			t.Fatal(err)
+		}
+		err = f.play(t)
+		if err == nil {
+			break
+		}
+		if err != ErrRevoked {
+			t.Fatalf("cut %d: play: %v", cut, err)
+		}
 	}
 }
 

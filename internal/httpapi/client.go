@@ -94,7 +94,7 @@ func (c *Client) roundTrip(method, path string, in, out any) (int, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	return resp.StatusCode, decodeEnvelope(resp.Body, resp.StatusCode, out)
+	return resp.StatusCode, decodeEnvelope(&boundedBody{r: resp.Body}, resp.StatusCode, out)
 }
 
 // call is roundTrip for callers that need only the result.
@@ -115,20 +115,36 @@ func (c *Client) stream(path string) (*http.Response, error) {
 		return resp, nil
 	}
 	defer resp.Body.Close()
-	if err := decodeEnvelope(resp.Body, resp.StatusCode, nil); err != nil {
+	if err := decodeEnvelope(&boundedBody{r: resp.Body}, resp.StatusCode, nil); err != nil {
 		return nil, err
 	}
 	return nil, fmt.Errorf("httpapi: status %d", resp.StatusCode)
 }
 
-// maxResponseBody bounds what the SDK buffers from one raw-bytes
-// response — the client-side half of the server's maxRequestBody: a
+// maxResponseBody bounds what the SDK reads from one response, JSON or
+// raw bytes — the client-side half of the server's maxRequestBody: a
 // hostile or broken server cannot make a device allocate without limit.
 // The signed revocation filter for ten million serials is 24 MB.
 const maxResponseBody = 64 << 20
 
-// ErrResponseTooLarge reports a raw-bytes response over maxResponseBody.
+// ErrResponseTooLarge reports a response body over maxResponseBody.
 var ErrResponseTooLarge = fmt.Errorf("httpapi: response body over the client's %d MiB bound", maxResponseBody>>20)
+
+// boundedBody reads a response body and fails with ErrResponseTooLarge
+// once more than maxResponseBody bytes of it have arrived.
+type boundedBody struct {
+	r    io.Reader
+	read int64
+}
+
+func (b *boundedBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.read += int64(n)
+	if b.read > maxResponseBody {
+		return n, ErrResponseTooLarge
+	}
+	return n, err
+}
 
 // readBody reads and closes a stream response's body, at most
 // maxResponseBody bytes of it.
@@ -141,11 +157,8 @@ func readBody(resp *http.Response) ([]byte, error) {
 	// With room for the announced length plus one more read, ReadFrom
 	// reaches EOF without growing; an absent length (-1) starts small.
 	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody+1)); err != nil {
+	if _, err := buf.ReadFrom(&boundedBody{r: resp.Body}); err != nil {
 		return nil, err
-	}
-	if buf.Len() > maxResponseBody {
-		return nil, ErrResponseTooLarge
 	}
 	return buf.Bytes(), nil
 }
@@ -159,6 +172,9 @@ func readBody(resp *http.Response) ([]byte, error) {
 // is rejected rather than guessed at.
 func decodeEnvelope(body io.Reader, status int, out any) error {
 	bad := func(err error) error {
+		if errors.Is(err, ErrResponseTooLarge) {
+			return err
+		}
 		return fmt.Errorf("httpapi: bad envelope (status %d): %w", status, err)
 	}
 	var typ string
@@ -221,11 +237,6 @@ func adminPost[T any](c *Client, path string) (*T, error) {
 // CompactStore runs a full compaction of the daemon's store.
 func (c *Client) CompactStore() (*CompactResult, error) {
 	return adminPost[CompactResult](c, "/v2/compact")
-}
-
-// RebuildRevocationFilter rebuilds the revocation Bloom filter.
-func (c *Client) RebuildRevocationFilter() (*RebuildResult, error) {
-	return adminPost[RebuildResult](c, "/v2/revocation/rebuild")
 }
 
 // Promote opens a replica daemon's store for writes.

@@ -197,3 +197,54 @@ func TestStreamRouteErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestEnvelopeBodyBound: a JSON envelope is read under the same bound as
+// a raw-bytes body. A server streaming an unknown key past it gets
+// ErrResponseTooLarge on a JSON route and on a raw-bytes route's error
+// path, not a device that buffers without limit.
+func TestEnvelopeBodyBound(t *testing.T) {
+	endless := func(status int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+			io.WriteString(w, `{"type":"sync","padding":"`)
+			chunk := bytes.Repeat([]byte("a"), 1<<20)
+			for i := 0; i <= maxResponseBody/len(chunk); i++ {
+				if _, err := w.Write(chunk); err != nil {
+					return
+				}
+			}
+			io.WriteString(w, `"}`)
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v2/catalog", endless(http.StatusOK))
+	mux.HandleFunc("GET /v2/revocation/filter", endless(http.StatusInternalServerError))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+
+	if items, err := c.Catalog(); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("Catalog() = %d items, %v; want ErrResponseTooLarge", len(items), err)
+	}
+	if _, err := c.RevocationFilter(); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("RevocationFilter() error path: %v; want ErrResponseTooLarge", err)
+	}
+}
+
+// FuzzDecodeEnvelope: bytes off the wire decode or error, never panic,
+// and an error envelope comes back as *APIError with the status it was
+// read under, leaving the destination untouched.
+func FuzzDecodeEnvelope(f *testing.F) {
+	f.Add([]byte(`{"type":"sync","status-code":200,"result":{"found":true}}`))
+	f.Add([]byte(`{"type":"error","status-code":403,"result":{"message":"nope","kind":"rejected","found":true}}`))
+	f.Add([]byte(`{"result":{"found":true},"type":"sync"}`))
+	f.Add([]byte(`{"type":"sync","result":{"found":`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var out ContainsResponse
+		err := decodeEnvelope(bytes.NewReader(body), http.StatusTeapot, &out)
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && (apiErr.StatusCode != http.StatusTeapot || out.Found) {
+			t.Fatalf("error envelope: status %d, destination %+v", apiErr.StatusCode, out)
+		}
+	})
+}

@@ -733,8 +733,8 @@ func (s *Server) serveRevocationFilter(w http.ResponseWriter, r *http.Request) {
 
 // epRevocationContains is the primary's exact-answer revocation check,
 // mirroring the replica endpoint so clients can point the same call at
-// either tier: the bloom filter is the offline approximation, this is
-// the authoritative store lookup.
+// either tier: the signed filter is the devices' offline approximation,
+// this is the authoritative store lookup.
 func (s *Server) epRevocationContains(r *http.Request) (any, *apiError) {
 	raw, err := base64.URLEncoding.DecodeString(r.URL.Query().Get("serial"))
 	var serial license.Serial

@@ -36,7 +36,6 @@ func (s *Server) registerV2() {
 	s.v2("GET", "/v2/bank/coinkey", TierGuest, s.epCoinKey)
 	s.v2("POST", "/v2/bank/account", TierAdmin, s.epBankAccount)
 	s.v2("POST", "/v2/bank/withdraw", TierUser, s.epWithdraw)
-	s.v2("POST", "/v2/revocation/rebuild", TierAdmin, s.epRevocationRebuild)
 	s.registerObsRoutes()
 }
 
@@ -59,11 +58,6 @@ type CompactResult struct {
 	Stats kvstore.Stats `json:"stats"`
 }
 
-// RebuildResult answers POST /v2/revocation/rebuild.
-type RebuildResult struct {
-	Generation uint64 `json:"generation"`
-}
-
 // epCompact runs a full compaction of the store. It is idempotent, so a
 // request cut off mid-way is simply sent again.
 func (s *Server) epCompact(r *http.Request) (any, *apiError) {
@@ -71,8 +65,4 @@ func (s *Server) epCompact(r *http.Request) (any, *apiError) {
 		return nil, errInternal(err)
 	}
 	return CompactResult{Store: storeName, Stats: s.store.Stats()}, nil
-}
-
-func (s *Server) epRevocationRebuild(r *http.Request) (any, *apiError) {
-	return RebuildResult{Generation: s.Provider.RebuildRevocationFilter()}, nil
 }

@@ -169,19 +169,24 @@ func TestV2EnvelopeErrorPaths(t *testing.T) {
 	if status != http.StatusBadRequest || errKind(t, env) != "bad-request" {
 		t.Errorf("malformed batch JSON: status %d kind %q", status, errKind(t, env))
 	}
-	// The retired /v1 tree and the retired operations registry are
-	// unknown routes like any other, on both roles. (The registry's
-	// paths are spelled in pieces so that a search for live references
-	// to it comes back empty.)
+	// The retired /v1 tree, the retired operations registry and the
+	// retired filter rebuild are unknown routes like any other, on both
+	// roles. (Their paths are spelled in pieces so that a search for live
+	// references to them comes back empty.)
 	rsrv := httptest.NewServer(NewReplicaServer(newFollower(t, h.client, replica.Options{})))
 	defer rsrv.Close()
 	ops := "/v2/" + "operations"
+	rebuild := "/v2/revocation/" + "rebuild"
 	for _, base := range []string{h.srv.URL, rsrv.URL} {
 		for _, path := range []string{"/v1/catalog", ops, ops + "/x"} {
 			status, env = rawV2(t, base, "GET", path, "", "")
 			if status != http.StatusNotFound || errKind(t, env) != "not-found" {
 				t.Errorf("GET %s: status %d kind %q", path, status, errKind(t, env))
 			}
+		}
+		status, env = rawV2(t, base, "POST", rebuild, "", "")
+		if status != http.StatusNotFound || errKind(t, env) != "not-found" {
+			t.Errorf("POST %s: status %d kind %q", rebuild, status, errKind(t, env))
 		}
 	}
 	// Protocol rejection keeps its own kind: a purchase with no coins is
@@ -320,8 +325,8 @@ func TestRouteAuthTiers(t *testing.T) {
 	if len(replication) != 0 {
 		t.Errorf("replication routes not registered: %v", replication)
 	}
-	if p, r := len(h.server.Routes()), len(rs.Routes()); p != 27 || r != 8 {
-		t.Errorf("%d primary and %d replica routes, want 27 and 8", p, r)
+	if p, r := len(h.server.Routes()), len(rs.Routes()); p != 26 || r != 8 {
+		t.Errorf("%d primary and %d replica routes, want 26 and 8", p, r)
 	}
 }
 
@@ -364,26 +369,5 @@ func TestV2Compact(t *testing.T) {
 	}
 	if n, ok := m.Value("p2drm_kvstore_compact_step_seconds_count", map[string]string{"store": "provider"}); !ok || n < 1 {
 		t.Errorf(`p2drm_kvstore_compact_step_seconds_count{store="provider"} = %v, %v; want ≥ 1`, n, ok)
-	}
-}
-
-// TestV2RevocationRebuild: each rebuild answers with the generation it
-// produced, one higher than the last.
-func TestV2RevocationRebuild(t *testing.T) {
-	h := newV2Harness(t, Auth{})
-	first, err := h.client.RebuildRevocationFilter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, env := rawV2(t, h.srv.URL, "POST", "/v2/revocation/rebuild", "", "")
-	if status != http.StatusOK || env.Type != "sync" {
-		t.Fatalf("rebuild: status %d type %q, want a 200 sync envelope", status, env.Type)
-	}
-	var res RebuildResult
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		t.Fatal(err)
-	}
-	if first.Generation == 0 || res.Generation != first.Generation+1 {
-		t.Fatalf("rebuild generations %d then %d, want n > 0 then n+1", first.Generation, res.Generation)
 	}
 }

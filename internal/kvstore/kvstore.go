@@ -1125,8 +1125,8 @@ func (s *Store) PrefixScan(prefix []byte, fn func(key, val []byte) bool) {
 // order is unspecified, and the view is only per-shard consistent — a
 // key inserted or deleted mid-scan may or may not be visited (a key
 // live for the whole scan is visited exactly once). Long scans over
-// large stores (the revocation list's Open and its async filter rebuild)
-// use this so they never stall the write path. The callback receives
+// large stores (the revocation list's filter cut and its count) use
+// this so they never stall the write path. The callback receives
 // copies; one shard's copies share one allocation, so a callback that
 // keeps a key keeps that shard's copies alive with it.
 func (s *Store) PrefixScanRelaxed(prefix []byte, fn func(key, val []byte) bool) {

@@ -110,7 +110,7 @@
 // It does so on the refusal path too: ErrAlreadyRedeemed, ErrLicenseRevoked
 // and the bank's ErrDoubleSpend rest on another request's record, and are
 // not returned before that record is durable. No worker of a batch parks
-// on an fsync, and the revocation list's lock is never held across one.
+// on an fsync.
 // The entry points are still durable-on-return for every caller; a caller
 // that already opened a commit set of its own takes the wait over.
 //
@@ -1053,7 +1053,7 @@ func (p *Provider) admit(ctx context.Context, anon *license.Anonymous, signPub, 
 }
 
 // RevocationFilter exports the current signed filter for devices: the
-// artefact is cut once per filter state (see package revocation) and is
+// artefact is cut once per list version (see package revocation) and is
 // shared between callers, so it is read-only.
 func (p *Provider) RevocationFilter() (*revocation.SignedFilter, error) {
 	return p.rev.ExportFilter(p.signer, p.cfg.Clock())
@@ -1089,14 +1089,8 @@ func (p *Provider) RSAPrivateOps() (licenseKey, denominationKeys uint64) {
 // key since this process started, or since the key aged out).
 func (p *Provider) KEMShareStats() (cached, computed uint64) { return p.kem.Stats() }
 
-// RebuildRevocationFilter forces a full revocation Bloom-filter rebuild
-// and returns the resulting filter generation once it is done.
-// Idempotent: a rebuild scans the exact durable store, so an
-// interrupted one is simply run again.
-func (p *Provider) RebuildRevocationFilter() uint64 { return p.rev.Rebuild() }
-
-// Revoked reports whether a serial is revoked (help-desk path for devices
-// that got a Bloom positive).
+// Revoked reports whether a serial is revoked: the exact answer behind
+// GET /v2/revocation/contains.
 func (p *Provider) Revoked(s license.Serial) bool { return p.rev.Contains(s) }
 
 // RevokedCount reports the revocation list size.

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/sha256"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -76,7 +77,6 @@ func TestExportFilterCachedUntilMutation(t *testing.T) {
 			}
 			return batch
 		}},
-		{"Rebuild", func() []license.Serial { l.Rebuild(); return nil }},
 	}
 	prev := first
 	for i, m := range mutations {
@@ -235,6 +235,60 @@ func TestExportFilterConcurrentStrictFreshness(t *testing.T) {
 	t.Logf("%d revocations beside %d exports: %d cached, %d signed", len(acked), cached+signed, cached, signed)
 }
 
+// TestFalsePositiveClearsOnTheNextCut: an honest serial that one cut
+// tests positive is negative in a later one, because each cut has a salt
+// of its own. The later cuts come past filterMaxAge of an unchanged
+// list, so they have the first one's size and only the salt differs. A
+// later cut is positive for the serial with probability
+// ≈ DefaultFalsePositiveRate, independently of the cuts before it, so
+// all falsePositiveCuts of them positive — this test failing on correct
+// code — has probability ≈ (10⁻⁴)³ = 10⁻¹².
+func TestFalsePositiveClearsOnTheNextCut(t *testing.T) {
+	const falsePositiveCuts = 3
+	l := memList(t)
+	sgn := testSigner(t)
+	revoked := make([]license.Serial, 1000)
+	for i := range revoked {
+		revoked[i] = detSerial(i)
+	}
+	if err := l.AddBatch(revoked); err != nil {
+		t.Fatal(err)
+	}
+	_, first := mustExport(t, l, sgn, exportNow)
+	honest := falsePositive(t, l, first)
+
+	now := exportNow
+	for cut := 1; ; cut++ {
+		if cut > falsePositiveCuts {
+			t.Fatalf("%d later cuts all test the honest serial positive", falsePositiveCuts)
+		}
+		now = now.Add(filterMaxAge + time.Second)
+		_, f := mustExport(t, l, sgn, now)
+		if f.Bits() != first.Bits() || f.Hashes() != first.Hashes() || !f.Contains(revoked[0][:]) {
+			t.Fatal("a later cut of the unchanged list differs in size or misses a revoked serial")
+		}
+		if !f.Contains(honest[:]) {
+			t.Logf("cleared by cut %d", cut)
+			break
+		}
+	}
+}
+
+// falsePositive searches random serials for one f tests positive that l
+// does not hold. At f's design rate of 10⁻⁴ the search takes about 10⁴
+// tries; 10⁷ without one has probability e⁻¹⁰⁰⁰.
+func falsePositive(t *testing.T, l *List, f *bloom.Filter) license.Serial {
+	t.Helper()
+	for i := 0; i < 10_000_000; i++ {
+		s := newSerial(t)
+		if f.Contains(s[:]) && !l.Contains(s) {
+			return s
+		}
+	}
+	t.Fatal("no false positive in 10⁷ serials")
+	return license.Serial{}
+}
+
 func TestSignedFilterWire(t *testing.T) {
 	l := memList(t)
 	sgn := testSigner(t)
@@ -275,21 +329,26 @@ func TestSignedFilterWire(t *testing.T) {
 	}
 }
 
-// A v1 signature (tag ‖ ts ‖ whole filter) no longer verifies.
+// Signatures under the earlier tags no longer verify: v1 (tag ‖ ts ‖
+// whole filter) and v2 (tag ‖ ts ‖ SHA-256(filter), over unsalted
+// filters).
 func TestV1FilterSignatureRejected(t *testing.T) {
 	l := memList(t)
 	sgn := testSigner(t)
 	l.Add(newSerial(t))
 	sf, _ := mustExport(t, l, sgn, exportNow)
 
-	v1 := append([]byte("p2drm/revfilter/v1"), binary.BigEndian.AppendUint64(nil, uint64(exportNow.Unix()))...)
-	sig, err := sgn.Sign(append(v1, sf.Filter...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := &SignedFilter{Filter: sf.Filter, IssuedAt: sf.IssuedAt, Sig: sig}
-	if _, err := VerifyFilter(sgn.Public(), old); err == nil {
-		t.Error("v1 filter signature accepted")
+	digest := sha256.Sum256(sf.Filter)
+	for tag, body := range map[string][]byte{"p2drm/revfilter/v1": sf.Filter, "p2drm/revfilter/v2": digest[:]} {
+		msg := append([]byte(tag), binary.BigEndian.AppendUint64(nil, uint64(exportNow.Unix()))...)
+		sig, err := sgn.Sign(append(msg, body...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := &SignedFilter{Filter: sf.Filter, IssuedAt: sf.IssuedAt, Sig: sig}
+		if _, err := VerifyFilter(sgn.Public(), old); err == nil {
+			t.Errorf("%s filter signature accepted", tag)
+		}
 	}
 }
 
@@ -297,7 +356,7 @@ func TestV1FilterSignatureRejected(t *testing.T) {
 // a value that encodes back to exactly those bytes, and whatever filter
 // they carry goes through bloom.Unmarshal and a lookup without a panic.
 func FuzzParseSignedFilter(f *testing.F) {
-	bf, err := bloom.NewWithEstimates(8, 0.01)
+	bf, err := bloom.NewWithEstimates(8, 0.01, [bloom.SaltSize]byte{0: 0x5a, bloom.SaltSize - 1: 0xa5})
 	if err != nil {
 		f.Fatal(err)
 	}

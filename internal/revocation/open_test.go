@@ -1,15 +1,16 @@
 package revocation
 
-// Open over a list that already outgrew DefaultFilterCapacity: one read,
-// one filter at its final size, the bytes a rebuild would cut.
+// Open over a recorded list builds nothing; the first export cuts one
+// filter sized to the exact count.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"testing"
 	"time"
 
+	"p2drm/internal/bloom"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
 )
@@ -53,21 +54,13 @@ func writeSerials(tb testing.TB, dir string, n int) {
 // daemonWALOpts is how cmd/p2drmd opens its durable stores.
 var daemonWALOpts = kvstore.Options{Sync: kvstore.SyncGroupCommit, CompactEvery: 30 * time.Second}
 
-// The list Open is tested on: detSerial(0..openSerials-1). Once at its
-// design point it serves a filter of openedFilterBytes whose SHA-256 is
-// openedFilterSHA256 — the bytes the background rebuild that Open used to
-// start produced, so m, k and every bit of the device-facing artefact
-// stay put.
-const (
-	openSerials        = DefaultFilterCapacity * 3 / 2
-	openedFilterCap    = 2 * DefaultFilterCapacity
-	openedFilterBytes  = 314_108
-	openedFilterSHA256 = "538a128d9ce54d933590fbe879780c8a7ce712b19a9353808771f0c254a8c31d"
-)
+// openSerials is the size of the list Open is tested on.
+const openSerials = 70_000
 
-// TestOpenBuildsTheSizedFilterOnce: Open over 1.5 × DefaultFilterCapacity
-// recorded serials returns with the filter at its final size and no
-// rebuild in flight, and that filter is the one a forced Rebuild cuts.
+// TestOpenBuildsTheSizedFilterOnce: Open over recorded serials answers
+// Contains from the store, and the first export cuts a filter sized to
+// the exact count that holds every serial. A second cut has the same
+// m, k and n under another salt.
 func TestOpenBuildsTheSizedFilterOnce(t *testing.T) {
 	dir := t.TempDir()
 	writeSerials(t, dir, openSerials)
@@ -81,49 +74,47 @@ func TestOpenBuildsTheSizedFilterOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.mu.RLock()
-	inFlight := l.rebuilding || l.rebuildDone != nil
-	opened := l.filter.Marshal()
-	l.mu.RUnlock()
-	if inFlight {
-		t.Fatal("Open returned with a filter rebuild in flight")
-	}
-	if g := l.Generation(); g != 0 {
-		t.Fatalf("Generation() = %d after Open, want 0", g)
-	}
-	if c := l.FilterCapacity(); c != openedFilterCap {
-		t.Errorf("FilterCapacity() = %d, want %d", c, openedFilterCap)
-	}
 	if l.Len() != openSerials {
 		t.Errorf("Len() = %d, want %d", l.Len(), openSerials)
 	}
-	if len(opened) != openedFilterBytes {
-		t.Errorf("filter is %d bytes, want %d", len(opened), openedFilterBytes)
+	if s := detSerial(openSerials - 1); !l.Contains(s) {
+		t.Error("Contains misses a recorded serial")
 	}
-	if sum := sha256.Sum256(opened); hex.EncodeToString(sum[:]) != openedFilterSHA256 {
-		t.Errorf("opened filter SHA-256 = %x, want %s", sum, openedFilterSHA256)
+	if _, signed := l.ExportStats(); signed != 0 {
+		t.Fatalf("%d cuts signed by Open, want 0", signed)
 	}
 
-	if g := l.Rebuild(); g != 1 {
-		t.Fatalf("forced Rebuild: generation %d, want 1", g)
+	sized, err := bloom.NewWithEstimates(openSerials, DefaultFalsePositiveRate, [bloom.SaltSize]byte{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	l.mu.RLock()
-	rebuilt := l.filter.Marshal()
-	filter := l.filter
-	l.mu.RUnlock()
-	if string(rebuilt) != string(opened) {
-		t.Error("Open's filter differs from the one a forced Rebuild cuts")
+	sgn := testSigner(t)
+	first, f := mustExport(t, l, sgn, exportNow)
+	if f.Bits() != sized.Bits() || f.Hashes() != sized.Hashes() || f.Count() != openSerials {
+		t.Errorf("cut m=%d k=%d n=%d, want m=%d k=%d n=%d",
+			f.Bits(), f.Hashes(), f.Count(), sized.Bits(), sized.Hashes(), openSerials)
 	}
 	for i := 0; i < openSerials; i++ {
-		if s := detSerial(i); !filter.Contains(s[:]) {
+		if s := detSerial(i); !f.Contains(s[:]) {
 			t.Fatalf("serial %d missing from the filter", i)
 		}
+	}
+
+	if signed := l.Rebuild(); signed != 1 {
+		t.Fatalf("Rebuild reports %d cuts signed, want 1", signed)
+	}
+	second, g := mustExport(t, l, sgn, exportNow)
+	if g.Bits() != f.Bits() || g.Hashes() != f.Hashes() || g.Count() != f.Count() {
+		t.Error("a second cut of the same list is sized differently")
+	}
+	if bytes.Equal(second.Filter, first.Filter) {
+		t.Error("two cuts of the same list are byte-identical: the salt is not fresh")
 	}
 }
 
 // BenchmarkT1_RevocationOpen times Open over 100 000 recorded serials on
-// a durable store opened the way the daemon opens it: the read of the
-// list's keys and the one filter build.
+// a durable store opened the way the daemon opens it, and the first cut:
+// the read of the list's keys and the one filter build.
 func BenchmarkT1_RevocationOpen(b *testing.B) {
 	dir := b.TempDir()
 	writeSerials(b, dir, 100_000)
@@ -139,6 +130,8 @@ func BenchmarkT1_RevocationOpen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		l.waitRebuild()
+		if _, err := l.cut(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,45 +1,43 @@
 // Package revocation implements the provider's revoked/redeemed-serial
-// list and the artifact devices consume: SignedFilter, a Bloom filter over
-// all revoked serials, signed by the provider. Compliant devices hold the
-// latest filter and refuse to play any license whose serial tests
-// positive. Negatives are exact, so an honest license is never wrongly
-// blocked; positives are conservative denials whose rate is a design
-// parameter.
+// list and the artifact devices consume: SignedFilter, a salted Bloom
+// filter over all revoked serials, signed by the provider. Compliant
+// devices hold the latest filter and refuse to play any license whose
+// serial tests positive. Negatives are exact, so a revoked license is
+// never played; a positive for an honest serial is a conservative denial
+// at the filter's design rate, and lasts one filter: every filter is cut
+// under a fresh salt, so the next one wrongs other serials.
 //
-// The list itself is durable: every Add lands in the kvstore WAL before it
-// is acknowledged, because forgetting a redeemed serial re-enables double
-// redemption after a crash. Contains answers from the index, which a
-// revocation enters when it is appended — before it is acknowledged — so
-// a lookup never queues behind another caller's fsync; the conservative
-// direction (briefly "revoked" for a record a crash could still drop) is
-// the safe one for a deny list.
+// The list itself is the exact set in the store: every Add lands in the
+// kvstore WAL before it is acknowledged, because forgetting a redeemed
+// serial re-enables double redemption after a crash. Contains reads the
+// store's index, which a revocation enters when it is appended — before
+// it is acknowledged — so a lookup never queues behind another caller's
+// fsync; the conservative direction (briefly "revoked" for a record a
+// crash could still drop) is the safe one for a deny list.
 //
-// The filter is built once when the list opens, at its final size: Open
-// reads the recorded serials in one pass and sizes the filter for them,
-// so a restarted provider serves — and signs — a filter at its design
-// false-positive rate from the first request. Growth after that is
-// absorbed by background rebuilds into doubled filters (see List).
+// The signed filter is cut once per list version. The list counts every
+// change to its set, and ExportFilter keeps the last artefact it signed
+// together with the version it was cut at: a call finding that version
+// unchanged, the same signer and an IssuedAt no more than filterMaxAge
+// behind its clock (and not ahead of it) gets the same artefact back.
+// Anything else cuts a new one: it reads the version, collects the
+// recorded serials in one scan, builds a filter sized to their count
+// under a fresh salt from crypto/rand, and signs it. The invariant is
+// strict: no artefact is returned once the set it was cut from has
+// changed, so a revocation that has been acknowledged is in the very
+// next export. The provider signs
 //
-// The signed filter is cut once per filter state. The list counts every
-// change to its filter (an added serial, a rebuild swap) under its lock,
-// and ExportFilter keeps the last artefact it signed together with the
-// count it was cut at: a call finding that count unchanged, the same
-// signer and an IssuedAt no more than filterMaxAge behind its clock (and
-// not ahead of it) gets the same artefact back; anything else marshals
-// and signs again. The invariant is strict: no artefact is returned once
-// the filter it was cut from has changed, so a revocation that has been
-// acknowledged is in the very next export. The provider signs
-//
-//	"p2drm/revfilter/v2" ‖ issued_at (unix seconds, 8 bytes) ‖ SHA-256(filter)
+//	"p2drm/revfilter/v3" ‖ issued_at (unix seconds, 8 bytes) ‖ SHA-256(filter)
 //
 // — hash-then-sign, because the full-domain hash under the RSA signature
 // makes one SHA-256 pass over its message per 32 bytes of modulus; over
 // these 58 bytes that is free, and signer and verifier each read the
-// filter once.
+// filter, salt included, once.
 package revocation
 
 import (
 	"context"
+	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
@@ -66,55 +64,22 @@ func StoreKey(s license.Serial) []byte {
 	return append([]byte(keyPrefix), s[:]...)
 }
 
-// DefaultFilterCapacity sizes new Bloom filters when the caller gives no
-// estimate.
-const DefaultFilterCapacity = 1 << 16
-
 // DefaultFalsePositiveRate is the filter design point: 1 in 10⁴ honest
-// licenses is conservatively denied until the device refreshes its filter.
+// licenses is conservatively denied until the device installs the next
+// cut.
 const DefaultFalsePositiveRate = 1e-4
 
-// List is the durable revocation list.
-//
-// Open sizes the Bloom fast path for the serials already recorded, so a
-// list starts inside its design point with no rebuild to run. From then
-// on the filter is self-maintaining: when revocations push the live
-// count past the filter's design capacity (so its false-positive rate
-// drifts past the design point), a rebuild into a doubled filter runs on
-// a BACKGROUND goroutine — TryAdd and Contains never block on it. Serials
-// added while a rebuild is in flight are queued and folded into the new
-// filter before the swap, so the invariant "every revoked serial is in
-// the current filter" holds across generations; Contains may
-// conservatively fall back to the exact store a little more often until
-// the swap lands, never the reverse. Generation() counts swaps.
+// List is the durable revocation list: the serials recorded under
+// keyPrefix in its store, and the signed filter last cut from them.
 type List struct {
-	mu     sync.RWMutex
-	store  *kvstore.Store
-	filter *bloom.Filter
-	count  int
-
-	// capacity is the current filter's design capacity; exceeding it
-	// triggers an async rebuild into a doubled filter.
-	capacity uint64
-	// rebuilding is true while a background rebuild goroutine runs.
-	rebuilding bool
-	// pending holds serials added during a rebuild; they are folded into
-	// the new filter before the swap.
-	pending [][]byte
-	// gen increments on every completed filter swap.
-	gen uint64
-	// filterVersion increments on every change to the filter's contents
-	// (an added serial, a swap): the state a signed artefact was cut at.
-	filterVersion uint64
-	// rebuildDone is closed when the in-flight rebuild finishes; nil
-	// while no rebuild runs. A fresh channel per rebuild (captured under
-	// l.mu) lets Rebuild and waitRebuild wait without the
-	// Add-at-zero-concurrent-with-Wait hazard a shared WaitGroup has.
-	rebuildDone chan struct{}
+	store *kvstore.Store
+	// version counts changes to the set. A fresh revocation bumps it
+	// after its index insert, so a cut that reads the version before it
+	// scans holds every serial that version counts.
+	version atomic.Uint64
 
 	// exportMu serialises ExportFilter and guards exported, so downloads
-	// that arrive together after a revocation share one signature. It is
-	// taken before mu, never the other way round.
+	// that arrive together after a revocation share one cut.
 	exportMu sync.Mutex
 	exported *exportedFilter
 	// exportsCached and exportsSigned count ExportFilter outcomes.
@@ -125,159 +90,28 @@ type List struct {
 type exportedFilter struct {
 	sf      *SignedFilter // Filter and Sig are views into wire
 	wire    []byte        // sf.Marshal()
-	version uint64        // filterVersion the filter bytes were copied at
+	version uint64        // the list version read before the cut's scan
 	signer  *rsablind.Signer
 }
 
-// Open loads (or creates) a list backed by store. expected sizes the Bloom
-// filter; pass 0 for DefaultFilterCapacity. Open reads the recorded
-// serials once and builds the filter once, at its final size: expected
-// doubled until it holds them, which is the size the capacity trigger's
-// rebuilds would reach. So Open returns with no rebuild in flight and
-// Generation() == 0, and its filter is byte-identical to the one a forced
-// Rebuild would cut from the same serials.
-//
-// The read is the kvstore's relaxed per-shard scan: no whole-store
-// snapshot and no sort. That is sound here because nothing writes the
-// list's keys before the list exists — every revocation goes through a
-// List, and this one has not been returned yet.
+// Open returns the list backed by store. It reads and builds nothing:
+// the set is the store's, and the first export cuts the first filter.
+// expected is ignored.
 func Open(store *kvstore.Store, expected uint64) (*List, error) {
 	if store == nil {
 		return nil, errors.New("revocation: nil store")
 	}
-	if expected == 0 {
-		expected = DefaultFilterCapacity
-	}
-	serials := make([][]byte, 0, store.Len()) // Len bounds the count: one allocation
-	store.PrefixScanRelaxed([]byte(keyPrefix), func(k, _ []byte) bool {
-		serials = append(serials, k[len(keyPrefix):])
-		return true
-	})
-	capacity := expected
-	for capacity < uint64(len(serials)) {
-		capacity *= 2
-	}
-	f, err := bloom.NewWithEstimates(capacity, DefaultFalsePositiveRate)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range serials {
-		f.Add(s)
-	}
-	return &List{store: store, filter: f, capacity: capacity, count: len(serials)}, nil
+	return &List{store: store}, nil
 }
 
-// maybeRebuildLocked launches a background rebuild when the live count
-// has outgrown the filter. Caller holds l.mu.
-func (l *List) maybeRebuildLocked() {
-	if l.rebuilding || uint64(l.count) <= l.capacity {
-		return
-	}
-	target := l.capacity * 2
-	for target < uint64(l.count) {
-		target *= 2
-	}
-	l.rebuilding = true
-	l.rebuildDone = make(chan struct{})
-	go l.rebuild(target, l.rebuildDone)
-}
-
-// rebuild scans the exact store into a filter sized for target and swaps
-// it in. It holds l.mu only for the final swap, and the store scan uses
-// the kvstore's relaxed per-shard iteration — no global store snapshot
-// is taken, so adds and lookups (on this list AND on everything else
-// sharing the store) proceed throughout; any serial the relaxed scan
-// misses was added after the rebuild started and is covered by the
-// pending queue.
-func (l *List) rebuild(target uint64, done chan struct{}) {
-	// Closing done (after the swap is visible) releases Rebuild and
-	// waitRebuild callers holding this cycle's channel. When the final
-	// maybeRebuildLocked chains another rebuild, rebuildDone has already
-	// been replaced with the next cycle's channel.
-	defer close(done)
-	f, err := bloom.NewWithEstimates(target, DefaultFalsePositiveRate)
-	if err != nil {
-		// Can't size a new filter: keep the old one (correct, just a
-		// higher false-positive rate) and allow a future retry.
-		l.mu.Lock()
-		l.rebuilding = false
-		l.rebuildDone = nil
-		l.pending = nil
-		l.mu.Unlock()
-		return
-	}
-	l.store.PrefixScanRelaxed([]byte(keyPrefix), func(k, v []byte) bool {
-		f.Add(k[len(keyPrefix):])
-		return true
-	})
-	l.mu.Lock()
-	// Serials revoked while we scanned may have missed the snapshot;
-	// fold them in before the swap (double-adds are harmless).
-	for _, s := range l.pending {
-		f.Add(s)
-	}
-	l.pending = nil
-	l.filter = f
-	l.filterVersion++
-	l.capacity = target
-	l.rebuilding = false
-	l.rebuildDone = nil
-	l.gen++
-	// The count may have grown past the new target while scanning.
-	l.maybeRebuildLocked()
-	l.mu.Unlock()
-}
-
-// Rebuild forces a full filter rebuild — the entry point behind the
-// REST plane's POST /v2/revocation/rebuild operation. It launches the
-// same background rebuild the capacity trigger uses (sized for the
-// current count, never smaller than the current capacity), waits for
-// the in-flight cycle to land, and returns the resulting generation.
-// Safe to run twice: rebuilding is idempotent over the exact store, so
-// the operation can be resumed after a daemon restart.
+// Rebuild drops the cached artefact, so the next export cuts a new one,
+// and returns the number of cuts signed so far. The repository
+// benchmark's probe is its only caller.
 func (l *List) Rebuild() uint64 {
-	l.mu.Lock()
-	if !l.rebuilding {
-		target := l.capacity
-		for target < uint64(l.count) {
-			target *= 2
-		}
-		l.rebuilding = true
-		l.rebuildDone = make(chan struct{})
-		go l.rebuild(target, l.rebuildDone)
-	}
-	done := l.rebuildDone
-	l.mu.Unlock()
-	<-done
-	return l.Generation()
-}
-
-// Generation reports how many background filter rebuilds have completed.
-func (l *List) Generation() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.gen
-}
-
-// FilterCapacity reports the current filter's design capacity.
-func (l *List) FilterCapacity() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.capacity
-}
-
-// waitRebuild drains in-flight rebuilds, chained ones included (tests
-// and shutdown paths).
-func (l *List) waitRebuild() {
-	for {
-		l.mu.Lock()
-		done := l.rebuildDone
-		l.mu.Unlock()
-		if done == nil {
-			return
-		}
-		<-done
-	}
+	l.exportMu.Lock()
+	l.exported = nil
+	l.exportMu.Unlock()
+	return l.exportsSigned.Load()
 }
 
 // Add marks a serial revoked. Idempotent.
@@ -294,20 +128,18 @@ func (l *List) TryAdd(s license.Serial) (fresh bool, err error) {
 
 // TryAddCtx is the list's compare-and-set: of any number of concurrent
 // calls on one serial exactly one gets fresh=true — the provider's
-// Exchange uses it as its double-exchange gate. The store insert and the
-// Bloom update happen under the list lock; the durability wait does not,
-// so lookups and other revocations proceed (and share the fsync) while
-// this one waits. A context carrying a kvstore commit set defers that
-// wait to the set's owner; otherwise both answers are durable on return,
-// the loser's meaning the record it lost to.
+// Exchange uses it as its double-exchange gate. The gate is the store's
+// PutIfAbsent; lookups and other revocations proceed (and share the
+// fsync) while this one waits for durability. A context carrying a
+// kvstore commit set defers that wait to the set's owner; otherwise both
+// answers are durable on return, the loser's meaning the record it lost
+// to.
 func (l *List) TryAddCtx(ctx context.Context, s license.Serial) (fresh bool, err error) {
 	ctx, commit := kvstore.BeginCommit(ctx)
-	l.mu.Lock()
 	fresh, err = l.store.PutIfAbsentCtx(ctx, StoreKey(s), []byte{1})
 	if err == nil && fresh {
-		l.addToFilterLocked(s[:])
+		l.version.Add(1)
 	}
-	l.mu.Unlock()
 	if err == nil {
 		err = commit.End(ctx)
 	}
@@ -317,35 +149,14 @@ func (l *List) TryAddCtx(ctx context.Context, s license.Serial) (fresh bool, err
 	return fresh, nil
 }
 
-// addToFilterLocked records one freshly revoked serial in the fast path:
-// into the current filter always, into the pending queue too while a
-// rebuild is in flight (the rebuild's store scan may have already passed
-// this serial's position). Caller holds l.mu.
-func (l *List) addToFilterLocked(serial []byte) {
-	l.filter.Add(serial)
-	l.filterVersion++
-	l.count++
-	if l.rebuilding {
-		l.pending = append(l.pending, append([]byte(nil), serial...))
-	}
-	l.maybeRebuildLocked()
-}
-
-// AddBatch revokes several serials atomically (one WAL record). Like
-// TryAddCtx it holds the list lock for the append and the Bloom update
-// only, not for the durability wait.
+// AddBatch revokes several serials atomically (one WAL record).
 func (l *List) AddBatch(serials []license.Serial) error {
 	ctx, commit := kvstore.BeginCommit(context.Background())
-	l.mu.Lock()
 	b := new(kvstore.Batch)
-	fresh := make([]license.Serial, 0, len(serials))
 	for _, s := range serials {
-		key := StoreKey(s)
-		if l.store.Has(key) {
-			continue
+		if key := StoreKey(s); !l.store.Has(key) {
+			b.Put(key, []byte{1})
 		}
-		b.Put(key, []byte{1})
-		fresh = append(fresh, s)
 	}
 	// A serial skipped as present may belong to a revocation still waiting
 	// for its fsync: the barrier makes "nil" mean durable for those too.
@@ -353,12 +164,9 @@ func (l *List) AddBatch(serials []license.Serial) error {
 	if err == nil {
 		err = l.store.ApplyCtx(ctx, b)
 	}
-	if err == nil {
-		for _, s := range fresh {
-			l.addToFilterLocked(s[:])
-		}
+	if err == nil && b.Len() > 0 {
+		l.version.Add(1)
 	}
-	l.mu.Unlock()
 	if err == nil {
 		err = commit.End(ctx)
 	}
@@ -368,22 +176,20 @@ func (l *List) AddBatch(serials []license.Serial) error {
 	return nil
 }
 
-// Contains reports whether s is revoked (exact answer: Bloom fast path,
-// store fallback on positives).
+// Contains reports whether s is revoked: the exact answer, from the
+// store's index.
 func (l *List) Contains(s license.Serial) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if !l.filter.Contains(s[:]) {
-		return false
-	}
 	return l.store.Has(StoreKey(s))
 }
 
-// Len returns the number of revoked serials.
+// Len returns the number of revoked serials, counted in one relaxed scan.
 func (l *List) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.count
+	n := 0
+	l.store.PrefixScanRelaxed([]byte(keyPrefix), func(_, _ []byte) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // SignedFilter is the device-side revocation artifact. One returned by
@@ -396,11 +202,11 @@ type SignedFilter struct {
 }
 
 // filterMaxAge bounds how long one signed artefact is handed out for an
-// unchanged filter: a device may rely on IssuedAt being at most this far
+// unchanged list: a device may rely on IssuedAt being at most this far
 // behind the moment it asked.
 const filterMaxAge = time.Minute
 
-const filterSigningTag = "p2drm/revfilter/v2"
+const filterSigningTag = "p2drm/revfilter/v3"
 
 func filterSigningBytes(filter []byte, issuedAt time.Time) []byte {
 	digest := sha256.Sum256(filter)
@@ -446,10 +252,11 @@ func ParseSignedFilter(data []byte) (*SignedFilter, error) {
 	}, nil
 }
 
-// ExportFilter returns the current filter state signed for distribution
-// to devices, cutting a new artefact only when the cached one no longer
-// stands for it (see the package comment): the filter changed, the signer
-// differs, or now is before its IssuedAt or more than filterMaxAge after.
+// ExportFilter returns a filter of the current list signed for
+// distribution to devices, cutting a new artefact only when the cached
+// one no longer stands for it (see the package comment): the list
+// changed, the signer differs, or now is before its IssuedAt or more than
+// filterMaxAge after.
 func (l *List) ExportFilter(signer *rsablind.Signer, now time.Time) (*SignedFilter, error) {
 	e, err := l.export(signer, now)
 	if err != nil {
@@ -472,21 +279,17 @@ func (l *List) export(signer *rsablind.Signer, now time.Time) (*exportedFilter, 
 	issuedAt := now.UTC().Truncate(time.Second)
 	l.exportMu.Lock()
 	defer l.exportMu.Unlock()
+	version := l.version.Load()
 	c := l.exported
-	if c != nil && c.signer == signer &&
+	if c != nil && c.signer == signer && c.version == version &&
 		!issuedAt.Before(c.sf.IssuedAt) && now.Sub(c.sf.IssuedAt) <= filterMaxAge {
-		l.mu.RLock()
-		current := c.version == l.filterVersion
-		l.mu.RUnlock()
-		if current {
-			l.exportsCached.Add(1)
-			return c, nil
-		}
+		l.exportsCached.Add(1)
+		return c, nil
 	}
-	l.mu.RLock()
-	data := l.filter.Marshal()
-	version := l.filterVersion
-	l.mu.RUnlock()
+	data, err := l.cut()
+	if err != nil {
+		return nil, err
+	}
 	sig, err := signer.Sign(filterSigningBytes(data, issuedAt))
 	if err != nil {
 		return nil, fmt.Errorf("revocation: sign filter: %w", err)
@@ -512,8 +315,32 @@ func (l *List) export(signer *rsablind.Signer, now time.Time) (*exportedFilter, 
 	return e, nil
 }
 
+// cut builds the device filter over the serials one relaxed scan finds:
+// sized to their count, under a fresh salt. A serial revoked during the
+// scan may be missed; it bumped the version after the caller read it, so
+// the artefact is stale at once and the next export cuts again.
+func (l *List) cut() ([]byte, error) {
+	var serials [][]byte
+	l.store.PrefixScanRelaxed([]byte(keyPrefix), func(k, _ []byte) bool {
+		serials = append(serials, k[len(keyPrefix):])
+		return true
+	})
+	var salt [bloom.SaltSize]byte
+	if _, err := rand.Read(salt[:]); err != nil {
+		return nil, fmt.Errorf("revocation: filter salt: %w", err)
+	}
+	f, err := bloom.NewWithEstimates(max(uint64(len(serials)), 1), DefaultFalsePositiveRate, salt)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range serials {
+		f.Add(s)
+	}
+	return f.Marshal(), nil
+}
+
 // ExportStats reports how many ExportFilter calls were answered with the
-// cached artefact and how many marshalled and signed a new one.
+// cached artefact and how many cut and signed a new one.
 func (l *List) ExportStats() (cached, signed uint64) {
 	return l.exportsCached.Load(), l.exportsSigned.Load()
 }

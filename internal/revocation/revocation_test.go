@@ -208,140 +208,6 @@ func TestNoFalseNegativesAtScale(t *testing.T) {
 	}
 }
 
-// TestAsyncFilterRebuild: exceeding the filter's design capacity must
-// trigger a background rebuild into a larger filter, without losing a
-// single serial from the fast path's view (Contains stays exact via the
-// store fallback, but the filter itself must also contain every serial —
-// no false negatives across the generation swap).
-func TestAsyncFilterRebuild(t *testing.T) {
-	st, err := kvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(st, 8) // tiny design capacity: rebuilds trigger fast
-	if err != nil {
-		t.Fatal(err)
-	}
-	serials := make([]license.Serial, 100)
-	for i := range serials {
-		serials[i] = newSerial(t)
-		fresh, err := l.TryAdd(serials[i])
-		if err != nil || !fresh {
-			t.Fatalf("TryAdd %d: fresh=%v err=%v", i, fresh, err)
-		}
-	}
-	l.waitRebuild()
-	if l.Generation() == 0 {
-		t.Fatal("no background rebuild completed despite 100 adds into capacity-8 filter")
-	}
-	if cap := l.FilterCapacity(); cap < 100 {
-		t.Fatalf("FilterCapacity = %d, want >= 100 after rebuilds", cap)
-	}
-	for i, s := range serials {
-		if !l.Contains(s) {
-			t.Fatalf("serial %d lost across filter rebuild", i)
-		}
-	}
-	if l.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", l.Len())
-	}
-}
-
-// TestAsyncRebuildConcurrent races TryAdd/Contains against background
-// rebuilds; run under -race in CI. No add may be lost, no Contains may
-// return a false negative, and no call may deadlock against a rebuild.
-func TestAsyncRebuildConcurrent(t *testing.T) {
-	st, err := kvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(st, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, perWriter = 8, 40
-	all := make([][]license.Serial, writers)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		all[g] = make([]license.Serial, perWriter)
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				s := newSerial(t)
-				all[g][i] = s
-				if _, err := l.TryAdd(s); err != nil {
-					t.Error(err)
-					return
-				}
-				if !l.Contains(s) {
-					t.Errorf("false negative for just-added serial")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	l.waitRebuild()
-	for g := range all {
-		for i, s := range all[g] {
-			if !l.Contains(s) {
-				t.Fatalf("writer %d serial %d lost", g, i)
-			}
-		}
-	}
-	if l.Len() != writers*perWriter {
-		t.Fatalf("Len = %d, want %d", l.Len(), writers*perWriter)
-	}
-	if l.Generation() == 0 {
-		t.Error("expected at least one rebuild generation")
-	}
-}
-
-// TestForcedRebuildConcurrent races the explicit Rebuild entry point
-// (the REST plane's rebuild operation) against capacity-triggered
-// rebuilds from TryAdd. With a shared WaitGroup this was the
-// documented Add-at-zero-concurrent-with-Wait misuse; the per-rebuild
-// done channel must neither panic nor return before a cycle lands.
-func TestForcedRebuildConcurrent(t *testing.T) {
-	st, err := kvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(st, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if _, err := l.TryAdd(newSerial(t)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				l.Rebuild()
-			}
-		}()
-	}
-	wg.Wait()
-	l.waitRebuild()
-	if l.Generation() == 0 {
-		t.Error("expected at least one rebuild generation")
-	}
-	if l.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", l.Len())
-	}
-}
-
 // durableList opens a list on a group-commit store whose commit leader
 // sleeps interval before each fsync, so "still waiting" is a window a
 // test can stand in.

@@ -32,7 +32,8 @@ race:
 # pattern reaches the per-package micro-benchmarks docs/crypto.md quotes
 # (internal/cryptox/dlkem: T1_KEMShare; internal/cryptox/schnorr:
 # T1_ExpG, T1_VerifyBatch16; internal/license: T1_LicenseSignBatch16,
-# T1_LicenseVerifyPath; internal/revocation: T1_RevocationOpen).
+# T1_LicenseVerifyPath; internal/revocation: T1_RevocationOpen,
+# T1_VerifyFilter).
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkT1_ -benchtime=1x ./...
 	$(GO) test -run=NONE -bench=BenchmarkT3_ReplicaCatchup -benchtime=1x ./internal/replica
@@ -61,7 +62,8 @@ timing-guard:
 
 # Short-deadline go-native fuzzing (one -fuzz target per package run):
 # corrupted WAL tails, license encodings and downloaded revocation
-# filters must error, never panic or silently drop committed state; a
+# filters must error, never panic or silently drop committed state, and
+# a fuse filter that decodes never reads past its encoding; a
 # presented nonce is accepted once at most and only under this provider's
 # beacon; a withdraw body debits exactly what it gets signed or nothing;
 # a Schnorr proof or signature off the wire errors or is judged, never
@@ -75,7 +77,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLicenseCodec -fuzztime=10s ./internal/license
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rel
 	$(GO) test -run=NONE -fuzz=FuzzParseSignedFilter -fuzztime=10s ./internal/revocation
-	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/bloom
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/fuse
 	$(GO) test -run=NONE -fuzz=FuzzConsumeNonce -fuzztime=10s ./internal/provider
 	$(GO) test -run=NONE -fuzz=FuzzWithdrawRequest -fuzztime=10s ./internal/httpapi
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/httpapi

@@ -21,7 +21,7 @@ import (
 	"testing"
 	"time"
 
-	"p2drm/internal/bloom"
+	"p2drm/internal/fuse"
 	"p2drm/internal/httpapi"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
@@ -124,9 +124,9 @@ func TestParentEraOpsDirIsLeftAlone(t *testing.T) {
 // provider store already holds 70 000 revoked serials. The keys, the
 // generator table and the WAL replays run side by side, and so do the
 // demo items' key generations: the daemon must come up healthy and
-// answer for every serial, sign a filter sized to the exact count that
-// holds them, and list three items under three distinct denomination
-// keys.
+// answer for every serial, sign a filter that holds them with the
+// geometry fuse sizes for the exact count, and list three items under
+// three distinct denomination keys.
 func TestBootOverARevocationList(t *testing.T) {
 	bin := buildDaemon(t)
 	state := filepath.Join(t.TempDir(), "state")
@@ -176,13 +176,10 @@ func TestBootOverARevocationList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sized, err := bloom.NewWithEstimates(n, revocation.DefaultFalsePositiveRate, [bloom.SaltSize]byte{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filter.Bits() != sized.Bits() || filter.Hashes() != sized.Hashes() || filter.Count() != n {
-		t.Errorf("signed filter m=%d k=%d n=%d, want m=%d k=%d n=%d",
-			filter.Bits(), filter.Hashes(), filter.Count(), sized.Bits(), sized.Hashes(), n)
+	segLen, segCount := fuse.Geometry(n)
+	if filter.SegmentLength() != segLen || filter.SegmentCount() != segCount || filter.Count() != n {
+		t.Errorf("signed filter has %d segments of %d for n=%d, want %d of %d for n=%d",
+			filter.SegmentCount(), filter.SegmentLength(), filter.Count(), segCount, segLen, n)
 	}
 	for i, s := range serials {
 		if !filter.Contains(s[:]) {

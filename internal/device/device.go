@@ -28,9 +28,9 @@ import (
 	"sync"
 	"time"
 
-	"p2drm/internal/bloom"
 	"p2drm/internal/cryptox/envelope"
 	"p2drm/internal/cryptox/schnorr"
+	"p2drm/internal/fuse"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
 	"p2drm/internal/rel"
@@ -66,7 +66,7 @@ type Device struct {
 	cfg Config
 
 	mu           sync.Mutex
-	filter       *bloom.Filter
+	filter       *fuse.Filter
 	filterIssued time.Time
 }
 
@@ -100,7 +100,9 @@ func (d *Device) Class() string { return d.cfg.Class }
 // are compared, and two filters cut either side of a revocation can carry
 // the same second: among those the signed element count decides, and the
 // one with fewer serials is the older. (A cut's count is the exact number
-// of distinct revoked serials, which a revocation only raises.)
+// of distinct revoked serials, which a revocation only raises.) The
+// device reads the installed filter in place from sf.Filter, which must
+// not change afterwards.
 func (d *Device) InstallRevocationFilter(sf *revocation.SignedFilter) error {
 	f, err := revocation.VerifyFilter(d.cfg.ProviderPub, sf)
 	if err != nil {

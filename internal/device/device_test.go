@@ -298,9 +298,9 @@ func TestRevokedLicenseRefused(t *testing.T) {
 // license whose serial is a false positive of the filter it holds, and
 // plays it once it installs a later cut, whose fresh salt wrongs other
 // serials. A later cut is positive for the serial with probability
-// ≈ 10⁻⁴, independently of the cuts before it, so all falsePositiveCuts
-// of them positive — this test failing on correct code — has
-// probability ≈ (10⁻⁴)³ = 10⁻¹².
+// 2⁻¹⁴, independently of the cuts before it, so all falsePositiveCuts of
+// them positive — this test failing on correct code — has probability
+// 2⁻⁴² ≈ 2·10⁻¹³.
 func TestFalsePositiveClearsOnTheNextFilter(t *testing.T) {
 	const falsePositiveCuts = 3
 	f := newFixture(t, "grant play;")
@@ -319,8 +319,8 @@ func TestFalsePositiveClearsOnTheNextFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// About 10⁴ tries at the design rate; 10⁷ without a hit has
-	// probability e⁻¹⁰⁰⁰.
+	// About 1.6·10⁴ tries at the filter's rate of 2⁻¹⁴; 10⁷ without a
+	// hit has probability e⁻⁶¹⁰.
 	var honest license.Serial
 	for i := 0; ; i++ {
 		if i == 10_000_000 {

@@ -124,7 +124,7 @@ func (c *Client) stream(path string) (*http.Response, error) {
 // maxResponseBody bounds what the SDK reads from one response, JSON or
 // raw bytes — the client-side half of the server's maxRequestBody: a
 // hostile or broken server cannot make a device allocate without limit.
-// The signed revocation filter for ten million serials is 24 MB.
+// The signed revocation filter for ten million serials is ≈19.7 MB.
 const maxResponseBody = 64 << 20
 
 // ErrResponseTooLarge reports a response body over maxResponseBody.

@@ -9,20 +9,21 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"p2drm/internal/bloom"
 	"p2drm/internal/cryptox/rsablind"
+	"p2drm/internal/fuse"
 	"p2drm/internal/license"
 )
 
 var exportNow = time.Date(2004, 9, 1, 12, 0, 0, 0, time.UTC)
 
 // mustExport exports, verifies and returns the artefact with its filter.
-func mustExport(t *testing.T, l *List, sgn *rsablind.Signer, now time.Time) (*SignedFilter, *bloom.Filter) {
+func mustExport(t *testing.T, l *List, sgn *rsablind.Signer, now time.Time) (*SignedFilter, *fuse.Filter) {
 	t.Helper()
 	sf, err := l.ExportFilter(sgn, now)
 	if err != nil {
@@ -238,11 +239,11 @@ func TestExportFilterConcurrentStrictFreshness(t *testing.T) {
 // TestFalsePositiveClearsOnTheNextCut: an honest serial that one cut
 // tests positive is negative in a later one, because each cut has a salt
 // of its own. The later cuts come past filterMaxAge of an unchanged
-// list, so they have the first one's size and only the salt differs. A
-// later cut is positive for the serial with probability
-// ≈ DefaultFalsePositiveRate, independently of the cuts before it, so
-// all falsePositiveCuts of them positive — this test failing on correct
-// code — has probability ≈ (10⁻⁴)³ = 10⁻¹².
+// list, so they have the first one's geometry and only the salt
+// differs. A later cut is positive for the serial with probability
+// 2⁻¹⁴, independently of the cuts before it, so all falsePositiveCuts of
+// them positive — this test failing on correct code — has probability
+// 2⁻⁴² ≈ 2·10⁻¹³.
 func TestFalsePositiveClearsOnTheNextCut(t *testing.T) {
 	const falsePositiveCuts = 3
 	l := memList(t)
@@ -264,8 +265,9 @@ func TestFalsePositiveClearsOnTheNextCut(t *testing.T) {
 		}
 		now = now.Add(filterMaxAge + time.Second)
 		_, f := mustExport(t, l, sgn, now)
-		if f.Bits() != first.Bits() || f.Hashes() != first.Hashes() || !f.Contains(revoked[0][:]) {
-			t.Fatal("a later cut of the unchanged list differs in size or misses a revoked serial")
+		if f.SegmentLength() != first.SegmentLength() || f.SegmentCount() != first.SegmentCount() ||
+			f.Count() != first.Count() || !f.Contains(revoked[0][:]) {
+			t.Fatal("a later cut of the unchanged list differs in geometry or misses a revoked serial")
 		}
 		if !f.Contains(honest[:]) {
 			t.Logf("cleared by cut %d", cut)
@@ -275,9 +277,9 @@ func TestFalsePositiveClearsOnTheNextCut(t *testing.T) {
 }
 
 // falsePositive searches random serials for one f tests positive that l
-// does not hold. At f's design rate of 10⁻⁴ the search takes about 10⁴
-// tries; 10⁷ without one has probability e⁻¹⁰⁰⁰.
-func falsePositive(t *testing.T, l *List, f *bloom.Filter) license.Serial {
+// does not hold. At f's rate of 2⁻¹⁴ the search takes about 1.6·10⁴
+// tries; 10⁷ without one has probability e⁻⁶¹⁰.
+func falsePositive(t *testing.T, l *List, f *fuse.Filter) license.Serial {
 	t.Helper()
 	for i := 0; i < 10_000_000; i++ {
 		s := newSerial(t)
@@ -331,37 +333,58 @@ func TestSignedFilterWire(t *testing.T) {
 
 // Signatures under the earlier tags no longer verify: v1 (tag ‖ ts ‖
 // whole filter) and v2 (tag ‖ ts ‖ SHA-256(filter), over unsalted
-// filters).
+// filters) over today's filter, and a v3 artefact (tag ‖ ts ‖
+// SHA-256(filter) over a salted Bloom filter), whose signature does not
+// cover the v4 tag and whose encoding is no fuse filter.
 func TestV1FilterSignatureRejected(t *testing.T) {
 	l := memList(t)
 	sgn := testSigner(t)
 	l.Add(newSerial(t))
 	sf, _ := mustExport(t, l, sgn, exportNow)
 
-	digest := sha256.Sum256(sf.Filter)
-	for tag, body := range map[string][]byte{"p2drm/revfilter/v1": sf.Filter, "p2drm/revfilter/v2": digest[:]} {
-		msg := append([]byte(tag), binary.BigEndian.AppendUint64(nil, uint64(exportNow.Unix()))...)
-		sig, err := sgn.Sign(append(msg, body...))
+	// A v3 Bloom encoding, m[8] | k[4] | n[8] | salt[16] | words: 64
+	// bits, 2 hashes, 1 element.
+	bloomV3 := make([]byte, 20+16+8)
+	binary.BigEndian.PutUint64(bloomV3[0:8], 64)
+	binary.BigEndian.PutUint32(bloomV3[8:12], 2)
+	binary.BigEndian.PutUint64(bloomV3[12:20], 1)
+	binary.BigEndian.PutUint64(bloomV3[len(bloomV3)-8:], 1<<3|1<<41)
+	if _, err := fuse.Unmarshal(bloomV3); err == nil {
+		t.Fatal("a Bloom encoding decodes as a fuse filter")
+	}
+
+	fuseDigest, bloomDigest := sha256.Sum256(sf.Filter), sha256.Sum256(bloomV3)
+	for _, old := range []struct {
+		tag          string
+		filter, body []byte
+	}{
+		{"p2drm/revfilter/v1", sf.Filter, sf.Filter},
+		{"p2drm/revfilter/v2", sf.Filter, fuseDigest[:]},
+		{"p2drm/revfilter/v3", sf.Filter, fuseDigest[:]},
+		{"p2drm/revfilter/v3", bloomV3, bloomDigest[:]},
+	} {
+		msg := append([]byte(old.tag), binary.BigEndian.AppendUint64(nil, uint64(exportNow.Unix()))...)
+		sig, err := sgn.Sign(append(msg, old.body...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := &SignedFilter{Filter: sf.Filter, IssuedAt: sf.IssuedAt, Sig: sig}
-		if _, err := VerifyFilter(sgn.Public(), old); err == nil {
-			t.Errorf("%s filter signature accepted", tag)
+		artefact := &SignedFilter{Filter: old.filter, IssuedAt: sf.IssuedAt, Sig: sig}
+		if _, err := VerifyFilter(sgn.Public(), artefact); err == nil {
+			t.Errorf("%s signature over a %d-byte filter accepted", old.tag, len(old.filter))
 		}
 	}
 }
 
 // FuzzParseSignedFilter: hostile bytes either fail to parse or parse to
 // a value that encodes back to exactly those bytes, and whatever filter
-// they carry goes through bloom.Unmarshal and a lookup without a panic.
+// they carry goes through fuse.Unmarshal and a lookup without a panic.
 func FuzzParseSignedFilter(f *testing.F) {
-	bf, err := bloom.NewWithEstimates(8, 0.01, [bloom.SaltSize]byte{0: 0x5a, bloom.SaltSize - 1: 0xa5})
+	salt := bytes.Repeat([]byte{0x5a}, 16)
+	ff, err := fuse.Build([][]byte{[]byte("serial")}, bytes.NewReader(salt))
 	if err != nil {
 		f.Fatal(err)
 	}
-	bf.Add([]byte("serial"))
-	good := (&SignedFilter{Filter: bf.Marshal(), IssuedAt: exportNow, Sig: []byte("signature")}).Marshal()
+	good := (&SignedFilter{Filter: ff.Marshal(), IssuedAt: exportNow, Sig: []byte("signature")}).Marshal()
 	f.Add(good)
 	f.Add(good[:signedFilterHeader-1])                      // truncated length
 	f.Add(good[:signedFilterHeader+4])                      // sig length past the end
@@ -376,8 +399,89 @@ func FuzzParseSignedFilter(f *testing.F) {
 		if !bytes.Equal(sf.Marshal(), data) {
 			t.Fatalf("re-encoding differs from the %d parsed bytes", len(data))
 		}
-		if filter, err := bloom.Unmarshal(sf.Filter); err == nil {
+		if filter, err := fuse.Unmarshal(sf.Filter); err == nil {
 			filter.Contains([]byte("serial"))
 		}
 	})
+}
+
+// verifySerials is the list size BenchmarkT1_VerifyFilter and
+// TestVerifyFilterReadsInPlace use: revstorm's preload.
+const verifySerials = 100_000
+
+// signedWire returns the wire form of a filter of serials 0..n-1 signed
+// by sgn.
+func signedWire(tb testing.TB, sgn *rsablind.Signer, n int) []byte {
+	tb.Helper()
+	l := memList(tb)
+	batch := make([]license.Serial, 0, 1000)
+	for i := 0; i < n; i++ {
+		batch = append(batch, detSerial(i))
+		if len(batch) == cap(batch) || i == n-1 {
+			if err := l.AddBatch(batch); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	wire, err := l.ExportFilterWire(sgn, exportNow)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return wire
+}
+
+// TestVerifyFilterReadsInPlace: parsing and verifying a downloaded filter
+// of 100 000 serials allocates a small fraction of its bytes, and the
+// filter it returns reads the downloaded bytes.
+func TestVerifyFilterReadsInPlace(t *testing.T) {
+	sgn := testSigner(t)
+	wire := signedWire(t, sgn, verifySerials)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sf, err := ParseSignedFilter(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := VerifyFilter(sgn.Public(), sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(sf.Filter))/16 {
+		t.Errorf("parse and verify allocated %d bytes for a %d-byte filter", grew, len(sf.Filter))
+	}
+	if &f.Marshal()[0] != &wire[len(wire)-len(sf.Filter)] {
+		t.Error("the verified filter does not read the downloaded bytes")
+	}
+	if s := detSerial(verifySerials - 1); !f.Contains(s[:]) {
+		t.Error("the verified filter misses a revoked serial")
+	}
+}
+
+// BenchmarkT1_VerifyFilter times what a device does with a downloaded
+// filter of 100 000 serials before its first answer: parse the signed
+// artefact, verify its signature (one SHA-256 pass over the filter and
+// one RSA verification), decode the filter and look up one serial.
+func BenchmarkT1_VerifyFilter(b *testing.B) {
+	sgn := testSigner(b)
+	wire := signedWire(b, sgn, verifySerials)
+	pub := sgn.Public()
+	serial := detSerial(verifySerials / 2)
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sf, err := ParseSignedFilter(wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := VerifyFilter(pub, sf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !f.Contains(serial[:]) {
+			b.Fatal("filter misses a revoked serial")
+		}
+	}
 }

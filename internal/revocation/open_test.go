@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"p2drm/internal/bloom"
+	"p2drm/internal/fuse"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
 )
@@ -58,9 +58,9 @@ var daemonWALOpts = kvstore.Options{Sync: kvstore.SyncGroupCommit, CompactEvery:
 const openSerials = 70_000
 
 // TestOpenBuildsTheSizedFilterOnce: Open over recorded serials answers
-// Contains from the store, and the first export cuts a filter sized to
-// the exact count that holds every serial. A second cut has the same
-// m, k and n under another salt.
+// Contains from the store, and the first export cuts a filter that holds
+// every serial, with the geometry fuse sizes for the exact count. A
+// second cut has the same geometry and count under another salt.
 func TestOpenBuildsTheSizedFilterOnce(t *testing.T) {
 	dir := t.TempDir()
 	writeSerials(t, dir, openSerials)
@@ -84,15 +84,12 @@ func TestOpenBuildsTheSizedFilterOnce(t *testing.T) {
 		t.Fatalf("%d cuts signed by Open, want 0", signed)
 	}
 
-	sized, err := bloom.NewWithEstimates(openSerials, DefaultFalsePositiveRate, [bloom.SaltSize]byte{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	segLen, segCount := fuse.Geometry(openSerials)
 	sgn := testSigner(t)
 	first, f := mustExport(t, l, sgn, exportNow)
-	if f.Bits() != sized.Bits() || f.Hashes() != sized.Hashes() || f.Count() != openSerials {
-		t.Errorf("cut m=%d k=%d n=%d, want m=%d k=%d n=%d",
-			f.Bits(), f.Hashes(), f.Count(), sized.Bits(), sized.Hashes(), openSerials)
+	if f.SegmentLength() != segLen || f.SegmentCount() != segCount || f.Count() != openSerials {
+		t.Errorf("cut has %d segments of %d for n=%d, want %d of %d for n=%d",
+			f.SegmentCount(), f.SegmentLength(), f.Count(), segCount, segLen, openSerials)
 	}
 	for i := 0; i < openSerials; i++ {
 		if s := detSerial(i); !f.Contains(s[:]) {
@@ -104,7 +101,7 @@ func TestOpenBuildsTheSizedFilterOnce(t *testing.T) {
 		t.Fatalf("Rebuild reports %d cuts signed, want 1", signed)
 	}
 	second, g := mustExport(t, l, sgn, exportNow)
-	if g.Bits() != f.Bits() || g.Hashes() != f.Hashes() || g.Count() != f.Count() {
+	if g.SegmentLength() != f.SegmentLength() || g.SegmentCount() != f.SegmentCount() || g.Count() != f.Count() {
 		t.Error("a second cut of the same list is sized differently")
 	}
 	if bytes.Equal(second.Filter, first.Filter) {

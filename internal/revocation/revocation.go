@@ -1,10 +1,10 @@
 // Package revocation implements the provider's revoked/redeemed-serial
-// list and the artifact devices consume: SignedFilter, a salted Bloom
-// filter over all revoked serials, signed by the provider. Compliant
+// list and the artifact devices consume: SignedFilter, a salted binary
+// fuse filter over all revoked serials, signed by the provider. Compliant
 // devices hold the latest filter and refuse to play any license whose
 // serial tests positive. Negatives are exact, so a revoked license is
 // never played; a positive for an honest serial is a conservative denial
-// at the filter's design rate, and lasts one filter: every filter is cut
+// at the filter's rate of 2⁻¹⁴, and lasts one filter: every filter is cut
 // under a fresh salt, so the next one wrongs other serials.
 //
 // The list itself is the exact set in the store: every Add lands in the
@@ -21,18 +21,19 @@
 // unchanged, the same signer and an IssuedAt no more than filterMaxAge
 // behind its clock (and not ahead of it) gets the same artefact back.
 // Anything else cuts a new one: it reads the version, collects the
-// recorded serials in one scan, builds a filter sized to their count
+// recorded serials in one scan, builds a filter of exactly those serials
 // under a fresh salt from crypto/rand, and signs it. The invariant is
 // strict: no artefact is returned once the set it was cut from has
 // changed, so a revocation that has been acknowledged is in the very
 // next export. The provider signs
 //
-//	"p2drm/revfilter/v3" ‖ issued_at (unix seconds, 8 bytes) ‖ SHA-256(filter)
+//	"p2drm/revfilter/v4" ‖ issued_at (unix seconds, 8 bytes) ‖ SHA-256(filter)
 //
 // — hash-then-sign, because the full-domain hash under the RSA signature
 // makes one SHA-256 pass over its message per 32 bytes of modulus; over
 // these 58 bytes that is free, and signer and verifier each read the
-// filter, salt included, once.
+// filter, salt included, once. A device then reads the verified bytes in
+// place: verifying a filter copies none of it.
 package revocation
 
 import (
@@ -47,8 +48,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2drm/internal/bloom"
 	"p2drm/internal/cryptox/rsablind"
+	"p2drm/internal/fuse"
 	"p2drm/internal/kvstore"
 	"p2drm/internal/license"
 )
@@ -63,11 +64,6 @@ const keyPrefix = "rev:"
 func StoreKey(s license.Serial) []byte {
 	return append([]byte(keyPrefix), s[:]...)
 }
-
-// DefaultFalsePositiveRate is the filter design point: 1 in 10⁴ honest
-// licenses is conservatively denied until the device installs the next
-// cut.
-const DefaultFalsePositiveRate = 1e-4
 
 // List is the durable revocation list: the serials recorded under
 // keyPrefix in its store, and the signed filter last cut from them.
@@ -196,7 +192,7 @@ func (l *List) Len() int {
 // ExportFilter is shared with every other caller that gets the same
 // artefact: treat it as read-only.
 type SignedFilter struct {
-	Filter   []byte    // bloom.Marshal output
+	Filter   []byte    // fuse.Filter.Marshal output
 	IssuedAt time.Time // whole seconds, UTC
 	Sig      []byte    // provider FDH-RSA over filterSigningBytes
 }
@@ -206,7 +202,7 @@ type SignedFilter struct {
 // behind the moment it asked.
 const filterMaxAge = time.Minute
 
-const filterSigningTag = "p2drm/revfilter/v3"
+const filterSigningTag = "p2drm/revfilter/v4"
 
 func filterSigningBytes(filter []byte, issuedAt time.Time) []byte {
 	digest := sha256.Sum256(filter)
@@ -315,26 +311,19 @@ func (l *List) export(signer *rsablind.Signer, now time.Time) (*exportedFilter, 
 	return e, nil
 }
 
-// cut builds the device filter over the serials one relaxed scan finds:
-// sized to their count, under a fresh salt. A serial revoked during the
-// scan may be missed; it bumped the version after the caller read it, so
-// the artefact is stale at once and the next export cuts again.
+// cut builds the device filter of the serials one relaxed scan finds,
+// under a fresh salt. A serial revoked during the scan may be missed; it
+// bumped the version after the caller read it, so the artefact is stale
+// at once and the next export cuts again.
 func (l *List) cut() ([]byte, error) {
 	var serials [][]byte
 	l.store.PrefixScanRelaxed([]byte(keyPrefix), func(k, _ []byte) bool {
 		serials = append(serials, k[len(keyPrefix):])
 		return true
 	})
-	var salt [bloom.SaltSize]byte
-	if _, err := rand.Read(salt[:]); err != nil {
-		return nil, fmt.Errorf("revocation: filter salt: %w", err)
-	}
-	f, err := bloom.NewWithEstimates(max(uint64(len(serials)), 1), DefaultFalsePositiveRate, salt)
+	f, err := fuse.Build(serials, rand.Reader)
 	if err != nil {
-		return nil, err
-	}
-	for _, s := range serials {
-		f.Add(s)
+		return nil, fmt.Errorf("revocation: cut filter: %w", err)
 	}
 	return f.Marshal(), nil
 }
@@ -345,13 +334,14 @@ func (l *List) ExportStats() (cached, signed uint64) {
 	return l.exportsCached.Load(), l.exportsSigned.Load()
 }
 
-// VerifyFilter checks a signed filter and returns the usable Bloom filter.
-func VerifyFilter(pub *rsa.PublicKey, sf *SignedFilter) (*bloom.Filter, error) {
+// VerifyFilter checks a signed filter and returns the filter, which reads
+// sf.Filter in place: those bytes must not change while it is in use.
+func VerifyFilter(pub *rsa.PublicKey, sf *SignedFilter) (*fuse.Filter, error) {
 	if sf == nil {
 		return nil, errors.New("revocation: nil filter")
 	}
 	if err := rsablind.Verify(pub, filterSigningBytes(sf.Filter, sf.IssuedAt), sf.Sig); err != nil {
 		return nil, fmt.Errorf("revocation: filter signature: %w", err)
 	}
-	return bloom.Unmarshal(sf.Filter)
+	return fuse.Unmarshal(sf.Filter)
 }

@@ -18,8 +18,8 @@ var (
 	signer *rsablind.Signer
 )
 
-func testSigner(t *testing.T) *rsablind.Signer {
-	t.Helper()
+func testSigner(tb testing.TB) *rsablind.Signer {
+	tb.Helper()
 	sgOnce.Do(func() {
 		key, err := rsa.GenerateKey(rand.Reader, 1024)
 		if err != nil {
@@ -33,15 +33,15 @@ func testSigner(t *testing.T) *rsablind.Signer {
 	return signer
 }
 
-func memList(t *testing.T) *List {
-	t.Helper()
+func memList(tb testing.TB) *List {
+	tb.Helper()
 	st, err := kvstore.Open("")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	l, err := Open(st, 1000)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return l
 }
@@ -159,7 +159,7 @@ func TestSignedFilterRoundtrip(t *testing.T) {
 	}
 	clean := newSerial(t)
 	if f.Contains(clean[:]) {
-		t.Log("false positive on fresh serial (possible but ~1e-4)")
+		t.Log("false positive on fresh serial (possible, at 2⁻¹⁴)")
 	}
 }
 
@@ -200,7 +200,7 @@ func TestNoFalseNegativesAtScale(t *testing.T) {
 			t.Fatalf("false negative at %d — double redemption possible", i)
 		}
 	}
-	// Exactness despite Bloom: fresh serials must be reported clean.
+	// Exact, not the filter: fresh serials must be reported clean.
 	for i := 0; i < 500; i++ {
 		if l.Contains(newSerial(t)) {
 			t.Fatal("Contains returned true for never-revoked serial (fallback to exact store failed)")
